@@ -16,10 +16,11 @@ from .asymptotics import (Corrector, FitnessComparison, LimitProfile,
                           gaussian_moment_expansion, hopf_cole, limit_profile,
                           mean_fitness, measure_moments, predict_moments,
                           stationary_constant_env)
-from .env_models import (EnvironmentModel, HypothesisReport, check_hypotheses,
-                         load_tabulated, locate_optimum, make_custom,
-                         make_oscillating_optimum, make_oscillating_pressure,
-                         make_tabulated, mean_growth)
+from .env_models import (EnvironmentModel, HypothesisReport, averaged_optimum,
+                         check_hypotheses, load_tabulated, locate_optimum,
+                         make_custom, make_oscillating_optimum,
+                         make_oscillating_pressure, make_tabulated, mean_growth,
+                         rate_table)
 from .errors import (ConfigError, ConvergenceError, ExtinctionError,
                      FluctselError, NumericalError)
 from .floquet import (EffectiveSignal, FloquetPair, effective_signals,
@@ -30,8 +31,8 @@ from .no_mutation import (ConcentrationMetrics, ExponentState,
                           simulate_sigma0)
 from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
                          default_orbit_guess, find_periodic_orbit, simulate,
-                         step_imex, total_mass)
+                         total_mass)
 from .rho_ode import (PeriodicScalarSignal, RhoOrbit, integrate_logistic,
-                      orbit_mean, periodic_rho_closed_form)
+                      periodic_rho_closed_form)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .env_models import EnvironmentModel, locate_optimum, make_custom, mean_growth
+from .env_models import (EnvironmentModel, averaged_optimum, make_custom,
+                         mean_growth, rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
 from .floquet import principal_eigenpair
 from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
@@ -114,10 +115,7 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
     """
     xs = np.asarray(xs, dtype=float)
     info = model.analytic_info or {}
-    if "x_m" in info:
-        x_m = float(info["x_m"])
-    else:
-        x_m = locate_optimum(model, (xs[0], xs[-1]))
+    x_m = averaged_optimum(model, (xs[0], xs[-1]))
     if rho_bar is None:
         rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
     fine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1)
@@ -156,18 +154,14 @@ def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
     T = model.period
     times = np.linspace(0.0, T, nt + 1)
     xs = profile.xs
-    abar = np.asarray(mean_growth(model, xs), dtype=float)
-    table = np.empty((nt + 1, len(xs)))
-    for j, t in enumerate(times):
-        table[j] = np.asarray(model.rate(t, xs), dtype=float) - abar
+    table = rate_table(model, times, xs)
+    table -= np.asarray(mean_growth(model, xs), dtype=float)
     v_values = cumulative_simpson(table, x=times, axis=0, initial=0.0)
 
     h = fd_step if fd_step is not None else 1e-2 * (1.0 + abs(profile.x_m))
     stencil = profile.x_m + h * np.arange(-2.0, 3.0)
-    abar5 = np.asarray(mean_growth(model, stencil), dtype=float)
-    tab5 = np.empty((nt + 1, 5))
-    for j, t in enumerate(times):
-        tab5[j] = np.asarray(model.rate(t, stencil), dtype=float) - abar5
+    tab5 = rate_table(model, times, stencil)
+    tab5 -= np.asarray(mean_growth(model, stencil), dtype=float)
     v5 = cumulative_simpson(tab5, x=times, axis=0, initial=0.0)
     vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
@@ -237,9 +231,10 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
     if masses.min() <= 0.0:
         raise NumericalError("cannot take moments of a snapshot with zero mass")
     mu = (dx * record.snapshots @ x) / masses
-    var = np.empty_like(mu)
-    for k in range(record.snapshots.shape[0]):
-        var[k] = dx * float(np.sum((x - mu[k]) ** 2 * record.snapshots[k])) / masses[k]
+    spread = x - mu[:, None]
+    spread *= spread
+    spread *= record.snapshots
+    var = dx * spread.sum(axis=1) / masses
     T = float(record.times[-1])
     rho_mean = float(simpson(masses, x=record.times)) / T
     return MomentReport(
@@ -251,13 +246,9 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
 def fitness_samples(record: OrbitRecord, model: EnvironmentModel) -> np.ndarray:
     """Population mean growth rate int a n dx / rho at each snapshot time."""
     grid = record.grid
-    x = grid.x
-    dx = grid.dx
-    out = np.empty(len(record.times))
-    for k, t in enumerate(record.times):
-        row = np.asarray(model.rate(t, x), dtype=float)
-        out[k] = dx * float(np.sum(row * record.snapshots[k])) / record.rho_samples[k]
-    return out
+    table = rate_table(model, record.times, grid.x)
+    table *= record.snapshots
+    return grid.dx * table.sum(axis=1) / record.rho_samples
 
 
 def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:
@@ -275,14 +266,11 @@ def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel,
     Raises ExtinctionError when lambda >= 0 and NumericalError when the
     profile leans on the domain boundary (the domain does not confine it).
     """
-    x = grid.x
-    a0 = np.asarray(model.rate(0.0, x), dtype=float)
-    scale = max(np.abs(a0).max(), 1.0)
     # probe incommensurate phases; a half-period check alone can be blind
-    for frac in (0.25, 0.5, 1.0 / 3.0, np.sqrt(0.5)):
-        ah = np.asarray(model.rate(frac * model.period, x), dtype=float)
-        if np.abs(a0 - ah).max() > 1e-10 * scale:
-            raise ConfigError("stationary analysis needs a time-independent model")
+    phases = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, np.sqrt(0.5)]) * model.period
+    table = rate_table(model, phases, grid.x)
+    if np.abs(table[1:] - table[0]).max() > 1e-10 * max(np.abs(table[0]).max(), 1.0):
+        raise ConfigError("stationary analysis needs a time-independent model")
     pair = principal_eigenpair(grid, model, tol=tol)
     rho_c = -pair.lam
     if rho_c <= 0.0:
@@ -325,11 +313,8 @@ def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
     T = model.period
     ts = np.linspace(0.0, T, 2049)[:-1]
     h = 1e-2 * (1.0 + abs(x_m))
-    stencil = x_m + h * np.array([-1.0, 0.0, 1.0])
-    curv = np.empty(len(ts))
-    for j, t in enumerate(ts):
-        row = np.asarray(model.rate(t, stencil), dtype=float)
-        curv[j] = -(row[0] - 2.0 * row[1] + row[2]) / (h * h)
+    tab = rate_table(model, ts, x_m + h * np.array([-1.0, 0.0, 1.0]))
+    curv = -(tab[:, 0] - 2.0 * tab[:, 1] + tab[:, 2]) / (h * h)
     return float(ts[int(np.argmin(curv))])
 
 
@@ -343,9 +328,7 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
     the rate at the optimum). If the rate is time-independent the frozen
     environment coincides with the periodic one and all quantities agree.
     """
-    info = model.analytic_info or {}
-    x_m = float(info.get("x_m", 0.0)) if "x_m" in info else locate_optimum(
-        model, (grid.x_lo, grid.x_hi))
+    x_m = averaged_optimum(model, (grid.x_lo, grid.x_hi))
     if t_star is None:
         t_star = _default_t_star(model, x_m)
     record = find_periodic_orbit(grid, model, orbit_tol=orbit_tol,

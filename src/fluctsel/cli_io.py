@@ -215,8 +215,11 @@ def _check_constraints(cfg: RunConfig, sections, origin):
 
 def parse_config(path: str) -> RunConfig:
     """Read and validate a config file (INI-like sections or JSON)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc.strerror}") from exc
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -300,6 +303,12 @@ def _sigma_of(solver: dict) -> float:
     return eps * eps
 
 
+def _orbit_budget(solver: dict) -> dict:
+    """The orbit tolerance and period budget of a solver block."""
+    return {"orbit_tol": float(solver.get("orbit_tol", 1e-8)),
+            "max_periods": int(solver.get("max_periods", 2000))}
+
+
 def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
     """SimulationGrid from the (defaults-resolved) grid and solver blocks."""
     g = cfg.grid
@@ -344,16 +353,6 @@ _DEFAULTS = {
         "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
                    "steps_per_period": 2048},
         "extra": {"nt": 2048}},
-    "example1": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
-                   "steps_per_period": 2048},
-        "extra": {"nt": 2048}},
-    "example2": {
-        "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
-                   "eigen_tol": 1e-10, "steps_per_period": 2048},
-        "extra": {}},
     "fitness-compare": {
         "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
         "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
@@ -365,6 +364,9 @@ _DEFAULTS = {
                    "max_periods": 2000, "steps_per_period": 500},
         "extra": {"levels": 3}},
 }
+# the worked examples of the paper run their general experiment's defaults
+_DEFAULTS["example1"] = _DEFAULTS["moments"]
+_DEFAULTS["example2"] = _DEFAULTS["fitness-compare"]
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
@@ -395,17 +397,10 @@ def _gaussian(x, center, width):
         width * np.sqrt(2.0 * np.pi))
 
 
-def _x_m_of(model) -> float:
-    info = model.analytic_info or {}
-    if "x_m" in info:
-        return float(info["x_m"])
-    return env_models.locate_optimum(model, (-5.0, 5.0))
-
-
 def _run_sigma0(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     T = model.period
-    x_m = _x_m_of(model)
+    x_m = env_models.averaged_optimum(model, (cfg.grid["x_lo"], cfg.grid["x_hi"]))
     q = rho_ode.PeriodicScalarSignal.from_callable(
         T, lambda t: float(np.asarray(model.rate(t, np.array([x_m])))[0]))
     orbit = rho_ode.periodic_rho_closed_form(q)
@@ -468,8 +463,7 @@ def _run_sigma0(cfg: RunConfig):
 def _bounds_summary(grid, model, record, pair):
     """Size-band and tail-envelope checks on a recorded orbit."""
     lam = pair.lam
-    d0 = float(max(np.abs(np.asarray(model.rate(t, grid.x), dtype=float)).max()
-                   for t in record.times[::64]))
+    d0 = float(np.abs(env_models.rate_table(model, record.times[::64], grid.x)).max())
     T = model.period
     rho = record.rho_samples
     rho_upper = max(float(rho[0]), d0)
@@ -481,11 +475,11 @@ def _bounds_summary(grid, model, record, pair):
     tail_margin = None
     if report.h5_delta is not None and report.h5_delta > 0:
         decay = np.sqrt(report.h5_delta / grid.sigma)
-        xs = grid.x
-        outside = np.abs(xs) >= report.h5_radius
+        dist = np.abs(grid.x - report.x_m)
+        outside = dist >= report.h5_radius
         if outside.any():
             p = pair.p_snapshots
-            envelope = p.max() * np.exp(-decay * (np.abs(xs[outside]) - report.h5_radius))
+            envelope = p.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
             worst = float((p[:, outside] / envelope[None, :]).max())
             tail_ok = bool(worst <= 1.0 + 1e-9)
             tail_margin = worst
@@ -511,9 +505,7 @@ def _run_periodic_orbit(cfg: RunConfig):
                                        tol=float(solver.get("eigen_tol", 1e-10)))
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
     try:
-        record = pde_solver.find_periodic_orbit(
-            grid, model, orbit_tol=float(solver.get("orbit_tol", 1e-8)),
-            max_periods=int(solver.get("max_periods", 2000)))
+        record = pde_solver.find_periodic_orbit(grid, model, **_orbit_budget(solver))
     except ExtinctionError as exc:
         t_end = float(cfg.extra.get("t_end", 30.0))
         n0 = pde_solver.default_orbit_guess(grid, model)
@@ -583,8 +575,7 @@ def _run_epsilon_limit(cfg: RunConfig):
             x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=cfg.grid["nx"],
             dt=T / steps, sigma=eps * eps)
         record = pde_solver.find_periodic_orbit(
-            grid, model, orbit_tol=float(cfg.solver.get("orbit_tol", 1e-8)),
-            max_periods=int(cfg.solver.get("max_periods", 2000)))
+            grid, model, **_orbit_budget(cfg.solver))
         u_eps = asymptotics.hopf_cole(record.snapshots[0], grid.sigma)
         profile = asymptotics.limit_profile(model, grid.x)
         window = (grid.x >= lo) & (grid.x <= hi)
@@ -614,9 +605,7 @@ def _run_moments(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
     eps = np.sqrt(grid.sigma)
-    record = pde_solver.find_periodic_orbit(
-        grid, model, orbit_tol=float(cfg.solver.get("orbit_tol", 1e-8)),
-        max_periods=int(cfg.solver.get("max_periods", 2000)))
+    record = pde_solver.find_periodic_orbit(grid, model, **_orbit_budget(cfg.solver))
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi),
@@ -657,9 +646,7 @@ def _run_fitness_compare(cfg: RunConfig):
     t_star = cfg.extra.get("t_star")
     comp = asymptotics.fitness_comparison(
         grid, model, t_star=None if t_star is None else float(t_star),
-        orbit_tol=float(cfg.solver.get("orbit_tol", 1e-8)),
-        max_periods=int(cfg.solver.get("max_periods", 2000)),
-        eigen_tol=float(cfg.solver.get("eigen_tol", 1e-10)))
+        eigen_tol=float(cfg.solver.get("eigen_tol", 1e-10)), **_orbit_budget(cfg.solver))
     eps = np.sqrt(grid.sigma)
     summary = {
         "t_star": comp.t_star,
@@ -698,8 +685,7 @@ def _run_refinement(cfg: RunConfig):
         pair = floquet.principal_eigenpair(
             grid, model, tol=float(cfg.solver.get("eigen_tol", 1e-10)))
         record = pde_solver.find_periodic_orbit(
-            grid, model, orbit_tol=float(cfg.solver.get("orbit_tol", 1e-8)),
-            max_periods=int(cfg.solver.get("max_periods", 2000)))
+            grid, model, **_orbit_budget(cfg.solver))
         rho_bar = float(simpson(record.rho_samples, x=record.times)) / T
         rows.append([level, nx, steps, pair.lam, rho_bar])
     rows = np.array(rows)

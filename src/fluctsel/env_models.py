@@ -170,8 +170,12 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
     the nt*nx rate values in row-major order (one row per time sample). Time
     samples are uniform on [0, T); trait nodes are uniform on [x_lo, x_hi].
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(
+            f"{path}: cannot read tabulated-model file: {exc.strerror}") from exc
     tokens: list[str] = []
     header = None
     for line in lines:
@@ -205,6 +209,14 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
     return model
 
 
+def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:
+    """a(t, x) for each t in times, one row per time: shape (len(times), len(x))."""
+    table = np.empty((len(times), np.size(x)))
+    for j, t in enumerate(times):
+        table[j] = model.rate(t, x)
+    return table
+
+
 def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
     """Time average of the growth rate over one period at trait value(s) x.
 
@@ -216,10 +228,7 @@ def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
         return info["mean_growth"](x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ts = np.linspace(0.0, model.period, MEAN_NODES)
-    table = np.empty((MEAN_NODES, xs.size))
-    for j, t in enumerate(ts):
-        table[j] = model.rate(t, xs)
-    out = simpson(table, x=ts, axis=0) / model.period
+    out = simpson(rate_table(model, ts, xs), x=ts, axis=0) / model.period
     return out if np.ndim(x) else float(out[0])
 
 
@@ -276,20 +285,29 @@ def locate_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> flo
     return _golden_max(f, xs[i - 1], xs[i + 1])
 
 
+def averaged_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:
+    """The averaged optimum x_m: the model's closed form when it has one,
+    otherwise located on bracket by locate_optimum (which may raise)."""
+    info = model.analytic_info or {}
+    if "x_m" in info:
+        return float(info["x_m"])
+    return locate_optimum(model, bracket)
+
+
 def check_hypotheses(model: EnvironmentModel, domain: tuple[float, float],
                      lambda_hint: float = 0.0) -> HypothesisReport:
     """Audit the structural hypotheses on a trait domain.
 
     Checks, on sample grids: exact periodicity of the rate; existence of a
     unique interior maximum x_m of the averaged rate with a positive value
-    there; and confinement, i.e. a radius R0 and margin delta > 0 with
-    max_t a(t, x) + lambda_hint <= -delta for |x| >= R0. Bounds on higher
-    derivatives are not checked numerically.
+    there (the model's closed-form x_m is taken when it has one); and
+    confinement, i.e. a radius R0 and margin delta > 0 with
+    max_t a(t, x) + lambda_hint <= -delta for |x - x_m| >= R0. Bounds on
+    higher derivatives are not checked numerically.
     """
     lo, hi = float(domain[0]), float(domain[1])
     xs = np.linspace(lo, hi, 513)
-    ts = np.linspace(0.0, model.period, 65)
-    table = np.array([np.asarray(model.rate(t, xs), dtype=float) for t in ts])
+    table = rate_table(model, np.linspace(0.0, model.period, 65), xs)
     periodicity_residual = float(np.max(np.abs(table[-1] - table[0])))
     d0 = float(np.max(np.abs(table)))
     notes = [f"rate bound d0 = {d0:.6g}",
@@ -297,7 +315,7 @@ def check_hypotheses(model: EnvironmentModel, domain: tuple[float, float],
              "H6 (higher-derivative bounds) not checked numerically"]
 
     try:
-        x_m = locate_optimum(model, (lo, hi))
+        x_m = averaged_optimum(model, (lo, hi))
         unique = True
         a_m = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
         if a_m <= 0.0:
@@ -312,11 +330,14 @@ def check_hypotheses(model: EnvironmentModel, domain: tuple[float, float],
     radius = None
     if s[0] >= 0.0 or s[-1] >= 0.0:
         notes.append("no confinement: rate nonnegative at the domain edge")
+    elif x_m is None:
+        notes.append("confinement radius not measured: no unique optimum")
     else:
-        hot = np.abs(xs[s >= 0.0])
+        dist = np.abs(xs - x_m)
+        hot = dist[s >= 0.0]
         r_zero = float(hot.max()) if hot.size else 0.0
         r0 = 1.1 * r_zero
-        outside = np.abs(xs) >= r0
+        outside = dist >= r0
         if not outside.any():
             notes.append("no sample points beyond the confinement radius")
         else:

@@ -9,13 +9,13 @@ growth signal that the scalar logistic law runs on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env_models import EnvironmentModel
+from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import ConvergenceError, NumericalError
-from .pde_solver import SimulationGrid, _Stepper
+from .pde_solver import SimulationGrid, _Stepper, default_orbit_guess
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -51,18 +51,6 @@ class EffectiveSignal:
     times: np.ndarray
 
 
-def _linear_period(stepper: _Stepper, p: np.ndarray, record: bool = False):
-    """One period of the linear flow (no saturation term)."""
-    snaps = np.empty((stepper.steps + 1, p.size)) if record else None
-    if record:
-        snaps[0] = p
-    for k in range(stepper.steps):
-        p = stepper.step(p, k, 0.0)
-        if record:
-            snaps[k + 1] = p
-    return p, snaps
-
-
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
                         tol: float = 1e-10, max_iters: int = 5000,
                         guess: np.ndarray | None = None) -> FloquetPair:
@@ -79,8 +67,7 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
         Relative change of the period growth factor at which the iteration
         stops.
     guess : ndarray, optional
-        Starting profile; defaults to a Gaussian at the averaged optimum
-        matched to the local curvature when the model provides it.
+        Starting profile; defaults to default_orbit_guess.
 
     Returns
     -------
@@ -95,25 +82,14 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
         message carries the last two factors.
     """
     T = model.period
-    steps = int(round(T / grid.dt))
-    if steps < 512:
-        grid = SimulationGrid(x_lo=grid.x_lo, x_hi=grid.x_hi, nx=grid.nx,
-                              dt=T / 512.0, sigma=grid.sigma, boundary=grid.boundary)
+    if int(round(T / grid.dt)) < 512:
+        grid = replace(grid, dt=T / 512.0)
     stepper = _Stepper(grid, model)
-    x = grid.x
-    if guess is not None:
-        p = np.asarray(guess, dtype=float)
-    else:
-        info = model.analytic_info or {}
-        x_m = float(info.get("x_m", 0.5 * (grid.x_lo + grid.x_hi)))
-        eps = np.sqrt(grid.sigma) if grid.sigma > 0 else grid.dx
-        d2 = info.get("d2")
-        curv = np.sqrt(-0.5 * d2) if d2 is not None and d2 < 0 else 1.0
-        p = np.exp(-curv * (x - x_m) ** 2 / (2.0 * eps))
+    p = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
     p = p / p.max()
     factor = np.nan
     for it in range(1, max_iters + 1):
-        p_new, _ = _linear_period(stepper, p)
+        p_new, _, _ = stepper.run(p, stepper.steps, saturate=False)
         prev, factor = factor, float(p_new.max())
         if factor <= 0.0 or not np.isfinite(factor):
             raise NumericalError(f"period map lost positivity (factor {factor})")
@@ -125,8 +101,8 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
             f"growth factor not settled after {max_iters} periods; "
             f"last two factors {prev:.12e}, {factor:.12e}")
     lam = -np.log(factor) / T
-    _, snaps = _linear_period(stepper, p, record=True)
-    times = stepper.dt * np.arange(stepper.steps + 1)
+    _, _, snaps = stepper.run(p, stepper.steps, saturate=False, record=True)
+    times = stepper.times
     # weight by exp(lam t) so the stored snapshots are the periodic profile
     snaps *= np.exp(lam * times)[:, None]
     radius = 0.5 * (grid.x_hi - grid.x_lo)
@@ -138,15 +114,13 @@ def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSi
     """Mass-normalized profiles and their instantaneous mean growth rate."""
     grid = pair.grid
     dx = grid.dx
-    x = grid.x
     masses = dx * pair.p_snapshots.sum(axis=1)
     if masses.min() <= 0.0:
         raise NumericalError("eigenfunction snapshot with nonpositive mass")
     P = pair.p_snapshots / masses[:, None]
-    q = np.empty(len(pair.times))
-    for k, t in enumerate(pair.times):
-        row = np.asarray(model.rate(t, x), dtype=float)
-        q[k] = dx * float(np.sum(row * P[k]))
+    table = rate_table(model, pair.times, grid.x)
+    table *= P
+    q = dx * table.sum(axis=1)
     signal = PeriodicScalarSignal(period=pair.period, times=pair.times.copy(),
                                   values=q, fn=None)
     return EffectiveSignal(Q=signal, P_snapshots=P, times=pair.times.copy())
@@ -189,8 +163,7 @@ def radius_sweep(model: EnvironmentModel, radii, sigma: float,
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise NumericalError("radii must be strictly increasing")
     if center is None:
-        info = model.analytic_info or {}
-        center = float(info.get("x_m", 0.0))
+        center = averaged_optimum(model, (-radii[-1], radii[-1]))
     out = []
     for R in radii:
         nx = max(16, int(round(2.0 * R * points_per_unit)) - 1)

@@ -6,11 +6,12 @@ rho(t) = int n dx:
 
     dn/dt - sigma * d2n/dx2 = n * (a(t, x) - rho(t)).
 
-One step treats diffusion implicitly (backward Euler by default, Crank-
-Nicolson optionally) and the reaction explicitly at the step start:
+One step treats diffusion implicitly (backward Euler) and the reaction
+explicitly at the step start:
 
     (I - dt * sigma * L) n_next = n + dt * n * (a(t_k, .) - rho_k).
 
+The same stepper runs the linear flow (rho = 0) for the Floquet eigenpair.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
 values below roughly 1e-12 of the peak, so truncation is invisible at solver
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .env_models import EnvironmentModel, locate_optimum
+from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 
 log = logging.getLogger(__name__)
@@ -48,7 +49,6 @@ class SimulationGrid:
     nx: int
     dt: float
     sigma: float
-    boundary: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.nx < 16:
@@ -59,8 +59,6 @@ class SimulationGrid:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
-        if self.boundary != "dirichlet_zero":
-            raise ConfigError(f"unsupported boundary condition {self.boundary!r}")
 
     @property
     def dx(self) -> float:
@@ -111,14 +109,10 @@ def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
 
 def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.ndarray:
     """Unit-mass Gaussian at the averaged optimum with width sqrt(eps)."""
-    info = model.analytic_info or {}
-    if "x_m" in info:
-        x_m = float(info["x_m"])
-    else:
-        try:
-            x_m = locate_optimum(model, (grid.x_lo, grid.x_hi))
-        except NumericalError:
-            x_m = 0.5 * (grid.x_lo + grid.x_hi)
+    try:
+        x_m = averaged_optimum(model, (grid.x_lo, grid.x_hi))
+    except NumericalError:
+        x_m = 0.5 * (grid.x_lo + grid.x_hi)
     eps = np.sqrt(grid.sigma) if grid.sigma > 0 else grid.dx
     w = np.sqrt(eps)
     x = grid.x
@@ -129,117 +123,62 @@ class _Stepper:
     """Precomputed machinery for repeated IMEX periods on a fixed grid.
 
     dt is snapped to an integer number of steps per period so that period
-    boundaries are hit exactly.
+    boundaries are hit exactly; the rate table holds a(k * dt, x) for the
+    steps of one period.
     """
 
-    def __init__(self, grid: SimulationGrid, model: EnvironmentModel,
-                 diffusion: str = "be"):
-        if diffusion not in ("be", "cn"):
-            raise ConfigError(f"diffusion scheme must be 'be' or 'cn', got {diffusion!r}")
-        self.grid = grid
-        self.model = model
-        self.diffusion = diffusion
+    def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
         T = model.period
         self.steps = max(1, int(round(T / grid.dt)))
         self.dt = T / self.steps
         if abs(self.dt - grid.dt) > 1e-9 * grid.dt:
             log.debug("dt adjusted from %g to %g to divide the period", grid.dt, self.dt)
-        x = grid.x
-        self.x = x
         self.dx = grid.dx
-        self.atab = np.empty((self.steps, grid.nx))
-        for k in range(self.steps):
-            self.atab[k] = np.asarray(model.rate(k * self.dt, x), dtype=float)
+        self.times = self.dt * np.arange(self.steps + 1)
+        self.atab = rate_table(model, self.times[:-1], grid.x)
         self.d0 = float(np.max(np.abs(self.atab)))
-        self.inv_dx2 = 1.0 / (self.dx * self.dx)
-        weight = 1.0 if diffusion == "be" else 0.5
-        al = weight * self.dt * grid.sigma * self.inv_dx2
+        al = self.dt * grid.sigma * (1.0 / (self.dx * self.dx))
         self.ab = np.zeros((2, grid.nx))
         self.ab[0, 1:] = -al
         self.ab[1, :] = 1.0 + 2.0 * al
-        self.cn_al = (0.5 * self.dt * grid.sigma * self.inv_dx2
-                      if diffusion == "cn" else 0.0)
         self.clipped = 0
 
-    def _lap(self, n: np.ndarray) -> np.ndarray:
-        out = -2.0 * n
-        out[1:] += n[:-1]
-        out[:-1] += n[1:]
-        return out * self.inv_dx2
-
     def step(self, n: np.ndarray, k: int, rho: float) -> np.ndarray:
-        """One IMEX step from time index k (within the period table)."""
-        row = self.atab[k % self.steps]
+        """One IMEX step from step k of the period; negative nodes are clipped."""
         if self.dt * (self.d0 + rho) >= 1.0:
             raise NumericalError(
                 f"step constraint violated: dt * (d0 + rho) = "
                 f"{self.dt * (self.d0 + rho):.3g} >= 1")
-        w = n + self.dt * n * (row - rho)
-        if self.cn_al:
-            w = w + 0.5 * self.dt * self.grid.sigma * self._lap(n)
-        out = solveh_banded(self.ab, w, check_finite=False)
+        out = solveh_banded(self.ab, n + self.dt * n * (self.atab[k] - rho),
+                            check_finite=False)
         if out.min() < 0.0:
             self.clipped += int(np.count_nonzero(out < 0.0))
             out[out < 0.0] = 0.0
         return out
 
-    def run_period(self, n: np.ndarray, record: bool = False):
-        """Advance one full period; optionally record every snapshot."""
-        dx = self.dx
-        snaps = np.empty((self.steps + 1, self.grid.nx)) if record else None
-        rhos = np.empty(self.steps + 1)
-        rho = dx * n.sum()
-        rhos[0] = rho
-        if record:
-            snaps[0] = n
-        for k in range(self.steps):
-            n = self.step(n, k, rho)
-            rho = dx * n.sum()
-            rhos[k + 1] = rho
+    def run(self, n: np.ndarray, nsteps: int, saturate: bool = True,
+            record: bool = False):
+        """Advance nsteps <= steps steps from the period start.
+
+        Returns (n, masses, snapshots). Saturating mode feeds the mass
+        rho = int n dx back into every step and returns it at each of the
+        nsteps + 1 times; linear mode (rho = 0) skips the sums and returns
+        None. With record, every density is returned as well, else None.
+        """
+        snaps = np.empty((nsteps + 1, n.size)) if record else None
+        masses = np.empty(nsteps + 1) if saturate else None
+        rho = 0.0
+        for k in range(nsteps + 1):
+            if saturate:
+                rho = masses[k] = self.dx * n.sum()
             if record:
-                snaps[k + 1] = n
-        return n, rhos, snaps
+                snaps[k] = n
+            if k < nsteps:
+                n = self.step(n, k, rho)
+        return n, masses, snaps
 
 
-def step_imex(grid: SimulationGrid, field: DensityField, model: EnvironmentModel,
-              rho: float, diffusion: str = "be") -> DensityField:
-    """Single IMEX step of the density field, reaction frozen at field.time.
-
-    Requires dt * (sup|a| + rho) < 1 so the explicit reaction factor stays
-    positive. Negative values produced by the solve (possible at coarse
-    resolution) are clipped to zero and counted in the debug log.
-    """
-    if diffusion not in ("be", "cn"):
-        raise ConfigError(f"diffusion scheme must be 'be' or 'cn', got {diffusion!r}")
-    x = grid.x
-    dt = grid.dt
-    inv_dx2 = 1.0 / (grid.dx * grid.dx)
-    row = np.asarray(model.rate(field.time, x), dtype=float)
-    d0 = float(np.max(np.abs(row)))
-    if dt * (d0 + rho) >= 1.0:
-        raise NumericalError(
-            f"step constraint violated: dt * (d0 + rho) = {dt * (d0 + rho):.3g} >= 1")
-    w = field.values + dt * field.values * (row - rho)
-    weight = 1.0 if diffusion == "be" else 0.5
-    al = weight * dt * grid.sigma * inv_dx2
-    ab = np.zeros((2, grid.nx))
-    ab[0, 1:] = -al
-    ab[1, :] = 1.0 + 2.0 * al
-    if diffusion == "cn":
-        lap = -2.0 * field.values
-        lap[1:] += field.values[:-1]
-        lap[:-1] += field.values[1:]
-        w = w + 0.5 * dt * grid.sigma * inv_dx2 * lap
-    out = solveh_banded(ab, w, check_finite=False)
-    neg = int(np.count_nonzero(out < 0.0))
-    if neg:
-        log.debug("clipped %d negative nodes at t = %g", neg, field.time)
-        out = np.maximum(out, 0.0)
-    return DensityField(time=field.time + dt, values=out)
-
-
-def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float,
-             diffusion: str = "be"):
+def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     """Run the IMEX scheme from density n0 up to t_end.
 
     Returns (field, (times, rho), diagnostics). Diagnostics hold the total
@@ -248,36 +187,31 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float,
     clipped negative nodes, and an extinction flag set when the size drops
     below 1e-12 (extinction is an outcome, not an error).
     """
-    values = n0.values if isinstance(n0, DensityField) else np.asarray(n0, dtype=float)
-    stepper = _Stepper(grid, model, diffusion)
+    n = n0.values if isinstance(n0, DensityField) else np.asarray(n0, dtype=float)
+    stepper = _Stepper(grid, model)
     nsteps = max(1, int(round(t_end / stepper.dt)))
-    times = stepper.dt * np.arange(nsteps + 1)
-    rho = np.empty(nsteps + 1)
-    n = values.copy()
-    rho[0] = total_mass(grid, n)
+    periods, rest = divmod(nsteps, stepper.steps)
+    chunks = [stepper.steps] * periods + ([rest] if rest else [])
+    rho = [np.array([total_mass(grid, n)])]
     period_gaps = []
     boundary_frac = 0.0
-    prev_start = n.copy()
-    extinct = rho[0] < EXTINCTION_SIZE
-    cur_rho = rho[0]
-    for k in range(nsteps):
-        n = stepper.step(n, k, cur_rho)
-        cur_rho = grid.dx * n.sum()
-        rho[k + 1] = cur_rho
-        if cur_rho < EXTINCTION_SIZE:
-            extinct = True
-        if (k + 1) % stepper.steps == 0:
+    for length in chunks:
+        start = n
+        n, masses, _ = stepper.run(n, length)
+        rho.append(masses[1:])
+        if length == stepper.steps:
             scale = max(float(np.abs(n).max()), 1e-300)
-            period_gaps.append(float(np.abs(n - prev_start).max()) / scale)
-            prev_start = n.copy()
-            if cur_rho > 0.0:
+            period_gaps.append(float(np.abs(n - start).max()) / scale)
+            if masses[-1] > 0.0:
                 boundary_frac = max(
-                    boundary_frac, grid.dx * float(n[0] + n[-1]) / cur_rho)
+                    boundary_frac, grid.dx * float(n[0] + n[-1]) / masses[-1])
+    rho = np.concatenate(rho)
+    times = stepper.dt * np.arange(nsteps + 1)
     diagnostics = {
         "period_gaps": np.array(period_gaps),
         "boundary_mass_fraction": boundary_frac,
         "clipped": stepper.clipped,
-        "extinct": bool(extinct),
+        "extinct": bool(rho.min() < EXTINCTION_SIZE),
         "steps_per_period": stepper.steps,
     }
     field = DensityField(time=float(times[-1]), values=n)
@@ -286,8 +220,7 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float,
 
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
                         n0_guess: np.ndarray | None = None,
-                        orbit_tol: float = 1e-8, max_periods: int = 2000,
-                        diffusion: str = "be") -> OrbitRecord:
+                        orbit_tol: float = 1e-8, max_periods: int = 2000) -> OrbitRecord:
     """Iterate the period map to its positive fixed point.
 
     Periods are run until the relative sup-norm gap between consecutive
@@ -296,14 +229,14 @@ def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
     1e-12 (no positive periodic state exists) and ConvergenceError when
     max_periods pass without reaching the tolerance.
     """
-    stepper = _Stepper(grid, model, diffusion)
+    stepper = _Stepper(grid, model)
     n = (default_orbit_guess(grid, model) if n0_guess is None
          else np.asarray(n0_guess, dtype=float))
     if n.min() < 0.0 or total_mass(grid, n) <= 0.0:
         raise ConfigError("orbit guess must be nonnegative with positive mass")
     gap = prev_gap = np.inf
     for period in range(1, max_periods + 1):
-        n_new, rhos, _ = stepper.run_period(n)
+        n_new, rhos, _ = stepper.run(n, stepper.steps)
         if rhos[-1] < EXTINCTION_SIZE:
             raise ExtinctionError(
                 "no positive periodic orbit (lambda >= 0): size fell below "
@@ -312,11 +245,10 @@ def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
         prev_gap, gap = gap, float(np.abs(n_new - n).max()) / scale
         n = n_new
         if gap < orbit_tol:
-            n_final, rhos, snaps = stepper.run_period(n, record=True)
+            _, rhos, snaps = stepper.run(n, stepper.steps, record=True)
             rec_scale = max(float(np.abs(snaps[-1]).max()), 1e-300)
             period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / rec_scale
-            times = stepper.dt * np.arange(stepper.steps + 1)
-            return OrbitRecord(grid=grid, times=times, snapshots=snaps,
+            return OrbitRecord(grid=grid, times=stepper.times, snapshots=snaps,
                                rho_samples=rhos, period_gap=period_gap,
                                periods_run=period + 1)
     raise ConvergenceError(

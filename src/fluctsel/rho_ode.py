@@ -144,11 +144,12 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     times = dt * np.arange(n + 1)
 
     def rk4(rho, t, h):
+        q_mid = q(t + 0.5 * h)
         k1 = rho * (q(t) - rho)
         r2 = rho + 0.5 * h * k1
-        k2 = r2 * (q(t + 0.5 * h) - r2)
+        k2 = r2 * (q_mid - r2)
         r3 = rho + 0.5 * h * k2
-        k3 = r3 * (q(t + 0.5 * h) - r3)
+        k3 = r3 * (q_mid - r3)
         r4 = rho + h * k3
         k4 = r4 * (q(t + h) - r4)
         return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -169,8 +170,3 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
         cur = advance(cur, times[k], dt, 0)
         rho[k + 1] = cur
     return times, rho
-
-
-def orbit_mean(orbit: RhoOrbit) -> float:
-    """Period average of an orbit, by Simpson quadrature of its samples."""
-    return float(simpson(orbit.samples, x=orbit.times)) / orbit.period

@@ -270,3 +270,21 @@ def test_main_rejects_unknown_tag():
     with pytest.raises(SystemExit) as err:
         cli_io.main(["definitely-not-a-tag"])
     assert err.value.code == 2
+
+
+def test_main_missing_config_file(tmp_path, capsys):
+    missing = str(tmp_path / "no_such.ini")
+    assert cli_io.main(["example1", "--config", missing]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "no_such.ini" in err
+
+
+def test_main_missing_tabulated_file(tmp_path, capsys):
+    path = _write(tmp_path, "\n".join(["[model]",
+                                       "kind = tabulated",
+                                       f"path = {tmp_path / 'no_rates.txt'}",
+                                       ""]))
+    assert cli_io.main(["periodic-orbit", "--config", path,
+                        "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "no_rates.txt" in err

@@ -65,6 +65,22 @@ def test_check_hypotheses_confinement(ex1_model):
     assert rep.d0 == pytest.approx(35.0, abs=1e-9)
 
 
+def test_check_hypotheses_confinement_is_shift_invariant():
+    # the radius and margin are measured from x_m, so moving the model and
+    # its domain together leaves them unchanged
+    def model(shift):
+        def rate(t, x):
+            return 0.5 - (np.asarray(x) - shift - 0.5 * np.sin(2 * np.pi * t)) ** 2
+        return fs.make_custom(1.0, rate)
+
+    centred = fs.check_hypotheses(model(0.0), (-3.0, 3.0))
+    shifted = fs.check_hypotheses(model(2.0), (-1.0, 5.0))
+    assert shifted.x_m == pytest.approx(centred.x_m + 2.0, abs=1e-6)
+    assert centred.h5_radius == pytest.approx(1.328, abs=1e-3)
+    assert shifted.h5_radius == pytest.approx(centred.h5_radius, rel=1e-6)
+    assert shifted.h5_delta == pytest.approx(centred.h5_delta, rel=1e-6)
+
+
 def test_check_hypotheses_flags_nonconfining():
     model = fs.make_custom(1.0, lambda t, x: np.ones_like(np.asarray(x, dtype=float)))
     rep = fs.check_hypotheses(model, (-2.0, 2.0))
@@ -84,6 +100,17 @@ def test_tabulated_interpolation_and_wrap(ex1_model):
     # 1.3 % 1.0 is not bitwise 0.3, so allow rounding in the wrap
     np.testing.assert_allclose(tab.rate(0.3, xs), tab.rate(1.3, xs), atol=1e-12)
     np.testing.assert_array_equal(tab.rate(0.0, xs), tab.rate(1.0, xs))
+
+
+def test_rate_table_matches_rate_per_time(ex1_model):
+    t_nodes = np.arange(16) / 16.0
+    x_nodes = np.linspace(-2.0, 2.0, 33)
+    tab = fs.make_tabulated(1.0, t_nodes, x_nodes,
+                            np.array([ex1_model.rate(t, x_nodes) for t in t_nodes]))
+    times = np.linspace(0.0, 1.0, 23)
+    xs = np.linspace(-2.5, 2.5, 41)
+    expect = np.array([tab.rate(t, xs) for t in times])
+    np.testing.assert_array_equal(fs.rate_table(tab, times, xs), expect)
 
 
 def test_tabulated_file_roundtrip(tmp_path, ex1_model):

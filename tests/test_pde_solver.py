@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fluctsel as fs
+from fluctsel.pde_solver import _Stepper
 
 
 def _const_model(value=1.0):
@@ -13,7 +14,6 @@ def _const_model(value=1.0):
     dict(x_lo=2.0, x_hi=-2.0),
     dict(dt=0.0),
     dict(sigma=-1e-3),
-    dict(boundary="neumann"),
 ])
 def test_grid_validation(kwargs):
     base = dict(x_lo=-2.0, x_hi=2.0, nx=64, dt=1e-3, sigma=1e-2)
@@ -48,38 +48,27 @@ def test_step_without_diffusion_is_exact_reaction():
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=63, dt=1e-2, sigma=0.0)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
-    field = fs.step_imex(grid, fs.DensityField(0.0, n0), model, rho=0.3)
+    out = _Stepper(grid, model).step(n0, 0, rho=0.3)
     expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2 - 0.3))
-    np.testing.assert_allclose(field.values, expect, rtol=1e-13)
-    assert field.time == pytest.approx(grid.dt)
+    np.testing.assert_allclose(out, expect, rtol=1e-13)
 
 
-@pytest.mark.parametrize("diffusion", ["be", "cn"])
-def test_pure_diffusion_conserves_interior_mass(diffusion):
-    # zero growth, zero rho: only diffusion acts; mass leaks just through the
-    # far-away ends, so it is conserved to solver accuracy
+def test_pure_diffusion_conserves_interior_mass():
+    # zero growth in the linear (rho = 0) mode: only diffusion acts; mass
+    # leaks just through the far-away ends, so it is conserved to solver
+    # accuracy
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, dt=1e-3, sigma=0.01)
-    model = _const_model(0.0)
-    n = fs.DensityField(0.0, np.exp(-grid.x ** 2 / 0.02) / np.sqrt(0.02 * np.pi))
-    m0 = fs.total_mass(grid, n.values)
-    for _ in range(200):
-        n = fs.step_imex(grid, n, model, rho=0.0, diffusion=diffusion)
-    assert fs.total_mass(grid, n.values) == pytest.approx(m0, rel=1e-9)
-    assert n.values.min() >= 0.0
+    n0 = np.exp(-grid.x ** 2 / 0.02) / np.sqrt(0.02 * np.pi)
+    n, masses, _ = _Stepper(grid, _const_model(0.0)).run(n0, 200, saturate=False)
+    assert masses is None
+    assert fs.total_mass(grid, n) == pytest.approx(fs.total_mass(grid, n0), rel=1e-9)
+    assert n.min() >= 0.0
 
 
 def test_step_rejects_oversized_reaction():
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, dt=0.5, sigma=0.0)
     with pytest.raises(fs.NumericalError, match="step constraint"):
-        fs.step_imex(grid, fs.DensityField(0.0, np.ones(64)), _const_model(1.0),
-                     rho=1.5)
-
-
-def test_step_rejects_unknown_scheme():
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, dt=1e-3, sigma=0.0)
-    with pytest.raises(fs.ConfigError):
-        fs.step_imex(grid, fs.DensityField(0.0, np.ones(64)), _const_model(),
-                     diffusion="upwind", rho=0.0)
+        _Stepper(grid, _const_model(1.0)).step(np.ones(64), 0, rho=1.5)
 
 
 def test_simulate_logistic_growth_matches_ode():

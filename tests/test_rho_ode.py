@@ -31,7 +31,6 @@ def test_orbit_mean_equals_rate_mean():
     q = _ex1_q()
     orbit = fs.periodic_rho_closed_form(q)
     assert orbit.mean == pytest.approx(q.mean(), abs=1e-9)
-    assert fs.orbit_mean(orbit) == pytest.approx(orbit.mean, abs=1e-7)
 
 
 def test_constant_rate_collapses_to_logistic_equilibrium():
