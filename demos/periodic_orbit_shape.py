@@ -16,7 +16,7 @@ grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
                          sigma=eps * eps)
 
 orbit = fs.find_periodic_orbit(grid, model)
-print(f"orbit found after {orbit.periods_run} periods, "
+print(f"orbit read off the eigenpair after {orbit.periods_run} period maps, "
       f"period-to-period gap {orbit.period_gap:.2e}")
 rho = orbit.rho_samples
 print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
@@ -25,7 +25,7 @@ print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
 pair = fs.principal_eigenpair(grid, model)
 eff = fs.effective_signals(pair, model)
 print(f"principal exponent lambda = {pair.lam:.8f} "
-      f"({pair.iterations} power iterations)")
+      f"({pair.iterations} period maps of the Krylov eigen-solve)")
 
 # the orbit's normalized profile against the unit-mass eigenprofile
 shape = orbit.snapshots / rho[:, None]

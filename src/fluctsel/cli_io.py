@@ -28,6 +28,7 @@ import copy
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -35,8 +36,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from . import asymptotics, env_models, floquet, no_mutation, pde_solver, rho_ode
-from .errors import (ConfigError, ConvergenceError, ExtinctionError,
-                     FluctselError, NumericalError)
+from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 
 __version__ = "0.1.0"
 
@@ -766,15 +766,23 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
     CSV cells are scientific notation with 13 significant digits; files are
     UTF-8 with a header line. Emission is deterministic, so re-emitting the
     same bundle rewrites byte-identical CSV and summary files. An empty
-    bundle produces only the manifest.
+    bundle produces only the manifest. Each file is written to a temporary
+    file in out_dir and then renamed over its target, so a failed write
+    leaves the previous file intact and no temporary file behind.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
     def _write(name, text):
         path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=out_dir)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         written.append(path)
 
     _write("manifest.json", json.dumps(bundle.manifest, indent=2, sort_keys=True) + "\n")

@@ -9,7 +9,7 @@ confinement away from the optimum) that the analysis relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,6 +19,9 @@ from .errors import ConfigError, NumericalError
 
 # Composite-Simpson node count for time averages (must stay odd).
 MEAN_NODES = 1025
+# Points per refinement round of locate_optimum: each round shrinks the
+# bracket 16-fold for one averaging pass.
+REFINE_POINTS = 33
 
 
 @dataclass
@@ -91,14 +94,19 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
 def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> EnvironmentModel:
     """Quadratic selection with a 1-periodic, time-varying strength.
 
-    a(t, x) = r - g(t) * x**2. The pressure g must be positive; positivity is
-    checked on a sample grid over one period.
+    a(t, x) = r - g(t) * x**2. The pressure g must be positive and 1-periodic;
+    both are checked on a sample grid over one period, periodicity as
+    |g(t + 1) - g(t)| <= 1e-10 * max|g|.
     """
     ts = np.linspace(0.0, 1.0, MEAN_NODES)
     gs = np.array([float(g_fn(t)) for t in ts])
     if gs.min() <= 0.0:
         raise ConfigError(
             f"selection pressure must stay positive; sampled min g = {gs.min():.6g}")
+    shift = max(abs(float(g_fn(t + 1.0)) - g) for t, g in zip(ts, gs))
+    if shift > 1e-10 * np.abs(gs).max():
+        raise ConfigError(
+            f"selection pressure must have period 1; max |g(t + 1) - g(t)| = {shift:.6g}")
     g_bar = float(simpson(gs, x=ts))
 
     def rate(t, x):
@@ -232,33 +240,15 @@ def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
     return out if np.ndim(x) else float(out[0])
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                xtol: float = 1e-10) -> float:
-    """Golden-section search for the maximizer of a unimodal function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def locate_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:
     """Locate the unique interior maximum of the averaged growth rate.
 
     Scans the bracket on a fine grid to certify a single interior peak, then
-    refines it by golden-section search. Raises NumericalError("H2 violated on
-    bracket") when the averaged rate has no unique interior maximum there
-    (peak at an endpoint, several separated peaks, or a flat top).
+    refines it in rounds: each round averages the rate once on REFINE_POINTS
+    points spanning the neighbours of the last maximum, until the bracket is
+    narrower than 1e-10. Raises NumericalError("H2 violated on bracket") when
+    the averaged rate has no unique interior maximum there (peak at an
+    endpoint, several separated peaks, or a flat top).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -279,10 +269,12 @@ def locate_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> flo
     if flips != 1 or nonzero[0] <= 0.0 or nonzero[-1] >= 0.0:
         raise NumericalError("H2 violated on bracket: averaged rate is not unimodal")
 
-    def f(x):
-        return float(mean_growth(model, np.array([x]))[0])
-
-    return _golden_max(f, xs[i - 1], xs[i + 1])
+    a, b = xs[i - 1], xs[i + 1]
+    while b - a > 1e-10:
+        xs = np.linspace(a, b, REFINE_POINTS)
+        j = min(max(int(np.argmax(mean_growth(model, xs))), 1), REFINE_POINTS - 2)
+        a, b = xs[j - 1], xs[j + 1]
+    return 0.5 * (a + b)
 
 
 def averaged_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env_models import EnvironmentModel, averaged_optimum, rate_table
-from .errors import ConvergenceError, NumericalError
+from .errors import NumericalError
 from .pde_solver import SimulationGrid, _Stepper, default_orbit_guess
 from .rho_ode import PeriodicScalarSignal
 
@@ -25,13 +25,12 @@ class FloquetPair:
 
     p_snapshots[k] holds p(t_k) on the grid nodes for t_k = k * T / steps,
     k = 0..steps, normalized so sup_x p(0, x) = 1; p(T) = p(0) up to the
-    iteration tolerance. lam is the principal exponent: solutions of the
+    eigen-solve tolerance. lam is the principal exponent: solutions of the
     linear flow behave like exp(-lam * t) times a periodic profile.
     """
 
     lam: float
     period: float
-    radius: float
     p_snapshots: np.ndarray
     times: np.ndarray
     iterations: int
@@ -54,60 +53,28 @@ class EffectiveSignal:
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
                         tol: float = 1e-10, max_iters: int = 5000,
                         guess: np.ndarray | None = None) -> FloquetPair:
-    """Power iteration on the period map of the linear flow.
+    """Krylov (ARPACK Arnoldi) eigen-solve of the linear period map.
 
-    Parameters
-    ----------
-    grid : SimulationGrid
-        Discretization; grid.dt is snapped to divide the period, with at
-        least 512 steps per period enforced for the eigen-run.
-    model : EnvironmentModel
-        Periodic growth rate.
-    tol : float
-        Relative change of the period growth factor at which the iteration
-        stops.
-    guess : ndarray, optional
-        Starting profile; defaults to default_orbit_guess.
-
-    Returns
-    -------
-    FloquetPair
-        With lam = -log(growth factor) / T and one period of snapshots of
-        the periodic eigenfunction, sup-normalized at t = 0.
-
-    Raises
-    ------
-    ConvergenceError
-        If the growth factor has not settled after max_iters periods; the
-        message carries the last two factors.
+    grid.dt is snapped to divide the period, with at least 512 steps per
+    period. tol is the relative accuracy of the period growth factor, guess
+    the start vector (default_orbit_guess when None). Returns lam =
+    -log(growth factor) / T and one recorded period of the periodic
+    eigenfunction, sup-normalized at t = 0; iterations counts the period maps
+    of the eigen-solve. Raises ConvergenceError, with the last two growth
+    factors, when it needs more than max_iters period maps.
     """
     T = model.period
     if int(round(T / grid.dt)) < 512:
         grid = replace(grid, dt=T / 512.0)
     stepper = _Stepper(grid, model)
-    p = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
-    p = p / p.max()
-    factor = np.nan
-    for it in range(1, max_iters + 1):
-        p_new, _, _ = stepper.run(p, stepper.steps, saturate=False)
-        prev, factor = factor, float(p_new.max())
-        if factor <= 0.0 or not np.isfinite(factor):
-            raise NumericalError(f"period map lost positivity (factor {factor})")
-        p = p_new / factor
-        if np.isfinite(prev) and abs(factor - prev) <= tol * abs(factor):
-            break
-    else:
-        raise ConvergenceError(
-            f"growth factor not settled after {max_iters} periods; "
-            f"last two factors {prev:.12e}, {factor:.12e}")
+    start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
+    factor, snaps, maps = stepper.principal(start, tol, max_iters, "principal eigenpair")
     lam = -np.log(factor) / T
-    _, _, snaps = stepper.run(p, stepper.steps, saturate=False, record=True)
     times = stepper.times
     # weight by exp(lam t) so the stored snapshots are the periodic profile
     snaps *= np.exp(lam * times)[:, None]
-    radius = 0.5 * (grid.x_hi - grid.x_lo)
-    return FloquetPair(lam=float(lam), period=T, radius=radius,
-                       p_snapshots=snaps, times=times, iterations=it, grid=grid)
+    return FloquetPair(lam=float(lam), period=T, p_snapshots=snaps, times=times,
+                       iterations=maps, grid=grid)
 
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:

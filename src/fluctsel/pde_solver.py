@@ -6,12 +6,14 @@ rho(t) = int n dx:
 
     dn/dt - sigma * d2n/dx2 = n * (a(t, x) - rho(t)).
 
-One step treats diffusion implicitly (backward Euler) and the reaction
-explicitly at the step start:
+One step applies the growth explicitly at the step start, solves the
+backward-Euler diffusion system, and divides by a scalar saturation factor:
 
-    (I - dt * sigma * L) n_next = n + dt * n * (a(t_k, .) - rho_k).
+    n_next = (I - dt * sigma * L)^-1 [(1 + dt * a(t_k, .)) n] / (1 + dt * rho_k).
 
-The same stepper runs the linear flow (rho = 0) for the Floquet eigenpair.
+The linear flow is the same step with rho = 0. As saturation is a scalar
+factor, the periodic state is a rescaled principal eigenvector of the linear
+period map (n = rho * P) and is read off the Krylov eigen-solve.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
 values below roughly 1e-12 of the peak, so truncation is invisible at solver
@@ -24,7 +26,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
@@ -123,8 +126,10 @@ class _Stepper:
     """Precomputed machinery for repeated IMEX periods on a fixed grid.
 
     dt is snapped to an integer number of steps per period so that period
-    boundaries are hit exactly; the rate table holds a(k * dt, x) for the
-    steps of one period.
+    boundaries are hit exactly. The gain table holds 1 + dt * a(k * dt, x)
+    for the steps of one period; I - dt * sigma * L is factored once (LAPACK
+    dpttrf). dt * max|a| < 1 keeps the gains positive, so the M-matrix solve
+    keeps densities nonnegative without clipping.
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
@@ -135,25 +140,24 @@ class _Stepper:
             log.debug("dt adjusted from %g to %g to divide the period", grid.dt, self.dt)
         self.dx = grid.dx
         self.times = self.dt * np.arange(self.steps + 1)
-        self.atab = rate_table(model, self.times[:-1], grid.x)
-        self.d0 = float(np.max(np.abs(self.atab)))
-        al = self.dt * grid.sigma * (1.0 / (self.dx * self.dx))
-        self.ab = np.zeros((2, grid.nx))
-        self.ab[0, 1:] = -al
-        self.ab[1, :] = 1.0 + 2.0 * al
-        self.clipped = 0
-
-    def step(self, n: np.ndarray, k: int, rho: float) -> np.ndarray:
-        """One IMEX step from step k of the period; negative nodes are clipped."""
-        if self.dt * (self.d0 + rho) >= 1.0:
+        self.gain = rate_table(model, self.times[:-1], grid.x)
+        self.gain *= self.dt
+        margin = float(np.max(np.abs(self.gain)))
+        if not margin < 1.0:
             raise NumericalError(
-                f"step constraint violated: dt * (d0 + rho) = "
-                f"{self.dt * (self.d0 + rho):.3g} >= 1")
-        out = solveh_banded(self.ab, n + self.dt * n * (self.atab[k] - rho),
-                            check_finite=False)
-        if out.min() < 0.0:
-            self.clipped += int(np.count_nonzero(out < 0.0))
-            out[out < 0.0] = 0.0
+                f"step constraint violated: dt * max|a| = {margin:.3g} >= 1")
+        self.gain += 1.0
+        al = self.dt * grid.sigma / (self.dx * self.dx)
+        self.d, self.e, info = dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
+                                      np.full(grid.nx - 1, -al))
+        if info != 0:
+            raise NumericalError(f"diffusion matrix factorisation failed (info {info})")
+
+    def step(self, n: np.ndarray, k: int, rho: float = 0.0) -> np.ndarray:
+        """One IMEX step from step k of the period at saturation rho."""
+        out, _ = dpttrs(self.d, self.e, n * self.gain[k], overwrite_b=1)
+        if rho:
+            out /= 1.0 + self.dt * rho
         return out
 
     def run(self, n: np.ndarray, nsteps: int, saturate: bool = True,
@@ -177,15 +181,49 @@ class _Stepper:
                 n = self.step(n, k, rho)
         return n, masses, snaps
 
+    def principal(self, start: np.ndarray, tol: float, budget: int, what: str):
+        """Principal eigenpair of the linear period map (ARPACK Arnoldi).
+
+        Returns (mu, snaps, maps): the period growth factor, one recorded
+        period from its eigenvector (made nonnegative, sup-normalized), and
+        the period maps the eigen-solve ran. Raises ConvergenceError with
+        the last two growth factors |Mv| / |v| past budget period maps.
+        """
+        factors = [np.nan, np.nan]
+
+        def period_map(v):
+            if len(factors) - 2 >= budget:
+                raise ConvergenceError(
+                    f"no {what} within {budget} periods; "
+                    f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
+            out = self.run(np.ravel(v), self.steps, saturate=False)[0]
+            factors.append(float(np.linalg.norm(out) / np.linalg.norm(v)))
+            return out
+
+        op = LinearOperator((start.size,) * 2, matvec=period_map, dtype=float)
+        try:
+            vals, vecs = eigs(op, k=1, which="LM", v0=start, tol=tol,
+                              maxiter=max(budget, 1))
+        except ArpackError as exc:
+            raise ConvergenceError(f"no {what}: ARPACK stopped ({exc})") from exc
+        mu, p = float(vals[0].real), vecs[:, 0].real
+        p *= np.sign(p[np.argmax(np.abs(p))])
+        if not (np.isfinite(mu) and mu > 0.0) or p.min() < -1e-6 * p.max():
+            raise NumericalError(f"period map lost positivity (factor {mu}, "
+                                 f"eigenvector min/max {p.min() / p.max():.3g})")
+        np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
+        snaps = self.run(p / p.max(), self.steps, saturate=False, record=True)[2]
+        return mu, snaps, len(factors) - 2
+
 
 def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     """Run the IMEX scheme from density n0 up to t_end.
 
     Returns (field, (times, rho), diagnostics). Diagnostics hold the total
     size at every step, relative sup gaps between consecutive period starts,
-    the worst boundary-cell mass fraction seen at period starts, the count of
-    clipped negative nodes, and an extinction flag set when the size drops
-    below 1e-12 (extinction is an outcome, not an error).
+    the worst boundary-cell mass fraction seen at period starts, and an
+    extinction flag set when the size drops below 1e-12 (extinction is an
+    outcome, not an error).
     """
     n = n0.values if isinstance(n0, DensityField) else np.asarray(n0, dtype=float)
     stepper = _Stepper(grid, model)
@@ -210,7 +248,6 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     diagnostics = {
         "period_gaps": np.array(period_gaps),
         "boundary_mass_fraction": boundary_frac,
-        "clipped": stepper.clipped,
         "extinct": bool(rho.min() < EXTINCTION_SIZE),
         "steps_per_period": stepper.steps,
     }
@@ -221,36 +258,31 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
                         n0_guess: np.ndarray | None = None,
                         orbit_tol: float = 1e-8, max_periods: int = 2000) -> OrbitRecord:
-    """Iterate the period map to its positive fixed point.
+    """The positive periodic state, read off the principal eigenpair.
 
-    Periods are run until the relative sup-norm gap between consecutive
-    period-start densities falls below orbit_tol, then one more period is
-    recorded and returned. Raises ExtinctionError when the size decays below
-    1e-12 (no positive periodic state exists) and ConvergenceError when
-    max_periods pass without reaching the tolerance.
+    With p_0..p_N one recorded period of the linear eigenvector (factor mu,
+    Krylov tolerance orbit_tol, started from n0_guess) and m_k their masses,
+    the saturating scheme maps n_k = p_k / y_k onto itself for
+    y_0 = dt * sum_{k<N} m_k / (mu - 1), y_{k+1} = y_k + dt * m_k: the
+    discrete twin of periodic_rho_closed_form. Raises ExtinctionError when
+    mu <= 1 (lambda >= 0) and ConvergenceError past max_periods period maps;
+    periods_run counts those plus the recorded one.
     """
     stepper = _Stepper(grid, model)
     n = (default_orbit_guess(grid, model) if n0_guess is None
          else np.asarray(n0_guess, dtype=float))
     if n.min() < 0.0 or total_mass(grid, n) <= 0.0:
         raise ConfigError("orbit guess must be nonnegative with positive mass")
-    gap = prev_gap = np.inf
-    for period in range(1, max_periods + 1):
-        n_new, rhos, _ = stepper.run(n, stepper.steps)
-        if rhos[-1] < EXTINCTION_SIZE:
-            raise ExtinctionError(
-                "no positive periodic orbit (lambda >= 0): size fell below "
-                f"{EXTINCTION_SIZE:g} after {period} periods")
-        scale = max(float(np.abs(n_new).max()), 1e-300)
-        prev_gap, gap = gap, float(np.abs(n_new - n).max()) / scale
-        n = n_new
-        if gap < orbit_tol:
-            _, rhos, snaps = stepper.run(n, stepper.steps, record=True)
-            rec_scale = max(float(np.abs(snaps[-1]).max()), 1e-300)
-            period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / rec_scale
-            return OrbitRecord(grid=grid, times=stepper.times, snapshots=snaps,
-                               rho_samples=rhos, period_gap=period_gap,
-                               periods_run=period + 1)
-    raise ConvergenceError(
-        f"no periodic orbit within {max_periods} periods; "
-        f"last two gaps {prev_gap:.3e}, {gap:.3e}")
+    mu, snaps, maps = stepper.principal(n, orbit_tol, max_periods, "periodic orbit")
+    if mu <= 1.0:
+        raise ExtinctionError("no positive periodic orbit (lambda >= 0): "
+                              f"period growth factor {mu:.6g} <= 1")
+    masses = grid.dx * snaps.sum(axis=1)
+    gains = stepper.dt * masses[:-1]
+    y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
+    snaps /= y[:, None]
+    scale = max(float(snaps[-1].max()), 1e-300)
+    period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / scale
+    return OrbitRecord(grid=grid, times=stepper.times, snapshots=snaps,
+                       rho_samples=masses / y, period_gap=period_gap,
+                       periods_run=maps + 1)

@@ -219,6 +219,24 @@ def test_emit_empty_bundle_writes_manifest_only(tmp_path):
     assert [os.path.basename(p) for p in written] == ["manifest.json"]
 
 
+def test_emit_failure_keeps_previous_file(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    old = fs.ResultBundle(manifest={"version": fs.__version__}, tables={},
+                          summary={"value": 1.0})
+    fs.emit_bundle(old, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli_io.os, "replace", failing_replace)
+    new = fs.ResultBundle(manifest={"version": "changed"}, tables={},
+                          summary={"value": 2.0})
+    with pytest.raises(OSError):
+        fs.emit_bundle(new, out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_main_success(tmp_path, capsys):
     out = tmp_path / "run"
     argv = ["floquet-sweep", "--out", str(out)]

@@ -25,6 +25,39 @@ def test_pressure_must_be_positive():
         fs.make_oscillating_pressure(1.0, lambda t: np.cos(2 * np.pi * t))
 
 
+def test_pressure_must_have_period_one():
+    with pytest.raises(fs.ConfigError, match="period 1"):
+        fs.make_oscillating_pressure(1.0, lambda t: 2.0 + np.cos(np.pi * t))
+
+
+def _counting_model(rate):
+    calls = [0]
+
+    def counted(t, x):
+        calls[0] += 1
+        return rate(t, x)
+
+    return fs.make_custom(1.0, counted), calls
+
+
+def test_locate_optimum_averages_once_per_round():
+    # a zero top: the averaged rate -(x - c)^2 is resolved down to roundoff in
+    # x, so the optimum is well defined to 1e-9 (golden-section search, one
+    # average per probe, gave 0.12345678900091198 with 44,075 rate calls)
+    c = 0.123456789
+    model, calls = _counting_model(
+        lambda t, x: -(np.asarray(x) - c) ** 2 * (1.0 + 0.5 * np.sin(2 * np.pi * t)))
+    x_m = fs.locate_optimum(model, (-4.0, 4.0))
+    assert calls[0] <= 10_000
+    assert abs(x_m - 0.12345678900091198) < 1e-9
+    # 1 - x^2 averages to exactly 1.0 for |x| below about 7.5e-9 (x^2 under
+    # half an ulp of 1), so any point of that flat top is a maximizer
+    model, calls = _counting_model(lambda t, x: 1.0 - np.asarray(x) ** 2)
+    x_m = fs.locate_optimum(model, (-4.0, 4.0))
+    assert calls[0] <= 10_000
+    assert abs(x_m) <= 1e-8
+
+
 def test_quadrature_matches_analytic_mean(ex1_model, ex2_model):
     xs = np.linspace(-3.0, 3.0, 13)
     for model in (ex1_model, ex2_model):

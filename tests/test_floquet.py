@@ -99,6 +99,16 @@ def test_enforces_minimum_steps_per_period(ex1_model):
     assert pair.grid.dt == pytest.approx(1.0 / 512)
 
 
+def test_eigenpair_is_deterministic(ex1_model):
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, dt=1.0 / 512,
+                             sigma=0.0025)
+    first = fs.principal_eigenpair(grid, ex1_model)
+    again = fs.principal_eigenpair(grid, ex1_model)
+    assert first.lam == again.lam
+    assert np.array_equal(first.p_snapshots, again.p_snapshots)
+    assert first.iterations == again.iterations
+
+
 def test_convergence_error_reports_factors(ex1_model):
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, dt=1.0 / 512,
                              sigma=0.0025)

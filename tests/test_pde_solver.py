@@ -49,7 +49,7 @@ def test_step_without_diffusion_is_exact_reaction():
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
     out = _Stepper(grid, model).step(n0, 0, rho=0.3)
-    expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2 - 0.3))
+    expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2)) / (1.0 + grid.dt * 0.3)
     np.testing.assert_allclose(out, expect, rtol=1e-13)
 
 
@@ -66,9 +66,53 @@ def test_pure_diffusion_conserves_interior_mass():
 
 
 def test_step_rejects_oversized_reaction():
+    # dt * max|a| = 0.5 * 2.5 >= 1: a growth factor 1 + dt * a would be negative
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, dt=0.5, sigma=0.0)
     with pytest.raises(fs.NumericalError, match="step constraint"):
-        _Stepper(grid, _const_model(1.0)).step(np.ones(64), 0, rho=1.5)
+        _Stepper(grid, _const_model(-2.5))
+
+
+def _ex1_stepper(nx=200, steps=256):
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=nx, dt=1.0 / steps,
+                             sigma=0.0025)
+    return grid, _Stepper(grid, fs.make_oscillating_optimum(1.0, 1.0, 1.0,
+                                                            2.0 * np.pi))
+
+
+def test_period_map_is_linear_on_signed_vectors():
+    grid, stepper = _ex1_stepper()
+    rng = np.random.default_rng(7)
+    u, v = rng.standard_normal((2, grid.nx))
+
+    def period_map(w):
+        return stepper.run(w, stepper.steps, saturate=False)[0]
+
+    combo = period_map(2.5 * u - 0.75 * v)
+    parts = 2.5 * period_map(u) - 0.75 * period_map(v)
+    assert np.abs(combo - parts).max() <= 1e-12 * np.abs(parts).max()
+
+
+def test_step_keeps_nonnegative_input_nonnegative():
+    # a spike next to a zero region: the diffusion solve alone must keep
+    # every node >= 0 without clipping
+    grid, stepper = _ex1_stepper()
+    n = np.zeros(grid.nx)
+    n[grid.nx // 2] = 1.0
+    n[:5] = 1e-300
+    for k in range(stepper.steps):
+        n = stepper.step(n, k, rho=0.4)
+        assert n.min() >= 0.0
+
+
+def test_orbit_is_deterministic():
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, dt=1.0 / 256,
+                             sigma=0.0025)
+    model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
+    first = fs.find_periodic_orbit(grid, model)
+    again = fs.find_periodic_orbit(grid, model)
+    assert np.array_equal(first.snapshots, again.snapshots)
+    assert np.array_equal(first.rho_samples, again.rho_samples)
+    assert first.periods_run == again.periods_run
 
 
 def test_simulate_logistic_growth_matches_ode():
@@ -115,6 +159,27 @@ def test_find_periodic_orbit_convergence_error():
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     with pytest.raises(fs.ConvergenceError, match="no periodic orbit within"):
         fs.find_periodic_orbit(grid, model, max_periods=2)
+
+
+def test_orbit_shape_is_the_eigenprofile(ex1_orbit, ex1_eigen):
+    shape = ex1_orbit.snapshots / ex1_orbit.rho_samples[:, None]
+    masses = ex1_eigen.grid.dx * ex1_eigen.p_snapshots.sum(axis=1)
+    profile = ex1_eigen.p_snapshots / masses[:, None]
+    assert np.abs(shape - profile).max() <= 1e-12 * profile.max()
+
+
+def test_orbit_is_a_trajectory_of_the_saturating_scheme():
+    # n_k = p_k / y_k is exact: each recorded snapshot is one saturating step
+    # of the previous one, and rho_k is its mass
+    grid, stepper = _ex1_stepper()
+    model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
+    rec = fs.find_periodic_orbit(grid, model)
+    snaps, rho = rec.snapshots, rec.rho_samples
+    np.testing.assert_allclose(grid.dx * snaps.sum(axis=1), rho, rtol=1e-12)
+    for k in range(stepper.steps):
+        out = stepper.step(snaps[k], k, rho=rho[k])
+        assert np.abs(out - snaps[k + 1]).max() <= 1e-12 * snaps[k + 1].max()
+    assert rec.period_gap < 1e-7
 
 
 def test_find_periodic_orbit_rejects_bad_guess():
