@@ -1,7 +1,7 @@
 """Drive the command-line runner from a config file.
 
-Writes a small INI config, runs two experiments through the installed
-`fluctsel` command (the floquet sweep and the moment comparison), and shows
+Writes a small INI config, runs two experiments through
+`python -m fluctsel` (the floquet sweep and the moment comparison), and shows
 the files each run leaves behind. Output directories land next to this
 script under cli_output/.
 """
@@ -35,9 +35,9 @@ points_per_unit = 50
 """)
 
 for args in (
-    ["fluctsel", "floquet-sweep", "--config", str(config),
+    [sys.executable, "-m", "fluctsel", "floquet-sweep", "--config", str(config),
      "--out", str(outdir / "sweep")],
-    ["fluctsel", "moments", "--out", str(outdir / "moments"),
+    [sys.executable, "-m", "fluctsel", "moments", "--out", str(outdir / "moments"),
      "--override", "solver.eps=0.1", "--override", "grid.nx=400"],
 ):
     print("$", " ".join(args))

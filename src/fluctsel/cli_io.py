@@ -80,8 +80,7 @@ _SCHEMA = {
     "grid": {"x_lo": _FLOAT, "x_hi": _FLOAT, "nx": _INT, "dt": _FLOAT},
     "solver": {
         "eps": _FLOAT, "sigma": _FLOAT, "orbit_tol": _FLOAT,
-        "max_periods": _INT, "eigen_tol": _FLOAT, "max_iters": _INT,
-        "steps_per_period": _INT,
+        "max_periods": _INT, "eigen_tol": _FLOAT, "steps_per_period": _INT,
     },
     "experiment": {
         "tag": _STR, "out": _STR, "radii": _FLOATLIST, "eps_list": _FLOATLIST,
@@ -827,7 +826,12 @@ def main(argv=None) -> int:
         for text in args.override:
             apply_override(cfg, text)
         bundle = run_experiment(cfg)
-        written = emit_bundle(bundle, cfg.out_dir)
+        try:
+            written = emit_bundle(bundle, cfg.out_dir)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write the result bundle to {cfg.out_dir!r}: "
+                f"{exc.strerror or exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -13,15 +13,19 @@ without grid-diffusion artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env_models import EnvironmentModel
+from .env_models import EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid
 
-_LOG_FLOOR = -745.0  # exp underflows to 0 below this; used only for reporting
+_LOG_FLOOR = -746.0  # exp underflows to exactly 0 below this
+# steps per block: rate rows and log-space sums are evaluated for a block at
+# a time; a whole period's (t, x) table would cost megabytes of memory
+_BLOCK = 32
 
 
 @dataclass
@@ -63,6 +67,18 @@ def _mass_from_logs(dx: float, w: np.ndarray, rho_integral: float) -> float:
     return dx * float(np.exp(m - rho_integral) * np.sum(np.exp(w - m)))
 
 
+def _log_weights(w: np.ndarray):
+    """Row maxima m of w, the weights exp(w - m) and their row sums.
+
+    w is overwritten. Entries below m + _LOG_FLOOR are set to 0 without
+    evaluating exp, which returns exactly 0 there but slowly.
+    """
+    m = w.max(axis=1)
+    w -= m[:, None]
+    weights = np.exp(w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
+    return m, weights, weights.sum(axis=1)
+
+
 def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                     t_end: float):
     """Integrate the mutation-free model from density n0 up to t_end.
@@ -70,6 +86,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     The growth exponent is accumulated per step with Simpson quadrature of
     a(., x); the saturation integral uses the midpoint rule with a predicted
     half-step mass, so the overall scheme is second order in grid.dt.
+    Rates and log-space sums are evaluated for _BLOCK steps at a time, with
+    the same arithmetic as stepping one at a time.
     Returns (state, (times, rho), diagnostics); a size below 1e-12 sets the
     extinct flag. diagnostics["mean_growth"] records the population mean of
     a at every time, int n a dx / rho, the effective per-capita rate the
@@ -93,32 +111,41 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     rho = np.empty(nsteps + 1)
     q_eff = np.empty(nsteps + 1)
     rho[0] = _mass_from_logs(dx, log_n0, 0.0)
-    extinct = rho[0] < EXTINCTION_SIZE
     a_right = np.asarray(model.rate(0.0, x), dtype=float)
     weights = np.exp(log_n0 - log_n0.max())
     q_eff[0] = float(weights @ a_right) / float(weights.sum())
-    for k in range(nsteps):
-        t = times[k]
-        a_left = a_right
-        a_mid = np.asarray(model.rate(t + 0.5 * dt, x), dtype=float)
-        a_right = np.asarray(model.rate(t + dt, x), dtype=float)
-        rho_k = rho[k]
-        # midpoint predictor for the mass
-        L_half = L + 0.25 * dt * (a_left + a_mid)
-        rho_mid = _mass_from_logs(dx, log_n0 + L_half, R + 0.5 * dt * rho_k)
-        L = L + dt / 6.0 * (a_left + 4.0 * a_mid + a_right)
-        R = R + dt * rho_mid
-        w = log_n0 + L
-        m = w.max()
-        weights = np.exp(w - m)
-        wsum = float(weights.sum())
-        rho[k + 1] = dx * np.exp(m - R) * wsum
-        q_eff[k + 1] = float(weights @ a_right) / wsum
-        if rho[k + 1] < EXTINCTION_SIZE:
-            extinct = True
-    state = ExponentState(grid=grid, time=float(times[-1]), log_factors=L,
+    rho_k = rho[0]
+    for k0 in range(0, nsteps, _BLOCK):
+        # steps k0..k1-1 at once; only the recurrence for R and rho is scalar
+        k1 = min(k0 + _BLOCK, nsteps)
+        t = times[k0:k1]
+        a_mid = rate_table(model, t + 0.5 * dt, x)
+        a_end = rate_table(model, t + dt, x)
+        a_start = np.vstack((a_right, a_end[:-1]))
+        a_right = a_end[-1]
+        L_end = dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
+        L_end[0] += L
+        for i in range(1, k1 - k0):
+            L_end[i] += L_end[i - 1]
+        L_start = np.vstack((L, L_end[:-1]))
+        L = L_end[-1]
+        # log-sum-exp masses at the half steps (midpoint predictor) and ends
+        m_half, _, s_half = _log_weights(
+            log_n0 + (L_start + 0.25 * dt * (a_start + a_mid)))
+        m_end, weights, s_end = _log_weights(log_n0 + L_end)
+        q_eff[k0 + 1:k1 + 1] = np.einsum("ij,ij->i", weights, a_end) / s_end
+        for k, mh, sh, me, se in zip(range(k0 + 1, k1 + 1), m_half.tolist(),
+                                     s_half.tolist(), m_end.tolist(),
+                                     s_end.tolist()):
+            r_half = R + 0.5 * dt * rho_k
+            rho_mid = dx * float(np.exp(mh - r_half) * sh) if math.isfinite(mh) else 0.0
+            R = R + dt * rho_mid
+            rho_k = dx * np.exp(me - R) * se
+            rho[k] = rho_k
+    extinct = bool((rho < EXTINCTION_SIZE).any())
+    state = ExponentState(grid=grid, time=float(times[-1]), log_factors=L.copy(),
                           rho_integral=R, log_n0=log_n0)
-    diagnostics = {"extinct": bool(extinct), "mean_growth": q_eff}
+    diagnostics = {"extinct": extinct, "mean_growth": q_eff}
     return state, (times, rho), diagnostics
 
 

@@ -84,8 +84,9 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
     Parameters
     ----------
     q : PeriodicScalarSignal
-        Per-capita growth rate with period T. Its antiderivative is
-        precomputed once on a fine grid spanning two periods.
+        Per-capita growth rate with period T. It is evaluated on one period
+        of a fine grid, and its antiderivative is precomputed once over two
+        periods.
     n_samples : int
         Number of sample points (closed grid) stored on the returned orbit.
 
@@ -103,7 +104,9 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
     """
     T = q.period
     ts = np.linspace(0.0, 2.0 * T, 2 * FINE_INTERVALS + 1)
-    qs = np.asarray(q(ts), dtype=float)
+    # q is periodic: evaluate one period and repeat it for the second
+    qs = np.asarray(q(ts[:FINE_INTERVALS + 1]), dtype=float)
+    qs = np.concatenate([qs, qs[1:]])
     anti = cumulative_simpson(qs, x=ts, initial=0.0)
     period_integral = float(anti[FINE_INTERVALS])
     if period_integral <= 0.0:
@@ -132,41 +135,52 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
                        dt: float | None = None):
     """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4.
 
-    Steps live on a uniform grid of width dt (default period/1024). A step
-    whose result is not positive is retried as two half steps, recursively;
-    more than 40 halvings raises NumericalError. Returns (times, rho).
+    Steps live on a uniform grid of width dt (default period/1024), snapped
+    to period / round(period / dt) so that a whole number of steps fills one
+    period. q is evaluated once on one period's half-step grid and step k
+    reads it at its node times reduced mod the period. A step whose result
+    is not positive is retried as two half steps, recursively, evaluating q
+    directly; more than 40 halvings raises NumericalError. Returns
+    (times, rho).
     """
     if rho0 < 0:
         raise NumericalError(f"negative initial size {rho0}")
-    if dt is None:
-        dt = q.period / 1024.0
+    T = q.period
+    steps = 1024 if dt is None else max(1, int(round(T / dt)))
+    dt = T / steps
     n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
+    # q at t = j dt / 2: the step starts, midpoints and ends of one period
+    table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float).tolist()
 
-    def rk4(rho, t, h):
-        q_mid = q(t + 0.5 * h)
-        k1 = rho * (q(t) - rho)
+    def rk4(rho, h, q_start, q_mid, q_end):
+        k1 = rho * (q_start - rho)
         r2 = rho + 0.5 * h * k1
         k2 = r2 * (q_mid - r2)
         r3 = rho + 0.5 * h * k2
         k3 = r3 * (q_mid - r3)
         r4 = rho + h * k3
-        k4 = r4 * (q(t + h) - r4)
+        k4 = r4 * (q_end - r4)
         return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def advance(rho, t, h, depth):
-        out = rk4(rho, t, h)
-        if out > 0.0 or rho == 0.0:
-            return out
+    def halve(rho, t, h, depth):
         if depth >= 40:
             raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
         half = advance(rho, t, 0.5 * h, depth + 1)
         return advance(half, t + 0.5 * h, 0.5 * h, depth + 1)
 
+    def advance(rho, t, h, depth):
+        out = rk4(rho, h, q(t), q(t + 0.5 * h), q(t + h))
+        if out > 0.0 or rho == 0.0:
+            return out
+        return halve(rho, t, h, depth)
+
     rho = np.empty(n + 1)
     rho[0] = rho0
     cur = float(rho0)
     for k in range(n):
-        cur = advance(cur, times[k], dt, 0)
+        j = 2 * (k % steps)
+        out = rk4(cur, dt, table[j], table[j + 1], table[j + 2])
+        cur = out if out > 0.0 or cur == 0.0 else halve(cur, times[k], dt, 0)
         rho[k + 1] = cur
     return times, rho

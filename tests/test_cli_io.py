@@ -1,6 +1,9 @@
 import json
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +309,40 @@ def test_main_missing_tabulated_file(tmp_path, capsys):
                         "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "no_rates.txt" in err
+
+
+def test_main_rejects_unread_solver_key(capsys):
+    # no experiment passes an iteration cap on; the key is not accepted
+    assert cli_io.main(["example1", "--override", "solver.max_iters=5"]) == 2
+    assert "unknown key 'max_iters'" in capsys.readouterr().err
+
+
+def test_main_output_error_exits_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    monkeypatch.setattr(cli_io, "run_experiment", lambda cfg: fs.ResultBundle(
+        manifest={}, tables={}, summary={"value": 1.0}))
+    out = str(blocker / "sub")
+    assert cli_io.main(["example1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and out in err
+
+
+def test_module_entry_point_runs_an_experiment(tmp_path):
+    src = pathlib.Path(cli_io.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "fluctsel", "sigma0-convergence",
+            "--override", "experiment.t_end=2",
+            "--override", "experiment.t_end_density=2"]
+    out = tmp_path / "run"
+    proc = subprocess.run(argv + ["--out", str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "logistic_compare.csv", "manifest.json", "sigma0_rho.csv", "summary.json"]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run(argv + ["--out", str(blocker / "sub")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

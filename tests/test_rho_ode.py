@@ -76,3 +76,27 @@ def test_signal_from_samples_interpolates():
     assert sig(0.0) == pytest.approx(2.0)
     assert sig(1.25) == pytest.approx(3.0, abs=1e-3)
     assert sig.mean() == pytest.approx(2.0, abs=1e-9)
+
+
+def test_integrator_reads_q_from_one_period_table():
+    # without halving, q is evaluated once per half-step node of one period
+    calls = []
+
+    def rate(t):
+        calls.append(t)
+        return 0.5 + np.sin(2 * np.pi * t)
+
+    q = fs.PeriodicScalarSignal(period=1.0, times=np.linspace(0.0, 1.0, 3),
+                                values=np.zeros(3), fn=rate)
+    orbit = fs.periodic_rho_closed_form(_ex1_q())
+    times, rho = fs.integrate_logistic(q, orbit.evaluate(0.0), 5.0, dt=1.0 / 256)
+    assert len(times) == 5 * 256 + 1
+    assert len(calls) <= 2 * 256 + 1
+    assert np.abs(rho - orbit.evaluate(times)).max() < 1e-7
+
+
+def test_integrator_snaps_dt_to_divide_the_period():
+    q = fs.PeriodicScalarSignal.from_callable(2.0, lambda t: 0.5 + np.sin(np.pi * t))
+    times, rho = fs.integrate_logistic(q, 0.5, 4.0, dt=0.3)
+    assert times[1] == 2.0 / round(2.0 / 0.3)
+    assert times[-1] == pytest.approx(4.0)
