@@ -22,6 +22,9 @@ MEAN_NODES = 1025
 # Points per refinement round of locate_optimum: each round shrinks the
 # bracket 16-fold for one averaging pass.
 REFINE_POINTS = 33
+# Elements per rate call in rate_table (20 rows at nx = 800): a whole-table
+# broadcast costs memory and runs slower, larger blocks ran no faster.
+RATE_BLOCK = 16384
 
 
 @dataclass
@@ -31,7 +34,8 @@ class EnvironmentModel:
     period : float
         Period T > 0 of the environment.
     rate : callable
-        a(t, x); t is a scalar, x a scalar or ndarray, vectorized in x.
+        a(t, x); x is a scalar or ndarray, t a scalar or a column of times
+        of shape (k, 1), and the result broadcasts to (k, len(x)).
     kind : str
         One of "oscillating_optimum", "oscillating_pressure", "tabulated",
         "custom".
@@ -94,16 +98,22 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
 def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> EnvironmentModel:
     """Quadratic selection with a 1-periodic, time-varying strength.
 
-    a(t, x) = r - g(t) * x**2. The pressure g must be positive and 1-periodic;
-    both are checked on a sample grid over one period, periodicity as
+    a(t, x) = r - g(t) * x**2. g_fn is called with arrays of times and must
+    return an array of the same shape, or a constant that broadcasts to it.
+    The pressure g must be positive and 1-periodic; both are checked on a
+    sample grid over one period, periodicity as
     |g(t + 1) - g(t)| <= 1e-10 * max|g|.
     """
     ts = np.linspace(0.0, 1.0, MEAN_NODES)
-    gs = np.array([float(g_fn(t)) for t in ts])
+
+    def sample(times):
+        return np.broadcast_to(np.asarray(g_fn(times), dtype=float), times.shape)
+
+    gs = sample(ts)
     if gs.min() <= 0.0:
         raise ConfigError(
             f"selection pressure must stay positive; sampled min g = {gs.min():.6g}")
-    shift = max(abs(float(g_fn(t + 1.0)) - g) for t, g in zip(ts, gs))
+    shift = float(np.abs(sample(ts + 1.0) - gs).max())
     if shift > 1e-10 * np.abs(gs).max():
         raise ConfigError(
             f"selection pressure must have period 1; max |g(t + 1) - g(t)| = {shift:.6g}")
@@ -129,10 +139,23 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
 
 
 def make_custom(period: float, rate: Callable, analytic_info: dict | None = None) -> EnvironmentModel:
-    """Wrap an arbitrary periodic rate callable as a model."""
+    """Wrap an arbitrary periodic rate callable as a model.
+
+    rate(t, x) need only accept a scalar t: the model's rate calls it once
+    per row of a column of times.
+    """
     if period <= 0:
         raise ConfigError(f"period must be positive, got {period}")
-    return EnvironmentModel(period=float(period), rate=rate, kind="custom",
+
+    def column_rate(t, x):
+        if np.ndim(t) == 0:
+            return rate(t, x)
+        out = np.empty((np.size(t), np.size(x)))
+        for row, ti in zip(out, np.ravel(t)):
+            row[...] = rate(ti, x)
+        return out
+
+    return EnvironmentModel(period=float(period), rate=column_rate, kind="custom",
                             analytic_info=analytic_info)
 
 
@@ -155,17 +178,28 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
             f"value table shape {values.shape} does not match {nt} times x {nx} nodes")
     if nt < 2 or nx < 2:
         raise ConfigError("tabulated model needs at least 2 nodes in each direction")
+    if not np.isfinite(values).all():
+        raise ConfigError("tabulated rate values must be finite")
     step = period / nt
     if not np.allclose(t_nodes, step * np.arange(nt), rtol=0, atol=1e-12 * period):
         raise ConfigError("time nodes must be uniform on [0, period) without the endpoint")
 
     def rate(t, x):
-        pos = (t % period) / step
-        j0 = int(np.floor(pos)) % nt
-        j1 = (j0 + 1) % nt
-        w = pos - np.floor(pos)
-        row = (1.0 - w) * values[j0] + w * values[j1]
-        return np.interp(np.asarray(x), x_nodes, row)
+        # rows of the bilinear interpolant at each time, then np.interp's
+        # formula per row: the edge value outside the nodes, the node value
+        # on a node, slope * (x - x_j) + value_j inside interval j
+        pos = (np.ravel(t) % period) / step
+        j0 = np.floor(pos).astype(np.intp) % nt
+        w = (pos - np.floor(pos))[:, None]
+        rows = (1.0 - w) * values[j0] + w * values[(j0 + 1) % nt]
+        xs = np.ravel(x).astype(float)
+        j = np.clip(np.searchsorted(x_nodes, xs, side="right") - 1, 0, nx - 2)
+        left, right = rows[:, j], rows[:, j + 1]
+        slope = (right - left) / (x_nodes[j + 1] - x_nodes[j])
+        out = np.where(xs == x_nodes[j], left, slope * (xs - x_nodes[j]) + left)
+        out = np.where(xs < x_nodes[0], rows[:, :1], out)
+        out = np.where(xs >= x_nodes[-1], rows[:, -1:], out)
+        return out[0].reshape(np.shape(x))[()] if np.ndim(t) == 0 else out
 
     return EnvironmentModel(period=float(period), rate=rate, kind="tabulated",
                             analytic_info=None)
@@ -218,10 +252,16 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
 
 
 def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:
-    """a(t, x) for each t in times, one row per time: shape (len(times), len(x))."""
+    """a(t, x) for each t in times, one row per time: shape (len(times), len(x)).
+
+    Filled a block of rows at a time, one rate call with a column of times
+    per block of about RATE_BLOCK elements.
+    """
+    times = np.asarray(times, dtype=float)
     table = np.empty((len(times), np.size(x)))
-    for j, t in enumerate(times):
-        table[j] = model.rate(t, x)
+    rows = max(1, RATE_BLOCK // max(1, table.shape[1]))
+    for j in range(0, len(times), rows):
+        table[j:j + rows] = model.rate(times[j:j + rows, None], x)
     return table
 
 

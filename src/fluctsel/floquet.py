@@ -9,6 +9,7 @@ growth signal that the scalar logistic law runs on.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import NumericalError
 from .pde_solver import SimulationGrid, _Stepper, default_orbit_guess
 from .rho_ode import PeriodicScalarSignal
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -56,15 +59,19 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
     """Krylov (ARPACK Arnoldi) eigen-solve of the linear period map.
 
     grid.dt is snapped to divide the period, with at least 512 steps per
-    period. tol is the relative accuracy of the period growth factor, guess
-    the start vector (default_orbit_guess when None). Returns lam =
+    period: a coarser grid.dt is replaced by T / 512 and a warning logged.
+    tol is the relative accuracy of the period growth factor, guess the
+    start vector (default_orbit_guess when None). Returns lam =
     -log(growth factor) / T and one recorded period of the periodic
     eigenfunction, sup-normalized at t = 0; iterations counts the period maps
     of the eigen-solve. Raises ConvergenceError, with the last two growth
     factors, when it needs more than max_iters period maps.
     """
     T = model.period
-    if int(round(T / grid.dt)) < 512:
+    steps = int(round(T / grid.dt))
+    if steps < 512:
+        log.warning("principal_eigenpair: %d steps per period is below 512; "
+                    "using dt = T / 512 instead", steps)
         grid = replace(grid, dt=T / 512.0)
     stepper = _Stepper(grid, model)
     start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)

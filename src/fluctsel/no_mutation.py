@@ -119,8 +119,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
         # steps k0..k1-1 at once; only the recurrence for R and rho is scalar
         k1 = min(k0 + _BLOCK, nsteps)
         t = times[k0:k1]
-        a_mid = rate_table(model, t + 0.5 * dt, x)
-        a_end = rate_table(model, t + dt, x)
+        a_mid, a_end = np.split(
+            rate_table(model, np.concatenate((t + 0.5 * dt, t + dt)), x), 2)
         a_start = np.vstack((a_right, a_end[:-1]))
         a_right = a_end[-1]
         L_end = dt / 6.0 * (a_start + 4.0 * a_mid + a_end)

@@ -30,6 +30,20 @@ def test_pressure_must_have_period_one():
         fs.make_oscillating_pressure(1.0, lambda t: 2.0 + np.cos(np.pi * t))
 
 
+def test_pressure_checks_sample_g_with_two_array_calls():
+    shapes = []
+
+    def g_fn(t):
+        shapes.append(np.shape(t))
+        return 2.0 + 1.8 * np.cos(2.0 * np.pi * t)
+
+    fs.make_oscillating_pressure(1.0, g_fn)
+    assert shapes == [(fs.env_models.MEAN_NODES,)] * 2
+    # a constant g broadcasts over the sample times
+    model = fs.make_oscillating_pressure(1.0, lambda t: 2.0)
+    assert model.analytic_info["params"]["g_bar"] == pytest.approx(2.0, abs=1e-14)
+
+
 def _counting_model(rate):
     calls = [0]
 
@@ -164,6 +178,7 @@ def test_tabulated_file_roundtrip(tmp_path, ex1_model):
     ("1.0 33\n0 0", "header"),
     ("1.0 4 2\n1 2 3", "expected 8 values"),
     ("1.0 2 2\n1 2 3 oops", "non-numeric"),
+    ("1.0 2 2\n1 2 nan 4", "finite"),
 ])
 def test_tabulated_file_errors(tmp_path, text, fragment):
     path = tmp_path / "bad.txt"

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,15 @@ def test_radius_sweep_monotone(ex1_model):
 def test_radius_sweep_rejects_unordered(ex1_model):
     with pytest.raises(fs.NumericalError):
         fs.radius_sweep(ex1_model, [2.0, 1.0], sigma=0.0025)
+
+
+def test_coarse_grid_swap_is_logged(caplog):
+    grid, model, _ = _separable_setup(nx=31, steps=256)
+    with caplog.at_level(logging.WARNING, logger="fluctsel.floquet"):
+        pair = fs.principal_eigenpair(grid, model)
+    assert pair.grid.dt == 1.0 / 512
+    assert "256 steps per period is below 512" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="fluctsel.floquet"):
+        fs.principal_eigenpair(pair.grid, model)
+    assert caplog.text == ""
