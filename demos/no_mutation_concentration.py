@@ -25,8 +25,8 @@ for t_stop in (5.0, 20.0, 80.0, 200.0):
           f"             {m.variance:.3e}")
 
 # the limiting size dynamics: logistic with the rate at the optimal trait
-q = fs.PeriodicScalarSignal.from_callable(
-    model.period, lambda t: model.rate(t, 0.0))
+q = fs.PeriodicScalarSignal.from_array_callable(
+    model.period, lambda ts: fs.rate_table(model, ts, np.array([0.0]))[:, 0])
 target = fs.periodic_rho_closed_form(q)
 tail = times >= t_stop - 1.0
 gap = np.abs(rho[tail] - target.evaluate(times[tail])).max()

@@ -156,13 +156,13 @@ def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
     xs = profile.xs
     table = rate_table(model, times, xs)
     table -= np.asarray(mean_growth(model, xs), dtype=float)
-    v_values = cumulative_simpson(table, x=times, axis=0, initial=0.0)
+    v_values = cumulative_simpson(table, dx=T / nt, axis=0, initial=0.0)
 
     h = fd_step if fd_step is not None else 1e-2 * (1.0 + abs(profile.x_m))
     stencil = profile.x_m + h * np.arange(-2.0, 3.0)
     tab5 = rate_table(model, times, stencil)
     tab5 -= np.asarray(mean_growth(model, stencil), dtype=float)
-    v5 = cumulative_simpson(tab5, x=times, axis=0, initial=0.0)
+    v5 = cumulative_simpson(tab5, dx=T / nt, axis=0, initial=0.0)
     vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
     vx -= simpson(vx, x=times) / T

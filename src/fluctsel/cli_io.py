@@ -400,8 +400,8 @@ def _run_sigma0(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     T = model.period
     x_m = env_models.averaged_optimum(model, (cfg.grid["x_lo"], cfg.grid["x_hi"]))
-    q = rho_ode.PeriodicScalarSignal.from_callable(
-        T, lambda t: float(np.asarray(model.rate(t, np.array([x_m])))[0]))
+    q = rho_ode.PeriodicScalarSignal.from_array_callable(
+        T, lambda ts: env_models.rate_table(model, ts, np.array([x_m]))[:, 0])
     orbit = rho_ode.periodic_rho_closed_form(q)
 
     t_end = float(cfg.extra["t_end"])
@@ -413,7 +413,8 @@ def _run_sigma0(cfg: RunConfig):
         gaps[label] = float(np.abs(rho[last] - orbit.evaluate(times[last])).max())
         trajs[label] = (times, rho)
     qbar = q.mean()
-    q_const = rho_ode.PeriodicScalarSignal.from_callable(T, lambda t: qbar)
+    q_const = rho_ode.PeriodicScalarSignal.from_array_callable(
+        T, lambda ts: np.full(len(ts), qbar))
     const_orbit = rho_ode.periodic_rho_closed_form(q_const)
     const_gap = float(np.abs(const_orbit.samples - qbar).max())
 

@@ -9,23 +9,39 @@ so the state is carried in log space as the per-trait growth exponent
 coupling rho(t) = int n dx is advanced with a midpoint predictor, giving a
 second-order scheme that cannot produce negative densities and concentrates
 without grid-diffusion artifacts.
+
+The rate is T-periodic and the step dt = T / S, so after p periods and r
+more steps the exponent is exactly p L_T(x) + C_r(x): C_r is the Simpson
+exponent of the first r steps of a period and L_T = C_S the exponent gained
+over one period, about T times the averaged rate whose maximum the density
+concentrates on. Every mass sum over the traits is then an inner product of
+a period row exp(log n0 + p L_T) and a phase row exp(C_r), each shifted by
+its maximum as in log-sum-exp, and all of them are matrix products over
+blocks of periods and phases; only the scalar recurrence for the size runs
+step by step. A product that underflows, because the two rows peak at
+distant traits, is recomputed directly.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .env_models import EnvironmentModel, rate_table
+from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid
 
-_LOG_FLOOR = -746.0  # exp underflows to exactly 0 below this
-# steps per block: rate rows and log-space sums are evaluated for a block at
-# a time; a whole period's (t, x) table would cost megabytes of memory
-_BLOCK = 32
+log = logging.getLogger(__name__)
+
+# shifted log weights below _LOG_FLOOR are set to 0, so that products of two
+# weights stay normal numbers (subnormal arithmetic is slow)
+_LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
+# a sum of nx such products below nx * _UNDERFLOW may have lost more than eps
+# of its value to the weights set to 0
+_UNDERFLOW = math.exp(_LOG_FLOOR) / np.finfo(float).eps
 
 
 @dataclass
@@ -59,35 +75,75 @@ def reconstruct_density(state: ExponentState) -> np.ndarray:
         return np.exp(state.log_n0 + state.log_factors - state.rho_integral)
 
 
-def _mass_from_logs(dx: float, w: np.ndarray, rho_integral: float) -> float:
-    """Trapezoid mass of exp(w - rho_integral), log-sum-exp stabilized."""
-    m = w.max()
-    if not np.isfinite(m):
-        return 0.0
-    return dx * float(np.exp(m - rho_integral) * np.sum(np.exp(w - m)))
+def _shifted_exp(w: np.ndarray):
+    """Row maxima m of w and the row-shifted weights exp(w - m).
 
-
-def _log_weights(w: np.ndarray):
-    """Row maxima m of w, the weights exp(w - m) and their row sums.
-
-    w is overwritten. Entries below m + _LOG_FLOOR are set to 0 without
-    evaluating exp, which returns exactly 0 there but slowly.
+    Weights below exp(_LOG_FLOOR) are set to 0 without evaluating exp.
     """
     m = w.max(axis=1)
-    w -= m[:, None]
-    weights = np.exp(w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
-    return m, weights, weights.sum(axis=1)
+    w = w - m[:, None]
+    return m, np.exp(w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
+
+
+def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
+    """Exponents and rates of the first count steps of a period, in blocks.
+
+    Yields (r0, half, c_end, a_end) for the steps r0 <= r < r0 + rows:
+    the Simpson exponent C_{r+1} = int_0^{(r+1) dt} a accumulated from
+    C_0 = 0, the half-step exponent C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4
+    and the rate a((r + 1) dt). Each block holds about RATE_BLOCK elements.
+    """
+    rows = max(1, RATE_BLOCK // len(x))
+    c = np.zeros(len(x))
+    for r0 in range(0, count, rows):
+        r1 = min(r0 + rows, count)
+        a = rate_table(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
+        a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
+        c_end = dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
+        c_end[0] += c
+        np.cumsum(c_end, axis=0, out=c_end)
+        half = 0.25 * dt * (a_start + a_mid)
+        half[0] += c
+        half[1:] += c_end[:-1]
+        c = c_end[-1]
+        yield r0, half, c_end, a_end.copy()
+
+
+def _size_recurrence(rho, dt, dx, log_masses):
+    """Fill rho[1:] step by step; return the saturation integral int rho.
+
+    log_masses[0, p, r] and log_masses[1, p, r] are log sum_x n0 e^L for
+    the exponents L at the half step and at the end of step p S + r; the
+    size is dx times that sum times exp(-int rho).
+    """
+    phases = log_masses.shape[2]
+    R = 0.0
+    rho_k = float(rho[0])
+    for p in range(log_masses.shape[1]):
+        # the scalar loop is fed one period at a time
+        k0 = 1 + p * phases
+        out = []
+        for a, c in zip(log_masses[0, p, :len(rho) - k0].tolist(),
+                        log_masses[1, p].tolist()):
+            r_half = R + 0.5 * dt * rho_k
+            R = R + dt * (dx * float(np.exp(a - r_half)))
+            rho_k = dx * float(np.exp(c - R))
+            out.append(rho_k)
+        rho[k0:k0 + len(out)] = out
+    return R
 
 
 def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                     t_end: float):
     """Integrate the mutation-free model from density n0 up to t_end.
 
+    grid.dt is snapped to T / round(T / grid.dt), so that S steps fill one
+    period; a warning is logged when that moves it by more than roundoff.
     The growth exponent is accumulated per step with Simpson quadrature of
     a(., x); the saturation integral uses the midpoint rule with a predicted
-    half-step mass, so the overall scheme is second order in grid.dt.
-    Rates and log-space sums are evaluated for _BLOCK steps at a time, with
-    the same arithmetic as stepping one at a time.
+    half-step mass, so the overall scheme is second order in dt.
+    Step k = p S + r ends at the exponent p L_T + C_{r+1}, so every mass sum
+    is a product of a period row and a phase row (see the module docstring).
     Returns (state, (times, rho), diagnostics); a size below 1e-12 sets the
     extinct flag. diagnostics["mean_growth"] records the population mean of
     a at every time, int n a dx / rho, the effective per-capita rate the
@@ -100,52 +156,64 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
         raise NumericalError("initial density is identically zero")
     x = grid.x
     dx = grid.dx
-    dt = grid.dt
+    per_period = max(1, int(round(model.period / grid.dt)))
+    dt = model.period / per_period
+    if abs(dt - grid.dt) > 1e-12 * grid.dt:
+        log.warning("simulate_sigma0: grid.dt = %.6g does not divide the period; "
+                    "using dt = T / %d = %.6g instead", grid.dt, per_period, dt)
     nsteps = max(1, int(round(t_end / dt)))
     times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):
         log_n0 = np.log(values)
 
-    L = np.zeros(grid.nx)
-    R = 0.0
+    phases = min(per_period, nsteps)
+    periods = -(-nsteps // phases)
+    last = nsteps - (periods - 1) * phases  # steps in the last period
+    L_T = np.zeros(grid.nx)
+    if periods > 1:
+        for _, _, c_end, _ in _phase_blocks(model, x, dt, per_period):
+            L_T = c_end[-1]
+    log_masses = np.empty((2, periods, phases))
+    q_eff = np.empty(periods * phases + 1)
+    q_table = q_eff[1:].reshape(periods, phases)
+    floor = grid.nx * _UNDERFLOW
+    period_rows = max(1, RATE_BLOCK // grid.nx)
+    for r0, half, c_end, a_end in _phase_blocks(model, x, dt, phases):
+        r1 = r0 + len(c_end)
+        m_half, e_half = _shifted_exp(half)
+        m_end, e_end = _shifted_exp(c_end)
+        e = np.concatenate((e_half, e_end, e_end * a_end))
+        if r0 < last <= r1:
+            L_last = c_end[last - 1 - r0].copy()
+        for p0 in range(0, periods, period_rows):
+            p1 = min(p0 + period_rows, periods)
+            m_w, w = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T)
+            s_half, s_end, num = np.split(w @ e.T, 3, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_masses[0, p0:p1, r0:r1] = m_w[:, None] + m_half + np.log(s_half)
+                log_masses[1, p0:p1, r0:r1] = m_w[:, None] + m_end + np.log(s_end)
+                q_table[p0:p1, r0:r1] = num / s_end
+            # a sum that underflowed (the two maxima at distant traits) is
+            # recomputed directly by log-sum-exp
+            for i, j in zip(*np.nonzero((s_half < floor) | (s_end < floor))):
+                p, r = p0 + i, r0 + j
+                m, weights = _shifted_exp(
+                    log_n0 + p * L_T + np.stack((half[j], c_end[j])))
+                sums = weights.sum(axis=1)
+                log_masses[:, p, r] = m + np.log(sums)
+                q_table[p, r] = float(weights[1] @ a_end[j]) / sums[1]
+
     rho = np.empty(nsteps + 1)
-    q_eff = np.empty(nsteps + 1)
-    rho[0] = _mass_from_logs(dx, log_n0, 0.0)
-    a_right = np.asarray(model.rate(0.0, x), dtype=float)
-    weights = np.exp(log_n0 - log_n0.max())
-    q_eff[0] = float(weights @ a_right) / float(weights.sum())
-    rho_k = rho[0]
-    for k0 in range(0, nsteps, _BLOCK):
-        # steps k0..k1-1 at once; only the recurrence for R and rho is scalar
-        k1 = min(k0 + _BLOCK, nsteps)
-        t = times[k0:k1]
-        a_mid, a_end = np.split(
-            rate_table(model, np.concatenate((t + 0.5 * dt, t + dt)), x), 2)
-        a_start = np.vstack((a_right, a_end[:-1]))
-        a_right = a_end[-1]
-        L_end = dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
-        L_end[0] += L
-        for i in range(1, k1 - k0):
-            L_end[i] += L_end[i - 1]
-        L_start = np.vstack((L, L_end[:-1]))
-        L = L_end[-1]
-        # log-sum-exp masses at the half steps (midpoint predictor) and ends
-        m_half, _, s_half = _log_weights(
-            log_n0 + (L_start + 0.25 * dt * (a_start + a_mid)))
-        m_end, weights, s_end = _log_weights(log_n0 + L_end)
-        q_eff[k0 + 1:k1 + 1] = np.einsum("ij,ij->i", weights, a_end) / s_end
-        for k, mh, sh, me, se in zip(range(k0 + 1, k1 + 1), m_half.tolist(),
-                                     s_half.tolist(), m_end.tolist(),
-                                     s_end.tolist()):
-            r_half = R + 0.5 * dt * rho_k
-            rho_mid = dx * float(np.exp(mh - r_half) * sh) if math.isfinite(mh) else 0.0
-            R = R + dt * rho_mid
-            rho_k = dx * np.exp(me - R) * se
-            rho[k] = rho_k
+    m_0 = log_n0.max()
+    weights = np.exp(log_n0 - m_0)
+    rho[0] = dx * float(np.exp(m_0) * np.sum(weights))
+    q_eff[0] = float(weights @ model.rate(0.0, x)) / float(weights.sum())
+    R = _size_recurrence(rho, dt, dx, log_masses)
     extinct = bool((rho < EXTINCTION_SIZE).any())
-    state = ExponentState(grid=grid, time=float(times[-1]), log_factors=L.copy(),
+    state = ExponentState(grid=grid, time=float(times[-1]),
+                          log_factors=(periods - 1) * L_T + L_last,
                           rho_integral=R, log_n0=log_n0)
-    diagnostics = {"extinct": extinct, "mean_growth": q_eff}
+    diagnostics = {"extinct": extinct, "mean_growth": q_eff[:nsteps + 1]}
     return state, (times, rho), diagnostics
 
 

@@ -25,8 +25,9 @@ class PeriodicScalarSignal:
     """A scalar signal with a fixed period.
 
     Holds uniform samples over one closed period, plus optionally the callable
-    they came from. Evaluation uses the callable when present and periodic
-    linear interpolation of the samples otherwise.
+    they came from, which takes a 1-d array of times and returns their values.
+    Evaluation uses the callable when present and periodic linear
+    interpolation of the samples otherwise.
     """
 
     period: float
@@ -36,8 +37,15 @@ class PeriodicScalarSignal:
 
     @classmethod
     def from_callable(cls, period: float, fn: Callable, n: int = 2049):
+        """Signal of fn, a callable of one scalar time, called once per time."""
+        return cls.from_array_callable(
+            period, lambda ts: np.array([float(fn(t)) for t in ts]), n)
+
+    @classmethod
+    def from_array_callable(cls, period: float, fn: Callable, n: int = 2049):
+        """Signal of fn, a callable of a 1-d array of times."""
         times = np.linspace(0.0, period, n)
-        values = np.array([float(fn(t)) for t in times])
+        values = np.asarray(fn(times), dtype=float)
         return cls(period=period, times=times, values=values, fn=fn)
 
     @classmethod
@@ -47,11 +55,10 @@ class PeriodicScalarSignal:
         return cls(period=period, times=times, values=values, fn=None)
 
     def __call__(self, t):
-        if self.fn is not None:
-            if np.ndim(t):
-                return np.array([float(self.fn(tt)) for tt in np.asarray(t)])
-            return float(self.fn(t))
-        return np.interp(np.asarray(t) % self.period, self.times, self.values)
+        if self.fn is None:
+            return np.interp(np.asarray(t) % self.period, self.times, self.values)
+        out = np.asarray(self.fn(np.atleast_1d(np.asarray(t, dtype=float))), dtype=float)
+        return out if np.ndim(t) else float(out[0])
 
     def mean(self) -> float:
         return float(simpson(self.values, x=self.times)) / self.period

@@ -1,3 +1,6 @@
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,73 @@ def test_blocked_steps_match_one_step_at_a_time(r):
     np.testing.assert_allclose(state.log_factors, L, rtol=1e-13, atol=0)
     assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
     assert diag["extinct"] == extinct == (r < 0)
+
+
+@pytest.mark.parametrize("r", [1.0, -30.0])
+@pytest.mark.parametrize("t_end", [0.37, 3.37])
+def test_period_boundaries_match_one_step_at_a_time(t_end, r):
+    # less than one period, and three whole periods plus a partial one
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, dt=0.01, sigma=0.0)
+    model = fs.make_oscillating_optimum(r, 1.0, 1.0, 2.0 * np.pi)
+    n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))
+    n0[:10] = 0.0
+    state, (times, rho), diag = fs.simulate_sigma0(grid, model, n0, t_end)
+    L, R, rho_ref, q_ref, extinct = _reference_sigma0(grid, model, n0, t_end)
+    assert len(times) == round(100 * t_end) + 1
+    np.testing.assert_allclose(rho, rho_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(state.log_factors, L, rtol=1e-13, atol=0)
+    assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
+    assert diag["extinct"] == extinct
+    # the rates of period p are read at phase times, a(r dt) for
+    # a(p T + r dt), which differ in the last bits of the time argument; the
+    # mean rate crosses zero, so it is bounded relative to its largest value
+    np.testing.assert_allclose(diag["mean_growth"], q_ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(q_ref).max())
+
+
+def test_underflowed_products_are_recomputed():
+    # the 400 sin(2 pi t) x term puts the maxima of the phase rows near
+    # x = +-6, hundreds below the density's peak at x = 0 in the log
+    # weights, so their products with the period rows underflow
+    grid = fs.SimulationGrid(x_lo=-6.0, x_hi=6.0, nx=601, dt=0.01, sigma=0.0)
+    model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2
+                           + 400.0 * np.sin(2.0 * np.pi * t) * np.asarray(x))
+    n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))
+    state, (times, rho), diag = fs.simulate_sigma0(grid, model, n0, 1.37)
+    L, R, rho_ref, q_ref, extinct = _reference_sigma0(grid, model, n0, 1.37)
+    np.testing.assert_allclose(rho, rho_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(diag["mean_growth"], q_ref, rtol=1e-13,
+                               atol=1e-13 * np.abs(q_ref).max())
+    assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
+
+
+def test_memory_stays_bounded(ex1_model):
+    # the c03 inputs: 200 periods of 200 steps on 800 traits. A table of
+    # all periods or all phases against the traits takes 1.2 MiB each; the
+    # blocks keep the peak of traced allocations below 4 MiB
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
+    n0 = np.exp(-grid.x ** 2 / (2 * 0.05 ** 2))
+    tracemalloc.start()
+    try:
+        fs.simulate_sigma0(grid, ex1_model, n0, 200.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_dt_snap_is_logged(caplog, ex1_model):
+    n0 = np.exp(-_grid(nx=100).x ** 2)
+    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+        _, (times, _), _ = fs.simulate_sigma0(_grid(dt=0.003, nx=100),
+                                              ex1_model, n0, 1.0)
+    assert times[1] == 1.0 / 333
+    assert "using dt = T / 333" in caplog.text
+    caplog.clear()
+    # the c03 inputs (the sigma0-convergence defaults) and the test grids
+    # divide the period
+    c03 = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
+    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+        for grid in (c03, _grid(nx=100), _grid(dt=2e-4, nx=100)):
+            fs.simulate_sigma0(grid, ex1_model, np.exp(-grid.x ** 2), 0.1)
+    assert caplog.text == ""

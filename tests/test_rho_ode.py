@@ -82,9 +82,9 @@ def test_integrator_reads_q_from_one_period_table():
     # without halving, q is evaluated once per half-step node of one period
     calls = []
 
-    def rate(t):
-        calls.append(t)
-        return 0.5 + np.sin(2 * np.pi * t)
+    def rate(ts):
+        calls.extend(ts)
+        return 0.5 + np.sin(2 * np.pi * ts)
 
     q = fs.PeriodicScalarSignal(period=1.0, times=np.linspace(0.0, 1.0, 3),
                                 values=np.zeros(3), fn=rate)
@@ -100,3 +100,18 @@ def test_integrator_snaps_dt_to_divide_the_period():
     times, rho = fs.integrate_logistic(q, 0.5, 4.0, dt=0.3)
     assert times[1] == 2.0 / round(2.0 / 0.3)
     assert times[-1] == pytest.approx(4.0)
+
+
+def test_array_callable_matches_scalar_callable(ex1_model):
+    # one rate_table call per array gives the bits of one rate call per time
+    x_m = np.array([0.0])
+    scalar = fs.PeriodicScalarSignal.from_callable(
+        1.0, lambda t: ex1_model.rate(t, x_m)[0])
+    array = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: fs.rate_table(ex1_model, ts, x_m)[:, 0])
+    assert np.array_equal(array.values, scalar.values)
+    for steps in (1024, 4096):
+        ts = 0.5 / steps * np.arange(2 * steps + 1)
+        assert np.array_equal(array(ts), scalar(ts))
+    assert array(0.3) == scalar(0.3)
+    assert isinstance(array(0.3), float)
