@@ -17,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .env_models import (EnvironmentModel, averaged_optimum, make_custom,
-                         mean_growth, rate_table)
+from .env_models import (EnvironmentModel, averaged_optimum, mean_growth,
+                         rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
-from .floquet import principal_eigenpair
 from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
-                         find_periodic_orbit, total_mass)
+                         find_periodic_orbit, step_eigenpair, total_mass)
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -46,19 +45,22 @@ class LimitProfile:
 class Corrector:
     """Periodic first-order correction to the limit exponent.
 
-    v_values[j, i] is the cell solution at (times[j], xs[i]), anchored by
-    v(0, x) = 0; it accumulates the centered rate a - abar over time. D and E
-    are the mean-free gradient and half the mean-free curvature of v at x_m;
-    they drive the oscillation of the mean trait and of the variance.
-    kappa_bar is the constant first-order correction to the mean size.
+    The cell solution v(t, x), anchored by v(0, x) = 0, accumulates the
+    centered rate a - abar over time; cell(xs) evaluates it. D and E are the
+    mean-free gradient and half the mean-free curvature of v at x_m; they
+    drive the oscillation of the mean trait and of the variance. kappa_bar is
+    the constant first-order correction to the mean size.
     """
 
+    model: EnvironmentModel
     times: np.ndarray
-    xs: np.ndarray
-    v_values: np.ndarray
     D: PeriodicScalarSignal
     E: PeriodicScalarSignal
     kappa_bar: float
+
+    def cell(self, xs) -> np.ndarray:
+        """The cell solution v[j, i] at (times[j], xs[i])."""
+        return _cell_solution(self.model, self.times, np.asarray(xs, dtype=float))
 
 
 @dataclass
@@ -142,6 +144,15 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
                         rho_bar=float(rho_bar), taylor=taylor)
 
 
+def _cell_solution(model: EnvironmentModel, times: np.ndarray,
+                   xs: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of a - abar over the uniform times."""
+    table = rate_table(model, times, xs)
+    table -= np.asarray(mean_growth(model, xs), dtype=float)
+    return cumulative_simpson(table, dx=times[-1] / (len(times) - 1), axis=0,
+                              initial=0.0)
+
+
 def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
               fd_step: float | None = None) -> Corrector:
     """Solve the periodic cell problem dv/dt = a - abar with v(0, .) = 0.
@@ -153,23 +164,15 @@ def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
     """
     T = model.period
     times = np.linspace(0.0, T, nt + 1)
-    xs = profile.xs
-    table = rate_table(model, times, xs)
-    table -= np.asarray(mean_growth(model, xs), dtype=float)
-    v_values = cumulative_simpson(table, dx=T / nt, axis=0, initial=0.0)
-
     h = fd_step if fd_step is not None else 1e-2 * (1.0 + abs(profile.x_m))
-    stencil = profile.x_m + h * np.arange(-2.0, 3.0)
-    tab5 = rate_table(model, times, stencil)
-    tab5 -= np.asarray(mean_growth(model, stencil), dtype=float)
-    v5 = cumulative_simpson(tab5, dx=T / nt, axis=0, initial=0.0)
+    v5 = _cell_solution(model, times, profile.x_m + h * np.arange(-2.0, 3.0))
     vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
     vx -= simpson(vx, x=times) / T
     vxx -= simpson(vxx, x=times) / T
     A = profile.taylor[0]
     return Corrector(
-        times=times, xs=xs, v_values=v_values,
+        model=model, times=times,
         D=PeriodicScalarSignal(period=T, times=times, values=vx),
         E=PeriodicScalarSignal(period=T, times=times, values=0.5 * vxx),
         kappa_bar=-A)
@@ -257,28 +260,34 @@ def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:
     return float(simpson(q, x=record.times)) / record.times[-1]
 
 
-def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel,
-                            tol: float = 1e-10):
-    """Stationary size and density for a time-independent environment.
+def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):
+    """Stationary size rho_c and density of a time-independent model.
 
-    Computed from the principal eigenpair of the frozen operator: the size is
-    rho_c = -lambda and the density rho_c times the unit-mass eigenprofile.
-    Raises ExtinctionError when lambda >= 0 and NumericalError when the
-    profile leans on the domain boundary (the domain does not confine it).
+    The rate is probed at five phases (ConfigError if it moves); the state of
+    its row follows as in _stationary_state.
     """
     # probe incommensurate phases; a half-period check alone can be blind
     phases = np.array([0.0, 0.25, 0.5, 1.0 / 3.0, np.sqrt(0.5)]) * model.period
     table = rate_table(model, phases, grid.x)
     if np.abs(table[1:] - table[0]).max() > 1e-10 * max(np.abs(table[0]).max(), 1.0):
         raise ConfigError("stationary analysis needs a time-independent model")
-    pair = principal_eigenpair(grid, model, tol=tol)
-    rho_c = -pair.lam
+    return _stationary_state(grid, table[0], model.period)
+
+
+def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
+    """Size rho_c = log(mu) / dt and density rho_c times the unit-mass v,
+    from the principal step eigenpair at dt = T / max(512, round(T / grid.dt)).
+
+    Raises ExtinctionError when rho_c <= 0 and NumericalError when the
+    profile leans on the domain boundary (the domain does not confine it).
+    """
+    dt = period / max(512, int(round(period / grid.dt)))
+    log_mu, p = step_eigenpair(grid, row, dt)
+    rho_c = log_mu / dt
     if rho_c <= 0.0:
         raise ExtinctionError(
-            f"extinction regime: no positive stationary state (lambda = {pair.lam:.6g})")
-    p0 = pair.p_snapshots[0]
-    mass = total_mass(grid, p0)
-    profile = p0 / mass
+            f"extinction regime: no positive stationary state (lambda = {-rho_c:.6g})")
+    profile = p / total_mass(grid, p)
     edge = max(profile[0], profile[-1])
     if edge > 1e-6 * profile.max():
         raise NumericalError(
@@ -320,8 +329,7 @@ def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
 
 def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
                        t_star: float | None = None, orbit_tol: float = 1e-8,
-                       max_periods: int = 2000,
-                       eigen_tol: float = 1e-10) -> FitnessComparison:
+                       max_periods: int = 2000) -> FitnessComparison:
     """Compare the periodic population with the frozen-at-t_star one.
 
     t_star defaults to the time of weakest selection (minimal curvature of
@@ -339,21 +347,13 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
     q_mean = float(simpson(q, x=record.times)) / model.period
     sigma2_mean = report.sigma2.mean()
 
-    def frozen_rate(t, x):
-        return model.rate(t_star, x)
-
-    frozen = make_custom(1.0, frozen_rate,
-                         analytic_info={"mean_growth": lambda x: frozen_rate(0.0, x),
-                                        "x_m": x_m})
-    frozen_grid = SimulationGrid(x_lo=grid.x_lo, x_hi=grid.x_hi, nx=grid.nx,
-                                 dt=grid.dt, sigma=grid.sigma)
-    rho_c, field_c = stationary_constant_env(frozen_grid, frozen, tol=eigen_tol)
-    x = frozen_grid.x
-    m_c = total_mass(frozen_grid, field_c.values)
-    mu_c = frozen_grid.dx * float(np.sum(x * field_c.values)) / m_c
-    var_c = frozen_grid.dx * float(np.sum((x - mu_c) ** 2 * field_c.values)) / m_c
-    row = np.asarray(frozen.rate(0.0, x), dtype=float)
-    q_c = frozen_grid.dx * float(np.sum(row * field_c.values)) / m_c
+    x = grid.x
+    row = rate_table(model, [t_star], x)[0]
+    rho_c, field_c = _stationary_state(grid, row, model.period)
+    m_c = total_mass(grid, field_c.values)
+    mu_c = grid.dx * float(np.sum(x * field_c.values)) / m_c
+    var_c = grid.dx * float(np.sum((x - mu_c) ** 2 * field_c.values)) / m_c
+    q_c = grid.dx * float(np.sum(row * field_c.values)) / m_c
     return FitnessComparison(
         t_star=float(t_star), q_star=q_star, q_mean=q_mean,
         rho_mean_periodic=report.rho_mean, sigma2_periodic_mean=float(sigma2_mean),

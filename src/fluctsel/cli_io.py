@@ -355,7 +355,7 @@ _DEFAULTS = {
     "fitness-compare": {
         "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
         "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
-                   "eigen_tol": 1e-10, "steps_per_period": 2048},
+                   "steps_per_period": 2048},
         "extra": {}},
     "refinement": {
         "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
@@ -646,7 +646,7 @@ def _run_fitness_compare(cfg: RunConfig):
     t_star = cfg.extra.get("t_star")
     comp = asymptotics.fitness_comparison(
         grid, model, t_star=None if t_star is None else float(t_star),
-        eigen_tol=float(cfg.solver.get("eigen_tol", 1e-10)), **_orbit_budget(cfg.solver))
+        **_orbit_budget(cfg.solver))
     eps = np.sqrt(grid.sigma)
     summary = {
         "t_star": comp.t_star,

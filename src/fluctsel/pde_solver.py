@@ -26,16 +26,21 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
-from .env_models import EnvironmentModel, averaged_optimum, rate_table
+from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 
 log = logging.getLogger(__name__)
 
 # Total size below which the population counts as extinct.
 EXTINCTION_SIZE = 1e-12
+
+# Krylov basis size (ARPACK ncv): one period map per basis vector, so the
+# default of 20 costs 21 maps; the README says how 8 was chosen.
+KRYLOV_NCV = 8
 
 
 @dataclass
@@ -110,16 +115,39 @@ def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
     return grid.dx * float(np.sum(values))
 
 
+def _check_step_constraint(scaled: np.ndarray) -> None:
+    """dt * max|a| < 1 keeps every growth factor 1 + dt * a positive."""
+    margin = float(np.max(np.abs(scaled)))
+    if not margin < 1.0:
+        raise NumericalError(
+            f"step constraint violated: dt * max|a| = {margin:.3g} >= 1")
+
+
+def step_eigenpair(grid: SimulationGrid, row: np.ndarray, dt: float):
+    """(log mu, v): principal eigenpair of one linear step with the rate row.
+
+    The step D^-1 G, G = diag(1 + dt row), D = I - dt sigma L, is similar to
+    the symmetric tridiagonal s D s, s = G^(-1/2): 1/mu is its smallest
+    eigenvalue, solved shifted by I so that log mu keeps its relative
+    accuracy, and v = |s w|. Raises
+    NumericalError when dt * max|row| >= 1.
+    """
+    scaled = dt * np.broadcast_to(np.asarray(row, dtype=float), (grid.nx,))
+    _check_step_constraint(scaled)
+    s = 1.0 / np.sqrt(1.0 + scaled)
+    al = dt * grid.sigma / (grid.dx * grid.dx)
+    shifted = (2.0 * al - scaled) * s * s  # diagonal of s D s - I
+    w, vec = eigh_tridiagonal(shifted, -al * s[:-1] * s[1:], select="i",
+                              select_range=(0, 0))
+    # the Perron vector has one sign; abs also lifts roundoff in the tails
+    return float(-np.log1p(w[0])), np.abs(s * vec[:, 0])
+
+
 def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.ndarray:
-    """Unit-mass Gaussian at the averaged optimum with width sqrt(eps)."""
-    try:
-        x_m = averaged_optimum(model, (grid.x_lo, grid.x_hi))
-    except NumericalError:
-        x_m = 0.5 * (grid.x_lo + grid.x_hi)
-    eps = np.sqrt(grid.sigma) if grid.sigma > 0 else grid.dx
-    w = np.sqrt(eps)
-    x = grid.x
-    return np.exp(-((x - x_m) ** 2) / (2.0 * w * w)) / (w * np.sqrt(2.0 * np.pi))
+    """Unit-mass principal eigenvector of one step with the averaged rate,
+    which peaks where the periodic profile concentrates as sigma -> 0."""
+    _, v = step_eigenpair(grid, mean_growth(model, grid.x), grid.dt)
+    return v / total_mass(grid, v)
 
 
 class _Stepper:
@@ -142,10 +170,7 @@ class _Stepper:
         self.times = self.dt * np.arange(self.steps + 1)
         self.gain = rate_table(model, self.times[:-1], grid.x)
         self.gain *= self.dt
-        margin = float(np.max(np.abs(self.gain)))
-        if not margin < 1.0:
-            raise NumericalError(
-                f"step constraint violated: dt * max|a| = {margin:.3g} >= 1")
+        _check_step_constraint(self.gain)
         self.gain += 1.0
         al = self.dt * grid.sigma / (self.dx * self.dx)
         self.d, self.e, info = dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
@@ -202,8 +227,8 @@ class _Stepper:
 
         op = LinearOperator((start.size,) * 2, matvec=period_map, dtype=float)
         try:
-            vals, vecs = eigs(op, k=1, which="LM", v0=start, tol=tol,
-                              maxiter=max(budget, 1))
+            vals, vecs = eigs(op, k=1, which="LM", v0=start, ncv=KRYLOV_NCV,
+                              tol=tol, maxiter=max(budget, 1))
         except ArpackError as exc:
             raise ConvergenceError(f"no {what}: ARPACK stopped ({exc})") from exc
         mu, p = float(vals[0].real), vecs[:, 0].real

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import fluctsel as fs
+from fluctsel import cli_io
 
 EPS = 0.05
 
@@ -62,8 +65,9 @@ def test_corrector_oscillating_optimum(ex1_model):
     xs = np.linspace(-3.0, 3.0, 401)
     prof = fs.limit_profile(ex1_model, xs)
     corr = fs.corrector(ex1_model, prof)
-    np.testing.assert_allclose(corr.v_values[0], 0.0, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(corr.v_values[-1], 0.0, rtol=0, atol=1e-9)
+    v = corr.cell(xs)
+    np.testing.assert_allclose(v[0], 0.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(v[-1], 0.0, rtol=0, atol=1e-9)
     expect_D = -np.cos(2 * np.pi * corr.times) / np.pi
     np.testing.assert_allclose(corr.D.values, expect_D, rtol=0, atol=1e-8)
     np.testing.assert_allclose(corr.E.values, 0.0, rtol=0, atol=1e-10)
@@ -128,6 +132,37 @@ def test_stationary_constant_env():
     rho_c, field = fs.stationary_constant_env(grid, model)
     assert rho_c == pytest.approx(1.0 - 0.1, abs=2e-3)
     assert fs.total_mass(grid, field.values) == pytest.approx(rho_c, rel=1e-10)
+
+
+def test_stationary_direct_solve_matches_krylov(ex2_model):
+    # the tridiagonal solve of one step against the Krylov eigen-solve of the
+    # period map of the same frozen model at the same dt, started from a
+    # Gaussian so that it does not lean on the direct solve
+    frozen = fs.make_custom(1.0, lambda t, x: ex2_model.rate(0.5, x))
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+                             sigma=EPS * EPS)
+    rho_c, field = fs.stationary_constant_env(grid, frozen)
+    pair = fs.principal_eigenpair(grid, frozen, tol=1e-13,
+                                  guess=np.exp(-grid.x ** 2))
+    assert rho_c == pytest.approx(-pair.lam, rel=1e-12, abs=0)
+    p0 = pair.p_snapshots[0]
+    gap = np.abs(field.values / rho_c - p0 / fs.total_mass(grid, p0)).max()
+    assert gap < 1e-9
+
+
+def test_fitness_comparison_reads_few_rates():
+    # the frozen side takes one rate row; no frozen model steps through time
+    cfg = cli_io.resolve_config(cli_io.RunConfig(experiment="example2"))
+    model = cli_io.build_model(cfg.model, cfg.grid)
+    grid = cli_io.build_grid(cfg, model.period)
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return model.rate(t, x)
+
+    fs.fitness_comparison(grid, dataclasses.replace(model, rate=counted))
+    assert len(calls) < 300
 
 
 def test_stationary_rejects_time_dependent(ex1_model):

@@ -146,8 +146,9 @@ def _reference_sigma0(grid, model, n0, t_end):
 
 @pytest.mark.parametrize("r", [1.0, -30.0])
 def test_blocked_steps_match_one_step_at_a_time(r):
-    # 137 steps: four whole blocks of 32 and a partial one; the density is
-    # zero on some traits and so narrow that exp underflows on most others
+    # 137 steps: one whole period (S = 100 steps at dt = 0.01) and 37 phase
+    # steps; the density is zero on some traits and so narrow that exp
+    # underflows on most others
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, dt=0.01, sigma=0.0)
     model = fs.make_oscillating_optimum(r, 1.0, 1.0, 2.0 * np.pi)
     n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))

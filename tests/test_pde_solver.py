@@ -115,6 +115,13 @@ def test_orbit_is_deterministic():
     assert first.periods_run == again.periods_run
 
 
+def test_orbit_uses_a_small_krylov_basis(ex1_orbit):
+    # example1's grid: from the averaged-operator start the basis of
+    # KRYLOV_NCV vectors converges in about 10 period maps; ARPACK's default
+    # basis of 20 would take 22
+    assert ex1_orbit.periods_run <= 12
+
+
 def test_simulate_logistic_growth_matches_ode():
     # flat rate: mass obeys rho' = rho (1 - rho) regardless of diffusion
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=500, dt=1e-3, sigma=0.01)
