@@ -3,7 +3,8 @@
 The mutation-selection model with a periodic environment settles on a
 time-periodic density. Its mass rides a logistic-type orbit while the
 normalized profile n / rho locks onto the periodic principal eigenfunction
-of the linear part. Both facts are checked here on one grid.
+of the linear part. Both facts are checked here on one grid, from one
+eigen-solve.
 """
 
 import numpy as np
@@ -15,18 +16,18 @@ model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
 grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
                          sigma=eps * eps)
 
-orbit = fs.find_periodic_orbit(grid, model)
-print(f"orbit read off the eigenpair after {orbit.periods_run} period maps, "
-      f"period-to-period gap {orbit.period_gap:.2e}")
+# one Krylov eigen-solve; the orbit n = rho * P is read off its result
+pair = fs.principal_eigenpair(grid, model)
+orbit = fs.orbit_from_pair(pair)
+print(f"principal exponent lambda = {pair.lam:.8f} "
+      f"({pair.iterations} period maps of the Krylov eigen-solve)")
+print(f"orbit read off the eigenpair, period-to-period gap "
+      f"{orbit.period_gap:.2e}")
 rho = orbit.rho_samples
 print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
       f"mean {rho.mean():.5f}")
 
-pair = fs.principal_eigenpair(grid, model)
 eff = fs.effective_signals(pair, model)
-print(f"principal exponent lambda = {pair.lam:.8f} "
-      f"({pair.iterations} period maps of the Krylov eigen-solve)")
-
 # the orbit's normalized profile against the unit-mass eigenprofile
 shape = orbit.snapshots / rho[:, None]
 gap = np.abs(shape - eff.P_snapshots).max()

@@ -276,12 +276,12 @@ def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):
 
 def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
     """Size rho_c = log(mu) / dt and density rho_c times the unit-mass v,
-    from the principal step eigenpair at dt = T / max(512, round(T / grid.dt)).
+    from the principal step eigenpair at grid.dt snapped to divide T.
 
     Raises ExtinctionError when rho_c <= 0 and NumericalError when the
     profile leans on the domain boundary (the domain does not confine it).
     """
-    dt = period / max(512, int(round(period / grid.dt)))
+    dt = period / max(1, int(round(period / grid.dt)))
     log_mu, p = step_eigenpair(grid, row, dt)
     rho_c = log_mu / dt
     if rho_c <= 0.0:

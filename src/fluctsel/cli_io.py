@@ -79,12 +79,12 @@ _SCHEMA = {
     },
     "grid": {"x_lo": _FLOAT, "x_hi": _FLOAT, "nx": _INT, "dt": _FLOAT},
     "solver": {
-        "eps": _FLOAT, "sigma": _FLOAT, "orbit_tol": _FLOAT,
-        "max_periods": _INT, "eigen_tol": _FLOAT, "steps_per_period": _INT,
+        "eps": _FLOAT, "sigma": _FLOAT, "max_periods": _INT, "eigen_tol": _FLOAT,
+        "steps_per_period": _INT,
     },
     "experiment": {
         "tag": _STR, "out": _STR, "radii": _FLOATLIST, "eps_list": _FLOATLIST,
-        "t_end": _FLOAT, "t_end_density": _FLOAT, "rho0": _FLOAT, "w0": _FLOAT,
+        "t_end": _FLOAT, "t_end_density": _FLOAT, "w0": _FLOAT,
         "t_star": _FLOAT, "levels": _INT, "window_lo": _FLOAT,
         "window_hi": _FLOAT, "window": _FLOAT, "points_per_unit": _INT,
         "nt": _INT,
@@ -148,31 +148,31 @@ def _parse_ini_sections(text: str, origin: str):
     return sections
 
 
+def _set(cfg: RunConfig, sec: str, key: str, raw, where: str) -> None:
+    """Check one key against the schema and store its coerced value."""
+    schema = _SCHEMA[sec]
+    if key not in schema:
+        raise ConfigError(f"{where}: unknown key {key!r} in [{sec}] "
+                          f"(known: {', '.join(sorted(schema))})")
+    value = _coerce(raw, schema[key], where)
+    if sec != "experiment":
+        getattr(cfg, sec)[key] = value
+    elif key == "tag":
+        if value not in EXPERIMENT_TAGS:
+            raise ConfigError(f"{where}: unknown experiment tag {value!r}")
+        cfg.experiment = value
+    elif key == "out":
+        cfg.out_dir = value
+    else:
+        cfg.extra[key] = value
+
+
 def _validated(sections: dict, origin: str) -> RunConfig:
     """Apply the schema to parsed (value, lineno) sections."""
     cfg = RunConfig()
     for sec, entries in sections.items():
-        schema = _SCHEMA[sec]
-        out = {}
         for key, (raw, lineno) in entries.items():
-            where = f"{origin}:{lineno}"
-            if key not in schema:
-                raise ConfigError(
-                    f"{where}: unknown key {key!r} in [{sec}] "
-                    f"(known: {', '.join(sorted(schema))})")
-            out[key] = _coerce(raw, schema[key], where)
-        if sec == "experiment":
-            tag = out.pop("tag", None)
-            if tag is not None:
-                if tag not in EXPERIMENT_TAGS:
-                    lineno = entries["tag"][1]
-                    raise ConfigError(
-                        f"{origin}:{lineno}: unknown experiment tag {tag!r}")
-                cfg.experiment = tag
-            cfg.out_dir = out.pop("out", cfg.out_dir)
-            cfg.extra.update(out)
-        else:
-            getattr(cfg, sec).update(out)
+            _set(cfg, sec, key, raw, f"{origin}:{lineno}")
     _check_constraints(cfg, sections, origin)
     return cfg
 
@@ -200,7 +200,7 @@ def _check_constraints(cfg: RunConfig, sections, origin):
         raise ConfigError(
             f"{_line_of(sections, 'solver', 'sigma', origin)}: "
             "give either eps or sigma, not both")
-    for key in ("eps", "sigma", "orbit_tol", "eigen_tol"):
+    for key in ("eps", "sigma", "eigen_tol"):
         if key in solver and solver[key] <= 0:
             raise ConfigError(
                 f"{_line_of(sections, 'solver', key, origin)}: "
@@ -245,21 +245,7 @@ def apply_override(cfg: RunConfig, text: str) -> None:
         raise ConfigError(f"override {text!r} is not of the form section.key=value")
     if sec not in _SCHEMA:
         raise ConfigError(f"override {text!r}: unknown section {sec!r}")
-    schema = _SCHEMA[sec]
-    if key not in schema:
-        raise ConfigError(
-            f"override {text!r}: unknown key {key!r} in [{sec}] "
-            f"(known: {', '.join(sorted(schema))})")
-    coerced = _coerce(value.strip(), schema[key], f"override {text!r}")
-    if sec == "experiment":
-        if key == "tag":
-            cfg.experiment = coerced
-        elif key == "out":
-            cfg.out_dir = coerced
-        else:
-            cfg.extra[key] = coerced
-    else:
-        getattr(cfg, sec)[key] = coerced
+    _set(cfg, sec, key, value.strip(), f"override {text!r}")
     # re-check cross-key constraints on the merged config
     _check_constraints(cfg, {}, f"override {text!r}")
 
@@ -298,14 +284,20 @@ def build_model(model_cfg: dict, grid_cfg: dict) -> env_models.EnvironmentModel:
 def _sigma_of(solver: dict) -> float:
     if "sigma" in solver:
         return float(solver["sigma"])
-    eps = float(solver.get("eps", 0.05))
+    eps = float(solver["eps"])
     return eps * eps
 
 
 def _orbit_budget(solver: dict) -> dict:
     """The orbit tolerance and period budget of a solver block."""
-    return {"orbit_tol": float(solver.get("orbit_tol", 1e-8)),
-            "max_periods": int(solver.get("max_periods", 2000))}
+    return {"orbit_tol": float(solver["eigen_tol"]),
+            "max_periods": int(solver["max_periods"])}
+
+
+def _eigenpair(grid, model, solver: dict):
+    """The one Krylov solve of a grid's period map, at the block's budget."""
+    return pde_solver.principal_eigenpair(grid, model, tol=solver["eigen_tol"],
+                                          max_iters=solver["max_periods"])
 
 
 def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
@@ -313,7 +305,7 @@ def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
     g = cfg.grid
     dt = g.get("dt")
     if dt is None:
-        dt = period / float(cfg.solver.get("steps_per_period", 1024))
+        dt = period / float(cfg.solver["steps_per_period"])
         g["dt"] = dt
     return pde_solver.SimulationGrid(
         x_lo=g["x_lo"], x_hi=g["x_hi"], nx=g["nx"], dt=dt,
@@ -326,16 +318,18 @@ _EX2_MODEL = {"kind": "oscillating_pressure", "r": 1.0, "g_mean": 2.0,
               "g_amp": 1.8}
 _WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
 
+# The [solver] and [experiment] keys each tag reads, with their defaults;
+# resolve_config rejects any other user key there. sigma may replace eps.
 _DEFAULTS = {
     "sigma0-convergence": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID, dt=0.005),
-        "solver": {"eps": 0.05},
+        "solver": {},
         "extra": {"t_end": 50.0, "t_end_density": 200.0, "w0": 0.05,
                   "window": 0.1}},
     "periodic-orbit": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
-                   "eigen_tol": 1e-10, "steps_per_period": 2048},
+        "solver": {"eps": 0.05, "max_periods": 2000, "eigen_tol": 1e-10,
+                   "steps_per_period": 2048},
         "extra": {"t_end": 30.0}},
     "floquet-sweep": {
         "model": _EX1_MODEL, "grid": {},
@@ -343,24 +337,25 @@ _DEFAULTS = {
         "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}},
     "epsilon-limit": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"orbit_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eigen_tol": 1e-8, "max_periods": 2000,
                    "steps_per_period": 1024},
         "extra": {"eps_list": [0.1, 0.05, 0.025], "window_lo": -1.0,
                   "window_hi": 1.0}},
     "moments": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eps": 0.05, "eigen_tol": 1e-8, "max_periods": 2000,
                    "steps_per_period": 2048},
         "extra": {"nt": 2048}},
     "fitness-compare": {
         "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eps": 0.05, "eigen_tol": 1e-8, "max_periods": 2000,
                    "steps_per_period": 2048},
-        "extra": {}},
+        # None: the time of weakest selection
+        "extra": {"t_star": None}},
     "refinement": {
         "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
-        "solver": {"eps": 0.05, "orbit_tol": 1e-8, "eigen_tol": 1e-10,
-                   "max_periods": 2000, "steps_per_period": 500},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "max_periods": 2000,
+                   "steps_per_period": 500},
         "extra": {"levels": 3}},
 }
 # the worked examples of the paper run their general experiment's defaults
@@ -368,14 +363,25 @@ _DEFAULTS["example1"] = _DEFAULTS["moments"]
 _DEFAULTS["example2"] = _DEFAULTS["fitness-compare"]
 
 
+def _check_keys_read(tag: str, section: str, given: dict, known: dict) -> None:
+    allowed = set(known) | ({"sigma"} if "eps" in known else set())
+    if set(given) - allowed:
+        raise ConfigError(
+            f"experiment {tag!r} does not read [{section}] key(s) "
+            f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
+
+
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill tag defaults under the user's settings; returns a new config."""
+    """Fill tag defaults under the user's settings; returns a new config.
+    A [solver] or [experiment] key the tag does not read is a ConfigError."""
     if cfg.experiment not in EXPERIMENT_TAGS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
             f"(known: {', '.join(EXPERIMENT_TAGS)})")
-    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
     defaults = copy.deepcopy(_DEFAULTS[cfg.experiment])
+    _check_keys_read(cfg.experiment, "solver", cfg.solver, defaults["solver"])
+    _check_keys_read(cfg.experiment, "experiment", cfg.extra, defaults["extra"])
+    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
     out.model = {**defaults["model"], **cfg.model}
     if "kind" in cfg.model:
         # a user-chosen kind replaces the default model wholesale
@@ -500,14 +506,12 @@ def _bounds_summary(grid, model, record, pair):
 def _run_periodic_orbit(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
-    solver = cfg.solver
-    pair = floquet.principal_eigenpair(grid, model,
-                                       tol=float(solver.get("eigen_tol", 1e-10)))
+    pair = _eigenpair(grid, model, cfg.solver)
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
     try:
-        record = pde_solver.find_periodic_orbit(grid, model, **_orbit_budget(solver))
+        record = pde_solver.orbit_from_pair(pair)
     except ExtinctionError as exc:
-        t_end = float(cfg.extra.get("t_end", 30.0))
+        t_end = float(cfg.extra["t_end"])
         n0 = pde_solver.default_orbit_guess(grid, model)
         _, (times, rho), diag = pde_solver.simulate(grid, model, n0, t_end)
         stride = max(1, len(times) // 2048)
@@ -522,7 +526,6 @@ def _run_periodic_orbit(cfg: RunConfig):
         return tables, summary
 
     eff = floquet.effective_signals(pair, model)
-    # same step count: orbit and eigen snapshots share their time grid
     shape_gap = float(np.abs(
         record.snapshots / record.rho_samples[:, None] - eff.P_snapshots).max())
     mrep = asymptotics.measure_moments(record)
@@ -547,9 +550,9 @@ def _run_floquet_sweep(cfg: RunConfig):
     radii = [float(r) for r in cfg.extra["radii"]]
     records = floquet.radius_sweep(
         model, radii, sigma=_sigma_of(cfg.solver),
-        points_per_unit=int(cfg.extra.get("points_per_unit", 100)),
-        steps_per_period=int(cfg.solver.get("steps_per_period", 1024)),
-        tol=float(cfg.solver.get("eigen_tol", 1e-10)))
+        points_per_unit=int(cfg.extra["points_per_unit"]),
+        steps_per_period=int(cfg.solver["steps_per_period"]),
+        tol=float(cfg.solver["eigen_tol"]))
     rows = np.array([[r["R"], r["sigma"], r["lambda"], r["identity_residual"],
                       r["iterations"]] for r in records])
     lams = rows[:, 2]
@@ -567,7 +570,7 @@ def _run_epsilon_limit(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     T = model.period
     eps_list = [float(e) for e in cfg.extra["eps_list"]]
-    steps = int(cfg.solver.get("steps_per_period", 1024))
+    steps = int(cfg.solver["steps_per_period"])
     lo, hi = float(cfg.extra["window_lo"]), float(cfg.extra["window_hi"])
     rows = []
     for eps in eps_list:
@@ -609,7 +612,7 @@ def _run_moments(cfg: RunConfig):
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi),
-        nt=int(cfg.extra.get("nt", 2048)))
+        nt=int(cfg.extra["nt"]))
     T = model.period
     mu_pred = predicted.mu(measured.mu.times)
     var_pred = predicted.sigma2(measured.sigma2.times)
@@ -643,7 +646,7 @@ def _run_moments(cfg: RunConfig):
 def _run_fitness_compare(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
-    t_star = cfg.extra.get("t_star")
+    t_star = cfg.extra["t_star"]
     comp = asymptotics.fitness_comparison(
         grid, model, t_star=None if t_star is None else float(t_star),
         **_orbit_budget(cfg.solver))
@@ -673,7 +676,7 @@ def _run_refinement(cfg: RunConfig):
     T = model.period
     levels = int(cfg.extra["levels"])
     nx0 = int(cfg.grid["nx"])
-    steps0 = int(cfg.solver.get("steps_per_period", 500))
+    steps0 = int(cfg.solver["steps_per_period"])
     sigma = _sigma_of(cfg.solver)
     rows = []
     for level in range(levels):
@@ -682,12 +685,12 @@ def _run_refinement(cfg: RunConfig):
         grid = pde_solver.SimulationGrid(
             x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=nx, dt=T / steps,
             sigma=sigma)
-        pair = floquet.principal_eigenpair(
-            grid, model, tol=float(cfg.solver.get("eigen_tol", 1e-10)))
-        record = pde_solver.find_periodic_orbit(
-            grid, model, **_orbit_budget(cfg.solver))
+        pair = _eigenpair(grid, model, cfg.solver)
+        lam = pair.lam
+        # the pair is not read again, so the orbit takes over its table
+        record = pde_solver.orbit_from_pair(pair, copy=False)
         rho_bar = float(simpson(record.rho_samples, x=record.times)) / T
-        rows.append([level, nx, steps, pair.lam, rho_bar])
+        rows.append([level, nx, steps, lam, rho_bar])
     rows = np.array(rows)
     summary = {}
     if levels >= 3:

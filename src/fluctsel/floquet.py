@@ -1,43 +1,23 @@
-"""Principal periodic eigenpair of the linearized growth operator.
+"""What the principal periodic eigenpair of the linearized growth operator says.
 
 The linear flow dp/dt - sigma * d2p/dx2 = a(t, x) p over one period defines a
 positive period map; its principal eigenvalue exp(-lambda * T) and positive
 eigenfunction determine persistence (lambda < 0) or extinction (lambda >= 0)
 of the full model, and the eigenfunction yields the effective per-capita
-growth signal that the scalar logistic law runs on.
+growth signal that the scalar logistic law runs on. The eigen-solve itself
+(FloquetPair, principal_eigenpair) lives beside the stepper in pde_solver.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import NumericalError
-from .pde_solver import SimulationGrid, _Stepper, default_orbit_guess
+from .pde_solver import FloquetPair, SimulationGrid, principal_eigenpair
 from .rho_ode import PeriodicScalarSignal
-
-log = logging.getLogger(__name__)
-
-
-@dataclass
-class FloquetPair:
-    """Principal eigenvalue and periodic eigenfunction snapshots.
-
-    p_snapshots[k] holds p(t_k) on the grid nodes for t_k = k * T / steps,
-    k = 0..steps, normalized so sup_x p(0, x) = 1; p(T) = p(0) up to the
-    eigen-solve tolerance. lam is the principal exponent: solutions of the
-    linear flow behave like exp(-lam * t) times a periodic profile.
-    """
-
-    lam: float
-    period: float
-    p_snapshots: np.ndarray
-    times: np.ndarray
-    iterations: int
-    grid: SimulationGrid
 
 
 @dataclass
@@ -51,37 +31,6 @@ class EffectiveSignal:
     Q: PeriodicScalarSignal
     P_snapshots: np.ndarray
     times: np.ndarray
-
-
-def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
-                        tol: float = 1e-10, max_iters: int = 5000,
-                        guess: np.ndarray | None = None) -> FloquetPair:
-    """Krylov (ARPACK Arnoldi) eigen-solve of the linear period map.
-
-    grid.dt is snapped to divide the period, with at least 512 steps per
-    period: a coarser grid.dt is replaced by T / 512 and a warning logged.
-    tol is the relative accuracy of the period growth factor, guess the
-    start vector (default_orbit_guess when None). Returns lam =
-    -log(growth factor) / T and one recorded period of the periodic
-    eigenfunction, sup-normalized at t = 0; iterations counts the period maps
-    of the eigen-solve. Raises ConvergenceError, with the last two growth
-    factors, when it needs more than max_iters period maps.
-    """
-    T = model.period
-    steps = int(round(T / grid.dt))
-    if steps < 512:
-        log.warning("principal_eigenpair: %d steps per period is below 512; "
-                    "using dt = T / 512 instead", steps)
-        grid = replace(grid, dt=T / 512.0)
-    stepper = _Stepper(grid, model)
-    start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
-    factor, snaps, maps = stepper.principal(start, tol, max_iters, "principal eigenpair")
-    lam = -np.log(factor) / T
-    times = stepper.times
-    # weight by exp(lam t) so the stored snapshots are the periodic profile
-    snaps *= np.exp(lam * times)[:, None]
-    return FloquetPair(lam=float(lam), period=T, p_snapshots=snaps, times=times,
-                       iterations=maps, grid=grid)
 
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:

@@ -13,7 +13,8 @@ backward-Euler diffusion system, and divides by a scalar saturation factor:
 
 The linear flow is the same step with rho = 0. As saturation is a scalar
 factor, the periodic state is a rescaled principal eigenvector of the linear
-period map (n = rho * P) and is read off the Krylov eigen-solve.
+period map (n = rho * P): one Krylov eigen-solve gives the FloquetPair, and
+the orbit is read off it.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
 values below roughly 1e-12 of the peak, so truncation is invisible at solver
@@ -110,6 +111,25 @@ class OrbitRecord:
     periods_run: int
 
 
+@dataclass
+class FloquetPair:
+    """Principal eigenvalue and periodic eigenfunction snapshots.
+
+    p_snapshots[k] holds p(t_k) on the grid nodes for t_k = k * T / steps,
+    k = 0..steps, normalized so sup_x p(0, x) = 1; p(T) = p(0) up to the
+    eigen-solve tolerance. lam is the principal exponent: solutions of the
+    linear flow behave like exp(-lam * t) times a periodic profile.
+    iterations counts the period maps of the eigen-solve.
+    """
+
+    lam: float
+    period: float
+    p_snapshots: np.ndarray
+    times: np.ndarray
+    iterations: int
+    grid: SimulationGrid
+
+
 def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
     """Trapezoid mass over [x_lo, x_hi] with the zero end values included."""
     return grid.dx * float(np.sum(values))
@@ -161,7 +181,8 @@ class _Stepper:
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
-        T = model.period
+        self.grid = grid
+        self.period = T = model.period
         self.steps = max(1, int(round(T / grid.dt)))
         self.dt = T / self.steps
         if abs(self.dt - grid.dt) > 1e-9 * grid.dt:
@@ -206,13 +227,13 @@ class _Stepper:
                 n = self.step(n, k, rho)
         return n, masses, snaps
 
-    def principal(self, start: np.ndarray, tol: float, budget: int, what: str):
+    def principal(self, start: np.ndarray, tol: float, budget: int,
+                  what: str) -> FloquetPair:
         """Principal eigenpair of the linear period map (ARPACK Arnoldi).
 
-        Returns (mu, snaps, maps): the period growth factor, one recorded
-        period from its eigenvector (made nonnegative, sup-normalized), and
-        the period maps the eigen-solve ran. Raises ConvergenceError with
-        the last two growth factors |Mv| / |v| past budget period maps.
+        tol is the relative accuracy of the period growth factor mu, and
+        lam = -log(mu) / T. Raises ConvergenceError with the last two growth
+        factors |Mv| / |v| past budget period maps.
         """
         factors = [np.nan, np.nan]
 
@@ -238,7 +259,11 @@ class _Stepper:
                                  f"eigenvector min/max {p.min() / p.max():.3g})")
         np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
         snaps = self.run(p / p.max(), self.steps, saturate=False, record=True)[2]
-        return mu, snaps, len(factors) - 2
+        lam = -np.log(mu) / self.period
+        snaps *= np.exp(lam * self.times)[:, None]
+        return FloquetPair(lam=float(lam), period=self.period, p_snapshots=snaps,
+                           times=self.times, iterations=len(factors) - 2,
+                           grid=self.grid)
 
 
 def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
@@ -280,34 +305,54 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     return field, (times, rho), diagnostics
 
 
+def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
+                        tol: float = 1e-10, max_iters: int = 5000,
+                        guess: np.ndarray | None = None) -> FloquetPair:
+    """The one Krylov eigen-solve of the linear period map at grid.dt snapped
+    to divide T, started from guess (default_orbit_guess when None), to the
+    relative tolerance tol of the growth factor, within max_iters period maps.
+    """
+    stepper = _Stepper(grid, model)
+    start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
+    return stepper.principal(start, tol, max_iters, "principal eigenpair")
+
+
+def orbit_from_pair(pair: FloquetPair, copy: bool = True) -> OrbitRecord:
+    """The positive periodic state n = rho * P of the saturating scheme.
+
+    With p_k = exp(-lam t_k) P_k the linear flow (factor mu = exp(-lam T))
+    and m_k its masses, the scheme maps n_k = p_k / y_k onto itself for
+    y_0 = dt * sum_{k<N} m_k / (mu - 1), y_{k+1} = y_k + dt * m_k: the
+    discrete twin of periodic_rho_closed_form. Raises ExtinctionError when
+    mu <= 1 (lambda >= 0). copy=False hands pair.p_snapshots to the orbit.
+    """
+    mu = np.exp(-pair.lam * pair.period)
+    if mu <= 1.0:
+        raise ExtinctionError("no positive periodic orbit (lambda >= 0): "
+                              f"period growth factor {mu:.6g} <= 1")
+    snaps = pair.p_snapshots.copy() if copy else pair.p_snapshots
+    dt = pair.times[1] - pair.times[0]
+    decay = np.exp(-pair.lam * pair.times)
+    masses = pair.grid.dx * snaps.sum(axis=1) * decay
+    gains = dt * masses[:-1]
+    y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
+    snaps *= (decay / y)[:, None]
+    scale = max(float(snaps[-1].max()), 1e-300)
+    period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / scale
+    return OrbitRecord(grid=pair.grid, times=pair.times, snapshots=snaps,
+                       rho_samples=masses / y, period_gap=period_gap,
+                       periods_run=pair.iterations + 1)
+
+
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
                         n0_guess: np.ndarray | None = None,
                         orbit_tol: float = 1e-8, max_periods: int = 2000) -> OrbitRecord:
-    """The positive periodic state, read off the principal eigenpair.
-
-    With p_0..p_N one recorded period of the linear eigenvector (factor mu,
-    Krylov tolerance orbit_tol, started from n0_guess) and m_k their masses,
-    the saturating scheme maps n_k = p_k / y_k onto itself for
-    y_0 = dt * sum_{k<N} m_k / (mu - 1), y_{k+1} = y_k + dt * m_k: the
-    discrete twin of periodic_rho_closed_form. Raises ExtinctionError when
-    mu <= 1 (lambda >= 0) and ConvergenceError past max_periods period maps;
-    periods_run counts those plus the recorded one.
-    """
+    """orbit_from_pair of the eigen-solve at Krylov tolerance orbit_tol,
+    started from n0_guess, within max_periods period maps."""
     stepper = _Stepper(grid, model)
     n = (default_orbit_guess(grid, model) if n0_guess is None
          else np.asarray(n0_guess, dtype=float))
     if n.min() < 0.0 or total_mass(grid, n) <= 0.0:
         raise ConfigError("orbit guess must be nonnegative with positive mass")
-    mu, snaps, maps = stepper.principal(n, orbit_tol, max_periods, "periodic orbit")
-    if mu <= 1.0:
-        raise ExtinctionError("no positive periodic orbit (lambda >= 0): "
-                              f"period growth factor {mu:.6g} <= 1")
-    masses = grid.dx * snaps.sum(axis=1)
-    gains = stepper.dt * masses[:-1]
-    y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
-    snaps /= y[:, None]
-    scale = max(float(snaps[-1].max()), 1e-300)
-    period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / scale
-    return OrbitRecord(grid=grid, times=stepper.times, snapshots=snaps,
-                       rho_samples=masses / y, period_gap=period_gap,
-                       periods_run=maps + 1)
+    return orbit_from_pair(stepper.principal(n, orbit_tol, max_periods, "periodic orbit"),
+                           copy=False)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import pathlib
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import fluctsel as fs
-from fluctsel import cli_io
+from fluctsel import cli_io, pde_solver
 
 
 GOOD_INI = """\
@@ -315,6 +316,62 @@ def test_main_rejects_unread_solver_key(capsys):
     # no experiment passes an iteration cap on; the key is not accepted
     assert cli_io.main(["example1", "--override", "solver.max_iters=5"]) == 2
     assert "unknown key 'max_iters'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag,override", [
+    ("example1", "experiment.radii=1"),
+    ("sigma0-convergence", "solver.eigen_tol=1e-8"),
+    ("sigma0-convergence", "solver.eps=0.1"),
+])
+def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
+    # each key is known to its section, but this experiment never reads it
+    assert cli_io.main([tag, "--override", override]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "does not read" in err
+
+
+@pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
+def test_every_tag_resolves_its_own_defaults(tag):
+    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag))
+    # a resolved config (as echoed in a manifest) resolves to itself
+    assert cli_io.resolve_config(cfg) == cfg
+    solver = cfg.solver
+    if "eps" in solver:
+        sigma = fs.RunConfig(experiment=tag, solver={"sigma": 0.01})
+        assert cli_io.resolve_config(sigma).solver["sigma"] == 0.01
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    principal = pde_solver._Stepper.principal
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.steps)
+        return principal(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde_solver._Stepper, "principal", counted)
+    return calls
+
+
+def test_periodic_orbit_runs_one_eigen_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    cfg = fs.RunConfig(experiment="periodic-orbit",
+                       grid={"nx": 200}, solver={"steps_per_period": 512})
+    summary = fs.run_experiment(cfg).summary
+    assert calls == [512]
+    assert summary["extinct"] is False
+    assert summary["periods_run"] == summary["eigen_iterations"] + 1
+
+
+def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch, caplog):
+    calls = _count_solves(monkeypatch)
+    cfg = fs.RunConfig(experiment="refinement", extra={"levels": 1})
+    with caplog.at_level(logging.WARNING):
+        bundle = fs.run_experiment(cfg)
+    # level 0 runs at its own 500 steps per period, with no warning
+    assert calls == [500]
+    assert bundle.tables["refinement"][1][0][2] == 500
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_main_output_error_exits_2(tmp_path, capsys, monkeypatch):

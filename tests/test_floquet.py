@@ -1,5 +1,3 @@
-import logging
-
 import numpy as np
 import pytest
 
@@ -21,8 +19,10 @@ def _discrete_mode_rate(grid):
     return (2.0 - 2.0 * np.cos(np.pi * grid.dx / ell)) / grid.dx ** 2
 
 
-def test_separable_eigenvalue_exact():
-    grid, model, a0 = _separable_setup()
+@pytest.mark.parametrize("steps", [512, 256])
+def test_separable_eigenvalue_exact(steps):
+    # every solve runs at grid.dt itself, also below 512 steps per period
+    grid, model, a0 = _separable_setup(steps=steps)
     pair = fs.principal_eigenpair(grid, model, tol=1e-13)
     dt = grid.dt
     omega = _discrete_mode_rate(grid)
@@ -94,13 +94,6 @@ def test_residual_rejects_unknown_method(ex1_eigen, ex1_model):
         fs.lambda_identity_residual(ex1_eigen, eff, method="trapezoid")
 
 
-def test_enforces_minimum_steps_per_period(ex1_model):
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, dt=0.1, sigma=0.0025)
-    pair = fs.principal_eigenpair(grid, ex1_model, tol=1e-8)
-    assert len(pair.times) == 513
-    assert pair.grid.dt == pytest.approx(1.0 / 512)
-
-
 def test_eigenpair_is_deterministic(ex1_model):
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, dt=1.0 / 512,
                              sigma=0.0025)
@@ -136,14 +129,3 @@ def test_radius_sweep_rejects_unordered(ex1_model):
     with pytest.raises(fs.NumericalError):
         fs.radius_sweep(ex1_model, [2.0, 1.0], sigma=0.0025)
 
-
-def test_coarse_grid_swap_is_logged(caplog):
-    grid, model, _ = _separable_setup(nx=31, steps=256)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.floquet"):
-        pair = fs.principal_eigenpair(grid, model)
-    assert pair.grid.dt == 1.0 / 512
-    assert "256 steps per period is below 512" in caplog.text
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="fluctsel.floquet"):
-        fs.principal_eigenpair(pair.grid, model)
-    assert caplog.text == ""
