@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .env_models import (EnvironmentModel, averaged_optimum, mean_growth,
                          rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
 from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
                          find_periodic_orbit, step_eigenpair, total_mass)
+from .quadrature import cumulative_simpson, simpson
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -120,14 +120,14 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
     x_m = averaged_optimum(model, (xs[0], xs[-1]))
     if rho_bar is None:
         rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
-    fine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1)
+    fine, dfine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1, retstep=True)
     radicand = rho_bar - np.asarray(mean_growth(model, fine), dtype=float)
     if radicand.min() < -1e-12:
         raise NumericalError(
             "H2/limit inconsistency: averaged rate exceeds its value at the "
             f"optimum by {-radicand.min():.3g} inside the domain")
     radicand = np.maximum(radicand, 0.0)
-    anti = cumulative_simpson(np.sqrt(radicand), x=fine, initial=0.0)
+    anti = cumulative_simpson(np.sqrt(radicand), dfine)
     u_fine = -np.abs(anti - np.interp(x_m, fine, anti))
     u_values = np.interp(xs, fine, u_fine)
 
@@ -149,8 +149,7 @@ def _cell_solution(model: EnvironmentModel, times: np.ndarray,
     """Cumulative Simpson integral of a - abar over the uniform times."""
     table = rate_table(model, times, xs)
     table -= np.asarray(mean_growth(model, xs), dtype=float)
-    return cumulative_simpson(table, dx=times[-1] / (len(times) - 1), axis=0,
-                              initial=0.0)
+    return cumulative_simpson(table, times[1] - times[0], axis=0)
 
 
 def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
@@ -163,13 +162,13 @@ def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
     cell problem, yielding the signals D (gradient) and E (half curvature).
     """
     T = model.period
-    times = np.linspace(0.0, T, nt + 1)
+    times, dt = np.linspace(0.0, T, nt + 1, retstep=True)
     h = fd_step if fd_step is not None else 1e-2 * (1.0 + abs(profile.x_m))
     v5 = _cell_solution(model, times, profile.x_m + h * np.arange(-2.0, 3.0))
     vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
-    vx -= simpson(vx, x=times) / T
-    vxx -= simpson(vxx, x=times) / T
+    vx -= simpson(vx, dt) / T
+    vxx -= simpson(vxx, dt) / T
     A = profile.taylor[0]
     return Corrector(
         model=model, times=times,
@@ -239,7 +238,7 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
     spread *= record.snapshots
     var = dx * spread.sum(axis=1) / masses
     T = float(record.times[-1])
-    rho_mean = float(simpson(masses, x=record.times)) / T
+    rho_mean = float(simpson(masses, record.times[1] - record.times[0])) / T
     return MomentReport(
         mu=PeriodicScalarSignal(period=T, times=record.times.copy(), values=mu),
         sigma2=PeriodicScalarSignal(period=T, times=record.times.copy(), values=var),
@@ -257,7 +256,8 @@ def fitness_samples(record: OrbitRecord, model: EnvironmentModel) -> np.ndarray:
 def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:
     """Period average of the population mean growth rate."""
     q = fitness_samples(record, model)
-    return float(simpson(q, x=record.times)) / record.times[-1]
+    dt = record.times[1] - record.times[0]
+    return float(simpson(q, dt)) / record.times[-1]
 
 
 def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):
@@ -344,7 +344,7 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
     report = measure_moments(record)
     q = fitness_samples(record, model)
     q_star = float(np.interp(t_star % model.period, record.times, q))
-    q_mean = float(simpson(q, x=record.times)) / model.period
+    q_mean = float(simpson(q, record.times[1] - record.times[0])) / model.period
     sigma2_mean = report.sigma2.mean()
 
     x = grid.x

@@ -33,10 +33,10 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import asymptotics, env_models, floquet, no_mutation, pde_solver, rho_ode
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
+from .quadrature import simpson
 
 __version__ = "0.1.0"
 
@@ -333,7 +333,8 @@ _DEFAULTS = {
         "extra": {"t_end": 30.0}},
     "floquet-sweep": {
         "model": _EX1_MODEL, "grid": {},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 1024},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "max_periods": 2000,
+                   "steps_per_period": 1024},
         "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}},
     "epsilon-limit": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
@@ -552,7 +553,8 @@ def _run_floquet_sweep(cfg: RunConfig):
         model, radii, sigma=_sigma_of(cfg.solver),
         points_per_unit=int(cfg.extra["points_per_unit"]),
         steps_per_period=int(cfg.solver["steps_per_period"]),
-        tol=float(cfg.solver["eigen_tol"]))
+        tol=float(cfg.solver["eigen_tol"]),
+        max_periods=int(cfg.solver["max_periods"]))
     rows = np.array([[r["R"], r["sigma"], r["lambda"], r["identity_residual"],
                       r["iterations"]] for r in records])
     lams = rows[:, 2]
@@ -620,7 +622,7 @@ def _run_moments(cfg: RunConfig):
     amp_p, ph_p, _ = _fit_first_harmonic(measured.mu.times, mu_pred, T)
     phase_err = abs((ph_s - ph_p + np.pi) % (2.0 * np.pi) - np.pi)
     var_mean_s = measured.sigma2.mean()
-    var_mean_p = float(simpson(var_pred, x=measured.sigma2.times)) / T
+    var_mean_p = float(simpson(var_pred, record.times[1] - record.times[0])) / T
     rows = np.column_stack([measured.mu.times, measured.mu.values, mu_pred,
                             measured.sigma2.values, var_pred,
                             record.rho_samples])
@@ -689,7 +691,8 @@ def _run_refinement(cfg: RunConfig):
         lam = pair.lam
         # the pair is not read again, so the orbit takes over its table
         record = pde_solver.orbit_from_pair(pair, copy=False)
-        rho_bar = float(simpson(record.rho_samples, x=record.times)) / T
+        dt = record.times[1] - record.times[0]
+        rho_bar = float(simpson(record.rho_samples, dt)) / T
         rows.append([level, nx, steps, lam, rho_bar])
     rows = np.array(rows)
     summary = {}

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import ConfigError, NumericalError
+from .quadrature import simpson
 
 # Composite-Simpson node count for time averages (must stay odd).
 MEAN_NODES = 1025
@@ -104,7 +104,7 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
     sample grid over one period, periodicity as
     |g(t + 1) - g(t)| <= 1e-10 * max|g|.
     """
-    ts = np.linspace(0.0, 1.0, MEAN_NODES)
+    ts, dt = np.linspace(0.0, 1.0, MEAN_NODES, retstep=True)
 
     def sample(times):
         return np.broadcast_to(np.asarray(g_fn(times), dtype=float), times.shape)
@@ -117,7 +117,7 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
     if shift > 1e-10 * np.abs(gs).max():
         raise ConfigError(
             f"selection pressure must have period 1; max |g(t + 1) - g(t)| = {shift:.6g}")
-    g_bar = float(simpson(gs, x=ts))
+    g_bar = float(simpson(gs, dt))
 
     def rate(t, x):
         return r - g_fn(t) * np.asarray(x) ** 2
@@ -275,8 +275,8 @@ def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
     if "mean_growth" in info:
         return info["mean_growth"](x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ts = np.linspace(0.0, model.period, MEAN_NODES)
-    out = simpson(rate_table(model, ts, xs), x=ts, axis=0) / model.period
+    ts, dt = np.linspace(0.0, model.period, MEAN_NODES, retstep=True)
+    out = simpson(rate_table(model, ts, xs), dt, axis=0) / model.period
     return out if np.ndim(x) else float(out[0])
 
 

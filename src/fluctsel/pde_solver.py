@@ -43,6 +43,10 @@ EXTINCTION_SIZE = 1e-12
 # default of 20 costs 21 maps; the README says how 8 was chosen.
 KRYLOV_NCV = 8
 
+# Period maps an eigen-solve may run before it raises ConvergenceError: the
+# default budget of principal_eigenpair and find_periodic_orbit.
+MAX_PERIODS = 2000
+
 
 @dataclass
 class SimulationGrid:
@@ -306,7 +310,7 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
 
 
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
-                        tol: float = 1e-10, max_iters: int = 5000,
+                        tol: float = 1e-10, max_iters: int = MAX_PERIODS,
                         guess: np.ndarray | None = None) -> FloquetPair:
     """The one Krylov eigen-solve of the linear period map at grid.dt snapped
     to divide T, started from guess (default_orbit_guess when None), to the
@@ -346,7 +350,8 @@ def orbit_from_pair(pair: FloquetPair, copy: bool = True) -> OrbitRecord:
 
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
                         n0_guess: np.ndarray | None = None,
-                        orbit_tol: float = 1e-8, max_periods: int = 2000) -> OrbitRecord:
+                        orbit_tol: float = 1e-8,
+                        max_periods: int = MAX_PERIODS) -> OrbitRecord:
     """orbit_from_pair of the eigen-solve at Krylov tolerance orbit_tol,
     started from n0_guess, within max_periods period maps."""
     stepper = _Stepper(grid, model)

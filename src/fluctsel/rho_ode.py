@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-
 from .errors import ExtinctionError, NumericalError
+from .quadrature import cumulative_simpson, simpson
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
@@ -61,7 +60,7 @@ class PeriodicScalarSignal:
         return out if np.ndim(t) else float(out[0])
 
     def mean(self) -> float:
-        return float(simpson(self.values, x=self.times)) / self.period
+        return float(simpson(self.values, self.times[1] - self.times[0])) / self.period
 
 
 @dataclass
@@ -110,18 +109,18 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
         positive periodic solution exists and 0 attracts.
     """
     T = q.period
-    ts = np.linspace(0.0, 2.0 * T, 2 * FINE_INTERVALS + 1)
+    ts, dt = np.linspace(0.0, 2.0 * T, 2 * FINE_INTERVALS + 1, retstep=True)
     # q is periodic: evaluate one period and repeat it for the second
     qs = np.asarray(q(ts[:FINE_INTERVALS + 1]), dtype=float)
     qs = np.concatenate([qs, qs[1:]])
-    anti = cumulative_simpson(qs, x=ts, initial=0.0)
+    anti = cumulative_simpson(qs, dt)
     period_integral = float(anti[FINE_INTERVALS])
     if period_integral <= 0.0:
         raise ExtinctionError(
             "extinction regime: no positive periodic orbit "
             f"(period integral of q = {period_integral:.6g})")
     shift = float(anti.max())
-    grow = cumulative_simpson(np.exp(anti - shift), x=ts, initial=0.0)
+    grow = cumulative_simpson(np.exp(anti - shift), dt)
 
     def evaluate(t):
         tq = np.asarray(t, dtype=float) % T
@@ -134,7 +133,7 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
     times = np.linspace(0.0, T, n_samples)
     samples = np.asarray(evaluate(times), dtype=float)
     fine_times = ts[:FINE_INTERVALS + 1]
-    mean = float(simpson(evaluate(fine_times), x=fine_times)) / T
+    mean = float(simpson(evaluate(fine_times), dt)) / T
     return RhoOrbit(period=T, times=times, samples=samples, mean=mean, _eval=evaluate)
 
 

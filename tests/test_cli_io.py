@@ -288,6 +288,14 @@ def test_main_numerical_error(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_floquet_sweep_reads_its_period_budget(tmp_path, capsys):
+    # the budget reaches the eigen-solve, which runs out of period maps
+    argv = ["floquet-sweep", "--out", str(tmp_path / "sweep"),
+            "--override", "solver.max_periods=1"]
+    assert cli_io.main(argv) == 3
+    assert "within 1 periods" in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_tag():
     with pytest.raises(SystemExit) as err:
         cli_io.main(["definitely-not-a-tag"])

@@ -1,7 +1,10 @@
 """Every name a package module imports is used in that module."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -34,3 +37,18 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_keeps_heavy_scipy_modules_out():
+    # fluctsel needs scipy.linalg and scipy.sparse.linalg only; scipy.integrate
+    # would pull in scipy.special and scipy.optimize, about a quarter of the
+    # import time
+    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize")
+    code = ("import sys, fluctsel\n"
+            f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.split() == []
