@@ -19,8 +19,9 @@ import numpy as np
 from .env_models import (EnvironmentModel, averaged_optimum, mean_growth,
                          rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
-from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
-                         find_periodic_orbit, step_eigenpair, total_mass)
+from .pde_solver import (MAX_PERIODS, DensityField, OrbitRecord,
+                         SimulationGrid, find_periodic_orbit, step_eigenpair,
+                         total_mass)
 from .quadrature import cumulative_simpson, simpson
 from .rho_ode import PeriodicScalarSignal
 
@@ -149,7 +150,7 @@ def _cell_solution(model: EnvironmentModel, times: np.ndarray,
     """Cumulative Simpson integral of a - abar over the uniform times."""
     table = rate_table(model, times, xs)
     table -= np.asarray(mean_growth(model, xs), dtype=float)
-    return cumulative_simpson(table, times[1] - times[0], axis=0)
+    return cumulative_simpson(table, times[1] - times[0])
 
 
 def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
@@ -329,7 +330,7 @@ def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
 
 def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
                        t_star: float | None = None, orbit_tol: float = 1e-8,
-                       max_periods: int = 2000) -> FitnessComparison:
+                       max_periods: int = MAX_PERIODS) -> FitnessComparison:
     """Compare the periodic population with the frozen-at-t_star one.
 
     t_star defaults to the time of weakest selection (minimal curvature of

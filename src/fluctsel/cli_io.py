@@ -328,34 +328,36 @@ _DEFAULTS = {
                   "window": 0.1}},
     "periodic-orbit": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "max_periods": 2000, "eigen_tol": 1e-10,
-                   "steps_per_period": 2048},
+        "solver": {"eps": 0.05, "max_periods": pde_solver.MAX_PERIODS,
+                   "eigen_tol": 1e-10, "steps_per_period": 2048},
         "extra": {"t_end": 30.0}},
     "floquet-sweep": {
         "model": _EX1_MODEL, "grid": {},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "max_periods": 2000,
-                   "steps_per_period": 1024},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 1024},
         "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}},
     "epsilon-limit": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eigen_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eigen_tol": 1e-8, "max_periods": pde_solver.MAX_PERIODS,
                    "steps_per_period": 1024},
         "extra": {"eps_list": [0.1, 0.05, 0.025], "window_lo": -1.0,
                   "window_hi": 1.0}},
     "moments": {
         "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "eigen_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eps": 0.05, "eigen_tol": 1e-8,
+                   "max_periods": pde_solver.MAX_PERIODS,
                    "steps_per_period": 2048},
         "extra": {"nt": 2048}},
     "fitness-compare": {
         "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "eigen_tol": 1e-8, "max_periods": 2000,
+        "solver": {"eps": 0.05, "eigen_tol": 1e-8,
+                   "max_periods": pde_solver.MAX_PERIODS,
                    "steps_per_period": 2048},
         # None: the time of weakest selection
         "extra": {"t_star": None}},
     "refinement": {
         "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "max_periods": 2000,
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10,
+                   "max_periods": pde_solver.MAX_PERIODS,
                    "steps_per_period": 500},
         "extra": {"levels": 3}},
 }
@@ -553,8 +555,7 @@ def _run_floquet_sweep(cfg: RunConfig):
         model, radii, sigma=_sigma_of(cfg.solver),
         points_per_unit=int(cfg.extra["points_per_unit"]),
         steps_per_period=int(cfg.solver["steps_per_period"]),
-        tol=float(cfg.solver["eigen_tol"]),
-        max_periods=int(cfg.solver["max_periods"]))
+        tol=float(cfg.solver["eigen_tol"]))
     rows = np.array([[r["R"], r["sigma"], r["lambda"], r["identity_residual"],
                       r["iterations"]] for r in records])
     lams = rows[:, 2]

@@ -276,7 +276,7 @@ def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
         return info["mean_growth"](x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ts, dt = np.linspace(0.0, model.period, MEAN_NODES, retstep=True)
-    out = simpson(rate_table(model, ts, xs), dt, axis=0) / model.period
+    out = simpson(rate_table(model, ts, xs), dt) / model.period
     return out if np.ndim(x) else float(out[0])
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .env_models import EnvironmentModel, averaged_optimum, rate_table
 from .errors import NumericalError
-from .pde_solver import MAX_PERIODS, FloquetPair, SimulationGrid, principal_eigenpair
+from .pde_solver import FloquetPair, SimulationGrid, principal_eigenpair
 from .quadrature import simpson
 from .rho_ode import PeriodicScalarSignal
 
@@ -74,15 +74,13 @@ def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
 
 def radius_sweep(model: EnvironmentModel, radii, sigma: float,
                  points_per_unit: int = 100, steps_per_period: int = 1024,
-                 tol: float = 1e-10, center: float | None = None,
-                 max_periods: int = MAX_PERIODS) -> list[dict]:
+                 tol: float = 1e-10, center: float | None = None) -> list[dict]:
     """Eigenvalue against domain half-width, to audit truncation.
 
     radii must increase. Returns one record per radius with keys R, sigma,
     lambda, identity_residual, iterations; the eigenvalue should be
     nonincreasing in R (enlarging the domain relaxes the Dirichlet pinning)
     and the gap between the last two radii estimates the truncation error.
-    Each eigen-solve may run max_periods period maps.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -94,7 +92,7 @@ def radius_sweep(model: EnvironmentModel, radii, sigma: float,
         nx = max(16, int(round(2.0 * R * points_per_unit)) - 1)
         grid = SimulationGrid(x_lo=center - R, x_hi=center + R, nx=nx,
                               dt=model.period / steps_per_period, sigma=sigma)
-        pair = principal_eigenpair(grid, model, tol=tol, max_iters=max_periods)
+        pair = principal_eigenpair(grid, model, tol=tol)
         eff = effective_signals(pair, model)
         out.append({
             "R": float(R),

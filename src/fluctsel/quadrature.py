@@ -4,8 +4,8 @@ Every period integral of the package (averaged rates, mean sizes, moment and
 fitness means, antiderivatives) is taken on an equally spaced grid, so both
 rules take the spacing dx instead of the nodes. They are the equal-spacing
 rules of scipy.integrate, written out so that importing the package does not
-import scipy.integrate (and with it scipy.special and scipy.optimize), and
-so that the even-N rule does not change with the SciPy release.
+load scipy.integrate (and with it scipy.special and scipy.optimize), and so
+that the even-N rule does not change with the SciPy release.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ def _parabola_interval(f1, f2, f3, dx):
     return dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
 
 
-def simpson(y, dx: float, axis: int = -1):
-    """Composite Simpson integral of samples y spaced dx apart along axis.
+def simpson(y, dx: float):
+    """Composite Simpson integral of samples y spaced dx apart along the first
+    axis.
 
     An odd number of points uses the 1-4-2-...-4-1 rule. An even number uses
     it up to the third-last point and takes the last interval from the
@@ -28,7 +29,7 @@ def simpson(y, dx: float, axis: int = -1):
     scipy.integrate.simpson): dx/12 * (5 y[-1] + 8 y[-2] - y[-3]). Two
     points use the trapezoid rule.
     """
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    y = np.asarray(y, dtype=float)
     n = len(y)
     if n == 2:
         return 0.5 * dx * (y[1] + y[0])
@@ -40,9 +41,9 @@ def simpson(y, dx: float, axis: int = -1):
     return out
 
 
-def cumulative_simpson(y, dx: float, axis: int = -1) -> np.ndarray:
-    """Running Simpson integral of samples y spaced dx apart, from 0 at the
-    first point, with the shape of y.
+def cumulative_simpson(y, dx: float) -> np.ndarray:
+    """Running Simpson integral of samples y spaced dx apart along the first
+    axis, from 0 at the first point, with the shape of y.
 
     Each interval is integrated over the parabola through it and one
     neighbour: intervals 0, 2, 4, ... with their right neighbour, intervals
@@ -50,16 +51,16 @@ def cumulative_simpson(y, dx: float, axis: int = -1) -> np.ndarray:
     scipy.integrate.cumulative_simpson(y, dx=dx, initial=0) to the bit.
     Fewer than three points use the trapezoid rule.
     """
-    y = np.moveaxis(np.asarray(y, dtype=float), axis, 0)
+    y = np.asarray(y, dtype=float)
     n = len(y)
     out = np.zeros_like(y)
     if n < 3:
         out[1:] = 0.5 * dx * (y[1:] + y[:-1])
-        return np.moveaxis(out, 0, axis)
+        return out
     a, b, c = y[0:-2:2], y[1:-1:2], y[2::2]
     pieces = np.empty_like(y[1:])
     pieces[0:-1:2] = _parabola_interval(a, b, c, dx)
     pieces[1::2] = _parabola_interval(c, b, a, dx)
     pieces[-1] = _parabola_interval(y[-1], y[-2], y[-3], dx)
     np.cumsum(pieces, axis=0, out=out[1:])
-    return np.moveaxis(out, 0, axis)
+    return out

@@ -1,3 +1,4 @@
+import inspect
 import json
 import logging
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fluctsel as fs
-from fluctsel import cli_io, pde_solver
+from fluctsel import asymptotics, cli_io, pde_solver
 
 
 GOOD_INI = """\
@@ -288,12 +289,14 @@ def test_main_numerical_error(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_floquet_sweep_reads_its_period_budget(tmp_path, capsys):
-    # the budget reaches the eigen-solve, which runs out of period maps
-    argv = ["floquet-sweep", "--out", str(tmp_path / "sweep"),
-            "--override", "solver.max_periods=1"]
-    assert cli_io.main(argv) == 3
-    assert "within 1 periods" in capsys.readouterr().err
+def test_every_eigen_solve_budget_defaults_to_max_periods():
+    budgets = [inspect.signature(fn).parameters[name].default for fn, name in (
+        (pde_solver.principal_eigenpair, "max_iters"),
+        (pde_solver.find_periodic_orbit, "max_periods"),
+        (asymptotics.fitness_comparison, "max_periods"))]
+    budgets += [d["solver"]["max_periods"] for d in cli_io._DEFAULTS.values()
+                if "max_periods" in d["solver"]]
+    assert budgets and set(budgets) == {pde_solver.MAX_PERIODS}
 
 
 def test_main_rejects_unknown_tag():

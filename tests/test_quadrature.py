@@ -1,6 +1,6 @@
 """fluctsel.quadrature against scipy.integrate, its reference: the
 cumulative rule bit for bit, the composite rule to 1e-15 relative on
-positive data, both along either axis of a table."""
+positive data, both on samples and down the columns of a table."""
 
 import numpy as np
 import pytest
@@ -37,12 +37,11 @@ def test_matches_scipy_on_one_axis(n):
 def test_matches_scipy_down_the_columns(n):
     # the shape of the cell solution: nt + 1 times against a 5-point stencil
     y, dx = _samples(n, columns=5), 1.0 / (n - 1)
-    got = cumulative_simpson(y, dx, axis=0)
+    got = cumulative_simpson(y, dx)
     assert got.shape == y.shape
     assert np.array_equal(
         got, scipy.integrate.cumulative_simpson(y, dx=dx, axis=0, initial=0.0))
-    assert _close(simpson(y, dx, axis=0), scipy.integrate.simpson(y, dx=dx, axis=0))
-    assert np.array_equal(simpson(y, dx, axis=0), simpson(y.T, dx))
+    assert _close(simpson(y, dx), scipy.integrate.simpson(y, dx=dx, axis=0))
 
 
 @pytest.mark.parametrize("n", (3, 5, 2049))
