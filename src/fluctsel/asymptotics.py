@@ -22,7 +22,7 @@ from .errors import ConfigError, ExtinctionError, NumericalError
 from .pde_solver import (MAX_PERIODS, DensityField, OrbitRecord,
                          SimulationGrid, find_periodic_orbit, step_eigenpair,
                          total_mass)
-from .quadrature import cumulative_simpson, simpson
+from .quadrature import cumulative_simpson, simpson, snap_steps
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -105,8 +105,7 @@ def _taylor_from_derivatives(d2: float, d3: float, d4: float):
 
 
 def limit_profile(model: EnvironmentModel, xs: np.ndarray,
-                  rho_bar: float | None = None,
-                  fd_step: float | None = None) -> LimitProfile:
+                  rho_bar: float | None = None) -> LimitProfile:
     """Build the limit exponent on the nodes xs.
 
     u(x) = -|int_{x_m}^x sqrt(rho_bar - abar(s)) ds| with rho_bar defaulting
@@ -114,7 +113,7 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
     raises "H2/limit inconsistency"; values in [-1e-12, 0] are clamped to 0.
     Taylor coefficients come from the model's stored derivatives when
     available, otherwise from 5-point centered differences of the averaged
-    rate with step fd_step (default 10 times the xs spacing).
+    rate with a step of 10 times the xs spacing.
     """
     xs = np.asarray(xs, dtype=float)
     info = model.analytic_info or {}
@@ -135,7 +134,7 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
     if all(key in info for key in ("d2", "d3", "d4")):
         taylor = _taylor_from_derivatives(info["d2"], info["d3"], info["d4"])
     else:
-        h = fd_step if fd_step is not None else 10.0 * (xs[1] - xs[0])
+        h = 10.0 * (xs[1] - xs[0])
         st = np.asarray(mean_growth(model, x_m + h * np.arange(-2.0, 3.0)), dtype=float)
         d2 = (-st[0] + 16 * st[1] - 30 * st[2] + 16 * st[3] - st[4]) / (12 * h * h)
         d3 = (st[4] - 2 * st[3] + 2 * st[1] - st[0]) / (2 * h ** 3)
@@ -153,18 +152,18 @@ def _cell_solution(model: EnvironmentModel, times: np.ndarray,
     return cumulative_simpson(table, times[1] - times[0])
 
 
-def corrector(model: EnvironmentModel, profile: LimitProfile, nt: int = 2048,
-              fd_step: float | None = None) -> Corrector:
+def corrector(model: EnvironmentModel, profile: LimitProfile,
+              nt: int = 2048) -> Corrector:
     """Solve the periodic cell problem dv/dt = a - abar with v(0, .) = 0.
 
     The gradient and curvature of v at x_m are taken through a 5-point
-    stencil of width fd_step (default 1e-2 * (1 + |x_m|)); their periodic
-    means are removed, since only the mean-free parts are determined by the
-    cell problem, yielding the signals D (gradient) and E (half curvature).
+    stencil of step 1e-2 * (1 + |x_m|); their periodic means are removed,
+    since only the mean-free parts are determined by the cell problem,
+    yielding the signals D (gradient) and E (half curvature).
     """
     T = model.period
     times, dt = np.linspace(0.0, T, nt + 1, retstep=True)
-    h = fd_step if fd_step is not None else 1e-2 * (1.0 + abs(profile.x_m))
+    h = 1e-2 * (1.0 + abs(profile.x_m))
     v5 = _cell_solution(model, times, profile.x_m + h * np.arange(-2.0, 3.0))
     vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
@@ -282,7 +281,7 @@ def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
     Raises ExtinctionError when rho_c <= 0 and NumericalError when the
     profile leans on the domain boundary (the domain does not confine it).
     """
-    dt = period / max(1, int(round(period / grid.dt)))
+    _, dt = snap_steps(period, grid.dt)
     log_mu, p = step_eigenpair(grid, row, dt)
     rho_c = log_mu / dt
     if rho_c <= 0.0:
@@ -329,19 +328,19 @@ def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
 
 
 def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
-                       t_star: float | None = None, orbit_tol: float = 1e-8,
+                       t_star: float | None = None, tol: float = 1e-8,
                        max_periods: int = MAX_PERIODS) -> FitnessComparison:
     """Compare the periodic population with the frozen-at-t_star one.
 
     t_star defaults to the time of weakest selection (minimal curvature of
     the rate at the optimum). If the rate is time-independent the frozen
     environment coincides with the periodic one and all quantities agree.
+    tol and max_periods go to the orbit's eigen-solve.
     """
     x_m = averaged_optimum(model, (grid.x_lo, grid.x_hi))
     if t_star is None:
         t_star = _default_t_star(model, x_m)
-    record = find_periodic_orbit(grid, model, orbit_tol=orbit_tol,
-                                 max_periods=max_periods)
+    record = find_periodic_orbit(grid, model, tol, max_periods)
     report = measure_moments(record)
     q = fitness_samples(record, model)
     q_star = float(np.interp(t_star % model.period, record.times, q))

@@ -77,7 +77,7 @@ _SCHEMA = {
         "kind": _STR, "r": _FLOAT, "g": _FLOAT, "c": _FLOAT, "b": _FLOAT,
         "g_mean": _FLOAT, "g_amp": _FLOAT, "path": _STR,
     },
-    "grid": {"x_lo": _FLOAT, "x_hi": _FLOAT, "nx": _INT, "dt": _FLOAT},
+    "grid": {"x_lo": _FLOAT, "x_hi": _FLOAT, "nx": _INT},
     "solver": {
         "eps": _FLOAT, "sigma": _FLOAT, "max_periods": _INT, "eigen_tol": _FLOAT,
         "steps_per_period": _INT,
@@ -188,9 +188,6 @@ def _check_constraints(cfg: RunConfig, sections, origin):
         raise ConfigError(
             f"{_line_of(sections, 'grid', 'nx', origin)}: nx must be >= 16, "
             f"got {grid['nx']}")
-    if "dt" in grid and grid["dt"] <= 0:
-        raise ConfigError(
-            f"{_line_of(sections, 'grid', 'dt', origin)}: dt must be positive")
     if "x_lo" in grid and "x_hi" in grid and not grid["x_hi"] > grid["x_lo"]:
         raise ConfigError(
             f"{_line_of(sections, 'grid', 'x_hi', origin)}: "
@@ -288,28 +285,20 @@ def _sigma_of(solver: dict) -> float:
     return eps * eps
 
 
-def _orbit_budget(solver: dict) -> dict:
-    """The orbit tolerance and period budget of a solver block."""
-    return {"orbit_tol": float(solver["eigen_tol"]),
+def _eigen_budget(solver: dict) -> dict:
+    """The eigen-solve keywords of a solver block: Krylov tolerance and
+    period-map budget."""
+    return {"tol": float(solver["eigen_tol"]),
             "max_periods": int(solver["max_periods"])}
 
 
-def _eigenpair(grid, model, solver: dict):
-    """The one Krylov solve of a grid's period map, at the block's budget."""
-    return pde_solver.principal_eigenpair(grid, model, tol=solver["eigen_tol"],
-                                          max_iters=solver["max_periods"])
-
-
 def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
-    """SimulationGrid from the (defaults-resolved) grid and solver blocks."""
+    """SimulationGrid from the (defaults-resolved) grid and solver blocks,
+    at dt = period / steps_per_period."""
     g = cfg.grid
-    dt = g.get("dt")
-    if dt is None:
-        dt = period / float(cfg.solver["steps_per_period"])
-        g["dt"] = dt
     return pde_solver.SimulationGrid(
-        x_lo=g["x_lo"], x_hi=g["x_hi"], nx=g["nx"], dt=dt,
-        sigma=_sigma_of(cfg.solver))
+        x_lo=g["x_lo"], x_hi=g["x_hi"], nx=g["nx"],
+        dt=period / cfg.solver["steps_per_period"], sigma=_sigma_of(cfg.solver))
 
 
 _EX1_MODEL = {"kind": "oscillating_optimum", "r": 1.0, "g": 1.0, "c": 1.0,
@@ -318,12 +307,13 @@ _EX2_MODEL = {"kind": "oscillating_pressure", "r": 1.0, "g_mean": 2.0,
               "g_amp": 1.8}
 _WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
 
-# The [solver] and [experiment] keys each tag reads, with their defaults;
-# resolve_config rejects any other user key there. sigma may replace eps.
+# The [grid], [solver] and [experiment] keys each tag reads, with their
+# defaults; resolve_config rejects any other user key there. sigma may
+# replace eps, and every tag reads x_lo/x_hi (a tabulated model needs them).
 _DEFAULTS = {
     "sigma0-convergence": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID, dt=0.005),
-        "solver": {},
+        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
+        "solver": {"steps_per_period": 200},
         "extra": {"t_end": 50.0, "t_end_density": 200.0, "w0": 0.05,
                   "window": 0.1}},
     "periodic-orbit": {
@@ -366,7 +356,7 @@ _DEFAULTS["example1"] = _DEFAULTS["moments"]
 _DEFAULTS["example2"] = _DEFAULTS["fitness-compare"]
 
 
-def _check_keys_read(tag: str, section: str, given: dict, known: dict) -> None:
+def _check_keys_read(tag: str, section: str, given: dict, known: dict | set) -> None:
     allowed = set(known) | ({"sigma"} if "eps" in known else set())
     if set(given) - allowed:
         raise ConfigError(
@@ -376,12 +366,15 @@ def _check_keys_read(tag: str, section: str, given: dict, known: dict) -> None:
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill tag defaults under the user's settings; returns a new config.
-    A [solver] or [experiment] key the tag does not read is a ConfigError."""
+    A [grid], [solver] or [experiment] key the tag does not read is a
+    ConfigError."""
     if cfg.experiment not in EXPERIMENT_TAGS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
             f"(known: {', '.join(EXPERIMENT_TAGS)})")
     defaults = copy.deepcopy(_DEFAULTS[cfg.experiment])
+    _check_keys_read(cfg.experiment, "grid", cfg.grid,
+                     {*defaults["grid"], "x_lo", "x_hi"})
     _check_keys_read(cfg.experiment, "solver", cfg.solver, defaults["solver"])
     _check_keys_read(cfg.experiment, "experiment", cfg.extra, defaults["extra"])
     out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
@@ -417,7 +410,7 @@ def _run_sigma0(cfg: RunConfig):
     gaps = {}
     trajs = {}
     for label, rho0 in (("low", 0.05), ("high", 5.0)):
-        times, rho = rho_ode.integrate_logistic(q, rho0, t_end, dt=T / 1024.0)
+        times, rho = rho_ode.integrate_logistic(q, rho0, t_end)
         last = times >= t_end - T - 1e-12
         gaps[label] = float(np.abs(rho[last] - orbit.evaluate(times[last])).max())
         trajs[label] = (times, rho)
@@ -429,7 +422,7 @@ def _run_sigma0(cfg: RunConfig):
 
     grid = pde_solver.SimulationGrid(
         x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=cfg.grid["nx"],
-        dt=cfg.grid["dt"], sigma=0.0)
+        dt=T / cfg.solver["steps_per_period"], sigma=0.0)
     w0 = float(cfg.extra["w0"])
     window = float(cfg.extra["window"])
     n0 = _gaussian(grid.x, x_m, w0)
@@ -509,7 +502,7 @@ def _bounds_summary(grid, model, record, pair):
 def _run_periodic_orbit(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
-    pair = _eigenpair(grid, model, cfg.solver)
+    pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
     try:
         record = pde_solver.orbit_from_pair(pair)
@@ -581,7 +574,7 @@ def _run_epsilon_limit(cfg: RunConfig):
             x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=cfg.grid["nx"],
             dt=T / steps, sigma=eps * eps)
         record = pde_solver.find_periodic_orbit(
-            grid, model, **_orbit_budget(cfg.solver))
+            grid, model, **_eigen_budget(cfg.solver))
         u_eps = asymptotics.hopf_cole(record.snapshots[0], grid.sigma)
         profile = asymptotics.limit_profile(model, grid.x)
         window = (grid.x >= lo) & (grid.x <= hi)
@@ -611,7 +604,7 @@ def _run_moments(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
     eps = np.sqrt(grid.sigma)
-    record = pde_solver.find_periodic_orbit(grid, model, **_orbit_budget(cfg.solver))
+    record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi),
@@ -652,7 +645,7 @@ def _run_fitness_compare(cfg: RunConfig):
     t_star = cfg.extra["t_star"]
     comp = asymptotics.fitness_comparison(
         grid, model, t_star=None if t_star is None else float(t_star),
-        **_orbit_budget(cfg.solver))
+        **_eigen_budget(cfg.solver))
     eps = np.sqrt(grid.sigma)
     summary = {
         "t_star": comp.t_star,
@@ -688,7 +681,7 @@ def _run_refinement(cfg: RunConfig):
         grid = pde_solver.SimulationGrid(
             x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=nx, dt=T / steps,
             sigma=sigma)
-        pair = _eigenpair(grid, model, cfg.solver)
+        pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
         lam = pair.lam
         # the pair is not read again, so the orbit takes over its table
         record = pde_solver.orbit_from_pair(pair, copy=False)

@@ -40,7 +40,7 @@ class EnvironmentModel:
         One of "oscillating_optimum", "oscillating_pressure", "tabulated",
         "custom".
     analytic_info : dict
-        Optional closed-form facts: "mean_growth" (callable), "x_m", "a_m",
+        Optional closed-form facts: "mean_growth" (callable), "x_m",
         "d2"/"d3"/"d4" (derivatives of the averaged rate at the optimum),
         "params" (constructor parameters).
     """
@@ -86,7 +86,6 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
         "params": {"r": r, "g": g, "c": c, "b": b},
         "mean_growth": mean_rate,
         "x_m": 0.0,
-        "a_m": r - 0.5 * g * c * c,
         "d2": -2.0 * g,
         "d3": 0.0,
         "d4": 0.0,
@@ -129,7 +128,6 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
         "params": {"r": r, "g_fn": g_fn, "g_bar": g_bar},
         "mean_growth": mean_rate,
         "x_m": 0.0,
-        "a_m": r,
         "d2": -2.0 * g_bar,
         "d3": 0.0,
         "d4": 0.0,

@@ -74,19 +74,19 @@ def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
 
 def radius_sweep(model: EnvironmentModel, radii, sigma: float,
                  points_per_unit: int = 100, steps_per_period: int = 1024,
-                 tol: float = 1e-10, center: float | None = None) -> list[dict]:
+                 tol: float = 1e-10) -> list[dict]:
     """Eigenvalue against domain half-width, to audit truncation.
 
-    radii must increase. Returns one record per radius with keys R, sigma,
-    lambda, identity_residual, iterations; the eigenvalue should be
-    nonincreasing in R (enlarging the domain relaxes the Dirichlet pinning)
-    and the gap between the last two radii estimates the truncation error.
+    Each domain is centered on the averaged optimum; radii must increase.
+    Returns one record per radius with keys R, sigma, lambda,
+    identity_residual, iterations; the eigenvalue should be nonincreasing in
+    R (enlarging the domain relaxes the Dirichlet pinning) and the gap
+    between the last two radii estimates the truncation error.
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise NumericalError("radii must be strictly increasing")
-    if center is None:
-        center = averaged_optimum(model, (-radii[-1], radii[-1]))
+    center = averaged_optimum(model, (-radii[-1], radii[-1]))
     out = []
     for R in radii:
         nx = max(16, int(round(2.0 * R * points_per_unit)) - 1)

@@ -33,6 +33,7 @@ import numpy as np
 from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid
+from .quadrature import snap_steps
 
 log = logging.getLogger(__name__)
 
@@ -156,8 +157,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
         raise NumericalError("initial density is identically zero")
     x = grid.x
     dx = grid.dx
-    per_period = max(1, int(round(model.period / grid.dt)))
-    dt = model.period / per_period
+    per_period, dt = snap_steps(model.period, grid.dt)
     if abs(dt - grid.dt) > 1e-12 * grid.dt:
         log.warning("simulate_sigma0: grid.dt = %.6g does not divide the period; "
                     "using dt = T / %d = %.6g instead", grid.dt, per_period, dt)

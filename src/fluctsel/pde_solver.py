@@ -33,6 +33,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
+from .quadrature import snap_steps
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,7 @@ EXTINCTION_SIZE = 1e-12
 KRYLOV_NCV = 8
 
 # Period maps an eigen-solve may run before it raises ConvergenceError: the
-# default budget of principal_eigenpair and find_periodic_orbit.
+# default budget max_periods of every eigen-solve.
 MAX_PERIODS = 2000
 
 
@@ -170,7 +171,8 @@ def step_eigenpair(grid: SimulationGrid, row: np.ndarray, dt: float):
 def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.ndarray:
     """Unit-mass principal eigenvector of one step with the averaged rate,
     which peaks where the periodic profile concentrates as sigma -> 0."""
-    _, v = step_eigenpair(grid, mean_growth(model, grid.x), grid.dt)
+    _, v = step_eigenpair(grid, mean_growth(model, grid.x),
+                          snap_steps(model.period, grid.dt)[1])
     return v / total_mass(grid, v)
 
 
@@ -186,9 +188,8 @@ class _Stepper:
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
         self.grid = grid
-        self.period = T = model.period
-        self.steps = max(1, int(round(T / grid.dt)))
-        self.dt = T / self.steps
+        self.period = model.period
+        self.steps, self.dt = snap_steps(model.period, grid.dt)
         if abs(self.dt - grid.dt) > 1e-9 * grid.dt:
             log.debug("dt adjusted from %g to %g to divide the period", grid.dt, self.dt)
         self.dx = grid.dx
@@ -231,8 +232,7 @@ class _Stepper:
                 n = self.step(n, k, rho)
         return n, masses, snaps
 
-    def principal(self, start: np.ndarray, tol: float, budget: int,
-                  what: str) -> FloquetPair:
+    def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
         """Principal eigenpair of the linear period map (ARPACK Arnoldi).
 
         tol is the relative accuracy of the period growth factor mu, and
@@ -244,7 +244,7 @@ class _Stepper:
         def period_map(v):
             if len(factors) - 2 >= budget:
                 raise ConvergenceError(
-                    f"no {what} within {budget} periods; "
+                    f"no principal eigenpair within {budget} periods; "
                     f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
             out = self.run(np.ravel(v), self.steps, saturate=False)[0]
             factors.append(float(np.linalg.norm(out) / np.linalg.norm(v)))
@@ -255,7 +255,7 @@ class _Stepper:
             vals, vecs = eigs(op, k=1, which="LM", v0=start, ncv=KRYLOV_NCV,
                               tol=tol, maxiter=max(budget, 1))
         except ArpackError as exc:
-            raise ConvergenceError(f"no {what}: ARPACK stopped ({exc})") from exc
+            raise ConvergenceError(f"no principal eigenpair: ARPACK stopped ({exc})") from exc
         mu, p = float(vals[0].real), vecs[:, 0].real
         p *= np.sign(p[np.argmax(np.abs(p))])
         if not (np.isfinite(mu) and mu > 0.0) or p.min() < -1e-6 * p.max():
@@ -310,15 +310,18 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
 
 
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
-                        tol: float = 1e-10, max_iters: int = MAX_PERIODS,
+                        tol: float = 1e-10, max_periods: int = MAX_PERIODS,
                         guess: np.ndarray | None = None) -> FloquetPair:
     """The one Krylov eigen-solve of the linear period map at grid.dt snapped
     to divide T, started from guess (default_orbit_guess when None), to the
-    relative tolerance tol of the growth factor, within max_iters period maps.
+    relative tolerance tol of the growth factor, within max_periods period
+    maps. A guess must be nonnegative with positive mass (else ConfigError).
     """
     stepper = _Stepper(grid, model)
     start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
-    return stepper.principal(start, tol, max_iters, "principal eigenpair")
+    if start.min() < 0.0 or total_mass(grid, start) <= 0.0:
+        raise ConfigError("eigen-solve guess must be nonnegative with positive mass")
+    return stepper.principal(start, tol, max_periods)
 
 
 def orbit_from_pair(pair: FloquetPair, copy: bool = True) -> OrbitRecord:
@@ -349,15 +352,9 @@ def orbit_from_pair(pair: FloquetPair, copy: bool = True) -> OrbitRecord:
 
 
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
-                        n0_guess: np.ndarray | None = None,
-                        orbit_tol: float = 1e-8,
-                        max_periods: int = MAX_PERIODS) -> OrbitRecord:
-    """orbit_from_pair of the eigen-solve at Krylov tolerance orbit_tol,
-    started from n0_guess, within max_periods period maps."""
-    stepper = _Stepper(grid, model)
-    n = (default_orbit_guess(grid, model) if n0_guess is None
-         else np.asarray(n0_guess, dtype=float))
-    if n.min() < 0.0 or total_mass(grid, n) <= 0.0:
-        raise ConfigError("orbit guess must be nonnegative with positive mass")
-    return orbit_from_pair(stepper.principal(n, orbit_tol, max_periods, "periodic orbit"),
+                        tol: float = 1e-8, max_periods: int = MAX_PERIODS,
+                        guess: np.ndarray | None = None) -> OrbitRecord:
+    """orbit_from_pair of principal_eigenpair with the same arguments; the
+    orbit takes over the pair's table."""
+    return orbit_from_pair(principal_eigenpair(grid, model, tol, max_periods, guess),
                            copy=False)

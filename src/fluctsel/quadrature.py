@@ -1,6 +1,7 @@
-"""Composite Simpson quadrature on uniform grids.
+"""Uniform time grids over one period and composite Simpson quadrature on them.
 
-Every period integral of the package (averaged rates, mean sizes, moment and
+Every solver steps a whole number of steps per period (snap_steps), and every
+period integral of the package (averaged rates, mean sizes, moment and
 fitness means, antiderivatives) is taken on an equally spaced grid, so both
 rules take the spacing dx instead of the nodes. They are the equal-spacing
 rules of scipy.integrate, written out so that importing the package does not
@@ -11,6 +12,13 @@ that the even-N rule does not change with the SciPy release.
 from __future__ import annotations
 
 import numpy as np
+
+
+def snap_steps(period: float, dt: float) -> tuple[int, float]:
+    """(steps, period / steps) for the whole number of steps nearest
+    period / dt, at least one, so that the steps end exactly on the period."""
+    steps = max(1, int(round(period / dt)))
+    return steps, period / steps
 
 
 def _parabola_interval(f1, f2, f3, dx):

@@ -13,18 +13,22 @@ from typing import Callable
 
 import numpy as np
 from .errors import ExtinctionError, NumericalError
-from .quadrature import cumulative_simpson, simpson
+from .quadrature import cumulative_simpson, simpson, snap_steps
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
+# Samples (closed grid over one period) of a signal built from a callable and
+# of a closed-form orbit.
+SAMPLES = 2049
 
 
 @dataclass
 class PeriodicScalarSignal:
     """A scalar signal with a fixed period.
 
-    Holds uniform samples over one closed period, plus optionally the callable
-    they came from, which takes a 1-d array of times and returns their values.
+    Holds uniform samples over one closed period (SAMPLES of them when built
+    from a callable), plus optionally the callable they came from, which
+    takes a 1-d array of times and returns their values.
     Evaluation uses the callable when present and periodic linear
     interpolation of the samples otherwise.
     """
@@ -35,15 +39,15 @@ class PeriodicScalarSignal:
     fn: Callable | None = None
 
     @classmethod
-    def from_callable(cls, period: float, fn: Callable, n: int = 2049):
+    def from_callable(cls, period: float, fn: Callable):
         """Signal of fn, a callable of one scalar time, called once per time."""
         return cls.from_array_callable(
-            period, lambda ts: np.array([float(fn(t)) for t in ts]), n)
+            period, lambda ts: np.array([float(fn(t)) for t in ts]))
 
     @classmethod
-    def from_array_callable(cls, period: float, fn: Callable, n: int = 2049):
+    def from_array_callable(cls, period: float, fn: Callable):
         """Signal of fn, a callable of a 1-d array of times."""
-        times = np.linspace(0.0, period, n)
+        times = np.linspace(0.0, period, SAMPLES)
         values = np.asarray(fn(times), dtype=float)
         return cls(period=period, times=times, values=values, fn=fn)
 
@@ -68,23 +72,18 @@ class RhoOrbit:
     """The positive periodic orbit of the logistic law.
 
     samples holds the orbit on a uniform closed grid over one period; mean is
-    its period average. evaluate() uses the closed-form machinery when the
-    orbit was built from it, so off-grid queries keep full accuracy.
+    its period average. evaluate(t) runs the closed-form machinery, so
+    off-grid queries keep full accuracy.
     """
 
     period: float
     times: np.ndarray
     samples: np.ndarray
     mean: float
-    _eval: Callable | None = field(default=None, repr=False)
-
-    def evaluate(self, t):
-        if self._eval is not None:
-            return self._eval(t)
-        return np.interp(np.asarray(t) % self.period, self.times, self.samples)
+    evaluate: Callable = field(repr=False)
 
 
-def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> RhoOrbit:
+def periodic_rho_closed_form(q: PeriodicScalarSignal) -> RhoOrbit:
     """Positive periodic logistic orbit for per-capita rate q.
 
     Parameters
@@ -93,14 +92,13 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
         Per-capita growth rate with period T. It is evaluated on one period
         of a fine grid, and its antiderivative is precomputed once over two
         periods.
-    n_samples : int
-        Number of sample points (closed grid) stored on the returned orbit.
 
     Returns
     -------
     RhoOrbit
         Orbit with rho(t) = (1 - e^{-I}) / (e^{-I} * J(t)) where I is the
-        period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds.
+        period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds,
+        sampled at SAMPLES times.
 
     Raises
     ------
@@ -130,11 +128,11 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal, n_samples: int = 2049) -> 
         out = -np.expm1(-period_integral) / j
         return out if np.ndim(t) else float(out)
 
-    times = np.linspace(0.0, T, n_samples)
+    times = np.linspace(0.0, T, SAMPLES)
     samples = np.asarray(evaluate(times), dtype=float)
     fine_times = ts[:FINE_INTERVALS + 1]
     mean = float(simpson(evaluate(fine_times), dt)) / T
-    return RhoOrbit(period=T, times=times, samples=samples, mean=mean, _eval=evaluate)
+    return RhoOrbit(period=T, times=times, samples=samples, mean=mean, evaluate=evaluate)
 
 
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
@@ -152,8 +150,7 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     if rho0 < 0:
         raise NumericalError(f"negative initial size {rho0}")
     T = q.period
-    steps = 1024 if dt is None else max(1, int(round(T / dt)))
-    dt = T / steps
+    steps, dt = snap_steps(T, T / 1024 if dt is None else dt)
     n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
     # q at t = j dt / 2: the step starts, midpoints and ends of one period

@@ -1,3 +1,4 @@
+import copy
 import inspect
 import json
 import logging
@@ -167,10 +168,12 @@ def test_build_model_kinds(tmp_path):
 def test_build_grid_records_resolved_dt():
     cfg = fs.RunConfig(grid={"x_lo": -2.0, "x_hi": 2.0, "nx": 100},
                        solver={"eps": 0.1, "steps_per_period": 200})
+    before = copy.deepcopy(cfg)
     grid = cli_io.build_grid(cfg, period=1.0)
-    assert grid.dt == pytest.approx(1.0 / 200)
-    assert cfg.grid["dt"] == pytest.approx(1.0 / 200)
+    assert grid.dt == 1.0 / 200
     assert grid.sigma == pytest.approx(0.01)
+    # the time step lives in the grid only; the config is left as it was
+    assert cfg == before
 
 
 FAST_SWEEP = ["experiment.radii=1.0 1.4", "experiment.points_per_unit=40",
@@ -291,12 +294,43 @@ def test_main_numerical_error(tmp_path, capsys):
 
 def test_every_eigen_solve_budget_defaults_to_max_periods():
     budgets = [inspect.signature(fn).parameters[name].default for fn, name in (
-        (pde_solver.principal_eigenpair, "max_iters"),
+        (pde_solver.principal_eigenpair, "max_periods"),
         (pde_solver.find_periodic_orbit, "max_periods"),
         (asymptotics.fitness_comparison, "max_periods"))]
     budgets += [d["solver"]["max_periods"] for d in cli_io._DEFAULTS.values()
                 if "max_periods" in d["solver"]]
     assert budgets and set(budgets) == {pde_solver.MAX_PERIODS}
+
+
+def test_eigen_solves_share_their_keywords():
+    names = ["grid", "model", "tol", "max_periods", "guess"]
+    for fn in (pde_solver.principal_eigenpair, pde_solver.find_periodic_orbit):
+        assert list(inspect.signature(fn).parameters) == names
+    params = inspect.signature(asymptotics.fitness_comparison).parameters
+    assert {"tol", "max_periods"} <= set(params)
+
+
+@pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
+def test_grid_dt_is_not_a_config_key(tag, capsys):
+    # the time step has one spelling, solver.steps_per_period
+    assert cli_io.main([tag, "--override", "grid.dt=0.001"]) == 2
+    assert "unknown key 'dt' in [grid]" in capsys.readouterr().err
+
+
+def test_manifest_records_the_steps_it_ran_and_replays(tmp_path):
+    cfg = fs.RunConfig(experiment="moments", grid={"nx": 200},
+                       solver={"steps_per_period": 640})
+    bundle = fs.run_experiment(cfg)
+    config = bundle.manifest["config"]
+    assert config["solver"]["steps_per_period"] == 640
+    assert "dt" not in config["grid"]
+    assert len(bundle.tables["moments"][1]) == 641
+    again = fs.run_experiment(cli_io.config_from_manifest(bundle.manifest))
+    assert again.manifest["config"] == config
+    fs.emit_bundle(bundle, tmp_path / "a")
+    fs.emit_bundle(again, tmp_path / "b")
+    for name in ("summary.json", "moments.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_main_rejects_unknown_tag():
@@ -333,6 +367,8 @@ def test_main_rejects_unread_solver_key(capsys):
     ("example1", "experiment.radii=1"),
     ("sigma0-convergence", "solver.eigen_tol=1e-8"),
     ("sigma0-convergence", "solver.eps=0.1"),
+    # the sweep builds one grid per radius from experiment.points_per_unit
+    ("floquet-sweep", "grid.nx=17"),
 ])
 def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     # each key is known to its section, but this experiment never reads it

@@ -108,7 +108,7 @@ def test_convergence_error_reports_factors(ex1_model):
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, dt=1.0 / 512,
                              sigma=0.0025)
     with pytest.raises(fs.ConvergenceError, match="last two factors"):
-        fs.principal_eigenpair(grid, ex1_model, tol=1e-14, max_iters=2)
+        fs.principal_eigenpair(grid, ex1_model, tol=1e-14, max_periods=2)
 
 
 def test_radius_sweep_monotone(ex1_model):

@@ -146,7 +146,7 @@ def test_autonomous_steady_state():
     # frozen environment: the period map fixed point is a true steady state
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 256, sigma=0.01)
-    rec = fs.find_periodic_orbit(grid, model, orbit_tol=1e-10)
+    rec = fs.find_periodic_orbit(grid, model, tol=1e-10)
     assert rec.period_gap < 1e-9
     within = np.abs(rec.snapshots - rec.snapshots[0]).max() / rec.snapshots[0].max()
     assert within < 1e-6
@@ -164,7 +164,7 @@ def test_find_periodic_orbit_detects_extinction():
 def test_find_periodic_orbit_convergence_error():
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
-    with pytest.raises(fs.ConvergenceError, match="no periodic orbit within"):
+    with pytest.raises(fs.ConvergenceError, match="no principal eigenpair within"):
         fs.find_periodic_orbit(grid, model, max_periods=2)
 
 
@@ -193,7 +193,15 @@ def test_find_periodic_orbit_rejects_bad_guess():
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     with pytest.raises(fs.ConfigError):
-        fs.find_periodic_orbit(grid, model, n0_guess=np.zeros(100))
+        fs.find_periodic_orbit(grid, model, guess=np.zeros(100))
+
+
+@pytest.mark.parametrize("guess", [np.zeros(100), -np.ones(100)])
+def test_principal_eigenpair_rejects_bad_guess(guess):
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
+    with pytest.raises(fs.ConfigError, match="nonnegative with positive mass"):
+        fs.principal_eigenpair(grid, model, guess=guess)
 
 
 def test_orbit_record_shape(ex1_orbit, wide_grid):

@@ -1,0 +1,51 @@
+"""One snap of dt to a whole number of steps per period, shared by every
+solver."""
+
+import logging
+
+import numpy as np
+import pytest
+
+import fluctsel as fs
+from fluctsel.asymptotics import _stationary_state
+from fluctsel.pde_solver import _Stepper, step_eigenpair
+from fluctsel.quadrature import snap_steps
+
+
+@pytest.mark.parametrize("period,dt", [
+    (1.0, 1.0 / 2048), (1.0, 0.005), (1.0, 1.0 / 500), (2.0 * np.pi / 3.0, 0.01),
+    (1.0, 0.003), (2.0, 0.3), (1.0, 1e-3 / 3.0), (1.0, 5.0)])
+def test_snap_steps_rounds_to_the_nearest_whole_number_of_steps(period, dt):
+    steps, snapped = snap_steps(period, dt)
+    expect = max(1, int(round(period / dt)))
+    assert isinstance(steps, int)
+    assert steps == expect
+    # the same double as dividing the period by the step count
+    assert snapped == period / expect
+
+
+def test_every_solver_snaps_to_the_same_steps(ex1_model, caplog):
+    # dt = 0.003 does not divide T = 1; every solver runs 333 steps of 1/333
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=0.003, sigma=0.01)
+    steps, dt = snap_steps(ex1_model.period, grid.dt)
+    assert (steps, dt) == (333, 1.0 / 333)
+
+    stepper = _Stepper(grid, ex1_model)
+    assert (stepper.steps, stepper.dt) == (steps, dt)
+
+    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+        _, (times, _), _ = fs.simulate_sigma0(grid, ex1_model,
+                                              np.exp(-grid.x ** 2), 0.1)
+    assert times[1] == dt
+
+    q = fs.PeriodicScalarSignal.from_callable(1.0, lambda t: 0.5 + np.sin(2 * np.pi * t))
+    times, _ = fs.integrate_logistic(q, 0.5, 0.1, dt=grid.dt)
+    assert times[1] == dt
+
+    row = ex1_model.rate(0.0, grid.x)
+    rho_c, _ = _stationary_state(grid, row, ex1_model.period)
+    assert rho_c == step_eigenpair(grid, row, dt)[0] / dt
+
+    _, v = step_eigenpair(grid, fs.mean_growth(ex1_model, grid.x), dt)
+    np.testing.assert_array_equal(fs.default_orbit_guess(grid, ex1_model),
+                                  v / fs.total_mass(grid, v))
