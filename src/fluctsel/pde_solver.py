@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
 from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
@@ -40,9 +39,10 @@ log = logging.getLogger(__name__)
 # Total size below which the population counts as extinct.
 EXTINCTION_SIZE = 1e-12
 
-# Krylov basis size (ARPACK ncv): one period map per basis vector, so the
-# default of 20 costs 21 maps; the README says how 8 was chosen.
-KRYLOV_NCV = 8
+# Largest Krylov basis of an eigen-solve: one period map per basis vector; the
+# Arnoldi loop restarts from its Ritz vector when the basis is full. The
+# README says how 24 was chosen.
+KRYLOV_RESTART = 24
 
 # Period maps an eigen-solve may run before it raises ConvergenceError: the
 # default budget max_periods of every eigen-solve.
@@ -233,30 +233,49 @@ class _Stepper:
         return n, masses, snaps
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
-        """Principal eigenpair of the linear period map (ARPACK Arnoldi).
+        """Principal eigenpair of the linear period map (restarted Arnoldi).
 
-        tol is the relative accuracy of the period growth factor mu, and
-        lam = -log(mu) / T. Raises ConvergenceError with the last two growth
-        factors |Mv| / |v| past budget period maps.
+        Each Arnoldi step is one period map, orthogonalized by two passes of
+        Gram-Schmidt. The loop stops as soon as the largest-magnitude Ritz
+        pair (mu, y) of the Hessenberg matrix H passes ARPACK's residual
+        test |H[j+1, j] y[j]| <= tol * |mu|, so tol is the relative accuracy
+        of the period growth factor mu, and lam = -log(mu) / T. A full basis
+        of KRYLOV_RESTART vectors restarts from the Ritz vector. Raises
+        ConvergenceError with the last two growth factors |Mv| / |v| past
+        budget period maps.
         """
+        basis = np.empty((KRYLOV_RESTART + 1, start.size))
+        hess = np.zeros((KRYLOV_RESTART + 1, KRYLOV_RESTART))
+        basis[0] = start / np.linalg.norm(start)
         factors = [np.nan, np.nan]
-
-        def period_map(v):
+        j = 0
+        while True:
             if len(factors) - 2 >= budget:
                 raise ConvergenceError(
                     f"no principal eigenpair within {budget} periods; "
                     f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
-            out = self.run(np.ravel(v), self.steps, saturate=False)[0]
-            factors.append(float(np.linalg.norm(out) / np.linalg.norm(v)))
-            return out
-
-        op = LinearOperator((start.size,) * 2, matvec=period_map, dtype=float)
-        try:
-            vals, vecs = eigs(op, k=1, which="LM", v0=start, ncv=KRYLOV_NCV,
-                              tol=tol, maxiter=max(budget, 1))
-        except ArpackError as exc:
-            raise ConvergenceError(f"no principal eigenpair: ARPACK stopped ({exc})") from exc
-        mu, p = float(vals[0].real), vecs[:, 0].real
+            w = self.run(basis[j], self.steps, saturate=False)[0]
+            factors.append(float(np.linalg.norm(w)))
+            if not np.isfinite(factors[-1]):
+                raise NumericalError(f"period map overflowed (factor {factors[-1]})")
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            hess[:j + 1, j] = h + again
+            hess[j + 1, j] = np.linalg.norm(w)
+            vals, vecs = np.linalg.eig(hess[:j + 1, :j + 1])
+            i = np.argmax(np.abs(vals))
+            ritz = (vecs[:, i] @ basis[:j + 1]).real
+            if hess[j + 1, j] * abs(vecs[j, i]) <= tol * abs(vals[i]):
+                break  # converged, or an invariant subspace (H[j+1, j] = 0)
+            if j + 1 < KRYLOV_RESTART:
+                j += 1
+                basis[j] = w / hess[j, j - 1]
+            else:
+                j = 0
+                basis[0] = ritz / np.linalg.norm(ritz)
+        mu, p = float(vals[i].real), ritz
         p *= np.sign(p[np.argmax(np.abs(p))])
         if not (np.isfinite(mu) and mu > 0.0) or p.min() < -1e-6 * p.max():
             raise NumericalError(f"period map lost positivity (factor {mu}, "
