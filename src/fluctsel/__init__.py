@@ -24,8 +24,8 @@ from .env_models import (EnvironmentModel, HypothesisReport, averaged_optimum,
 from .errors import (ConfigError, ConvergenceError, ExtinctionError,
                      FluctselError, NumericalError)
 from .floquet import (EffectiveSignal, FloquetPair, effective_signals,
-                      lambda_identity_residual, principal_eigenpair,
-                      radius_sweep)
+                      lambda_identity_residual, orbit_bounds,
+                      principal_eigenpair, radius_sweep)
 from .no_mutation import (ConcentrationMetrics, ExponentState,
                           concentration_metrics, reconstruct_density,
                           simulate_sigma0)

@@ -40,11 +40,6 @@ from .quadrature import simpson
 
 __version__ = "0.1.0"
 
-EXPERIMENT_TAGS = (
-    "sigma0-convergence", "periodic-orbit", "floquet-sweep", "epsilon-limit",
-    "moments", "example1", "example2", "fitness-compare", "refinement",
-)
-
 
 @dataclass
 class RunConfig:
@@ -68,54 +63,34 @@ class ResultBundle:
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema (_SCHEMA is derived from the defaults, below the drivers)
 
-_FLOAT, _INT, _STR, _FLOATLIST = "float", "int", "str", "floatlist"
-
-_SCHEMA = {
-    "model": {
-        "kind": _STR, "r": _FLOAT, "g": _FLOAT, "c": _FLOAT, "b": _FLOAT,
-        "g_mean": _FLOAT, "g_amp": _FLOAT, "path": _STR,
-    },
-    "grid": {"x_lo": _FLOAT, "x_hi": _FLOAT, "nx": _INT},
-    "solver": {
-        "eps": _FLOAT, "sigma": _FLOAT, "max_periods": _INT, "eigen_tol": _FLOAT,
-        "steps_per_period": _INT,
-    },
-    "experiment": {
-        "tag": _STR, "out": _STR, "radii": _FLOATLIST, "eps_list": _FLOATLIST,
-        "t_end": _FLOAT, "t_end_density": _FLOAT, "w0": _FLOAT,
-        "t_star": _FLOAT, "levels": _INT, "window_lo": _FLOAT,
-        "window_hi": _FLOAT, "window": _FLOAT, "points_per_unit": _INT,
-        "nt": _INT,
-    },
-}
-
-def _coerce(raw, want, where):
-    """Coerce a raw string or JSON value to the schema type."""
+def _coerce(raw, want: type, where):
+    """Coerce a raw string or JSON value to the schema type (float, int, str,
+    or list: a list of floats)."""
     try:
-        if want == _FLOAT:
+        if want is float:
             if isinstance(raw, bool):
                 raise ValueError("boolean where a number is expected")
             return float(raw)
-        if want == _INT:
+        if want is int:
             if isinstance(raw, bool):
                 raise ValueError("boolean where an integer is expected")
             if isinstance(raw, float) and raw != int(raw):
                 raise ValueError(f"{raw} is not an integer")
             return int(raw)
-        if want == _STR:
+        if want is str:
             if not isinstance(raw, str):
                 raise ValueError(f"expected a string, got {type(raw).__name__}")
             return raw
-        if want == _FLOATLIST:
+        if want is list:
             if isinstance(raw, str):
                 parts = [p for p in raw.replace(",", " ").split() if p]
                 return [float(p) for p in parts]
             return [float(v) for v in raw]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown schema type {want}")
+    raise ConfigError(f"{where}: unknown schema type {want.__name__}")
 
 
 def _parse_ini_sections(text: str, origin: str):
@@ -202,8 +177,7 @@ def _check_constraints(cfg: RunConfig, sections, origin):
             raise ConfigError(
                 f"{_line_of(sections, 'solver', key, origin)}: "
                 f"{key} must be positive")
-    if "kind" in cfg.model and cfg.model["kind"] not in (
-            "oscillating_optimum", "oscillating_pressure", "tabulated"):
+    if "kind" in cfg.model and cfg.model["kind"] not in MODEL_KINDS:
         raise ConfigError(
             f"{_line_of(sections, 'model', 'kind', origin)}: unknown model kind "
             f"{cfg.model['kind']!r}")
@@ -250,38 +224,44 @@ def apply_override(cfg: RunConfig, text: str) -> None:
 # ---------------------------------------------------------------------------
 # building blocks
 
+# The [model] parameters each kind reads, with their defaults; a tabulated
+# model has no default path.
+MODEL_KINDS = {
+    "oscillating_optimum": {"r": 1.0, "g": 1.0, "c": 1.0, "b": 2.0 * np.pi},
+    "oscillating_pressure": {"r": 1.0, "g_mean": 2.0, "g_amp": 0.0},
+    "tabulated": {"path": None},
+}
+
+
 def build_model(model_cfg: dict, grid_cfg: dict) -> env_models.EnvironmentModel:
-    """Construct the environment model described by a config block."""
+    """Construct the environment model described by a config block; an
+    unset parameter takes its MODEL_KINDS default."""
     kind = model_cfg.get("kind")
     if kind is None:
         raise ConfigError("model block needs a 'kind'")
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    p = {**MODEL_KINDS[kind], **model_cfg}
     if kind == "oscillating_optimum":
-        return env_models.make_oscillating_optimum(
-            r=model_cfg.get("r", 1.0), g=model_cfg.get("g", 1.0),
-            c=model_cfg.get("c", 1.0), b=model_cfg.get("b", 2.0 * np.pi))
+        return env_models.make_oscillating_optimum(r=p["r"], g=p["g"], c=p["c"], b=p["b"])
     if kind == "oscillating_pressure":
-        g_mean = model_cfg.get("g_mean", 2.0)
-        g_amp = model_cfg.get("g_amp", 0.0)
-        r = model_cfg.get("r", 1.0)
-
-        def g_fn(t, _m=g_mean, _a=g_amp):
+        def g_fn(t, _m=p["g_mean"], _a=p["g_amp"]):
             return _m + _a * np.cos(2.0 * np.pi * t)
 
-        return env_models.make_oscillating_pressure(r, g_fn)
-    if kind == "tabulated":
-        if "path" not in model_cfg:
-            raise ConfigError("tabulated model needs a 'path'")
-        if "x_lo" not in grid_cfg or "x_hi" not in grid_cfg:
-            raise ConfigError("tabulated model needs grid x_lo/x_hi for its nodes")
-        return env_models.load_tabulated(model_cfg["path"],
-                                         grid_cfg["x_lo"], grid_cfg["x_hi"])
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return env_models.make_oscillating_pressure(p["r"], g_fn)
+    if p["path"] is None:
+        raise ConfigError("tabulated model needs a 'path'")
+    if "x_lo" not in grid_cfg or "x_hi" not in grid_cfg:
+        raise ConfigError("tabulated model needs grid x_lo/x_hi for its nodes")
+    return env_models.load_tabulated(p["path"], grid_cfg["x_lo"], grid_cfg["x_hi"])
 
 
 def _sigma_of(solver: dict) -> float:
+    """sigma, else eps^2, else 0: sigma0-convergence and epsilon-limit read
+    no mutation key (epsilon-limit takes its eps values from eps_list)."""
     if "sigma" in solver:
         return float(solver["sigma"])
-    eps = float(solver["eps"])
+    eps = float(solver.get("eps", 0.0))
     return eps * eps
 
 
@@ -299,95 +279,6 @@ def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
     return pde_solver.SimulationGrid(
         x_lo=g["x_lo"], x_hi=g["x_hi"], nx=g["nx"],
         dt=period / cfg.solver["steps_per_period"], sigma=_sigma_of(cfg.solver))
-
-
-_EX1_MODEL = {"kind": "oscillating_optimum", "r": 1.0, "g": 1.0, "c": 1.0,
-              "b": 2.0 * np.pi}
-_EX2_MODEL = {"kind": "oscillating_pressure", "r": 1.0, "g_mean": 2.0,
-              "g_amp": 1.8}
-_WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
-
-# The [grid], [solver] and [experiment] keys each tag reads, with their
-# defaults; resolve_config rejects any other user key there. sigma may
-# replace eps, and every tag reads x_lo/x_hi (a tabulated model needs them).
-_DEFAULTS = {
-    "sigma0-convergence": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"steps_per_period": 200},
-        "extra": {"t_end": 50.0, "t_end_density": 200.0, "w0": 0.05,
-                  "window": 0.1}},
-    "periodic-orbit": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "max_periods": pde_solver.MAX_PERIODS,
-                   "eigen_tol": 1e-10, "steps_per_period": 2048},
-        "extra": {"t_end": 30.0}},
-    "floquet-sweep": {
-        "model": _EX1_MODEL, "grid": {},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 1024},
-        "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}},
-    "epsilon-limit": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eigen_tol": 1e-8, "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 1024},
-        "extra": {"eps_list": [0.1, 0.05, 0.025], "window_lo": -1.0,
-                  "window_hi": 1.0}},
-    "moments": {
-        "model": _EX1_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "eigen_tol": 1e-8,
-                   "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 2048},
-        "extra": {"nt": 2048}},
-    "fitness-compare": {
-        "model": _EX2_MODEL, "grid": dict(_WIDE_GRID),
-        "solver": {"eps": 0.05, "eigen_tol": 1e-8,
-                   "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 2048},
-        # None: the time of weakest selection
-        "extra": {"t_star": None}},
-    "refinement": {
-        "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10,
-                   "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 500},
-        "extra": {"levels": 3}},
-}
-# the worked examples of the paper run their general experiment's defaults
-_DEFAULTS["example1"] = _DEFAULTS["moments"]
-_DEFAULTS["example2"] = _DEFAULTS["fitness-compare"]
-
-
-def _check_keys_read(tag: str, section: str, given: dict, known: dict | set) -> None:
-    allowed = set(known) | ({"sigma"} if "eps" in known else set())
-    if set(given) - allowed:
-        raise ConfigError(
-            f"experiment {tag!r} does not read [{section}] key(s) "
-            f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
-
-
-def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill tag defaults under the user's settings; returns a new config.
-    A [grid], [solver] or [experiment] key the tag does not read is a
-    ConfigError."""
-    if cfg.experiment not in EXPERIMENT_TAGS:
-        raise ConfigError(
-            f"unknown experiment tag {cfg.experiment!r} "
-            f"(known: {', '.join(EXPERIMENT_TAGS)})")
-    defaults = copy.deepcopy(_DEFAULTS[cfg.experiment])
-    _check_keys_read(cfg.experiment, "grid", cfg.grid,
-                     {*defaults["grid"], "x_lo", "x_hi"})
-    _check_keys_read(cfg.experiment, "solver", cfg.solver, defaults["solver"])
-    _check_keys_read(cfg.experiment, "experiment", cfg.extra, defaults["extra"])
-    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
-    out.model = {**defaults["model"], **cfg.model}
-    if "kind" in cfg.model:
-        # a user-chosen kind replaces the default model wholesale
-        out.model = dict(cfg.model)
-    out.grid = {**defaults["grid"], **cfg.grid}
-    out.solver = {**defaults["solver"], **cfg.solver}
-    if "sigma" in cfg.solver:
-        out.solver.pop("eps", None)
-    out.extra = {**defaults["extra"], **cfg.extra}
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +311,7 @@ def _run_sigma0(cfg: RunConfig):
     const_orbit = rho_ode.periodic_rho_closed_form(q_const)
     const_gap = float(np.abs(const_orbit.samples - qbar).max())
 
-    grid = pde_solver.SimulationGrid(
-        x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=cfg.grid["nx"],
-        dt=T / cfg.solver["steps_per_period"], sigma=0.0)
+    grid = build_grid(cfg, T)
     w0 = float(cfg.extra["w0"])
     window = float(cfg.extra["window"])
     n0 = _gaussian(grid.x, x_m, w0)
@@ -462,43 +351,6 @@ def _run_sigma0(cfg: RunConfig):
     return tables, summary
 
 
-def _bounds_summary(grid, model, record, pair):
-    """Size-band and tail-envelope checks on a recorded orbit."""
-    lam = pair.lam
-    d0 = float(np.abs(env_models.rate_table(model, record.times[::64], grid.x)).max())
-    T = model.period
-    rho = record.rho_samples
-    rho_upper = max(float(rho[0]), d0)
-    lam_m = abs(lam)
-    rho_lower = np.exp(-d0 * T) * np.expm1(lam_m * T) / T
-    report = env_models.check_hypotheses(
-        model, (grid.x_lo, grid.x_hi), lambda_hint=lam)
-    tail_ok = None
-    tail_margin = None
-    if report.h5_delta is not None and report.h5_delta > 0:
-        decay = np.sqrt(report.h5_delta / grid.sigma)
-        dist = np.abs(grid.x - report.x_m)
-        outside = dist >= report.h5_radius
-        if outside.any():
-            p = pair.p_snapshots
-            envelope = p.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
-            worst = float((p[:, outside] / envelope[None, :]).max())
-            tail_ok = bool(worst <= 1.0 + 1e-9)
-            tail_margin = worst
-    return {
-        "rho_band_lower": float(rho_lower),
-        "rho_band_upper": float(rho_upper),
-        "rho_min": float(rho.min()),
-        "rho_max": float(rho.max()),
-        "rho_band_ok": bool(rho_lower - 1e-12 <= rho.min()
-                            and rho.max() <= rho_upper + 1e-12),
-        "tail_ok": tail_ok,
-        "tail_worst_ratio": tail_margin,
-        "confine_delta": report.h5_delta,
-        "confine_radius": report.h5_radius,
-    }
-
-
 def _run_periodic_orbit(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
@@ -533,7 +385,7 @@ def _run_periodic_orbit(cfg: RunConfig):
         "sup_gap_density_vs_eigenprofile": shape_gap,
         "identity_residual": floquet.lambda_identity_residual(pair, eff),
     })
-    summary.update(_bounds_summary(grid, model, record, pair))
+    summary.update(floquet.orbit_bounds(pair, record, model))
     tables = {
         "orbit_rho": (["t", "rho"],
                       np.column_stack([record.times, record.rho_samples])),
@@ -564,14 +416,10 @@ def _run_floquet_sweep(cfg: RunConfig):
 
 def _run_epsilon_limit(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
-    T = model.period
     eps_list = [float(e) for e in cfg.extra["eps_list"]]
-    steps = int(cfg.solver["steps_per_period"])
     lo, hi = float(cfg.extra["window_lo"]), float(cfg.extra["window_hi"])
     # the nodes, and so the limit profile, are the same for every eps
-    nodes = pde_solver.SimulationGrid(
-        x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=cfg.grid["nx"],
-        dt=T / steps, sigma=0.0)
+    nodes = build_grid(cfg, model.period)
     window = (nodes.x >= lo) & (nodes.x <= hi)
     limit = asymptotics.limit_profile(model, nodes.x).u_values[window]
     rows = []
@@ -591,17 +439,6 @@ def _run_epsilon_limit(cfg: RunConfig):
     return {"epsilon_gaps": (["eps", "sup_gap"], rows)}, summary
 
 
-def _fit_first_harmonic(times, values, period):
-    """Least-squares fit values ~ offset + amp * sin(2 pi t / period + phase)."""
-    w = 2.0 * np.pi / period
-    design = np.column_stack([np.sin(w * times), np.cos(w * times),
-                              np.ones_like(times)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    amp = float(np.hypot(coef[0], coef[1]))
-    phase = float(np.arctan2(coef[1], coef[0]))
-    return amp, phase, float(coef[2])
-
-
 def _run_moments(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     grid = build_grid(cfg, model.period)
@@ -614,8 +451,8 @@ def _run_moments(cfg: RunConfig):
     T = model.period
     mu_pred = predicted.mu(measured.mu.times)
     var_pred = predicted.sigma2(measured.sigma2.times)
-    amp_s, ph_s, _ = _fit_first_harmonic(measured.mu.times, measured.mu.values, T)
-    amp_p, ph_p, _ = _fit_first_harmonic(measured.mu.times, mu_pred, T)
+    amp_s, ph_s, _ = measured.mu.first_harmonic()
+    amp_p, ph_p, _ = replace(measured.mu, values=mu_pred).first_harmonic()
     phase_err = abs((ph_s - ph_p + np.pi) % (2.0 * np.pi) - np.pi)
     var_mean_s = measured.sigma2.mean()
     var_mean_p = float(simpson(var_pred, record.times[1] - record.times[0])) / T
@@ -673,16 +510,12 @@ def _run_refinement(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     T = model.period
     levels = int(cfg.extra["levels"])
-    nx0 = int(cfg.grid["nx"])
-    steps0 = int(cfg.solver["steps_per_period"])
-    sigma = _sigma_of(cfg.solver)
+    base = build_grid(cfg, T)
     rows = []
     for level in range(levels):
-        nx = (nx0 + 1) * 2 ** level - 1
-        steps = steps0 * 4 ** level
-        grid = pde_solver.SimulationGrid(
-            x_lo=cfg.grid["x_lo"], x_hi=cfg.grid["x_hi"], nx=nx, dt=T / steps,
-            sigma=sigma)
+        nx = (base.nx + 1) * 2 ** level - 1
+        steps = cfg.solver["steps_per_period"] * 4 ** level
+        grid = replace(base, nx=nx, dt=T / steps)
         pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
         lam = pair.lam
         # the pair is not read again, so the orbit takes over its table
@@ -703,24 +536,124 @@ def _run_refinement(cfg: RunConfig):
     return tables, summary
 
 
-_DRIVERS = {
-    "sigma0-convergence": _run_sigma0,
-    "periodic-orbit": _run_periodic_orbit,
-    "floquet-sweep": _run_floquet_sweep,
-    "epsilon-limit": _run_epsilon_limit,
-    "moments": _run_moments,
-    "example1": _run_moments,
-    "example2": _run_fitness_compare,
-    "fitness-compare": _run_fitness_compare,
-    "refinement": _run_refinement,
+_EX1_MODEL = {"kind": "oscillating_optimum", **MODEL_KINDS["oscillating_optimum"]}
+_EX2_MODEL = {"kind": "oscillating_pressure", **MODEL_KINDS["oscillating_pressure"],
+              "g_amp": 1.8}
+_WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
+
+# One entry per experiment tag: its driver, and the [grid], [solver] and
+# [experiment] keys it reads with their defaults; resolve_config rejects any
+# other user key there. sigma may replace eps, and every tag reads x_lo/x_hi
+# (a tabulated model needs them).
+_MOMENTS = (_run_moments, {
+    "model": _EX1_MODEL, "grid": _WIDE_GRID,
+    "solver": {"eps": 0.05, "eigen_tol": 1e-8,
+               "max_periods": pde_solver.MAX_PERIODS,
+               "steps_per_period": 2048},
+    "extra": {"nt": 2048}})
+_FITNESS_COMPARE = (_run_fitness_compare, {
+    "model": _EX2_MODEL, "grid": _WIDE_GRID,
+    "solver": {"eps": 0.05, "eigen_tol": 1e-8,
+               "max_periods": pde_solver.MAX_PERIODS,
+               "steps_per_period": 2048},
+    # None: the time of weakest selection
+    "extra": {"t_star": None}})
+EXPERIMENTS = {
+    "sigma0-convergence": (_run_sigma0, {
+        "model": _EX1_MODEL, "grid": _WIDE_GRID,
+        "solver": {"steps_per_period": 200},
+        "extra": {"t_end": 50.0, "t_end_density": 200.0, "w0": 0.05,
+                  "window": 0.1}}),
+    "periodic-orbit": (_run_periodic_orbit, {
+        "model": _EX1_MODEL, "grid": _WIDE_GRID,
+        "solver": {"eps": 0.05, "max_periods": pde_solver.MAX_PERIODS,
+                   "eigen_tol": 1e-10, "steps_per_period": 2048},
+        "extra": {"t_end": 30.0}}),
+    "floquet-sweep": (_run_floquet_sweep, {
+        "model": _EX1_MODEL, "grid": {},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 1024},
+        "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}}),
+    "epsilon-limit": (_run_epsilon_limit, {
+        "model": _EX1_MODEL, "grid": _WIDE_GRID,
+        "solver": {"eigen_tol": 1e-8, "max_periods": pde_solver.MAX_PERIODS,
+                   "steps_per_period": 1024},
+        "extra": {"eps_list": [0.1, 0.05, 0.025], "window_lo": -1.0,
+                  "window_hi": 1.0}}),
+    "moments": _MOMENTS,
+    # the worked examples of the paper run their general experiment
+    "example1": _MOMENTS,
+    "example2": _FITNESS_COMPARE,
+    "fitness-compare": _FITNESS_COMPARE,
+    "refinement": (_run_refinement, {
+        "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10,
+                   "max_periods": pde_solver.MAX_PERIODS,
+                   "steps_per_period": 500},
+        "extra": {"levels": 3}}),
 }
+EXPERIMENT_TAGS = tuple(EXPERIMENTS)
+
+
+def _typed(blocks) -> dict:
+    """Each key of the default blocks with the type of its default; a None
+    default names no type."""
+    return {k: type(v) for block in blocks for k, v in block.items() if v is not None}
+
+
+# Every config key with its type, read off the defaults; only the keys with
+# no typed default are named here.
+_SCHEMA = {
+    "model": {"kind": str, "path": str, **_typed(MODEL_KINDS.values())},
+    "grid": _typed(d["grid"] for _, d in EXPERIMENTS.values()),
+    "solver": {"sigma": float, **_typed(d["solver"] for _, d in EXPERIMENTS.values())},
+    "experiment": {"tag": str, "out": str, "t_star": float,
+                   **_typed(d["extra"] for _, d in EXPERIMENTS.values())},
+}
+
+
+def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
+    allowed = set(known) | ({"sigma"} if "eps" in known else set())
+    if set(given) - allowed:
+        raise ConfigError(
+            f"{reader} does not read [{section}] key(s) "
+            f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
+
+
+def resolve_config(cfg: RunConfig) -> RunConfig:
+    """Fill tag defaults under the user's settings; returns a new config.
+    A [grid], [solver] or [experiment] key the tag does not read, or a
+    [model] key the model kind does not read, is a ConfigError."""
+    if cfg.experiment not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment tag {cfg.experiment!r} "
+            f"(known: {', '.join(EXPERIMENT_TAGS)})")
+    defaults = copy.deepcopy(EXPERIMENTS[cfg.experiment][1])
+    reader = f"experiment {cfg.experiment!r}"
+    _check_keys_read(reader, "grid", cfg.grid, {*defaults["grid"], "x_lo", "x_hi"})
+    _check_keys_read(reader, "solver", cfg.solver, defaults["solver"])
+    _check_keys_read(reader, "experiment", cfg.extra, defaults["extra"])
+    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
+    out.model = {**defaults["model"], **cfg.model}
+    if "kind" in cfg.model:
+        # a user-chosen kind replaces the default model wholesale
+        out.model = dict(cfg.model)
+    kind = out.model["kind"]
+    if kind in MODEL_KINDS:
+        _check_keys_read(f"model kind {kind!r}", "model", out.model,
+                         {"kind", *MODEL_KINDS[kind]})
+    out.grid = {**defaults["grid"], **cfg.grid}
+    out.solver = {**defaults["solver"], **cfg.solver}
+    if "sigma" in cfg.solver:
+        out.solver.pop("eps", None)
+    out.extra = {**defaults["extra"], **cfg.extra}
+    return out
 
 
 def run_experiment(cfg: RunConfig) -> ResultBundle:
     """Run the configured experiment; deterministic, no randomness anywhere."""
     cfg = resolve_config(cfg)
     start = time.perf_counter()
-    tables, summary = _DRIVERS[cfg.experiment](cfg)
+    tables, summary = EXPERIMENTS[cfg.experiment][0](cfg)
     elapsed = time.perf_counter() - start
     manifest = {
         "version": __version__,

@@ -4,7 +4,8 @@ The linear flow dp/dt - sigma * d2p/dx2 = a(t, x) p over one period defines a
 positive period map; its principal eigenvalue exp(-lambda * T) and positive
 eigenfunction determine persistence (lambda < 0) or extinction (lambda >= 0)
 of the full model, and the eigenfunction yields the effective per-capita
-growth signal that the scalar logistic law runs on. The eigen-solve itself
+growth signal that the scalar logistic law runs on and the size band and tail
+envelope of the periodic orbit. The eigen-solve itself
 (FloquetPair, principal_eigenpair) lives beside the stepper in pde_solver.
 """
 
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env_models import EnvironmentModel, averaged_optimum, rate_table
+from .env_models import EnvironmentModel, averaged_optimum, check_hypotheses, rate_table
 from .errors import NumericalError
-from .pde_solver import FloquetPair, SimulationGrid, principal_eigenpair
+from .pde_solver import FloquetPair, OrbitRecord, SimulationGrid, principal_eigenpair
 from .quadrature import simpson
 from .rho_ode import PeriodicScalarSignal
 
@@ -70,6 +71,52 @@ def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
     else:
         raise NumericalError(f"unknown residual method {method!r}")
     return abs(pair.lam + integral / T)
+
+
+def orbit_bounds(pair: FloquetPair, record: OrbitRecord,
+                 model: EnvironmentModel) -> dict:
+    """What the eigenpair says about the periodic orbit on pair.grid.
+
+    The size band: with d0 = max |a| and lam the eigenvalue, rho stays within
+    [exp(-d0 T) (exp(|lam| T) - 1) / T, max(rho(0), d0)] (rho_band_ok). The
+    tail envelope: beyond the confinement radius of check_hypotheses (H5,
+    decay rate delta) the eigenprofile stays below
+    max P * exp(-sqrt(delta / sigma) (|x - x_m| - radius)); tail_ok and
+    tail_worst_ratio are None when H5 gives no positive delta or no node lies
+    beyond the radius.
+    """
+    grid = pair.grid
+    lam = pair.lam
+    d0 = float(np.abs(rate_table(model, record.times[::64], grid.x)).max())
+    T = model.period
+    rho = record.rho_samples
+    rho_upper = max(float(rho[0]), d0)
+    rho_lower = np.exp(-d0 * T) * np.expm1(abs(lam) * T) / T
+    report = check_hypotheses(model, (grid.x_lo, grid.x_hi), lambda_hint=lam)
+    tail_ok = None
+    tail_margin = None
+    if report.h5_delta is not None and report.h5_delta > 0:
+        decay = np.sqrt(report.h5_delta / grid.sigma)
+        dist = np.abs(grid.x - report.x_m)
+        outside = dist >= report.h5_radius
+        if outside.any():
+            p = pair.p_snapshots
+            envelope = p.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
+            worst = float((p[:, outside] / envelope[None, :]).max())
+            tail_ok = bool(worst <= 1.0 + 1e-9)
+            tail_margin = worst
+    return {
+        "rho_band_lower": float(rho_lower),
+        "rho_band_upper": float(rho_upper),
+        "rho_min": float(rho.min()),
+        "rho_max": float(rho.max()),
+        "rho_band_ok": bool(rho_lower - 1e-12 <= rho.min()
+                            and rho.max() <= rho_upper + 1e-12),
+        "tail_ok": tail_ok,
+        "tail_worst_ratio": tail_margin,
+        "confine_delta": report.h5_delta,
+        "confine_radius": report.h5_radius,
+    }
 
 
 def radius_sweep(model: EnvironmentModel, radii, sigma: float,

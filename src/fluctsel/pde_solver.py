@@ -254,7 +254,8 @@ class _Stepper:
                 raise ConvergenceError(
                     f"no principal eigenpair within {budget} periods; "
                     f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
-            w = self.run(basis[j], self.steps, saturate=False)[0]
+            with np.errstate(over="ignore"):  # an overflow is reported below
+                w = self.run(basis[j], self.steps, saturate=False)[0]
             factors.append(float(np.linalg.norm(w)))
             if not np.isfinite(factors[-1]):
                 raise NumericalError(f"period map overflowed (factor {factors[-1]})")

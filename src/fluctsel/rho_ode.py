@@ -66,6 +66,17 @@ class PeriodicScalarSignal:
     def mean(self) -> float:
         return float(simpson(self.values, self.times[1] - self.times[0])) / self.period
 
+    def first_harmonic(self) -> tuple[float, float, float]:
+        """Least-squares fit of the samples to
+        offset + amp * sin(2 pi t / period + phase); returns (amp, phase,
+        offset) with amp >= 0 and phase in [-pi, pi]."""
+        w = 2.0 * np.pi / self.period
+        design = np.column_stack([np.sin(w * self.times), np.cos(w * self.times),
+                                  np.ones_like(self.times)])
+        coef, *_ = np.linalg.lstsq(design, self.values, rcond=None)
+        return (float(np.hypot(coef[0], coef[1])), float(np.arctan2(coef[1], coef[0])),
+                float(coef[2]))
+
 
 @dataclass
 class RhoOrbit:

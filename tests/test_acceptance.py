@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import fluctsel as fs
-from fluctsel import cli_io
 
 EPS = 0.05
 
@@ -115,7 +114,7 @@ def test_c07_hopf_cole_limit(ex1_model):
 
 def test_c08_example1_moment_predictions(ex1_orbit):
     rep = fs.measure_moments(ex1_orbit)
-    amp, phase, _ = cli_io._fit_first_harmonic(rep.mu.times, rep.mu.values, 1.0)
+    amp, phase, _ = rep.mu.first_harmonic()
     amp_theory = 2.0 * EPS * 1.0 * 1.0 / (2.0 * np.pi)
     assert abs(amp - amp_theory) / amp_theory < 0.15
     lag = -phase
@@ -161,7 +160,7 @@ def test_c11_size_band_and_tail_bounds(wide_grid, ex1_model, ex1_orbit,
                                        ex2_eigen):
     for model, record, pair in ((ex1_model, ex1_orbit, ex1_eigen),
                                 (ex2_model, ex2_orbit, ex2_eigen)):
-        report = cli_io._bounds_summary(wide_grid, model, record, pair)
+        report = fs.orbit_bounds(pair, record, model)
         assert report["rho_band_ok"], report
         assert report["tail_ok"], report
 

@@ -297,7 +297,7 @@ def test_every_eigen_solve_budget_defaults_to_max_periods():
         (pde_solver.principal_eigenpair, "max_periods"),
         (pde_solver.find_periodic_orbit, "max_periods"),
         (asymptotics.fitness_comparison, "max_periods"))]
-    budgets += [d["solver"]["max_periods"] for d in cli_io._DEFAULTS.values()
+    budgets += [d["solver"]["max_periods"] for _, d in cli_io.EXPERIMENTS.values()
                 if "max_periods" in d["solver"]]
     assert budgets and set(budgets) == {pde_solver.MAX_PERIODS}
 
@@ -369,6 +369,10 @@ def test_main_rejects_unread_solver_key(capsys):
     ("sigma0-convergence", "solver.eps=0.1"),
     # the sweep builds one grid per radius from experiment.points_per_unit
     ("floquet-sweep", "grid.nx=17"),
+    # each model kind reads its own [model] parameters
+    ("example1", "model.g_mean=3"),
+    ("example1", "model.path=rates.txt"),
+    ("example2", "model.c=0.5"),
 ])
 def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     # each key is known to its section, but this experiment never reads it
@@ -386,6 +390,30 @@ def test_every_tag_resolves_its_own_defaults(tag):
     if "eps" in solver:
         sigma = fs.RunConfig(experiment=tag, solver={"sigma": 0.01})
         assert cli_io.resolve_config(sigma).solver["sigma"] == 0.01
+
+
+def _override_text(value):
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
+def test_every_default_round_trips_through_an_override(tag):
+    # the schema types are read off the defaults; each default, written as
+    # override text, must coerce back to an equal value of the same type
+    _, defaults = cli_io.EXPERIMENTS[tag]
+    for sec, block in (("grid", defaults["grid"]), ("solver", defaults["solver"]),
+                       ("experiment", defaults["extra"])):
+        for key, value in block.items():
+            if value is None:
+                continue
+            cfg = fs.RunConfig()
+            cli_io.apply_override(cfg, f"{sec}.{key}={_override_text(value)}")
+            got = cfg.extra[key] if sec == "experiment" else getattr(cfg, sec)[key]
+            assert got == value and type(got) is type(value), (sec, key, got)
+    cfg = fs.RunConfig()
+    cli_io.apply_override(cfg, "solver.sigma=0.0025")
+    cli_io.apply_override(cfg, "experiment.t_star=0.25")
+    assert cfg.solver["sigma"] == 0.0025 and cfg.extra["t_star"] == 0.25
 
 
 def _count_solves(monkeypatch):

@@ -186,8 +186,7 @@ def test_eigen_solve_reports_an_overflowing_period_map():
     # a growth factor of about e^1000 per period is past the double range
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 2048, sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1000.0 - np.asarray(x) ** 2)
-    with np.errstate(over="ignore"), pytest.raises(fs.NumericalError,
-                                                   match="overflowed"):
+    with pytest.raises(fs.NumericalError, match="overflowed"):
         fs.principal_eigenpair(grid, model)
 
 

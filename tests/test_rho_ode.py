@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluctsel as fs
 
@@ -115,3 +117,20 @@ def test_array_callable_matches_scalar_callable(ex1_model):
         assert np.array_equal(array(ts), scalar(ts))
     assert array(0.3) == scalar(0.3)
     assert isinstance(array(0.3), float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amp=st.floats(0.1, 10.0),
+       phase=st.floats(-np.pi, np.pi, exclude_min=True),
+       offset=st.floats(-10.0, 10.0),
+       period=st.floats(0.1, 10.0),
+       n=st.integers(5, 400))
+def test_first_harmonic_recovers_an_exact_sinusoid(amp, phase, offset, period, n):
+    times = np.linspace(0.0, period, n)
+    signal = fs.PeriodicScalarSignal.from_samples(
+        period, offset + amp * np.sin(2.0 * np.pi * times / period + phase))
+    got_amp, got_phase, got_offset = signal.first_harmonic()
+    assert got_amp == pytest.approx(amp, rel=1e-12, abs=1e-12)
+    assert got_offset == pytest.approx(offset, rel=1e-12, abs=1e-12)
+    # the phase is defined modulo 2 pi; compare on the circle
+    assert abs((got_phase - phase + np.pi) % (2.0 * np.pi) - np.pi) < 1e-12
