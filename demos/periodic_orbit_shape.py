@@ -29,8 +29,8 @@ print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
 
 eff = fs.effective_signals(pair, model)
 # the orbit's normalized profile against the unit-mass eigenprofile
-shape = orbit.snapshots / rho[:, None]
-gap = np.abs(shape - eff.P_snapshots).max()
+gap = max(np.abs(orbit.density(k) / rho[k] - eff.P_snapshots[k]).max()
+          for k in range(len(rho)))
 print(f"sup |n/rho - P| over a full period: {gap:.2e}")
 
 # negative lambda marks persistence; the mean of Q balances it

@@ -25,7 +25,7 @@ for eps in (0.1, 0.05, 0.025):
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
                              sigma=eps * eps)
     record = fs.find_periodic_orbit(grid, model)
-    u_eps = fs.hopf_cole(record.snapshots[0], grid.sigma)
+    u_eps = fs.hopf_cole(record.density(0), grid.sigma)
     window = np.abs(grid.x) <= 1.0
     gap = np.abs(u_eps[window] - (-grid.x[window] ** 2 / 2.0)).max()
     print(f"  {eps:5.3f}   {gap:.4f}")

@@ -226,19 +226,13 @@ def predict_moments(model: EnvironmentModel, eps: float,
 
 def measure_moments(record: OrbitRecord) -> MomentReport:
     """Trait moments of a simulated periodic state, snapshot by snapshot."""
-    grid = record.grid
-    x = grid.x
-    dx = grid.dx
-    masses = record.rho_samples
-    if masses.min() <= 0.0:
-        raise NumericalError("cannot take moments of a snapshot with zero mass")
-    mu = (dx * record.snapshots @ x) / masses
+    x = record.grid.x
+    mu = record.pair.average(x)
     spread = x - mu[:, None]
     spread *= spread
-    spread *= record.snapshots
-    var = dx * spread.sum(axis=1) / masses
+    var = record.pair.average(spread)
     T = float(record.times[-1])
-    rho_mean = float(simpson(masses, record.times[1] - record.times[0])) / T
+    rho_mean = float(simpson(record.rho_samples, record.times[1] - record.times[0])) / T
     return MomentReport(
         mu=PeriodicScalarSignal(period=T, times=record.times.copy(), values=mu),
         sigma2=PeriodicScalarSignal(period=T, times=record.times.copy(), values=var),
@@ -247,10 +241,7 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
 
 def fitness_samples(record: OrbitRecord, model: EnvironmentModel) -> np.ndarray:
     """Population mean growth rate int a n dx / rho at each snapshot time."""
-    grid = record.grid
-    table = rate_table(model, record.times, grid.x)
-    table *= record.snapshots
-    return grid.dx * table.sum(axis=1) / record.rho_samples
+    return record.pair.average(rate_table(model, record.times, record.grid.x))
 
 
 def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:

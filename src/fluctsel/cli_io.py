@@ -374,18 +374,15 @@ def _run_periodic_orbit(cfg: RunConfig):
         return tables, summary
 
     eff = floquet.effective_signals(pair, model)
-    shape_gap = float(np.abs(
-        record.snapshots / record.rho_samples[:, None] - eff.P_snapshots).max())
     mrep = asymptotics.measure_moments(record)
     summary.update({
         "extinct": False,
         "period_gap": record.period_gap,
         "periods_run": record.periods_run,
         "rho_mean": mrep.rho_mean,
-        "sup_gap_density_vs_eigenprofile": shape_gap,
         "identity_residual": floquet.lambda_identity_residual(pair, eff),
     })
-    summary.update(floquet.orbit_bounds(pair, record, model))
+    summary.update(floquet.orbit_bounds(record, model))
     tables = {
         "orbit_rho": (["t", "rho"],
                       np.column_stack([record.times, record.rho_samples])),
@@ -428,7 +425,7 @@ def _run_epsilon_limit(cfg: RunConfig):
         # bind no record: the previous eps's period table would stay alive
         # through the next solve
         u_eps = asymptotics.hopf_cole(pde_solver.find_periodic_orbit(
-            grid, model, **_eigen_budget(cfg.solver)).snapshots[0], grid.sigma)
+            grid, model, **_eigen_budget(cfg.solver)).density(0), grid.sigma)
         rows.append([eps, float(np.abs(u_eps[window] - limit).max())])
     rows = np.array(rows)
     summary = {
@@ -517,12 +514,10 @@ def _run_refinement(cfg: RunConfig):
         steps = cfg.solver["steps_per_period"] * 4 ** level
         grid = replace(base, nx=nx, dt=T / steps)
         pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
-        lam = pair.lam
-        # the pair is not read again, so the orbit takes over its table
-        record = pde_solver.orbit_from_pair(pair, copy=False)
+        record = pde_solver.orbit_from_pair(pair)
         dt = record.times[1] - record.times[0]
         rho_bar = float(simpson(record.rho_samples, dt)) / T
-        rows.append([level, nx, steps, lam, rho_bar])
+        rows.append([level, nx, steps, pair.lam, rho_bar])
     rows = np.array(rows)
     summary = {}
     if levels >= 3:
@@ -754,13 +749,17 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
-        cfg.experiment = args.experiment
         if args.out:
             cfg.out_dir = args.out
         if not cfg.out_dir:
             cfg.out_dir = os.path.join("fluctsel-out", args.experiment)
         for text in args.override:
             apply_override(cfg, text)
+        # the positional tag is the experiment; a config tag may only repeat it
+        if cfg.experiment not in ("", args.experiment):
+            raise ConfigError(f"[experiment] tag {cfg.experiment!r} disagrees with the "
+                              f"command line's experiment {args.experiment!r}")
+        cfg.experiment = args.experiment
         bundle = run_experiment(cfg)
         try:
             written = emit_bundle(bundle, cfg.out_dir)

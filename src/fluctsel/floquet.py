@@ -32,23 +32,15 @@ class EffectiveSignal:
 
     Q: PeriodicScalarSignal
     P_snapshots: np.ndarray
-    times: np.ndarray
 
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:
     """Mass-normalized profiles and their instantaneous mean growth rate."""
-    grid = pair.grid
-    dx = grid.dx
-    masses = dx * pair.p_snapshots.sum(axis=1)
-    if masses.min() <= 0.0:
-        raise NumericalError("eigenfunction snapshot with nonpositive mass")
-    P = pair.p_snapshots / masses[:, None]
-    table = rate_table(model, pair.times, grid.x)
-    table *= P
-    q = dx * table.sum(axis=1)
+    q = pair.average(rate_table(model, pair.times, pair.grid.x))
     signal = PeriodicScalarSignal(period=pair.period, times=pair.times.copy(),
                                   values=q, fn=None)
-    return EffectiveSignal(Q=signal, P_snapshots=P, times=pair.times.copy())
+    masses = pair.grid.dx * pair.p_snapshots.sum(axis=1)
+    return EffectiveSignal(Q=signal, P_snapshots=pair.p_snapshots / masses[:, None])
 
 
 def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
@@ -73,9 +65,8 @@ def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
     return abs(pair.lam + integral / T)
 
 
-def orbit_bounds(pair: FloquetPair, record: OrbitRecord,
-                 model: EnvironmentModel) -> dict:
-    """What the eigenpair says about the periodic orbit on pair.grid.
+def orbit_bounds(record: OrbitRecord, model: EnvironmentModel) -> dict:
+    """What the eigenpair says about the periodic orbit on record.grid.
 
     The size band: with d0 = max |a| and lam the eigenvalue, rho stays within
     [exp(-d0 T) (exp(|lam| T) - 1) / T, max(rho(0), d0)] (rho_band_ok). The
@@ -85,8 +76,8 @@ def orbit_bounds(pair: FloquetPair, record: OrbitRecord,
     tail_worst_ratio are None when H5 gives no positive delta or no node lies
     beyond the radius.
     """
-    grid = pair.grid
-    lam = pair.lam
+    grid = record.grid
+    lam = record.pair.lam
     d0 = float(np.abs(rate_table(model, record.times[::64], grid.x)).max())
     T = model.period
     rho = record.rho_samples
@@ -100,7 +91,7 @@ def orbit_bounds(pair: FloquetPair, record: OrbitRecord,
         dist = np.abs(grid.x - report.x_m)
         outside = dist >= report.h5_radius
         if outside.any():
-            p = pair.p_snapshots
+            p = record.pair.p_snapshots
             envelope = p.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
             worst = float((p[:, outside] / envelope[None, :]).max())
             tail_ok = bool(worst <= 1.0 + 1e-9)

@@ -24,7 +24,6 @@ distant traits, is recomputed directly.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -34,8 +33,6 @@ from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid
 from .quadrature import snap_steps
-
-log = logging.getLogger(__name__)
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
 # weights stay normal numbers (subnormal arithmetic is slow)
@@ -158,9 +155,6 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     x = grid.x
     dx = grid.dx
     per_period, dt = snap_steps(model.period, grid.dt)
-    if abs(dt - grid.dt) > 1e-12 * grid.dt:
-        log.warning("simulate_sigma0: grid.dt = %.6g does not divide the period; "
-                    "using dt = T / %d = %.6g instead", grid.dt, per_period, dt)
     nsteps = max(1, int(round(t_end / dt)))
     times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):

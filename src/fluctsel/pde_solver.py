@@ -23,7 +23,6 @@ accuracy.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 from .quadrature import snap_steps
-
-log = logging.getLogger(__name__)
 
 # Total size below which the population counts as extinct.
 EXTINCTION_SIZE = 1e-12
@@ -100,23 +97,6 @@ class DensityField:
 
 
 @dataclass
-class OrbitRecord:
-    """One period of a converged periodic state.
-
-    snapshots[k] is the density at times[k], k = 0..steps, covering [0, T];
-    rho_samples are the matching total sizes. period_gap is the relative
-    sup-norm distance between the first and last snapshot.
-    """
-
-    grid: SimulationGrid
-    times: np.ndarray
-    snapshots: np.ndarray
-    rho_samples: np.ndarray
-    period_gap: float
-    periods_run: int
-
-
-@dataclass
 class FloquetPair:
     """Principal eigenvalue and periodic eigenfunction snapshots.
 
@@ -133,6 +113,51 @@ class FloquetPair:
     times: np.ndarray
     iterations: int
     grid: SimulationGrid
+
+    def average(self, values) -> np.ndarray:
+        """Mean of values over the unit-mass profile at every snapshot,
+        sum_i values_i p_k,i / sum_i p_k,i, for values one row over the nodes
+        or one row per snapshot."""
+        p = self.p_snapshots
+        weighted = p @ values if np.ndim(values) == 1 else np.einsum("ij,ij->i", p, values)
+        return weighted / p.sum(axis=1)
+
+
+@dataclass
+class OrbitRecord:
+    """One period of a converged periodic state n = rho * P.
+
+    pair is the FloquetPair the orbit was read from and rho_samples the
+    sizes at its times; density(k) is the density at times[k], and no
+    density table is stored. period_gap is the relative sup-norm distance
+    between the first and last density; periods_run counts the period maps
+    of the eigen-solve plus the recorded period.
+    """
+
+    pair: FloquetPair
+    rho_samples: np.ndarray
+
+    @property
+    def grid(self) -> SimulationGrid:
+        return self.pair.grid
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.pair.times
+
+    @property
+    def periods_run(self) -> int:
+        return self.pair.iterations + 1
+
+    @property
+    def period_gap(self) -> float:
+        first, last = self.density(0), self.density(-1)
+        return float(np.abs(last - first).max()) / max(float(last.max()), 1e-300)
+
+    def density(self, k: int) -> np.ndarray:
+        """rho_k * p_k / int p_k: the density at times[k]."""
+        p = self.pair.p_snapshots[k]
+        return (self.rho_samples[k] / total_mass(self.grid, p)) * p
 
 
 def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
@@ -190,8 +215,6 @@ class _Stepper:
         self.grid = grid
         self.period = model.period
         self.steps, self.dt = snap_steps(model.period, grid.dt)
-        if abs(self.dt - grid.dt) > 1e-9 * grid.dt:
-            log.debug("dt adjusted from %g to %g to divide the period", grid.dt, self.dt)
         self.dx = grid.dx
         self.times = self.dt * np.arange(self.steps + 1)
         self.gain = rate_table(model, self.times[:-1], grid.x)
@@ -344,37 +367,29 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
     return stepper.principal(start, tol, max_periods)
 
 
-def orbit_from_pair(pair: FloquetPair, copy: bool = True) -> OrbitRecord:
+def orbit_from_pair(pair: FloquetPair) -> OrbitRecord:
     """The positive periodic state n = rho * P of the saturating scheme.
 
     With p_k = exp(-lam t_k) P_k the linear flow (factor mu = exp(-lam T))
     and m_k its masses, the scheme maps n_k = p_k / y_k onto itself for
     y_0 = dt * sum_{k<N} m_k / (mu - 1), y_{k+1} = y_k + dt * m_k: the
-    discrete twin of periodic_rho_closed_form. Raises ExtinctionError when
-    mu <= 1 (lambda >= 0). copy=False hands pair.p_snapshots to the orbit.
+    discrete twin of periodic_rho_closed_form. The record holds the pair and
+    the sizes rho_k = m_k / y_k; pair is not changed. Raises ExtinctionError
+    when mu <= 1 (lambda >= 0).
     """
     mu = np.exp(-pair.lam * pair.period)
     if mu <= 1.0:
         raise ExtinctionError("no positive periodic orbit (lambda >= 0): "
                               f"period growth factor {mu:.6g} <= 1")
-    snaps = pair.p_snapshots.copy() if copy else pair.p_snapshots
     dt = pair.times[1] - pair.times[0]
-    decay = np.exp(-pair.lam * pair.times)
-    masses = pair.grid.dx * snaps.sum(axis=1) * decay
+    masses = pair.grid.dx * pair.p_snapshots.sum(axis=1) * np.exp(-pair.lam * pair.times)
     gains = dt * masses[:-1]
     y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
-    snaps *= (decay / y)[:, None]
-    scale = max(float(snaps[-1].max()), 1e-300)
-    period_gap = float(np.abs(snaps[-1] - snaps[0]).max()) / scale
-    return OrbitRecord(grid=pair.grid, times=pair.times, snapshots=snaps,
-                       rho_samples=masses / y, period_gap=period_gap,
-                       periods_run=pair.iterations + 1)
+    return OrbitRecord(pair=pair, rho_samples=masses / y)
 
 
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,
                         tol: float = 1e-8, max_periods: int = MAX_PERIODS,
                         guess: np.ndarray | None = None) -> OrbitRecord:
-    """orbit_from_pair of principal_eigenpair with the same arguments; the
-    orbit takes over the pair's table."""
-    return orbit_from_pair(principal_eigenpair(grid, model, tol, max_periods, guess),
-                           copy=False)
+    """orbit_from_pair of principal_eigenpair with the same arguments."""
+    return orbit_from_pair(principal_eigenpair(grid, model, tol, max_periods, guess))

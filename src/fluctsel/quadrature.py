@@ -11,13 +11,21 @@ that the even-N rule does not change with the SciPy release.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 def snap_steps(period: float, dt: float) -> tuple[int, float]:
     """(steps, period / steps) for the whole number of steps nearest
-    period / dt, at least one, so that the steps end exactly on the period."""
+    period / dt, at least one, so that the steps end exactly on the period.
+    A snap that moves dt by more than roundoff is logged as a warning."""
     steps = max(1, int(round(period / dt)))
+    if abs(period / steps - dt) > 1e-12 * dt:
+        log.warning("dt = %.6g does not divide the period %.6g; using dt = T / %d "
+                    "= %.6g instead", dt, period, steps, period / steps)
     return steps, period / steps
 
 

@@ -91,7 +91,8 @@ def test_c05_extinction_dichotomy(ex1_model, ex1_eigen):
 def test_c06_orbit_density_matches_eigenprofile(ex1_orbit, ex1_eigen,
                                                 ex1_model):
     eff = fs.effective_signals(ex1_eigen, ex1_model)
-    shape = ex1_orbit.snapshots / ex1_orbit.rho_samples[:, None]
+    rho = ex1_orbit.rho_samples
+    shape = np.array([ex1_orbit.density(k) / rho[k] for k in range(len(rho))])
     gap = np.abs(shape - eff.P_snapshots).max()
     assert gap < 1e-3, f"sup density/eigenprofile gap {gap:.3e}"
 
@@ -103,7 +104,7 @@ def test_c07_hopf_cole_limit(ex1_model):
         grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=1.0 / 1024,
                                  sigma=eps * eps)
         record = fs.find_periodic_orbit(grid, ex1_model)
-        u_eps = fs.hopf_cole(record.snapshots[0], grid.sigma)
+        u_eps = fs.hopf_cole(record.density(0), grid.sigma)
         window = np.abs(grid.x) <= 1.0
         exact = -grid.x[window] ** 2 / 2.0
         gaps.append(float(np.abs(u_eps[window] - exact).max()))
@@ -156,11 +157,9 @@ def test_c10_stationary_state_matches_gaussian(ex2_model):
 
 
 def test_c11_size_band_and_tail_bounds(wide_grid, ex1_model, ex1_orbit,
-                                       ex1_eigen, ex2_model, ex2_orbit,
-                                       ex2_eigen):
-    for model, record, pair in ((ex1_model, ex1_orbit, ex1_eigen),
-                                (ex2_model, ex2_orbit, ex2_eigen)):
-        report = fs.orbit_bounds(pair, record, model)
+                                       ex2_model, ex2_orbit):
+    for model, record in ((ex1_model, ex1_orbit), (ex2_model, ex2_orbit)):
+        report = fs.orbit_bounds(record, model)
         assert report["rho_band_ok"], report
         assert report["tail_ok"], report
 
@@ -173,8 +172,7 @@ def test_c12_richardson_refinement(ex1_model):
         grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, dt=1.0 / steps,
                                  sigma=EPS * EPS)
         pair = fs.principal_eigenpair(grid, ex1_model)
-        record = fs.find_periodic_orbit(grid, ex1_model)
-        rep = fs.measure_moments(record)
+        rep = fs.measure_moments(fs.orbit_from_pair(pair))
         lams.append(pair.lam)
         rhos.append(rep.rho_mean)
     ratio_lam = abs(lams[0] - lams[1]) / abs(lams[1] - lams[2])

@@ -275,6 +275,26 @@ def test_main_uses_config_file(tmp_path, capsys):
     assert manifest["config"]["extra"]["points_per_unit"] == 40
 
 
+def test_main_rejects_a_config_tag_naming_another_experiment(tmp_path, capsys):
+    # the positional tag is the experiment; a file or override tag may only
+    # repeat it
+    path = _write(tmp_path, "[experiment]\ntag = moments\n")
+    assert cli_io.main(["sigma0-convergence", "--config", path]) == 2
+    assert cli_io.main(["sigma0-convergence", "--override",
+                        "experiment.tag=moments"]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2
+    for line in errors:
+        assert line.startswith("config error")
+        assert "'moments'" in line and "'sigma0-convergence'" in line
+    same = _write(tmp_path, "[experiment]\ntag = floquet-sweep\n", "same.ini")
+    argv = ["floquet-sweep", "--config", same, "--out", str(tmp_path / "run"),
+            "--override", "experiment.tag=floquet-sweep"]
+    for text in FAST_SWEEP:
+        argv += ["--override", text]
+    assert cli_io.main(argv) == 0
+
+
 def test_main_config_error(tmp_path, capsys):
     assert cli_io.main(["moments", "--override", "model.nope=1"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -219,16 +219,22 @@ def test_memory_stays_bounded(ex1_model):
 
 def test_dt_snap_is_logged(caplog, ex1_model):
     n0 = np.exp(-_grid(nx=100).x ** 2)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
         _, (times, _), _ = fs.simulate_sigma0(_grid(dt=0.003, nx=100),
                                               ex1_model, n0, 1.0)
     assert times[1] == 1.0 / 333
     assert "using dt = T / 333" in caplog.text
     caplog.clear()
+    # the orbit's eigen-solve snaps the same dt and says so too
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=0.003, sigma=0.01)
+    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
+        fs.find_periodic_orbit(grid, ex1_model)
+    assert "using dt = T / 333" in caplog.text
+    caplog.clear()
     # the c03 inputs (the sigma0-convergence defaults) and the test grids
     # divide the period
     c03 = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
         for grid in (c03, _grid(nx=100), _grid(dt=2e-4, nx=100)):
             fs.simulate_sigma0(grid, ex1_model, np.exp(-grid.x ** 2), 0.1)
     assert caplog.text == ""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ from fluctsel.pde_solver import _Stepper
 
 def _const_model(value=1.0):
     return fs.make_custom(1.0, lambda t, x: np.full_like(np.asarray(x, float), value))
+
+
+def _densities(record):
+    return np.array([record.density(k) for k in range(len(record.times))])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -112,7 +118,7 @@ def test_orbit_is_deterministic():
     model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
     first = fs.find_periodic_orbit(grid, model)
     again = fs.find_periodic_orbit(grid, model)
-    assert np.array_equal(first.snapshots, again.snapshots)
+    assert np.array_equal(first.pair.p_snapshots, again.pair.p_snapshots)
     assert np.array_equal(first.rho_samples, again.rho_samples)
     assert first.periods_run == again.periods_run
 
@@ -152,13 +158,15 @@ def test_eigen_solve_runs_at_most_its_budget(monkeypatch):
         assert len(maps) == budget
 
 
-@settings(max_examples=40, deadline=None)
-@given(nx=st.integers(16, 40), steps=st.integers(16, 64),
-       sigma=st.floats(1e-3, 0.05), r=st.floats(0.0, 2.0), g=st.floats(0.2, 1.0),
-       swing=st.floats(0.0, 0.9), pressure=st.booleans())
-def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
-                                                pressure):
-    # on [-2, 2] max|a| <= r + 4 * 2.85 g < 14 < steps: the step constraint holds
+# small grids and both model families; on [-2, 2] max|a| <= r + 4 * 2.85 g
+# < 14 < steps, so the step constraint holds
+_SMALL_CASES = dict(
+    nx=st.integers(16, 40), steps=st.integers(16, 64), sigma=st.floats(1e-3, 0.05),
+    r=st.floats(0.0, 2.0), g=st.floats(0.2, 1.0), swing=st.floats(0.0, 0.9),
+    pressure=st.booleans())
+
+
+def _small_case(nx, steps, sigma, r, g, swing, pressure):
     if pressure:
         model = fs.make_oscillating_pressure(
             r, lambda t: 1.5 * g * (1.0 + swing * np.cos(2.0 * np.pi * t)))
@@ -166,6 +174,14 @@ def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
         model = fs.make_oscillating_optimum(r, g, swing, 2.0 * np.pi)
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, dt=1.0 / steps,
                              sigma=sigma)
+    return grid, model
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES)
+def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
+                                                pressure):
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
     stepper = _Stepper(grid, model)
     dense = np.column_stack([stepper.run(e, stepper.steps, saturate=False)[0]
                              for e in np.eye(nx)])
@@ -216,7 +232,8 @@ def test_autonomous_steady_state():
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 256, sigma=0.01)
     rec = fs.find_periodic_orbit(grid, model, tol=1e-10)
     assert rec.period_gap < 1e-9
-    within = np.abs(rec.snapshots - rec.snapshots[0]).max() / rec.snapshots[0].max()
+    snaps = _densities(rec)
+    within = np.abs(snaps - snaps[0]).max() / snaps[0].max()
     assert within < 1e-6
     # steady total size is the principal eigenvalue's negative
     assert rec.rho_samples[0] == pytest.approx(1.0 - np.sqrt(0.01), abs=5e-3)
@@ -240,7 +257,7 @@ def test_find_periodic_orbit_convergence_error():
 
 def test_orbit_shape_is_the_eigenprofile(ex1_eigen):
     orbit = fs.orbit_from_pair(ex1_eigen)
-    shape = orbit.snapshots / orbit.rho_samples[:, None]
+    shape = _densities(orbit) / orbit.rho_samples[:, None]
     masses = ex1_eigen.grid.dx * ex1_eigen.p_snapshots.sum(axis=1)
     profile = ex1_eigen.p_snapshots / masses[:, None]
     assert np.abs(shape - profile).max() <= 1e-12 * profile.max()
@@ -252,12 +269,48 @@ def test_orbit_is_a_trajectory_of_the_saturating_scheme():
     grid, stepper = _ex1_stepper()
     model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
     rec = fs.find_periodic_orbit(grid, model)
-    snaps, rho = rec.snapshots, rec.rho_samples
+    snaps, rho = _densities(rec), rec.rho_samples
     np.testing.assert_allclose(grid.dx * snaps.sum(axis=1), rho, rtol=1e-12)
     for k in range(stepper.steps):
         out = stepper.step(snaps[k], k, rho=rho[k])
         assert np.abs(out - snaps[k + 1]).max() <= 1e-12 * snaps[k + 1].max()
     assert rec.period_gap < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES)
+def test_orbit_is_positive_and_a_saturating_trajectory(nx, steps, sigma, r, g,
+                                                        swing, pressure):
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
+    pair = fs.principal_eigenpair(grid, model, tol=1e-10)
+    if pair.lam >= 0.0:
+        with pytest.raises(fs.ExtinctionError):
+            fs.orbit_from_pair(pair)
+        return
+    orbit = fs.orbit_from_pair(pair)
+    stepper = _Stepper(grid, model)
+    for k, rho in enumerate(orbit.rho_samples):
+        n = orbit.density(k)
+        assert n.min() >= 0.0
+        assert grid.dx * n.sum() == pytest.approx(rho, rel=1e-12, abs=0.0)
+        if k < stepper.steps:
+            after = orbit.density(k + 1)
+            assert np.abs(stepper.step(n, k, rho) - after).max() <= 1e-12 * after.max()
+
+
+def test_orbit_owns_no_density_table(ex1_eigen):
+    # the record is the pair plus the sizes: no copy of the 2049 x 800 table
+    # (13 MiB), and the pair's table is left as it was
+    before = ex1_eigen.p_snapshots.copy()
+    tracemalloc.start()
+    try:
+        orbit = fs.orbit_from_pair(ex1_eigen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert orbit.pair is ex1_eigen
+    assert np.array_equal(ex1_eigen.p_snapshots, before)
 
 
 def test_find_periodic_orbit_rejects_bad_guess():
@@ -277,7 +330,7 @@ def test_principal_eigenpair_rejects_bad_guess(guess):
 
 def test_orbit_record_shape(ex1_orbit, wide_grid):
     steps = round(1.0 / wide_grid.dt)
-    assert ex1_orbit.snapshots.shape == (steps + 1, wide_grid.nx)
+    assert ex1_orbit.pair.p_snapshots.shape == (steps + 1, wide_grid.nx)
     assert ex1_orbit.times[0] == 0.0
     assert ex1_orbit.times[-1] == pytest.approx(1.0)
     assert len(ex1_orbit.rho_samples) == steps + 1

@@ -33,7 +33,7 @@ def test_every_solver_snaps_to_the_same_steps(ex1_model, caplog):
     stepper = _Stepper(grid, ex1_model)
     assert (stepper.steps, stepper.dt) == (steps, dt)
 
-    with caplog.at_level(logging.WARNING, logger="fluctsel.no_mutation"):
+    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
         _, (times, _), _ = fs.simulate_sigma0(grid, ex1_model,
                                               np.exp(-grid.x ** 2), 0.1)
     assert times[1] == dt
