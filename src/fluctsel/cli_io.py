@@ -684,12 +684,6 @@ def _pyify(obj):
     return obj
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return f"{float(value):.12e}"
-    return str(value)
-
-
 def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
     """Write manifest.json, summary.json, and one CSV per table.
 
@@ -720,9 +714,9 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
         _write("summary.json",
                json.dumps(_pyify(bundle.summary), indent=2, sort_keys=True) + "\n")
     for name, (columns, rows) in bundle.tables.items():
-        lines = [",".join(columns)]
-        for row in np.atleast_2d(np.asarray(rows)):
-            lines.append(",".join(_format_cell(v) for v in row))
+        rows = np.atleast_2d(np.asarray(rows))
+        fmt = ",".join(["%.12e"] * rows.shape[1])
+        lines = [",".join(columns)] + [fmt % tuple(row) for row in rows.tolist()]
         _write(f"{name}.csv", "\n".join(lines) + "\n")
     return written
 

@@ -112,9 +112,12 @@ def _size_recurrence(rho, dt, dx, log_masses):
 
     log_masses[0, p, r] and log_masses[1, p, r] are log sum_x n0 e^L for
     the exponents L at the half step and at the end of step p S + r; the
-    size is dx times that sum times exp(-int rho).
+    size is dx times that sum times exp(-int rho). An exponent beyond the
+    double range raises OverflowError.
     """
     phases = log_masses.shape[2]
+    half = 0.5 * dt
+    exp = math.exp
     R = 0.0
     rho_k = float(rho[0])
     for p in range(log_masses.shape[1]):
@@ -123,9 +126,9 @@ def _size_recurrence(rho, dt, dx, log_masses):
         out = []
         for a, c in zip(log_masses[0, p, :len(rho) - k0].tolist(),
                         log_masses[1, p].tolist()):
-            r_half = R + 0.5 * dt * rho_k
-            R = R + dt * (dx * float(np.exp(a - r_half)))
-            rho_k = dx * float(np.exp(c - R))
+            r_half = R + half * rho_k
+            R = R + dt * (dx * exp(a - r_half))
+            rho_k = dx * exp(c - R)
             out.append(rho_k)
         rho[k0:k0 + len(out)] = out
     return R
@@ -145,9 +148,13 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     Returns (state, (times, rho), diagnostics); a size below 1e-12 sets the
     extinct flag. diagnostics["mean_growth"] records the population mean of
     a at every time, int n a dx / rho, the effective per-capita rate the
-    total size runs on.
+    total size runs on. An initial density that is negative, identically
+    zero or not finite, or a size beyond the double range, raises
+    NumericalError.
     """
     values = np.asarray(n0, dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericalError("initial density contains non-finite values")
     if values.min() < 0.0:
         raise NumericalError("initial density contains negative values")
     if values.max() <= 0.0:
@@ -200,9 +207,14 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     rho = np.empty(nsteps + 1)
     m_0 = log_n0.max()
     weights = np.exp(log_n0 - m_0)
-    rho[0] = dx * float(np.exp(m_0) * np.sum(weights))
+    rho[0] = dx * (float(np.exp(m_0)) * float(np.sum(weights)))
     q_eff[0] = float(weights @ model.rate(0.0, x)) / float(weights.sum())
-    R = _size_recurrence(rho, dt, dx, log_masses)
+    try:
+        R = _size_recurrence(rho, dt, dx, log_masses)
+    except OverflowError:
+        R = math.inf
+    if not (R < math.inf and np.isfinite(rho).all()):
+        raise NumericalError("population size exceeds the double range")
     extinct = bool((rho < EXTINCTION_SIZE).any())
     state = ExponentState(grid=grid, time=float(times[-1]),
                           log_factors=(periods - 1) * L_T + L_last,

@@ -23,7 +23,7 @@ accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -361,7 +361,9 @@ def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
     maps. A guess must be nonnegative with positive mass (else ConfigError).
     """
     stepper = _Stepper(grid, model)
-    start = default_orbit_guess(grid, model) if guess is None else np.asarray(guess, float)
+    # the default start is built on the stepper's dt, so dt is snapped once
+    start = (default_orbit_guess(replace(grid, dt=stepper.dt), model) if guess is None
+             else np.asarray(guess, float))
     if start.min() < 0.0 or total_mass(grid, start) <= 0.0:
         raise ConfigError("eigen-solve guess must be nonnegative with positive mass")
     return stepper.principal(start, tol, max_periods)

@@ -8,11 +8,14 @@ a direct time integrator to observe attraction toward it, and period means.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import cycle
 from typing import Callable
 
 import numpy as np
-from .errors import ExtinctionError, NumericalError
+from .errors import ConfigError, ExtinctionError, NumericalError
 from .quadrature import cumulative_simpson, simpson, snap_steps
 
 # Fine-grid intervals per period used for the closed-form machinery.
@@ -146,55 +149,58 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> RhoOrbit:
     return RhoOrbit(period=T, times=times, samples=samples, mean=mean, evaluate=evaluate)
 
 
+def _rk4_steps(q, sizes: array, triples, h: float, t0: float, depth: int):
+    """Fill sizes[1:] from sizes[0] with RK4 steps of width h for
+    rho' = rho (q - rho), the step into sizes[i] taking q at its start,
+    midpoint and end from the i-th (q_start, q_mid, q_end) of triples. A
+    step whose result is not positive is redone as two half steps from its
+    start t0 + (i - 1) h, evaluating q directly; more than 40 nested
+    halvings raise NumericalError."""
+    half, sixth = 0.5 * h, h / 6.0
+    rho = sizes[0]
+    for i, (q_start, q_mid, q_end) in zip(range(1, len(sizes)), triples):
+        k1 = rho * (q_start - rho)
+        r2 = rho + half * k1
+        k2 = r2 * (q_mid - r2)
+        r3 = rho + half * k2
+        k3 = r3 * (q_mid - r3)
+        r4 = rho + h * k3
+        k4 = r4 * (q_end - r4)
+        out = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (out > 0.0 or rho == 0.0):
+            t = t0 + h * (i - 1)
+            if depth >= 40:
+                raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
+            sub = array("d", (rho, 0.0, 0.0))
+            _rk4_steps(q, sub, [(q(s), q(s + 0.5 * half), q(s + half))
+                                for s in (t, t + half)], half, t, depth + 1)
+            out = sub[2]
+        sizes[i] = rho = out
+
+
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
                        dt: float | None = None):
     """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4.
 
     Steps live on a uniform grid of width dt (default period/1024), snapped
     to period / round(period / dt) so that a whole number of steps fills one
-    period. q is evaluated once on one period's half-step grid and step k
-    reads it at its node times reduced mod the period. A step whose result
-    is not positive is retried as two half steps, recursively, evaluating q
-    directly; more than 40 halvings raises NumericalError. Returns
-    (times, rho).
+    period. q is evaluated once on one period's half-step grid, and the
+    steps cycle through its (start, midpoint, end) triples. A step whose
+    result is not positive is retried as two half steps, recursively,
+    evaluating q directly; more than 40 halvings raises NumericalError, as
+    does a start that is negative or not finite, and a negative t_end
+    raises ConfigError. Returns (times, rho).
     """
-    if rho0 < 0:
-        raise NumericalError(f"negative initial size {rho0}")
+    if not 0.0 <= rho0 < math.inf:
+        raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
+    if not t_end >= 0.0:
+        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
     T = q.period
     steps, dt = snap_steps(T, T / 1024 if dt is None else dt)
     n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
     # q at t = j dt / 2: the step starts, midpoints and ends of one period
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float).tolist()
-
-    def rk4(rho, h, q_start, q_mid, q_end):
-        k1 = rho * (q_start - rho)
-        r2 = rho + 0.5 * h * k1
-        k2 = r2 * (q_mid - r2)
-        r3 = rho + 0.5 * h * k2
-        k3 = r3 * (q_mid - r3)
-        r4 = rho + h * k3
-        k4 = r4 * (q_end - r4)
-        return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def halve(rho, t, h, depth):
-        if depth >= 40:
-            raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
-        half = advance(rho, t, 0.5 * h, depth + 1)
-        return advance(half, t + 0.5 * h, 0.5 * h, depth + 1)
-
-    def advance(rho, t, h, depth):
-        out = rk4(rho, h, q(t), q(t + 0.5 * h), q(t + h))
-        if out > 0.0 or rho == 0.0:
-            return out
-        return halve(rho, t, h, depth)
-
-    rho = np.empty(n + 1)
-    rho[0] = rho0
-    cur = float(rho0)
-    for k in range(n):
-        j = 2 * (k % steps)
-        out = rk4(cur, dt, table[j], table[j + 1], table[j + 2])
-        cur = out if out > 0.0 or cur == 0.0 else halve(cur, times[k], dt, 0)
-        rho[k + 1] = cur
-    return times, rho
+    sizes = array("d", (rho0,)) * (n + 1)
+    _rk4_steps(q, sizes, cycle(zip(table[0:-1:2], table[1::2], table[2::2])), dt, 0.0, 0)
+    return times, np.frombuffer(sizes)

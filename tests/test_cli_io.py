@@ -220,6 +220,28 @@ def test_emitted_files_and_format(tmp_path):
     assert len(lines) == 3
 
 
+def test_csv_cells_are_the_fixed_format_of_each_value(tmp_path):
+    specials = np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.5e-310],
+                         [0.0, 1.0, -3.0, 1e300, -1.25e-7, 123456.789]])
+    tables = {
+        "specials": (["a", "b", "c", "d", "e", "f"], specials),
+        "floats_with_integer_values": (["k", "n"], np.array([[0.0, 7.0], [1.0, -12.0]])),
+        "integers": (["k", "n"], np.array([[0, 7], [1, -12], [2, 2 ** 40]])),
+        "one_row": (["t", "rho"], np.array([[0.5, 0.25]])),
+        "one_flat_row": (["t", "rho"], np.array([0.5, 0.25])),
+    }
+    bundle = fs.ResultBundle(manifest={"version": fs.__version__}, tables=tables,
+                             summary={})
+    fs.emit_bundle(bundle, tmp_path)
+    for name, (columns, rows) in tables.items():
+        want = [",".join(columns)] + [",".join(f"{float(v):.12e}" for v in row)
+                                      for row in np.atleast_2d(rows)]
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == ("\n".join(want) + "\n").encode("utf-8"), name
+    assert (tmp_path / "specials.csv").read_text().splitlines()[1].startswith(
+        "nan,inf,-inf,-0.000000000000e+00,4.940656458412e-324,")
+
+
 def test_emit_empty_bundle_writes_manifest_only(tmp_path):
     bundle = fs.ResultBundle(manifest={"version": fs.__version__}, tables={},
                              summary={})

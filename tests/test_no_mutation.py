@@ -81,6 +81,26 @@ def test_simulate_rejects_bad_start():
                            np.zeros(100), 1.0)
 
 
+def test_simulate_rejects_a_size_beyond_the_double_range():
+    grid = _grid(nx=100)
+    flat = fs.make_custom(1.0, lambda t, x: 0 * x)
+    # the initial size overflows (it was inf, with numpy RuntimeWarnings)
+    with pytest.raises(fs.NumericalError, match="double range"):
+        fs.simulate_sigma0(grid, flat, np.full(100, 1e307), 1.0)
+    # a finite start that a rate of 5 drives past the range within a period
+    growing = fs.make_custom(1.0, lambda t, x: 5.0 + 0 * x)
+    with pytest.raises(fs.NumericalError, match="double range"):
+        fs.simulate_sigma0(grid, growing, np.full(100, 1e305), 1.0)
+    for bad in (np.nan, np.inf):
+        n0 = np.ones(100)
+        n0[7] = bad
+        with pytest.raises(fs.NumericalError, match="non-finite"):
+            fs.simulate_sigma0(grid, flat, n0, 1.0)
+    # just inside the range the run is finite
+    _, (_, rho), _ = fs.simulate_sigma0(grid, flat, np.full(100, 1e306), 1.0)
+    assert np.isfinite(rho).all()
+
+
 def test_extinction_flag_under_negative_rate():
     grid = _grid(nx=200)
     model = fs.make_custom(1.0, lambda t, x: -2.0 + 0 * np.asarray(x))
@@ -217,19 +237,24 @@ def test_memory_stays_bounded(ex1_model):
     assert peak < 4 * 2 ** 20
 
 
+def _snap_warnings(caplog):
+    return sum("using dt = T / 333" in r.getMessage() for r in caplog.records)
+
+
 def test_dt_snap_is_logged(caplog, ex1_model):
     n0 = np.exp(-_grid(nx=100).x ** 2)
     with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
         _, (times, _), _ = fs.simulate_sigma0(_grid(dt=0.003, nx=100),
                                               ex1_model, n0, 1.0)
     assert times[1] == 1.0 / 333
-    assert "using dt = T / 333" in caplog.text
+    assert _snap_warnings(caplog) == 1
     caplog.clear()
-    # the orbit's eigen-solve snaps the same dt and says so too
+    # the orbit's eigen-solve snaps the same dt and says so once, though its
+    # default start is built on the snapped grid too
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=0.003, sigma=0.01)
     with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
         fs.find_periodic_orbit(grid, ex1_model)
-    assert "using dt = T / 333" in caplog.text
+    assert _snap_warnings(caplog) == 1
     caplog.clear()
     # the c03 inputs (the sigma0-convergence defaults) and the test grids
     # divide the period

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
+from fluctsel.quadrature import snap_steps
 
 
 def _ex1_q():
@@ -70,6 +71,98 @@ def test_integrator_survives_harsh_steps():
 def test_integrator_rejects_negative_start():
     with pytest.raises(fs.NumericalError):
         fs.integrate_logistic(_ex1_q(), -1.0, 1.0)
+    with pytest.raises(fs.ConfigError, match="t_end"):
+        fs.integrate_logistic(_ex1_q(), 1.0, -1.0)
+
+
+@pytest.mark.parametrize("rho0", [np.inf, np.nan])
+def test_integrator_rejects_a_start_outside_the_double_range(rho0):
+    with pytest.raises(fs.NumericalError, match="not a finite"):
+        fs.integrate_logistic(_ex1_q(), rho0, 1.0)
+
+
+def _reference_logistic(q, rho0, t_end, dt):
+    """integrate_logistic step by step: step k is one RK4 step reading q
+    from the half-step table at index 2 (k mod steps), and a step that is
+    not positive is redone as two half steps with q evaluated directly."""
+    steps, dt = snap_steps(q.period, dt)
+    n = int(round(t_end / dt))
+    table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
+
+    def rk4(rho, h, q_start, q_mid, q_end):
+        k1 = rho * (q_start - rho)
+        r2 = rho + 0.5 * h * k1
+        k2 = r2 * (q_mid - r2)
+        r3 = rho + 0.5 * h * k2
+        k3 = r3 * (q_mid - r3)
+        r4 = rho + h * k3
+        k4 = r4 * (q_end - r4)
+        return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def advance(rho, t, h, depth, q_start, q_mid, q_end):
+        out = rk4(rho, h, q_start, q_mid, q_end)
+        if out > 0.0 or rho == 0.0:
+            return out
+        if depth >= 40:
+            raise fs.NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
+        h2 = 0.5 * h
+        for s in (t, t + h2):
+            rho = advance(rho, s, h2, depth + 1, q(s), q(s + 0.5 * h2), q(s + h2))
+        return rho
+
+    times = dt * np.arange(n + 1)
+    rho = np.empty(n + 1)
+    rho[0] = rho0
+    for k in range(n):
+        j = 2 * (k % steps)
+        rho[k + 1] = advance(rho[k], times[k], dt, 0, *table[j:j + 3])
+    return times, rho
+
+
+def _outcome(integrate, q, rho0, t_end, dt):
+    try:
+        return integrate(q, rho0, t_end, dt)
+    except fs.NumericalError as exc:
+        return str(exc)
+
+
+def _counting_signal(period, rate):
+    """A signal of rate(ts) that records the size of every call."""
+    sizes = []
+
+    def fn(ts):
+        sizes.append(len(ts))
+        return rate(ts)
+
+    return fs.PeriodicScalarSignal(period=period, times=np.linspace(0.0, period, 3),
+                                   values=np.zeros(3), fn=fn), sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(offset=st.floats(-5.0, 5.0), amp=st.floats(0.0, 60.0),
+       phase=st.floats(-np.pi, np.pi), period=st.floats(0.2, 3.0),
+       steps=st.integers(1, 48), rho0=st.floats(0.0, 10.0),
+       periods=st.floats(0.0, 3.0))
+def test_integrator_equals_the_step_by_step_reference(offset, amp, phase, period,
+                                                      steps, rho0, periods):
+    q, _ = _counting_signal(
+        period, lambda ts: offset + amp * np.sin(2 * np.pi * ts / period + phase))
+    got = _outcome(fs.integrate_logistic, q, rho0, periods * period, period / steps)
+    want = _outcome(_reference_logistic, q, rho0, periods * period, period / steps)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_integrator_equals_the_reference_through_the_halving_fallback():
+    # a quarter-period step into a rate of -39 goes nonpositive and is
+    # halved, with q evaluated one time at a time
+    q, sizes = _counting_signal(1.0, lambda ts: 1.0 - 40.0 * np.sin(np.pi * ts) ** 2)
+    got = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
+    assert sizes.count(1) > 0
+    want = _reference_logistic(q, 1.0, 2.0, 0.25)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_signal_from_samples_interpolates():
