@@ -12,6 +12,7 @@ envelope of the periodic orbit. The eigen-solve itself
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,20 +28,26 @@ class EffectiveSignal:
     """Per-capita growth rate felt by the eigenprofile.
 
     Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx, packaged as a
-    periodic signal; P_snapshots are the unit-mass profiles p / int p.
+    periodic signal of the eigenpair pair.
     """
 
     Q: PeriodicScalarSignal
-    P_snapshots: np.ndarray
+    pair: FloquetPair
+
+    @cached_property
+    def P_snapshots(self) -> np.ndarray:
+        """The unit-mass profiles p / int p, one row per snapshot, built on
+        first use: most callers read only Q."""
+        p = self.pair.p_snapshots
+        return p / (self.pair.grid.dx * p.sum(axis=1))[:, None]
 
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:
-    """Mass-normalized profiles and their instantaneous mean growth rate."""
+    """The instantaneous mean growth rate of the eigenprofile of pair."""
     q = pair.average(rate_table(model, pair.times, pair.grid.x))
     signal = PeriodicScalarSignal(period=pair.period, times=pair.times.copy(),
                                   values=q, fn=None)
-    masses = pair.grid.dx * pair.p_snapshots.sum(axis=1)
-    return EffectiveSignal(Q=signal, P_snapshots=pair.p_snapshots / masses[:, None])
+    return EffectiveSignal(Q=signal, pair=pair)
 
 
 def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,

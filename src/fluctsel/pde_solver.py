@@ -23,15 +23,44 @@ accuracy.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
+import scipy
 
 from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 from .quadrature import snap_steps
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the extension scipy.linalg._flapack,
+    loaded on their own: the scipy.linalg package __init__, which imports
+    scipy._lib.array_api_compat, numpy.f2py and numpy.testing (about 0.25 s),
+    never runs. The module is registered under its own name, so a later
+    import of scipy.linalg shares it and it is initialised once (that import
+    finds it in sys.modules, so the package gets no _flapack attribute)."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [folder])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled "
+                          f"extension _flapack in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dpttrf, dpttrs, dstebz, dstein = (_flapack.dpttrf, _flapack.dpttrs,
+                                  _flapack.dstebz, _flapack.dstein)
 
 # Total size below which the population counts as extinct.
 EXTINCTION_SIZE = 1e-12
@@ -167,7 +196,8 @@ def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
 
 def _check_step_constraint(scaled: np.ndarray) -> None:
     """dt * max|a| < 1 keeps every growth factor 1 + dt * a positive."""
-    margin = float(np.max(np.abs(scaled)))
+    # max|a| without an |a| table; np.maximum keeps a NaN of either reduction
+    margin = float(np.maximum(scaled.max(), -scaled.min()))
     if not margin < 1.0:
         raise NumericalError(
             f"step constraint violated: dt * max|a| = {margin:.3g} >= 1")
@@ -179,16 +209,26 @@ def step_eigenpair(grid: SimulationGrid, row: np.ndarray, dt: float):
     The step D^-1 G, G = diag(1 + dt row), D = I - dt sigma L, is similar to
     the symmetric tridiagonal s D s, s = G^(-1/2): 1/mu is its smallest
     eigenvalue, solved shifted by I so that log mu keeps its relative
-    accuracy, and v = |s w|. Raises
-    NumericalError when dt * max|row| >= 1.
+    accuracy, and v = |s w|. Raises NumericalError when dt * max|row| >= 1,
+    when the matrix is not finite or when LAPACK reports a failure.
     """
     scaled = dt * np.broadcast_to(np.asarray(row, dtype=float), (grid.nx,))
     _check_step_constraint(scaled)
     s = 1.0 / np.sqrt(1.0 + scaled)
     al = dt * grid.sigma / (grid.dx * grid.dx)
     shifted = (2.0 * al - scaled) * s * s  # diagonal of s D s - I
-    w, vec = eigh_tridiagonal(shifted, -al * s[:-1] * s[1:], select="i",
-                              select_range=(0, 0))
+    off = -al * s[:-1] * s[1:]
+    if not (np.isfinite(shifted).all() and np.isfinite(off).all()):
+        raise NumericalError("step matrix has non-finite entries")
+    # the smallest eigenvalue by bisection (range 2: index il = iu = 1, in
+    # block order "B" as dstein needs) and its vector by inverse iteration:
+    # the calls of eigh_tridiagonal(select="i", select_range=(0, 0))
+    m, w, iblock, isplit, info = dstebz(shifted, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info != 0:
+        raise NumericalError(f"step eigenvalue bisection failed (dstebz info {info})")
+    vec, info = dstein(shifted, off, w[:m], iblock, isplit)
+    if info != 0:
+        raise NumericalError(f"step eigenvector iteration failed (dstein info {info})")
     # the Perron vector has one sign; abs also lifts roundoff in the tails
     return float(-np.log1p(w[0])), np.abs(s * vec[:, 0])
 

@@ -297,6 +297,14 @@ def test_main_uses_config_file(tmp_path, capsys):
     assert manifest["config"]["extra"]["points_per_unit"] == 40
 
 
+def test_main_maps_a_lapack_failure_to_the_numerical_exit_code(
+        monkeypatch, tmp_path, capsys):
+    real = pde_solver.dstebz
+    monkeypatch.setattr(pde_solver, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    assert cli_io.main(["example2", "--out", str(tmp_path / "out")]) == 3
+    assert "dstebz info 1" in capsys.readouterr().err
+
+
 def test_main_rejects_a_config_tag_naming_another_experiment(tmp_path, capsys):
     # the positional tag is the experiment; a file or override tag may only
     # repeat it

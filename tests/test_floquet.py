@@ -80,6 +80,15 @@ def test_effective_profiles_unit_mass(ex1_eigen, ex1_model):
     assert eff.Q.mean() == pytest.approx(-ex1_eigen.lam, abs=5e-3)
 
 
+def test_effective_profiles_are_built_on_first_use(ex1_eigen, ex1_model):
+    eff = fs.effective_signals(ex1_eigen, ex1_model)
+    assert "P_snapshots" not in vars(eff)
+    p = ex1_eigen.p_snapshots
+    expect = p / (ex1_eigen.grid.dx * p.sum(axis=1))[:, None]
+    assert np.array_equal(eff.P_snapshots, expect)
+    assert eff.P_snapshots is eff.P_snapshots
+
+
 def test_matched_identity_beats_simpson(ex1_eigen, ex1_model):
     eff = fs.effective_signals(ex1_eigen, ex1_model)
     matched = fs.lambda_identity_residual(ex1_eigen, eff, method="matched")

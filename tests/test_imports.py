@@ -40,10 +40,14 @@ def test_no_unused_imports(path):
 
 
 def test_import_keeps_heavy_scipy_modules_out():
-    # fluctsel needs scipy.linalg only; scipy.integrate would pull in
-    # scipy.special and scipy.optimize, about a quarter of the import time,
-    # and scipy.sparse adds about 70 modules
-    heavy = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+    # fluctsel binds four LAPACK routines from scipy's compiled extension
+    # scipy.linalg._flapack alone; the scipy.linalg package would load
+    # scipy._lib.array_api_compat, numpy.f2py and numpy.testing, about half
+    # the import time. scipy.integrate would pull in scipy.special and
+    # scipy.optimize, and scipy.sparse adds about 70 modules
+    heavy = ("scipy.linalg", "scipy._lib.array_api_compat", "numpy.f2py",
+             "numpy.testing", "scipy.integrate", "scipy.special",
+             "scipy.optimize", "scipy.sparse")
     code = ("import sys, fluctsel\n"
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ)

@@ -1,12 +1,16 @@
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import fluctsel as fs
-from fluctsel.pde_solver import _Stepper
+from fluctsel import pde_solver
+from fluctsel.pde_solver import _check_step_constraint, _Stepper, step_eigenpair
 
 
 def _const_model(value=1.0):
@@ -78,6 +82,62 @@ def test_step_rejects_oversized_reaction():
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, dt=0.5, sigma=0.0)
     with pytest.raises(fs.NumericalError, match="step constraint"):
         _Stepper(grid, _const_model(-2.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_constraint_rejects_non_finite_rates(bad):
+    scaled = np.full(64, 0.25)
+    scaled[17] = bad
+    with pytest.raises(fs.NumericalError, match="step constraint"):
+        _check_step_constraint(scaled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(16, 200), seed=st.integers(0, 2**32 - 1),
+       sigma=st.floats(0.0, 0.1), dt=st.floats(1e-4, 0.1))
+def test_step_eigenpair_matches_eigh_tridiagonal_bit_for_bit(nx, seed, sigma, dt):
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, dt=dt, sigma=sigma)
+    row = np.random.default_rng(seed).uniform(-0.95, 0.95, nx) / dt
+    log_mu, v = step_eigenpair(grid, row, dt)
+    # the reference: the same matrix through scipy.linalg.eigh_tridiagonal
+    scaled = dt * row
+    s = 1.0 / np.sqrt(1.0 + scaled)
+    al = dt * sigma / (grid.dx * grid.dx)
+    w, vec = eigh_tridiagonal((2.0 * al - scaled) * s * s, -al * s[:-1] * s[1:],
+                              select="i", select_range=(0, 0))
+    assert log_mu == float(-np.log1p(w[0]))
+    assert np.array_equal(v, np.abs(s * vec[:, 0]))
+
+
+def test_lapack_binding_is_the_scipy_linalg_module():
+    # one extension module, whichever of fluctsel and scipy.linalg came first
+    assert sys.modules["scipy.linalg._flapack"] is pde_solver._flapack
+    assert pde_solver.dpttrf is scipy.linalg.lapack.dpttrf
+    assert pde_solver.dpttrs is scipy.linalg.lapack.dpttrs
+
+
+def test_missing_lapack_extension_names_the_scipy_version(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} "):
+        pde_solver._load_flapack()
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_step_eigenpair_reports_a_lapack_failure(monkeypatch, routine):
+    real = getattr(pde_solver, routine)
+    monkeypatch.setattr(pde_solver, routine,
+                        lambda *args: (*real(*args)[:-1], 1))
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=0.01, sigma=0.01)
+    with pytest.raises(fs.NumericalError, match=f"{routine} info 1"):
+        step_eigenpair(grid, np.zeros(grid.nx), grid.dt)
+
+
+def test_step_eigenpair_rejects_a_non_finite_matrix():
+    # dt * sigma / dx^2 overflows to inf
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=0.1, sigma=1e308)
+    with pytest.raises(fs.NumericalError, match="non-finite"):
+        step_eigenpair(grid, np.zeros(grid.nx), grid.dt)
 
 
 def _ex1_stepper(nx=200, steps=256):
