@@ -11,8 +11,8 @@ import numpy as np
 import fluctsel as fs
 
 # per-capita rate at the optimal trait of the standard oscillating optimum
-q = fs.PeriodicScalarSignal.from_callable(
-    1.0, lambda t: 1.0 - np.sin(2 * np.pi * t) ** 2)
+q = fs.PeriodicScalarSignal.from_array_callable(
+    1.0, lambda ts: 1.0 - np.sin(2 * np.pi * ts) ** 2)
 
 orbit = fs.periodic_rho_closed_form(q)
 print("periodic orbit over one period:")
@@ -28,14 +28,15 @@ for rho0 in (0.05, 5.0):
           f"{gap:.2e}")
 
 # a constant rate collapses the formula to the classical equilibrium
-q_const = fs.PeriodicScalarSignal.from_callable(1.0, lambda t: 0.7)
+q_const = fs.PeriodicScalarSignal.from_array_callable(
+    1.0, lambda ts: np.full_like(ts, 0.7))
 flat = fs.periodic_rho_closed_form(q_const)
 print(f"constant rate 0.7: orbit stays within "
       f"{np.abs(flat.samples - 0.7).max():.2e} of 0.7")
 
 # mean rate below zero: no positive orbit exists
-bad = fs.PeriodicScalarSignal.from_callable(
-    1.0, lambda t: -0.2 + np.sin(2 * np.pi * t))
+bad = fs.PeriodicScalarSignal.from_array_callable(
+    1.0, lambda ts: -0.2 + np.sin(2 * np.pi * ts))
 try:
     fs.periodic_rho_closed_form(bad)
 except fs.ExtinctionError as exc:

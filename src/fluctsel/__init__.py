@@ -29,9 +29,9 @@ from .floquet import (EffectiveSignal, FloquetPair, effective_signals,
 from .no_mutation import (ConcentrationMetrics, ExponentState,
                           concentration_metrics, reconstruct_density,
                           simulate_sigma0)
-from .pde_solver import (DensityField, OrbitRecord, SimulationGrid,
-                         default_orbit_guess, find_periodic_orbit,
-                         orbit_from_pair, simulate, total_mass)
+from .pde_solver import (OrbitRecord, SimulationGrid, default_orbit_guess,
+                         find_periodic_orbit, orbit_from_pair, simulate,
+                         total_mass)
 from .rho_ode import (PeriodicScalarSignal, RhoOrbit, integrate_logistic,
                       periodic_rho_closed_form)
 

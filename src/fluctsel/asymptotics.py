@@ -19,9 +19,8 @@ import numpy as np
 from .env_models import (EnvironmentModel, averaged_optimum, mean_growth,
                          rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
-from .pde_solver import (MAX_PERIODS, DensityField, OrbitRecord,
-                         SimulationGrid, find_periodic_orbit, step_eigenpair,
-                         total_mass)
+from .pde_solver import (MAX_PERIODS, OrbitRecord, SimulationGrid,
+                         find_periodic_orbit, step_eigenpair, total_mass)
 from .quadrature import cumulative_simpson, simpson, snap_steps
 from .rho_ode import PeriodicScalarSignal
 
@@ -78,11 +77,9 @@ class MomentReport:
 def hopf_cole(values, sigma: float) -> np.ndarray:
     """Rescaled log density u = eps * (log n + log(2 pi eps) / 2), eps^2 = sigma.
 
-    values may be a DensityField or an array; entries are floored at 1e-300
-    before the log. An identically zero density has no exponent and raises.
+    Entries are floored at 1e-300 before the log. An identically zero
+    density has no exponent and raises.
     """
-    if isinstance(values, DensityField):
-        values = values.values
     values = np.asarray(values, dtype=float)
     if values.max() <= 0.0:
         raise NumericalError("cannot take the exponent of a zero density")
@@ -284,7 +281,7 @@ def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
         raise NumericalError(
             "domain does not confine the stationary profile "
             f"(edge/peak = {edge / profile.max():.3g})")
-    return rho_c, DensityField(time=0.0, values=rho_c * profile)
+    return rho_c, rho_c * profile
 
 
 @dataclass
@@ -340,11 +337,11 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
 
     x = grid.x
     row = rate_table(model, [t_star], x)[0]
-    rho_c, field_c = _stationary_state(grid, row, model.period)
-    m_c = total_mass(grid, field_c.values)
-    mu_c = grid.dx * float(np.sum(x * field_c.values)) / m_c
-    var_c = grid.dx * float(np.sum((x - mu_c) ** 2 * field_c.values)) / m_c
-    q_c = grid.dx * float(np.sum(row * field_c.values)) / m_c
+    rho_c, n_c = _stationary_state(grid, row, model.period)
+    m_c = total_mass(grid, n_c)
+    mu_c = grid.dx * float(np.sum(x * n_c)) / m_c
+    var_c = grid.dx * float(np.sum((x - mu_c) ** 2 * n_c)) / m_c
+    q_c = grid.dx * float(np.sum(row * n_c)) / m_c
     return FitnessComparison(
         t_star=float(t_star), q_star=q_star, q_mean=q_mean,
         rho_mean_periodic=report.rho_mean, sigma2_periodic_mean=float(sigma2_mean),

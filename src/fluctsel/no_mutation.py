@@ -5,10 +5,12 @@ Without mutation the model decouples along traits:
     n(t, x) = n0(x) * exp( int_0^t a(s, x) ds - int_0^t rho(s) ds ),
 
 so the state is carried in log space as the per-trait growth exponent
-(log_factors) and the scalar saturation integral (rho_integral). The mass
-coupling rho(t) = int n dx is advanced with a midpoint predictor, giving a
-second-order scheme that cannot produce negative densities and concentrates
-without grid-diffusion artifacts.
+(log_factors) and the scalar saturation integral (rho_integral). With M(t)
+the mass of the linear flow n0 * exp(int a), the size law rho' = rho (q - rho)
+is solved by rho = M / Y with Y' = M, Y(0) = 1, and int rho = log Y. Y is
+integrated with Simpson's rule over the masses at the step ends and half
+steps, in logs, so the scheme cannot produce negative densities or sizes,
+concentrates without grid-diffusion artifacts, and is third order in dt.
 
 The rate is T-periodic and the step dt = T / S, so after p periods and r
 more steps the exponent is exactly p L_T(x) + C_r(x): C_r is the Simpson
@@ -17,9 +19,9 @@ over one period, about T times the averaged rate whose maximum the density
 concentrates on. Every mass sum over the traits is then an inner product of
 a period row exp(log n0 + p L_T) and a phase row exp(C_r), each shifted by
 its maximum as in log-sum-exp, and all of them are matrix products over
-blocks of periods and phases; only the scalar recurrence for the size runs
-step by step. A product that underflows, because the two rows peak at
-distant traits, is recomputed directly.
+blocks of periods and phases; log Y is a running log-sum-exp over the steps
+of one period at a time. A product that underflows, because the two rows
+peak at distant traits, is recomputed directly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
-from .pde_solver import EXTINCTION_SIZE, SimulationGrid
+from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
 from .quadrature import snap_steps
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
@@ -107,33 +109,6 @@ def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int)
         yield r0, half, c_end, a_end.copy()
 
 
-def _size_recurrence(rho, dt, dx, log_masses):
-    """Fill rho[1:] step by step; return the saturation integral int rho.
-
-    log_masses[0, p, r] and log_masses[1, p, r] are log sum_x n0 e^L for
-    the exponents L at the half step and at the end of step p S + r; the
-    size is dx times that sum times exp(-int rho). An exponent beyond the
-    double range raises OverflowError.
-    """
-    phases = log_masses.shape[2]
-    half = 0.5 * dt
-    exp = math.exp
-    R = 0.0
-    rho_k = float(rho[0])
-    for p in range(log_masses.shape[1]):
-        # the scalar loop is fed one period at a time
-        k0 = 1 + p * phases
-        out = []
-        for a, c in zip(log_masses[0, p, :len(rho) - k0].tolist(),
-                        log_masses[1, p].tolist()):
-            r_half = R + half * rho_k
-            R = R + dt * (dx * exp(a - r_half))
-            rho_k = dx * exp(c - R)
-            out.append(rho_k)
-        rho[k0:k0 + len(out)] = out
-    return R
-
-
 def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                     t_end: float):
     """Integrate the mutation-free model from density n0 up to t_end.
@@ -141,10 +116,10 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     grid.dt is snapped to T / round(T / grid.dt), so that S steps fill one
     period; a warning is logged when that moves it by more than roundoff.
     The growth exponent is accumulated per step with Simpson quadrature of
-    a(., x); the saturation integral uses the midpoint rule with a predicted
-    half-step mass, so the overall scheme is second order in dt.
-    Step k = p S + r ends at the exponent p L_T + C_{r+1}, so every mass sum
-    is a product of a period row and a phase row (see the module docstring).
+    a(., x), and so is Y = exp(int rho) from the linear masses; the scheme
+    is third order in dt. Step k = p S + r ends at the exponent
+    p L_T + C_{r+1}, so every mass sum is a product of a period row and a
+    phase row (see the module docstring).
     Returns (state, (times, rho), diagnostics); a size below 1e-12 sets the
     extinct flag. diagnostics["mean_growth"] records the population mean of
     a at every time, int n a dx / rho, the effective per-capita rate the
@@ -152,13 +127,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     zero or not finite, or a size beyond the double range, raises
     NumericalError.
     """
-    values = np.asarray(n0, dtype=float)
-    if not np.isfinite(values).all():
-        raise NumericalError("initial density contains non-finite values")
-    if values.min() < 0.0:
-        raise NumericalError("initial density contains negative values")
-    if values.max() <= 0.0:
-        raise NumericalError("initial density is identically zero")
+    values = initial_density(n0)
     x = grid.x
     dx = grid.dx
     per_period, dt = snap_steps(model.period, grid.dt)
@@ -204,21 +173,35 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                 log_masses[:, p, r] = m + np.log(sums)
                 q_table[p, r] = float(weights[1] @ a_end[j]) / sums[1]
 
-    rho = np.empty(nsteps + 1)
     m_0 = log_n0.max()
     weights = np.exp(log_n0 - m_0)
-    rho[0] = dx * (float(np.exp(m_0)) * float(np.sum(weights)))
     q_eff[0] = float(weights @ model.rate(0.0, x)) / float(weights.sum())
-    try:
-        R = _size_recurrence(rho, dt, dx, log_masses)
-    except OverflowError:
-        R = math.inf
-    if not (R < math.inf and np.isfinite(rho).all()):
+    # Y_{k+1} = Y_k + dt dx / 6 (M_k + 4 M_{k+1/2} + M_{k+1}) and
+    # rho_k = M_k / Y_k in logs, where the log_masses are log(M / dx); one
+    # period of steps at a time carries log Y and the last log(M / dx)
+    log_dx, log_step, log_4 = math.log(dx), math.log(dt * dx / 6.0), math.log(4.0)
+    log_m = m_0 + math.log(float(weights.sum()))
+    log_y = 0.0
+    rho = np.empty(nsteps + 1)
+    rho[0] = log_dx + log_m
+    for p in range(periods):
+        k0 = 1 + p * phases
+        log_half, log_end = log_masses[:, p, :nsteps + 1 - k0]
+        ends = np.concatenate(([log_m], log_end))
+        log_ys = np.logaddexp(np.logaddexp(ends[:-1], ends[1:]), log_4 + log_half)
+        log_ys += log_step
+        log_ys[0] = np.logaddexp(log_y, log_ys[0])
+        np.logaddexp.accumulate(log_ys, out=log_ys)
+        rho[k0:k0 + len(log_end)] = log_dx + log_end - log_ys
+        log_y, log_m = float(log_ys[-1]), float(log_end[-1])
+    with np.errstate(over="ignore"):
+        np.exp(rho, out=rho)
+    if not np.isfinite(rho).all():
         raise NumericalError("population size exceeds the double range")
     extinct = bool((rho < EXTINCTION_SIZE).any())
     state = ExponentState(grid=grid, time=float(times[-1]),
                           log_factors=(periods - 1) * L_T + L_last,
-                          rho_integral=R, log_n0=log_n0)
+                          rho_integral=log_y, log_n0=log_n0)
     diagnostics = {"extinct": extinct, "mean_growth": q_eff[:nsteps + 1]}
     return state, (times, rho), diagnostics
 

@@ -6,15 +6,18 @@ rho(t) = int n dx:
 
     dn/dt - sigma * d2n/dx2 = n * (a(t, x) - rho(t)).
 
-One step applies the growth explicitly at the step start, solves the
-backward-Euler diffusion system, and divides by a scalar saturation factor:
+The saturating scheme applies the growth explicitly at the step start, solves
+the backward-Euler diffusion system, and divides by a scalar saturation
+factor:
 
     n_next = (I - dt * sigma * L)^-1 [(1 + dt * a(t_k, .)) n] / (1 + dt * rho_k).
 
-The linear flow is the same step with rho = 0. As saturation is a scalar
-factor, the periodic state is a rescaled principal eigenvector of the linear
-period map (n = rho * P): one Krylov eigen-solve gives the FloquetPair, and
-the orbit is read off it.
+As saturation is a scalar factor, the scheme is the linear flow p_k (the same
+step without the division) over a scalar: n_k = p_k / y_k with y_0 = 1 and
+y_{k+1} = y_k + dt * m_k, m_k = int p_k dx, so rho_k = m_k / y_k, the discrete
+twin of rho = M / Y with Y' = M. Only the linear step is implemented: one
+Krylov eigen-solve of its period map gives the FloquetPair, the periodic
+state n = rho * P is read off it, and simulate runs it forward with y.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
 values below roughly 1e-12 of the peak, so truncation is invisible at solver
@@ -111,21 +114,6 @@ class SimulationGrid:
 
 
 @dataclass
-class DensityField:
-    """A nonnegative trait density sampled on the interior nodes."""
-
-    time: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise NumericalError("density contains non-finite values")
-        if self.values.min() < 0.0:
-            raise NumericalError("density contains negative values")
-
-
-@dataclass
 class FloquetPair:
     """Principal eigenvalue and periodic eigenfunction snapshots.
 
@@ -192,6 +180,19 @@ class OrbitRecord:
 def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
     """Trapezoid mass over [x_lo, x_hi] with the zero end values included."""
     return grid.dx * float(np.sum(values))
+
+
+def initial_density(n0) -> np.ndarray:
+    """n0 as a float array; NumericalError when it is not finite, negative
+    somewhere or identically zero."""
+    values = np.asarray(n0, dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericalError("initial density contains non-finite values")
+    if values.min() < 0.0:
+        raise NumericalError("initial density contains negative values")
+    if values.max() <= 0.0:
+        raise NumericalError("initial density is identically zero")
+    return values
 
 
 def _check_step_constraint(scaled: np.ndarray) -> None:
@@ -267,33 +268,24 @@ class _Stepper:
         if info != 0:
             raise NumericalError(f"diffusion matrix factorisation failed (info {info})")
 
-    def step(self, n: np.ndarray, k: int, rho: float = 0.0) -> np.ndarray:
-        """One IMEX step from step k of the period at saturation rho."""
-        out, _ = dpttrs(self.d, self.e, n * self.gain[k], overwrite_b=1)
-        if rho:
-            out /= 1.0 + self.dt * rho
-        return out
+    def step(self, n: np.ndarray, k: int) -> np.ndarray:
+        """One linear IMEX step from step k of the period."""
+        return dpttrs(self.d, self.e, n * self.gain[k], overwrite_b=1)[0]
 
-    def run(self, n: np.ndarray, nsteps: int, saturate: bool = True,
-            record: bool = False):
-        """Advance nsteps <= steps steps from the period start.
+    def run(self, n: np.ndarray, nsteps: int, record: bool = False):
+        """Advance nsteps <= steps linear steps from the period start.
 
-        Returns (n, masses, snapshots). Saturating mode feeds the mass
-        rho = int n dx back into every step and returns it at each of the
-        nsteps + 1 times; linear mode (rho = 0) skips the sums and returns
-        None. With record, every density is returned as well, else None.
+        Returns (n, snapshots): with record, snapshots holds the densities at
+        the nsteps + 1 times, else it is None.
         """
         snaps = np.empty((nsteps + 1, n.size)) if record else None
-        masses = np.empty(nsteps + 1) if saturate else None
-        rho = 0.0
-        for k in range(nsteps + 1):
-            if saturate:
-                rho = masses[k] = self.dx * n.sum()
+        for k in range(nsteps):
             if record:
                 snaps[k] = n
-            if k < nsteps:
-                n = self.step(n, k, rho)
-        return n, masses, snaps
+            n = self.step(n, k)
+        if record:
+            snaps[nsteps] = n
+        return n, snaps
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
         """Principal eigenpair of the linear period map (restarted Arnoldi).
@@ -318,7 +310,7 @@ class _Stepper:
                     f"no principal eigenpair within {budget} periods; "
                     f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
             with np.errstate(over="ignore"):  # an overflow is reported below
-                w = self.run(basis[j], self.steps, saturate=False)[0]
+                w = self.run(basis[j], self.steps)[0]
             factors.append(float(np.linalg.norm(w)))
             if not np.isfinite(factors[-1]):
                 raise NumericalError(f"period map overflowed (factor {factors[-1]})")
@@ -345,7 +337,7 @@ class _Stepper:
             raise NumericalError(f"period map lost positivity (factor {mu}, "
                                  f"eigenvector min/max {p.min() / p.max():.3g})")
         np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
-        snaps = self.run(p / p.max(), self.steps, saturate=False, record=True)[2]
+        snaps = self.run(p / p.max(), self.steps, record=True)[1]
         lam = -np.log(mu) / self.period
         snaps *= np.exp(lam * self.times)[:, None]
         return FloquetPair(lam=float(lam), period=self.period, p_snapshots=snaps,
@@ -354,42 +346,45 @@ class _Stepper:
 
 
 def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
-    """Run the IMEX scheme from density n0 up to t_end.
+    """Run the saturating IMEX scheme from density n0 up to t_end.
 
-    Returns (field, (times, rho), diagnostics). Diagnostics hold the total
-    size at every step, relative sup gaps between consecutive period starts,
-    the worst boundary-cell mass fraction seen at period starts, and an
-    extinction flag set when the size drops below 1e-12 (extinction is an
-    outcome, not an error).
+    The linear flow p_k runs from p_0 = n0 with y_0 = 1 and
+    y_{k+1} = y_k + dt * m_k (see the module docstring); p and y are divided
+    by max p at every period start, so long decays and growths stay in range.
+    Returns (density, (times, rho), diagnostics): the density p_N / y_N at
+    the last time and rho_k = m_k / y_k at every step. Diagnostics hold the
+    worst boundary-cell mass fraction seen at period ends and an extinction
+    flag set when the size drops below 1e-12 (extinction is an outcome, not
+    an error). An initial density that is not finite, negative somewhere or
+    identically zero raises NumericalError before any step.
     """
-    n = n0.values if isinstance(n0, DensityField) else np.asarray(n0, dtype=float)
+    n = initial_density(n0)
     stepper = _Stepper(grid, model)
-    nsteps = max(1, int(round(t_end / stepper.dt)))
-    periods, rest = divmod(nsteps, stepper.steps)
-    chunks = [stepper.steps] * periods + ([rest] if rest else [])
-    rho = [np.array([total_mass(grid, n)])]
-    period_gaps = []
+    dt, dx = stepper.dt, stepper.dx
+    nsteps = max(1, int(round(t_end / dt)))
+    rho = np.empty(nsteps + 1)
+    y = 1.0
     boundary_frac = 0.0
-    for length in chunks:
-        start = n
-        n, masses, _ = stepper.run(n, length)
-        rho.append(masses[1:])
-        if length == stepper.steps:
-            scale = max(float(np.abs(n).max()), 1e-300)
-            period_gaps.append(float(np.abs(n - start).max()) / scale)
-            if masses[-1] > 0.0:
-                boundary_frac = max(
-                    boundary_frac, grid.dx * float(n[0] + n[-1]) / masses[-1])
-    rho = np.concatenate(rho)
-    times = stepper.dt * np.arange(nsteps + 1)
+    for k in range(nsteps + 1):
+        phase = k % stepper.steps
+        if phase == 0:
+            scale = float(n.max())
+            n = n / scale
+            y /= scale
+        mass = dx * float(n.sum())
+        if phase == 0 and k:
+            boundary_frac = max(boundary_frac, dx * float(n[0] + n[-1]) / mass)
+        rho[k] = mass / y
+        if k < nsteps:
+            y += dt * mass
+            n = stepper.step(n, phase)
+    times = dt * np.arange(nsteps + 1)
     diagnostics = {
-        "period_gaps": np.array(period_gaps),
         "boundary_mass_fraction": boundary_frac,
         "extinct": bool(rho.min() < EXTINCTION_SIZE),
         "steps_per_period": stepper.steps,
     }
-    field = DensityField(time=float(times[-1]), values=n)
-    return field, (times, rho), diagnostics
+    return n / y, (times, rho), diagnostics
 
 
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,

@@ -42,12 +42,6 @@ class PeriodicScalarSignal:
     fn: Callable | None = None
 
     @classmethod
-    def from_callable(cls, period: float, fn: Callable):
-        """Signal of fn, a callable of one scalar time, called once per time."""
-        return cls.from_array_callable(
-            period, lambda ts: np.array([float(fn(t)) for t in ts]))
-
-    @classmethod
     def from_array_callable(cls, period: float, fn: Callable):
         """Signal of fn, a callable of a 1-d array of times."""
         times = np.linspace(0.0, period, SAMPLES)

@@ -16,10 +16,11 @@ def test_hopf_cole_of_gaussian_is_parabola():
     np.testing.assert_allclose(u, -x ** 2 / 2, rtol=0, atol=1e-12)
 
 
-def test_hopf_cole_accepts_field_and_rejects_zero():
-    field = fs.DensityField(0.0, np.ones(32))
-    u = fs.hopf_cole(field, 0.01)
+def test_hopf_cole_accepts_array_and_rejects_zero():
+    # a flat unit density: u = eps log(2 pi eps) / 2 on every node
+    u = fs.hopf_cole(np.ones(32), 0.01)
     assert u.shape == (32,)
+    np.testing.assert_allclose(u, 0.05 * np.log(0.2 * np.pi), rtol=1e-15)
     with pytest.raises(fs.NumericalError):
         fs.hopf_cole(np.zeros(10), 0.01)
     with pytest.raises(fs.ConfigError):
@@ -129,9 +130,9 @@ def test_stationary_constant_env():
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512, sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2,
                            analytic_info={"x_m": 0.0, "d2": -2.0})
-    rho_c, field = fs.stationary_constant_env(grid, model)
+    rho_c, n_c = fs.stationary_constant_env(grid, model)
     assert rho_c == pytest.approx(1.0 - 0.1, abs=2e-3)
-    assert fs.total_mass(grid, field.values) == pytest.approx(rho_c, rel=1e-10)
+    assert fs.total_mass(grid, n_c) == pytest.approx(rho_c, rel=1e-10)
 
 
 def test_stationary_direct_solve_matches_krylov(ex2_model):
@@ -141,12 +142,12 @@ def test_stationary_direct_solve_matches_krylov(ex2_model):
     frozen = fs.make_custom(1.0, lambda t, x: ex2_model.rate(0.5, x))
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
                              sigma=EPS * EPS)
-    rho_c, field = fs.stationary_constant_env(grid, frozen)
+    rho_c, n_c = fs.stationary_constant_env(grid, frozen)
     pair = fs.principal_eigenpair(grid, frozen, tol=1e-13,
                                   guess=np.exp(-grid.x ** 2))
     assert rho_c == pytest.approx(-pair.lam, rel=1e-12, abs=0)
     p0 = pair.p_snapshots[0]
-    gap = np.abs(field.values / rho_c - p0 / fs.total_mass(grid, p0)).max()
+    gap = np.abs(n_c / rho_c - p0 / fs.total_mass(grid, p0)).max()
     assert gap < 1e-9
 
 

@@ -84,21 +84,26 @@ def test_simulate_rejects_bad_start():
 def test_simulate_rejects_a_size_beyond_the_double_range():
     grid = _grid(nx=100)
     flat = fs.make_custom(1.0, lambda t, x: 0 * x)
-    # the initial size overflows (it was inf, with numpy RuntimeWarnings)
+    # a start whose size dx * sum(n0), about 5.9e308, is past the range
     with pytest.raises(fs.NumericalError, match="double range"):
-        fs.simulate_sigma0(grid, flat, np.full(100, 1e307), 1.0)
-    # a finite start that a rate of 5 drives past the range within a period
-    growing = fs.make_custom(1.0, lambda t, x: 5.0 + 0 * x)
-    with pytest.raises(fs.NumericalError, match="double range"):
-        fs.simulate_sigma0(grid, growing, np.full(100, 1e305), 1.0)
+        fs.simulate_sigma0(grid, flat, np.full(100, 1e308), 1.0)
     for bad in (np.nan, np.inf):
         n0 = np.ones(100)
         n0[7] = bad
         with pytest.raises(fs.NumericalError, match="non-finite"):
             fs.simulate_sigma0(grid, flat, n0, 1.0)
-    # just inside the range the run is finite
-    _, (_, rho), _ = fs.simulate_sigma0(grid, flat, np.full(100, 1e306), 1.0)
+    # a representable size of about 5.9e307, though exp(max log n0) * sum
+    # is not; exp(log rho), log rho ~ 708, keeps about 708 eps relative
+    _, (_, rho), _ = fs.simulate_sigma0(grid, flat, np.full(100, 1e307), 1.0)
     assert np.isfinite(rho).all()
+    assert rho[0] == pytest.approx(grid.dx * 100 * 1e307, rel=1e-12)
+    # a huge start under a rate of 5 relaxes to rho = M / Y, about
+    # 5 / (1 - e^-5t) once dx * sum(n0) (e^5t - 1) / 5 >> 1
+    growing = fs.make_custom(1.0, lambda t, x: 5.0 + 0 * x)
+    _, (times, rho), _ = fs.simulate_sigma0(grid, growing, np.full(100, 1e305), 2.0)
+    assert np.isfinite(rho).all()
+    assert rho[-1] == pytest.approx(5.0 / (1.0 - np.exp(-10.0)), rel=1e-9)
+    assert np.abs(rho[times >= 0.5] - 5.0).max() < 0.5
 
 
 def test_extinction_flag_under_negative_rate():
@@ -122,46 +127,46 @@ def test_reconstruction_supports_vanished_traits():
 
 
 def _reference_sigma0(grid, model, n0, t_end):
-    # the one-step-at-a-time loop the blocked integrator must reproduce
+    # the one-step-at-a-time loop the blocked integrator must reproduce:
+    # Simpson in Y = exp(int rho) over the linear masses M, rho = M / Y.
+    # Y - 1 is carried, so that log Y = log1p(Y - 1) keeps its relative
+    # accuracy while Y stays near 1
     x, dx, dt = grid.x, grid.dx, grid.dt
     nsteps = max(1, int(round(t_end / dt)))
     times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):
         log_n0 = np.log(np.asarray(n0, dtype=float))
 
-    def mass(w, r_int):
+    def mass(w):
         m = w.max()
         if not np.isfinite(m):
             return 0.0
-        return dx * float(np.exp(m - r_int) * np.sum(np.exp(w - m)))
+        return dx * float(np.exp(m) * np.sum(np.exp(w - m)))
 
     L = np.zeros(grid.nx)
-    R = 0.0
+    y_minus_1 = 0.0
     rho = np.empty(nsteps + 1)
     q_eff = np.empty(nsteps + 1)
-    rho[0] = mass(log_n0, 0.0)
+    m_right = rho[0] = mass(log_n0)
     extinct = rho[0] < 1e-12
     a_right = np.asarray(model.rate(0.0, x), dtype=float)
     weights = np.exp(log_n0 - log_n0.max())
     q_eff[0] = float(weights @ a_right) / float(weights.sum())
     for k in range(nsteps):
         t = times[k]
-        a_left = a_right
+        a_left, m_left = a_right, m_right
         a_mid = np.asarray(model.rate(t + 0.5 * dt, x), dtype=float)
         a_right = np.asarray(model.rate(t + dt, x), dtype=float)
-        L_half = L + 0.25 * dt * (a_left + a_mid)
-        rho_mid = mass(log_n0 + L_half, R + 0.5 * dt * rho[k])
+        m_mid = mass(log_n0 + L + 0.25 * dt * (a_left + a_mid))
         L = L + dt / 6.0 * (a_left + 4.0 * a_mid + a_right)
-        R = R + dt * rho_mid
-        w = log_n0 + L
-        m = w.max()
-        weights = np.exp(w - m)
-        wsum = float(weights.sum())
-        rho[k + 1] = dx * np.exp(m - R) * wsum
-        q_eff[k + 1] = float(weights @ a_right) / wsum
+        m_right = mass(log_n0 + L)
+        y_minus_1 += dt / 6.0 * (m_left + 4.0 * m_mid + m_right)
+        rho[k + 1] = m_right / (1.0 + y_minus_1)
+        weights = np.exp(log_n0 + L - (log_n0 + L).max())
+        q_eff[k + 1] = float(weights @ a_right) / float(weights.sum())
         if rho[k + 1] < 1e-12:
             extinct = True
-    return L, R, rho, q_eff, extinct
+    return L, np.log1p(y_minus_1), rho, q_eff, extinct
 
 
 @pytest.mark.parametrize("r", [1.0, -30.0])
@@ -220,6 +225,24 @@ def test_underflowed_products_are_recomputed():
     np.testing.assert_allclose(diag["mean_growth"], q_ref, rtol=1e-13,
                                atol=1e-13 * np.abs(q_ref).max())
     assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
+
+
+def test_size_converges_at_third_order(ex1_model):
+    # Simpson in Y over masses exact at the step ends, and at the half steps
+    # up to the trapezoid half-step exponent: the error of rho falls about
+    # 8x per halving of dt
+    n0 = np.exp(-(np.linspace(-3.0, 3.0, 202)[1:-1] - 0.3) ** 2 / 0.08)
+
+    def rho(steps):
+        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, dt=1.0 / steps,
+                                 sigma=0.0)
+        return fs.simulate_sigma0(grid, ex1_model, n0, 2.0)[1][1]
+
+    fine = rho(1600)
+    errors = [np.abs(rho(s) - fine[::1600 // s]).max() for s in (25, 50, 100, 200)]
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert (ratios > 7.0).all() and (ratios < 12.0).all()
+    assert errors[-1] < 1e-8
 
 
 def test_memory_stays_bounded(ex1_model):

@@ -42,11 +42,24 @@ def test_grid_geometry():
     assert len(grid.x) == 19
 
 
-def test_density_field_rejects_bad_values():
-    with pytest.raises(fs.NumericalError):
-        fs.DensityField(time=0.0, values=np.array([1.0, -0.1, 1.0]))
-    with pytest.raises(fs.NumericalError):
-        fs.DensityField(time=0.0, values=np.array([1.0, np.nan, 1.0]))
+def test_simulate_rejects_bad_start_before_any_step(monkeypatch):
+    # a start that is not finite, negative somewhere or identically zero is
+    # rejected before the stepper runs
+    def no_step(self, n, k):
+        raise AssertionError("stepped a rejected start")
+
+    monkeypatch.setattr(_Stepper, "step", no_step)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    ones = np.ones(100)
+    for value, at, match in [(-1.0, slice(None), "negative"),
+                             (-0.1, 50, "negative"),
+                             (np.nan, 50, "non-finite"),
+                             (np.inf, 50, "non-finite"),
+                             (0.0, slice(None), "identically zero")]:
+        bad = ones.copy()
+        bad[at] = value
+        with pytest.raises(fs.NumericalError, match=match):
+            fs.simulate(grid, _const_model(1.0), bad, 3.0)
 
 
 def test_default_guess_has_unit_mass(ex1_model):
@@ -60,19 +73,18 @@ def test_step_without_diffusion_is_exact_reaction():
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=63, dt=1e-2, sigma=0.0)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
-    out = _Stepper(grid, model).step(n0, 0, rho=0.3)
+    out = _Stepper(grid, model).step(n0, 0) / (1.0 + grid.dt * 0.3)
     expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2)) / (1.0 + grid.dt * 0.3)
     np.testing.assert_allclose(out, expect, rtol=1e-13)
 
 
 def test_pure_diffusion_conserves_interior_mass():
-    # zero growth in the linear (rho = 0) mode: only diffusion acts; mass
-    # leaks just through the far-away ends, so it is conserved to solver
-    # accuracy
+    # zero growth in the linear flow: only diffusion acts; mass leaks just
+    # through the far-away ends, so it is conserved to solver accuracy
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, dt=1e-3, sigma=0.01)
     n0 = np.exp(-grid.x ** 2 / 0.02) / np.sqrt(0.02 * np.pi)
-    n, masses, _ = _Stepper(grid, _const_model(0.0)).run(n0, 200, saturate=False)
-    assert masses is None
+    n, snaps = _Stepper(grid, _const_model(0.0)).run(n0, 200)
+    assert snaps is None
     assert fs.total_mass(grid, n) == pytest.approx(fs.total_mass(grid, n0), rel=1e-9)
     assert n.min() >= 0.0
 
@@ -153,7 +165,7 @@ def test_period_map_is_linear_on_signed_vectors():
     u, v = rng.standard_normal((2, grid.nx))
 
     def period_map(w):
-        return stepper.run(w, stepper.steps, saturate=False)[0]
+        return stepper.run(w, stepper.steps)[0]
 
     combo = period_map(2.5 * u - 0.75 * v)
     parts = 2.5 * period_map(u) - 0.75 * period_map(v)
@@ -168,7 +180,7 @@ def test_step_keeps_nonnegative_input_nonnegative():
     n[grid.nx // 2] = 1.0
     n[:5] = 1e-300
     for k in range(stepper.steps):
-        n = stepper.step(n, k, rho=0.4)
+        n = stepper.step(n, k) / (1.0 + stepper.dt * 0.4)
         assert n.min() >= 0.0
 
 
@@ -200,10 +212,10 @@ def test_eigen_solve_runs_at_most_its_budget(monkeypatch):
     maps = []
     run = _Stepper.run
 
-    def counted(self, n, nsteps, saturate=True, record=False):
-        if nsteps == self.steps and not saturate and not record:
+    def counted(self, n, nsteps, record=False):
+        if nsteps == self.steps and not record:
             maps.append(nsteps)
-        return run(self, n, nsteps, saturate, record)
+        return run(self, n, nsteps, record)
 
     monkeypatch.setattr(_Stepper, "run", counted)
     need = fs.principal_eigenpair(grid, model, guess=flat).iterations
@@ -243,7 +255,7 @@ def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
                                                 pressure):
     grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
     stepper = _Stepper(grid, model)
-    dense = np.column_stack([stepper.run(e, stepper.steps, saturate=False)[0]
+    dense = np.column_stack([stepper.run(e, stepper.steps)[0]
                              for e in np.eye(nx)])
     assert dense.min() >= 0.0
     vals, vecs = np.linalg.eig(dense)
@@ -271,7 +283,7 @@ def test_simulate_logistic_growth_matches_ode():
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=500, dt=1e-3, sigma=0.01)
     n0 = np.exp(-grid.x ** 2)
     n0 *= 0.1 / fs.total_mass(grid, n0)
-    field, (times, rho), diag = fs.simulate(grid, _const_model(1.0), n0, 5.0)
+    n, (times, rho), diag = fs.simulate(grid, _const_model(1.0), n0, 5.0)
     exact = 0.1 * np.exp(times) / (1.0 + 0.1 * (np.exp(times) - 1.0))
     assert np.abs(rho - exact).max() < 5e-3
     assert not diag["extinct"]
@@ -280,10 +292,29 @@ def test_simulate_logistic_growth_matches_ode():
 def test_simulate_decay_and_extinction_flag():
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=200, dt=1e-2, sigma=0.0025)
     n0 = np.exp(-grid.x ** 2)
-    field, (times, rho), diag = fs.simulate(grid, _const_model(-1.0), n0, 30.0)
+    n, (times, rho), diag = fs.simulate(grid, _const_model(-1.0), n0, 30.0)
     assert (rho[1:] <= rho[0] * np.exp(-times[1:] + 1e-9)).all()
     assert diag["extinct"]
     assert rho[-1] < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES, periods=st.floats(0.3, 3.7))
+def test_simulate_is_the_saturating_scheme(nx, steps, sigma, r, g, swing,
+                                           pressure, periods):
+    # rho = m / y over the linear flow against the saturating step itself,
+    # n_{k+1} = step(n_k) / (1 + dt rho_k), run one step at a time
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
+    n0 = np.exp(-(grid.x - 0.5) ** 2)
+    n, (times, rho), diag = fs.simulate(grid, model, n0, periods)
+    stepper = _Stepper(grid, model)
+    ref = n0
+    for k in range(len(times)):
+        ref_rho = grid.dx * ref.sum()
+        assert rho[k] == pytest.approx(ref_rho, rel=1e-13, abs=0.0)
+        if k < len(times) - 1:
+            ref = stepper.step(ref, k % steps) / (1.0 + stepper.dt * ref_rho)
+    np.testing.assert_allclose(n, ref, rtol=1e-13, atol=0.0)
 
 
 def test_autonomous_steady_state():
@@ -332,7 +363,7 @@ def test_orbit_is_a_trajectory_of_the_saturating_scheme():
     snaps, rho = _densities(rec), rec.rho_samples
     np.testing.assert_allclose(grid.dx * snaps.sum(axis=1), rho, rtol=1e-12)
     for k in range(stepper.steps):
-        out = stepper.step(snaps[k], k, rho=rho[k])
+        out = stepper.step(snaps[k], k) / (1.0 + stepper.dt * rho[k])
         assert np.abs(out - snaps[k + 1]).max() <= 1e-12 * snaps[k + 1].max()
     assert rec.period_gap < 1e-7
 
@@ -355,7 +386,8 @@ def test_orbit_is_positive_and_a_saturating_trajectory(nx, steps, sigma, r, g,
         assert grid.dx * n.sum() == pytest.approx(rho, rel=1e-12, abs=0.0)
         if k < stepper.steps:
             after = orbit.density(k + 1)
-            assert np.abs(stepper.step(n, k, rho) - after).max() <= 1e-12 * after.max()
+            out = stepper.step(n, k) / (1.0 + stepper.dt * rho)
+            assert np.abs(out - after).max() <= 1e-12 * after.max()
 
 
 def test_orbit_owns_no_density_table(ex1_eigen):

@@ -9,8 +9,8 @@ from fluctsel.quadrature import snap_steps
 
 def _ex1_q():
     # per-capita rate along the optimal trait of the oscillating-optimum model
-    return fs.PeriodicScalarSignal.from_callable(
-        1.0, lambda t: 0.5 + np.sin(2 * np.pi * t))
+    return fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 0.5 + np.sin(2 * np.pi * ts))
 
 
 def test_closed_form_satisfies_ode():
@@ -37,14 +37,15 @@ def test_orbit_mean_equals_rate_mean():
 
 
 def test_constant_rate_collapses_to_logistic_equilibrium():
-    q = fs.PeriodicScalarSignal.from_callable(1.0, lambda t: 0.7)
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: np.full_like(ts, 0.7))
     orbit = fs.periodic_rho_closed_form(q)
     np.testing.assert_allclose(orbit.samples, 0.7, rtol=0, atol=1e-9)
 
 
 def test_extinction_when_mean_rate_nonpositive():
-    q = fs.PeriodicScalarSignal.from_callable(
-        1.0, lambda t: -0.1 + np.sin(2 * np.pi * t))
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: -0.1 + np.sin(2 * np.pi * ts))
     with pytest.raises(fs.ExtinctionError, match="extinction regime"):
         fs.periodic_rho_closed_form(q)
 
@@ -62,8 +63,8 @@ def test_integrator_attracted_to_orbit(rho0):
 def test_integrator_survives_harsh_steps():
     # a large step through a strongly negative stretch would go nonpositive;
     # the halving fallback must keep the iterate positive
-    q = fs.PeriodicScalarSignal.from_callable(
-        1.0, lambda t: 1.0 - 40.0 * (np.sin(np.pi * t) ** 2))
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 1.0 - 40.0 * (np.sin(np.pi * ts) ** 2))
     times, rho = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
     assert (rho > 0.0).all()
 
@@ -191,7 +192,8 @@ def test_integrator_reads_q_from_one_period_table():
 
 
 def test_integrator_snaps_dt_to_divide_the_period():
-    q = fs.PeriodicScalarSignal.from_callable(2.0, lambda t: 0.5 + np.sin(np.pi * t))
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        2.0, lambda ts: 0.5 + np.sin(np.pi * ts))
     times, rho = fs.integrate_logistic(q, 0.5, 4.0, dt=0.3)
     assert times[1] == 2.0 / round(2.0 / 0.3)
     assert times[-1] == pytest.approx(4.0)
@@ -200,8 +202,8 @@ def test_integrator_snaps_dt_to_divide_the_period():
 def test_array_callable_matches_scalar_callable(ex1_model):
     # one rate_table call per array gives the bits of one rate call per time
     x_m = np.array([0.0])
-    scalar = fs.PeriodicScalarSignal.from_callable(
-        1.0, lambda t: ex1_model.rate(t, x_m)[0])
+    scalar = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: np.array([ex1_model.rate(t, x_m)[0] for t in ts]))
     array = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: fs.rate_table(ex1_model, ts, x_m)[:, 0])
     assert np.array_equal(array.values, scalar.values)

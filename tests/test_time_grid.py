@@ -38,7 +38,8 @@ def test_every_solver_snaps_to_the_same_steps(ex1_model, caplog):
                                               np.exp(-grid.x ** 2), 0.1)
     assert times[1] == dt
 
-    q = fs.PeriodicScalarSignal.from_callable(1.0, lambda t: 0.5 + np.sin(2 * np.pi * t))
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 0.5 + np.sin(2 * np.pi * ts))
     times, _ = fs.integrate_logistic(q, 0.5, 0.1, dt=grid.dt)
     assert times[1] == dt
 
