@@ -38,8 +38,7 @@ class EffectiveSignal:
     def P_snapshots(self) -> np.ndarray:
         """The unit-mass profiles p / int p, one row per snapshot, built on
         first use: most callers read only Q."""
-        p = self.pair.p_snapshots
-        return p / (self.pair.grid.dx * p.sum(axis=1))[:, None]
+        return self.pair.p_snapshots / (self.pair.grid.dx * self.pair.row_sums)[:, None]
 
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:

@@ -15,8 +15,9 @@ factor:
 As saturation is a scalar factor, the scheme is the linear flow p_k (the same
 step without the division) over a scalar: n_k = p_k / y_k with y_0 = 1 and
 y_{k+1} = y_k + dt * m_k, m_k = int p_k dx, so rho_k = m_k / y_k, the discrete
-twin of rho = M / Y with Y' = M. Only the linear step is implemented: one
-Krylov eigen-solve of its period map gives the FloquetPair, the periodic
+twin of rho = M / Y with Y' = M. Only the linear step is implemented, and
+it runs in place (one dpttrs solve overwrites the density times the gains):
+one Krylov eigen-solve of its period map gives the FloquetPair, the periodic
 state n = rho * P is read off it, and simulate runs it forward with y.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
@@ -31,6 +32,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -131,13 +133,19 @@ class FloquetPair:
     iterations: int
     grid: SimulationGrid
 
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """sum_i p_k,i at every snapshot, summed once on first use (the
+        table is not changed once the pair is built)."""
+        return self.p_snapshots.sum(axis=1)
+
     def average(self, values) -> np.ndarray:
         """Mean of values over the unit-mass profile at every snapshot,
         sum_i values_i p_k,i / sum_i p_k,i, for values one row over the nodes
         or one row per snapshot."""
         p = self.p_snapshots
         weighted = p @ values if np.ndim(values) == 1 else np.einsum("ij,ij->i", p, values)
-        return weighted / p.sum(axis=1)
+        return weighted / self.row_sums
 
 
 @dataclass
@@ -248,8 +256,9 @@ class _Stepper:
     dt is snapped to an integer number of steps per period so that period
     boundaries are hit exactly. The gain table holds 1 + dt * a(k * dt, x)
     for the steps of one period; I - dt * sigma * L is factored once (LAPACK
-    dpttrf). dt * max|a| < 1 keeps the gains positive, so the M-matrix solve
-    keeps densities nonnegative without clipping.
+    dpttrf), and every step is one in-place dpttrs solve. dt * max|a| < 1
+    keeps the gains positive, so the M-matrix solve keeps densities
+    nonnegative without clipping.
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
@@ -269,23 +278,32 @@ class _Stepper:
             raise NumericalError(f"diffusion matrix factorisation failed (info {info})")
 
     def step(self, n: np.ndarray, k: int) -> np.ndarray:
-        """One linear IMEX step from step k of the period."""
-        return dpttrs(self.d, self.e, n * self.gain[k], overwrite_b=1)[0]
+        """One linear IMEX step from step k of the period, in place on a
+        contiguous float64 n (dpttrs overwrites it); returns the solved n."""
+        n *= self.gain[k]
+        return dpttrs(self.d, self.e, n, 1)[0]
 
     def run(self, n: np.ndarray, nsteps: int, record: bool = False):
-        """Advance nsteps <= steps linear steps from the period start.
+        """Advance nsteps <= steps linear steps from the period start, in
+        place on one copy of n.
 
         Returns (n, snapshots): with record, snapshots holds the densities at
-        the nsteps + 1 times, else it is None.
+        the nsteps + 1 times, each row stepped from the one before where it
+        lies, and n is its last row; else snapshots is None.
         """
-        snaps = np.empty((nsteps + 1, n.size)) if record else None
-        for k in range(nsteps):
-            if record:
-                snaps[k] = n
-            n = self.step(n, k)
+        d, e = self.d, self.e
         if record:
-            snaps[nsteps] = n
-        return n, snaps
+            snaps = np.empty((nsteps + 1, n.size))
+            snaps[0] = n
+            for prev, row, gain in zip(snaps[:-1], snaps[1:], self.gain):
+                np.multiply(prev, gain, out=row)
+                dpttrs(d, e, row, 1)
+            return snaps[nsteps], snaps
+        n = np.array(n, dtype=float)
+        for gain in self.gain[:nsteps]:
+            n *= gain
+            n = dpttrs(d, e, n, 1)[0]
+        return n, None
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
         """Principal eigenpair of the linear period map (restarted Arnoldi).
@@ -419,7 +437,7 @@ def orbit_from_pair(pair: FloquetPair) -> OrbitRecord:
         raise ExtinctionError("no positive periodic orbit (lambda >= 0): "
                               f"period growth factor {mu:.6g} <= 1")
     dt = pair.times[1] - pair.times[0]
-    masses = pair.grid.dx * pair.p_snapshots.sum(axis=1) * np.exp(-pair.lam * pair.times)
+    masses = pair.grid.dx * pair.row_sums * np.exp(-pair.lam * pair.times)
     gains = dt * masses[:-1]
     y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
     return OrbitRecord(pair=pair, rho_samples=masses / y)

@@ -1,10 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluctsel as fs
 from fluctsel import cli_io
+from fluctsel.pde_solver import FloquetPair, OrbitRecord
 
 EPS = 0.05
 
@@ -116,6 +120,42 @@ def test_measured_moments_match_prediction(ex1_orbit):
     assert rep.rho_mean == pytest.approx(0.45, abs=2e-3)
     assert np.abs(rep.mu.values).max() == pytest.approx(EPS / np.pi, rel=0.1)
     assert rep.sigma2.mean() == pytest.approx(EPS, rel=0.05)
+
+
+def test_measured_moments_allocate_no_table(ex1_orbit):
+    # two matrix-vector products over the 2049 x 800 profile table (13 MiB):
+    # no temporary of its size
+    tracemalloc.start()
+    try:
+        fs.measure_moments(ex1_orbit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(400, 800), steps=st.integers(8, 64),
+       centre=st.floats(1.2, 1.6), spread=st.floats(1.5, 5.0),
+       drift=st.floats(-10.0, 10.0))
+def test_measured_moments_match_the_two_pass_formula(nx, steps, centre, spread,
+                                                     drift):
+    # narrow off-centre Gaussians, a few nodes wide, whose mean moves up to 10
+    # widths away from that of snapshot 0: the shifted one-pass variance
+    # keeps the accuracy of the two-pass <(x - mu_k)^2>
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, dt=1.0 / steps,
+                             sigma=0.01)
+    width = spread * grid.dx
+    times = np.linspace(0.0, 1.0, steps + 1)
+    means = centre + drift * width * np.sin(2.0 * np.pi * times)
+    p = np.exp(-0.5 * ((grid.x - means[:, None]) / width) ** 2)
+    pair = FloquetPair(lam=-1.0, period=1.0, p_snapshots=p, times=times,
+                       iterations=0, grid=grid)
+    rep = fs.measure_moments(OrbitRecord(pair=pair, rho_samples=np.ones(steps + 1)))
+    mu = pair.average(grid.x)
+    var = pair.average((grid.x - mu[:, None]) ** 2)
+    np.testing.assert_allclose(rep.mu.values, mu, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rep.sigma2.values, var, rtol=1e-12, atol=0.0)
 
 
 def test_mean_fitness_balances_mean_size(ex1_orbit, ex1_model):

@@ -73,7 +73,8 @@ def test_step_without_diffusion_is_exact_reaction():
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=63, dt=1e-2, sigma=0.0)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
-    out = _Stepper(grid, model).step(n0, 0) / (1.0 + grid.dt * 0.3)
+    # the step runs in place, so it gets a copy of n0
+    out = _Stepper(grid, model).step(n0.copy(), 0) / (1.0 + grid.dt * 0.3)
     expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2)) / (1.0 + grid.dt * 0.3)
     np.testing.assert_allclose(out, expect, rtol=1e-13)
 
@@ -268,6 +269,52 @@ def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
     profile = pair.p_snapshots[0]
     assert profile.min() >= 0.0 and profile.max() == 1.0
     assert np.abs(profile - perron / perron.max()).max() <= 100.0 * tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES, seed=st.integers(0, 2**32 - 1), part=st.floats(0.0, 1.0))
+def test_run_is_the_step_loop_bit_for_bit(nx, steps, sigma, r, g, swing,
+                                          pressure, seed, part):
+    # the in-place run against a loop that makes a fresh array at every
+    # step; run leaves its input as it was
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
+    stepper = _Stepper(grid, model)
+    nsteps = round(part * stepper.steps)
+    v = np.random.default_rng(seed).uniform(0.0, 1.0, nx)
+    before = v.copy()
+    ref = [v]
+    for k in range(nsteps):
+        ref.append(scipy.linalg.lapack.dpttrs(stepper.d, stepper.e,
+                                              ref[-1] * stepper.gain[k])[0])
+    n, none = stepper.run(v, nsteps)
+    last, snaps = stepper.run(v, nsteps, record=True)
+    assert none is None
+    assert np.array_equal(n, ref[-1])
+    assert np.array_equal(last, ref[-1])
+    assert np.array_equal(snaps, np.array(ref))
+    assert np.array_equal(v, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES)
+def test_lambda_identity_holds_up_to_the_boundary_flux(nx, steps, sigma, r, g,
+                                                       swing, pressure):
+    # one linear step scales the mass by (1 + dt Q_k)(1 - f_k), f_k the share
+    # of G_k p_k that D^-1 loses through the Dirichlet ends, so the "matched"
+    # residual is this case's boundary term -(1/T) sum_k log(1 - f_k)
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
+    tol = 1e-10
+    pair = fs.principal_eigenpair(grid, model, tol=tol)
+    residual = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
+    stepper = _Stepper(grid, model)
+    al = stepper.dt * sigma / grid.dx ** 2
+    dense = ((1.0 + 2.0 * al) * np.eye(nx) - al * np.eye(nx, k=1)
+             - al * np.eye(nx, k=-1))
+    leak = 1.0 - np.linalg.solve(dense, np.ones(nx))
+    grown = stepper.gain * pair.p_snapshots[:-1]
+    f = (grown @ leak) / grown.sum(axis=1)
+    boundary = -float(np.sum(np.log1p(-f))) / model.period
+    assert abs(residual - boundary) <= 10.0 * tol
 
 
 def test_eigen_solve_reports_an_overflowing_period_map():
