@@ -16,14 +16,14 @@ q = fs.PeriodicScalarSignal.from_array_callable(
 
 orbit = fs.periodic_rho_closed_form(q)
 print("periodic orbit over one period:")
-print(f"  min {orbit.samples.min():.6f}  max {orbit.samples.max():.6f}  "
-      f"mean {orbit.mean:.6f}")
+print(f"  min {orbit.values.min():.6f}  max {orbit.values.max():.6f}  "
+      f"mean {orbit.mean():.6f}")
 print(f"  mean of q (must equal the orbit mean): {q.mean():.6f}")
 
 for rho0 in (0.05, 5.0):
     times, rho = fs.integrate_logistic(q, rho0, 30.0)
     last = times >= 29.0
-    gap = np.abs(rho[last] - orbit.evaluate(times[last])).max()
+    gap = np.abs(rho[last] - orbit(times[last])).max()
     print(f"start at rho0 = {rho0}: final-period distance to the orbit "
           f"{gap:.2e}")
 
@@ -32,7 +32,7 @@ q_const = fs.PeriodicScalarSignal.from_array_callable(
     1.0, lambda ts: np.full_like(ts, 0.7))
 flat = fs.periodic_rho_closed_form(q_const)
 print(f"constant rate 0.7: orbit stays within "
-      f"{np.abs(flat.samples - 0.7).max():.2e} of 0.7")
+      f"{np.abs(flat.values - 0.7).max():.2e} of 0.7")
 
 # mean rate below zero: no positive orbit exists
 bad = fs.PeriodicScalarSignal.from_array_callable(

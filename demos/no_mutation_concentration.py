@@ -29,5 +29,5 @@ q = fs.PeriodicScalarSignal.from_array_callable(
     model.period, lambda ts: fs.rate_table(model, ts, np.array([0.0]))[:, 0])
 target = fs.periodic_rho_closed_form(q)
 tail = times >= t_stop - 1.0
-gap = np.abs(rho[tail] - target.evaluate(times[tail])).max()
+gap = np.abs(rho[tail] - target(times[tail])).max()
 print(f"max |rho - limit orbit| over the final period: {gap:.2e}")

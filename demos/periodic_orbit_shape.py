@@ -27,12 +27,11 @@ rho = orbit.rho_samples
 print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
       f"mean {rho.mean():.5f}")
 
-eff = fs.effective_signals(pair, model)
 # the orbit's normalized profile against the unit-mass eigenprofile
-gap = max(np.abs(orbit.density(k) / rho[k] - eff.P_snapshots[k]).max()
-          for k in range(len(rho)))
+P = pair.p_snapshots / (pair.grid.dx * pair.row_sums)[:, None]
+gap = max(np.abs(orbit.density(k) / rho[k] - P[k]).max() for k in range(len(rho)))
 print(f"sup |n/rho - P| over a full period: {gap:.2e}")
 
 # negative lambda marks persistence; the mean of Q balances it
-res = fs.lambda_identity_residual(pair, eff, method="matched")
+res = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
 print(f"lambda + period mean of Q (matched quadrature): {res:.2e}")

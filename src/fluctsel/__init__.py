@@ -23,16 +23,15 @@ from .env_models import (EnvironmentModel, HypothesisReport, averaged_optimum,
                          rate_table)
 from .errors import (ConfigError, ConvergenceError, ExtinctionError,
                      FluctselError, NumericalError)
-from .floquet import (EffectiveSignal, FloquetPair, effective_signals,
-                      lambda_identity_residual, orbit_bounds,
-                      principal_eigenpair, radius_sweep)
+from .floquet import (FloquetPair, effective_signals, lambda_identity_residual,
+                      orbit_bounds, principal_eigenpair, radius_sweep)
 from .no_mutation import (ConcentrationMetrics, ExponentState,
                           concentration_metrics, reconstruct_density,
                           simulate_sigma0)
 from .pde_solver import (OrbitRecord, SimulationGrid, default_orbit_guess,
                          find_periodic_orbit, orbit_from_pair, simulate,
                          total_mass)
-from .rho_ode import (PeriodicScalarSignal, RhoOrbit, integrate_logistic,
+from .rho_ode import (PeriodicScalarSignal, integrate_logistic,
                       periodic_rho_closed_form)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ periodic states, as averages over their eigenprofile, for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,21 +47,15 @@ class Corrector:
     """Periodic first-order correction to the limit exponent.
 
     The cell solution v(t, x), anchored by v(0, x) = 0, accumulates the
-    centered rate a - abar over time; cell(xs) evaluates it. D and E are the
-    mean-free gradient and half the mean-free curvature of v at x_m; they
-    drive the oscillation of the mean trait and of the variance. kappa_bar is
-    the constant first-order correction to the mean size.
+    centered rate a - abar over time. D and E are the mean-free gradient and
+    half the mean-free curvature of v at x_m, on the same times; they drive
+    the oscillation of the mean trait and of the variance. kappa_bar is the
+    constant first-order correction to the mean size.
     """
 
-    model: EnvironmentModel
-    times: np.ndarray
     D: PeriodicScalarSignal
     E: PeriodicScalarSignal
     kappa_bar: float
-
-    def cell(self, xs) -> np.ndarray:
-        """The cell solution v[j, i] at (times[j], xs[i])."""
-        return _cell_solution(self.model, self.times, np.asarray(xs, dtype=float))
 
 
 @dataclass
@@ -167,12 +161,9 @@ def corrector(model: EnvironmentModel, profile: LimitProfile,
     vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
     vx -= simpson(vx, dt) / T
     vxx -= simpson(vxx, dt) / T
-    A = profile.taylor[0]
-    return Corrector(
-        model=model, times=times,
-        D=PeriodicScalarSignal(period=T, times=times, values=vx),
-        E=PeriodicScalarSignal(period=T, times=times, values=0.5 * vxx),
-        kappa_bar=-A)
+    return Corrector(D=PeriodicScalarSignal(period=T, times=times, values=vx),
+                     E=PeriodicScalarSignal(period=T, times=times, values=0.5 * vxx),
+                     kappa_bar=-profile.taylor[0])
 
 
 def gaussian_moment_expansion(profile: LimitProfile, corr: Corrector,
@@ -186,19 +177,17 @@ def gaussian_moment_expansion(profile: LimitProfile, corr: Corrector,
     Higher moments are outside the expansion's validity and raise.
     """
     A, B, _ = profile.taylor
-    times = corr.times
-    T = corr.D.period
     if k == 1:
         samples = profile.x_m + eps * (3.0 * B / A ** 2 + corr.D.values / A)
     elif k == 2:
         samples = eps / A * (1.0 + 2.0 * eps * corr.E.values / A)
     elif k == 3:
-        samples = np.full_like(times, 6.0 * B * eps ** 2 / A ** 3)
+        samples = np.full_like(corr.D.values, 6.0 * B * eps ** 2 / A ** 3)
     elif k == 4:
-        samples = np.full_like(times, 3.0 * eps ** 2 / A ** 2)
+        samples = np.full_like(corr.D.values, 3.0 * eps ** 2 / A ** 2)
     else:
         raise ConfigError(f"central moments of order {k} are not provided (k <= 4)")
-    return PeriodicScalarSignal(period=T, times=times, values=np.asarray(samples, float))
+    return replace(corr.D, values=np.asarray(samples, float))
 
 
 def predict_moments(model: EnvironmentModel, eps: float,
@@ -245,17 +234,10 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
         rho_mean=rho_mean, source="simulated")
 
 
-def fitness_samples(record: OrbitRecord, model: EnvironmentModel) -> np.ndarray:
-    """Population mean growth rate int a n dx / rho at each snapshot time:
-    the effective signal Q of the orbit's eigenpair."""
-    return effective_signals(record.pair, model).Q.values
-
-
 def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:
-    """Period average of the population mean growth rate."""
-    q = fitness_samples(record, model)
-    dt = record.times[1] - record.times[0]
-    return float(simpson(q, dt)) / record.times[-1]
+    """Period average of the population mean growth rate int a n dx / rho,
+    which is the effective signal Q of the orbit's eigenpair."""
+    return effective_signals(record.pair, model).mean()
 
 
 def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):
@@ -298,9 +280,9 @@ def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
 class FitnessComparison:
     """Fluctuation-adapted population against the frozen-environment one.
 
-    q_star and q_mean are the instantaneous (at t_star) and period-mean
-    growth rates of the periodic population; the frozen side is the
-    stationary state of the environment held fixed at t_star.
+    q is the population mean growth rate of the periodic population over
+    one period, q_star = q(t_star) and q_mean = q.mean(); the frozen side is
+    the stationary state of the environment held fixed at t_star.
     """
 
     t_star: float
@@ -311,8 +293,7 @@ class FitnessComparison:
     frozen_fitness: float
     frozen_rho: float
     sigma2_frozen: float
-    times: np.ndarray
-    q_values: np.ndarray
+    q: PeriodicScalarSignal
 
 
 def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
@@ -340,10 +321,7 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
         t_star = _default_t_star(model, x_m)
     record = find_periodic_orbit(grid, model, tol, max_periods)
     report = measure_moments(record)
-    q = fitness_samples(record, model)
-    q_star = float(np.interp(t_star % model.period, record.times, q))
-    q_mean = float(simpson(q, record.times[1] - record.times[0])) / model.period
-    sigma2_mean = report.sigma2.mean()
+    q = effective_signals(record.pair, model)
 
     x = grid.x
     row = rate_table(model, [t_star], x)[0]
@@ -353,7 +331,7 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
     var_c = grid.dx * float(np.sum((x - mu_c) ** 2 * n_c)) / m_c
     q_c = grid.dx * float(np.sum(row * n_c)) / m_c
     return FitnessComparison(
-        t_star=float(t_star), q_star=q_star, q_mean=q_mean,
-        rho_mean_periodic=report.rho_mean, sigma2_periodic_mean=float(sigma2_mean),
+        t_star=float(t_star), q_star=float(q(t_star)), q_mean=q.mean(),
+        rho_mean_periodic=report.rho_mean, sigma2_periodic_mean=report.sigma2.mean(),
         frozen_fitness=float(q_c), frozen_rho=float(rho_c),
-        sigma2_frozen=float(var_c), times=record.times.copy(), q_values=q)
+        sigma2_frozen=float(var_c), q=q)

@@ -173,7 +173,7 @@ def _check_constraints(cfg: RunConfig, sections, origin):
             f"{_line_of(sections, 'solver', 'sigma', origin)}: "
             "give either eps or sigma, not both")
     for key in ("eps", "sigma", "eigen_tol"):
-        if key in solver and solver[key] <= 0:
+        if key in solver and not solver[key] > 0:
             raise ConfigError(
                 f"{_line_of(sections, 'solver', key, origin)}: "
                 f"{key} must be positive")
@@ -284,11 +284,6 @@ def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def _gaussian(x, center, width):
-    return np.exp(-((x - center) ** 2) / (2.0 * width * width)) / (
-        width * np.sqrt(2.0 * np.pi))
-
-
 def _run_sigma0(cfg: RunConfig):
     model = build_model(cfg.model, cfg.grid)
     T = model.period
@@ -298,50 +293,43 @@ def _run_sigma0(cfg: RunConfig):
     orbit = rho_ode.periodic_rho_closed_form(q)
 
     t_end = float(cfg.extra["t_end"])
-    gaps = {}
-    trajs = {}
-    for label, rho0 in (("low", 0.05), ("high", 5.0)):
-        times, rho = rho_ode.integrate_logistic(q, rho0, t_end)
-        last = times >= t_end - T - 1e-12
-        gaps[label] = float(np.abs(rho[last] - orbit.evaluate(times[last])).max())
-        trajs[label] = (times, rho)
+    # both runs step the same times; compare their last period with the orbit
+    (times_l, rho_low), (_, rho_high) = (rho_ode.integrate_logistic(q, rho0, t_end)
+                                         for rho0 in (0.05, 5.0))
+    keep = times_l >= t_end - T - 1e-12
+    closed = orbit(times_l[keep])
     qbar = q.mean()
     q_const = rho_ode.PeriodicScalarSignal.from_array_callable(
         T, lambda ts: np.full(len(ts), qbar))
     const_orbit = rho_ode.periodic_rho_closed_form(q_const)
-    const_gap = float(np.abs(const_orbit.samples - qbar).max())
+    const_gap = float(np.abs(const_orbit.values - qbar).max())
 
     grid = build_grid(cfg, T)
     w0 = float(cfg.extra["w0"])
-    window = float(cfg.extra["window"])
-    n0 = _gaussian(grid.x, x_m, w0)
+    # a unit-mass Gaussian of width w0 at x_m
+    n0 = np.exp(-((grid.x - x_m) ** 2) / (2.0 * w0 * w0)) / (w0 * np.sqrt(2.0 * np.pi))
     t_density = float(cfg.extra["t_end_density"])
     state, (times_d, rho_d), diag = no_mutation.simulate_sigma0(
         grid, model, n0, t_density)
     metrics = no_mutation.concentration_metrics(
-        grid, state, radius=window, center=x_m)
+        grid, state, radius=float(cfg.extra["window"]), center=x_m)
     last = times_d >= t_density - T - 1e-12
-    rho_gap_final = float(
-        np.abs(rho_d[last] - orbit.evaluate(times_d[last])).max())
+    rho_gap_final = float(np.abs(rho_d[last] - orbit(times_d[last])).max())
 
-    times_l, rho_l = trajs["low"]
-    keep = times_l >= t_end - T - 1e-12
-    rows_logistic = np.column_stack([
-        times_l[keep], orbit.evaluate(times_l[keep]), trajs["low"][1][keep],
-        trajs["high"][1][keep]])
+    rows_logistic = np.column_stack([times_l[keep], closed, rho_low[keep], rho_high[keep]])
     stride = max(1, len(times_d) // 2048)
     rows_density = np.column_stack([
-        times_d[::stride], rho_d[::stride], orbit.evaluate(times_d[::stride])])
+        times_d[::stride], rho_d[::stride], orbit(times_d[::stride])])
     tables = {
         "logistic_compare": (["t", "rho_closed", "rho_from_low", "rho_from_high"],
                              rows_logistic),
         "sigma0_rho": (["t", "rho", "rho_closed"], rows_density),
     }
     summary = {
-        "final_period_gap_from_low": gaps["low"],
-        "final_period_gap_from_high": gaps["high"],
+        "final_period_gap_from_low": float(np.abs(rho_low[keep] - closed).max()),
+        "final_period_gap_from_high": float(np.abs(rho_high[keep] - closed).max()),
         "constant_rate_collapse_gap": const_gap,
-        "orbit_mean": orbit.mean,
+        "orbit_mean": orbit.mean(),
         "mass_outside_window": metrics.mass_outside,
         "variance_final": metrics.variance,
         "mean_final": metrics.mean,
@@ -373,14 +361,14 @@ def _run_periodic_orbit(cfg: RunConfig):
         })
         return tables, summary
 
-    eff = floquet.effective_signals(pair, model)
     mrep = asymptotics.measure_moments(record)
     summary.update({
         "extinct": False,
         "period_gap": record.period_gap,
         "periods_run": record.periods_run,
         "rho_mean": mrep.rho_mean,
-        "identity_residual": floquet.lambda_identity_residual(pair, eff),
+        "identity_residual": floquet.lambda_identity_residual(
+            pair, floquet.effective_signals(pair, model)),
     })
     summary.update(floquet.orbit_bounds(record, model))
     tables = {
@@ -499,7 +487,7 @@ def _run_fitness_compare(cfg: RunConfig):
         "eps": float(eps),
     }
     tables = {"fitness": (["t", "q_periodic"],
-                          np.column_stack([comp.times, comp.q_values]))}
+                          np.column_stack([comp.q.times, comp.q.values]))}
     return tables, summary
 
 
@@ -614,10 +602,21 @@ def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
             f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
 
 
+# key -> (test, requirement) that a resolved value must meet for its driver to run
+_COUNT = (lambda v: v >= 1, "at least 1")
+_END_TIME = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
+_BOUNDS = {"steps_per_period": _COUNT, "max_periods": _COUNT, "nt": _COUNT,
+           "levels": _COUNT, "w0": (lambda v: v > 0, "positive"),
+           "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
+           "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
+           "t_end": _END_TIME, "t_end_density": _END_TIME}
+
+
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill tag defaults under the user's settings; returns a new config.
-    A [grid], [solver] or [experiment] key the tag does not read, or a
-    [model] key the model kind does not read, is a ConfigError."""
+    A [grid], [solver] or [experiment] key the tag does not read, a [model]
+    key the model kind does not read, or a resolved value outside _BOUNDS
+    is a ConfigError."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
@@ -641,6 +640,9 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     if "sigma" in cfg.solver:
         out.solver.pop("eps", None)
     out.extra = {**defaults["extra"], **cfg.extra}
+    for key, value in {**out.solver, **out.extra}.items():
+        if key in _BOUNDS and not _BOUNDS[key][0](value):
+            raise ConfigError(f"{key} must be {_BOUNDS[key][1]}, got {value}")
     return out
 
 

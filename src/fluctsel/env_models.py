@@ -70,10 +70,10 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
 
     a(t, x) = r - g * (x - c * sin(b t))**2, with period 2*pi/b.
     """
-    if g <= 0:
+    if not g > 0:
         raise ConfigError(f"selection strength g must be positive, got {g}")
-    if b <= 0:
-        raise ConfigError(f"angular frequency b must be positive, got {b}")
+    if not 0 < b < np.inf:
+        raise ConfigError(f"angular frequency b must be positive and finite, got {b}")
     period = 2.0 * np.pi / b
 
     def rate(t, x):
@@ -142,7 +142,7 @@ def make_custom(period: float, rate: Callable, analytic_info: dict | None = None
     rate(t, x) need only accept a scalar t: the model's rate calls it once
     per row of a column of times.
     """
-    if period <= 0:
+    if not period > 0:
         raise ConfigError(f"period must be positive, got {period}")
 
     def column_rate(t, x):
@@ -169,7 +169,7 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
     x_nodes = np.asarray(x_nodes, dtype=float)
     values = np.asarray(values, dtype=float)
     nt, nx = len(t_nodes), len(x_nodes)
-    if period <= 0:
+    if not period > 0:
         raise ConfigError(f"period must be positive, got {period}")
     if values.shape != (nt, nx):
         raise ConfigError(

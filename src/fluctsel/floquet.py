@@ -11,64 +11,33 @@ envelope of the periodic orbit. The eigen-solve itself
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .env_models import EnvironmentModel, averaged_optimum, check_hypotheses, rate_table
 from .errors import NumericalError
 from .pde_solver import FloquetPair, OrbitRecord, SimulationGrid, principal_eigenpair
-from .quadrature import simpson
 from .rho_ode import PeriodicScalarSignal
 
 
-@dataclass
-class EffectiveSignal:
-    """Per-capita growth rate felt by the eigenprofile.
-
-    Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx, packaged as a
-    periodic signal of the eigenpair pair.
-    """
-
-    Q: PeriodicScalarSignal
-    pair: FloquetPair
-
-    @cached_property
-    def P_snapshots(self) -> np.ndarray:
-        """The unit-mass profiles p / int p, one row per snapshot, built on
-        first use: most callers read only Q."""
-        return self.pair.p_snapshots / (self.pair.grid.dx * self.pair.row_sums)[:, None]
-
-
-def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> EffectiveSignal:
-    """The instantaneous mean growth rate of the eigenprofile of pair."""
+def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> PeriodicScalarSignal:
+    """Q, the per-capita growth rate felt by the eigenprofile of pair:
+    Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx at its times."""
     q = pair.average(rate_table(model, pair.times, pair.grid.x))
-    signal = PeriodicScalarSignal(period=pair.period, times=pair.times.copy(),
-                                  values=q, fn=None)
-    return EffectiveSignal(Q=signal, pair=pair)
+    return PeriodicScalarSignal(period=pair.period, times=pair.times.copy(), values=q)
 
 
-def lambda_identity_residual(pair: FloquetPair, effective: EffectiveSignal,
-                             method: str = "matched") -> float:
+def lambda_identity_residual(pair: FloquetPair, q: PeriodicScalarSignal) -> float:
     """Defect of the balance between lam and the period mean of Q.
 
-    For the continuous problem lam + (1/T) int_0^T Q dt = 0. The "matched"
-    method evaluates the integral with the quadrature induced by the discrete
-    period map, sum_k log(1 + dt * Q(t_k)), for which the identity holds
-    exactly up to the boundary mass flux; "simpson" uses plain Simpson
-    quadrature of the samples and carries the O(dt) splitting error.
+    For the continuous problem lam + (1/T) int_0^T Q dt = 0. The integral is
+    taken with the quadrature induced by the discrete period map,
+    sum_k log(1 + dt * Q(t_k)), for which the identity holds exactly up to
+    the boundary mass flux; plain Simpson quadrature, abs(lam + q.mean()),
+    would carry the O(dt) splitting error.
     """
-    T = pair.period
     dt = pair.times[1] - pair.times[0]
-    q = effective.Q.values
-    if method == "matched":
-        integral = float(np.sum(np.log1p(dt * q[:-1])))
-    elif method == "simpson":
-        integral = float(simpson(q, dt))
-    else:
-        raise NumericalError(f"unknown residual method {method!r}")
-    return abs(pair.lam + integral / T)
+    integral = float(np.sum(np.log1p(dt * q.values[:-1])))
+    return abs(pair.lam + integral / pair.period)
 
 
 def orbit_bounds(record: OrbitRecord, model: EnvironmentModel) -> dict:
@@ -137,12 +106,12 @@ def radius_sweep(model: EnvironmentModel, radii, sigma: float,
         grid = SimulationGrid(x_lo=center - R, x_hi=center + R, nx=nx,
                               dt=model.period / steps_per_period, sigma=sigma)
         pair = principal_eigenpair(grid, model, tol=tol)
-        eff = effective_signals(pair, model)
+        q = effective_signals(pair, model)
         out.append({
             "R": float(R),
             "sigma": float(sigma),
             "lambda": pair.lam,
-            "identity_residual": lambda_identity_residual(pair, eff),
+            "identity_residual": lambda_identity_residual(pair, q),
             "iterations": pair.iterations,
         })
     return out

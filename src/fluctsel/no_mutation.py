@@ -34,7 +34,7 @@ import numpy as np
 from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
-from .quadrature import snap_steps
+from .quadrature import check_end_time, snap_steps
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
 # weights stay normal numbers (subnormal arithmetic is slow)
@@ -125,8 +125,10 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     a at every time, int n a dx / rho, the effective per-capita rate the
     total size runs on. An initial density that is negative, identically
     zero or not finite, or a size beyond the double range, raises
-    NumericalError.
+    NumericalError; a t_end that is negative or not finite raises
+    ConfigError.
     """
+    check_end_time(t_end)
     values = initial_density(n0)
     x = grid.x
     dx = grid.dx

@@ -39,7 +39,7 @@ import scipy
 
 from .env_models import EnvironmentModel, mean_growth, rate_table
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
-from .quadrature import snap_steps
+from .quadrature import check_end_time, snap_steps
 
 
 def _load_flapack():
@@ -374,8 +374,10 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     worst boundary-cell mass fraction seen at period ends and an extinction
     flag set when the size drops below 1e-12 (extinction is an outcome, not
     an error). An initial density that is not finite, negative somewhere or
-    identically zero raises NumericalError before any step.
+    identically zero raises NumericalError, and a t_end that is negative or
+    not finite raises ConfigError, before any step.
     """
+    check_end_time(t_end)
     n = initial_density(n0)
     stepper = _Stepper(grid, model)
     dt, dx = stepper.dt, stepper.dx

@@ -15,7 +15,15 @@ import logging
 
 import numpy as np
 
+from .errors import ConfigError
+
 log = logging.getLogger(__name__)
+
+
+def check_end_time(t_end: float) -> None:
+    """ConfigError unless 0 <= t_end < inf (a NaN fails too)."""
+    if not 0.0 <= t_end < np.inf:
+        raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
 
 
 def snap_steps(period: float, dt: float) -> tuple[int, float]:

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import cycle
 from typing import Callable
 
 import numpy as np
-from .errors import ConfigError, ExtinctionError, NumericalError
-from .quadrature import cumulative_simpson, simpson, snap_steps
+from .errors import ExtinctionError, NumericalError
+from .quadrature import check_end_time, cumulative_simpson, simpson, snap_steps
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
-# Samples (closed grid over one period) of a signal built from a callable and
-# of a closed-form orbit.
+# Samples (closed grid over one period) of a signal built from a callable.
 SAMPLES = 2049
 
 
@@ -48,12 +47,6 @@ class PeriodicScalarSignal:
         values = np.asarray(fn(times), dtype=float)
         return cls(period=period, times=times, values=values, fn=fn)
 
-    @classmethod
-    def from_samples(cls, period: float, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        times = np.linspace(0.0, period, len(values))
-        return cls(period=period, times=times, values=values, fn=None)
-
     def __call__(self, t):
         if self.fn is None:
             return np.interp(np.asarray(t) % self.period, self.times, self.values)
@@ -75,23 +68,7 @@ class PeriodicScalarSignal:
                 float(coef[2]))
 
 
-@dataclass
-class RhoOrbit:
-    """The positive periodic orbit of the logistic law.
-
-    samples holds the orbit on a uniform closed grid over one period; mean is
-    its period average. evaluate(t) runs the closed-form machinery, so
-    off-grid queries keep full accuracy.
-    """
-
-    period: float
-    times: np.ndarray
-    samples: np.ndarray
-    mean: float
-    evaluate: Callable = field(repr=False)
-
-
-def periodic_rho_closed_form(q: PeriodicScalarSignal) -> RhoOrbit:
+def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
     """Positive periodic logistic orbit for per-capita rate q.
 
     Parameters
@@ -103,10 +80,11 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> RhoOrbit:
 
     Returns
     -------
-    RhoOrbit
-        Orbit with rho(t) = (1 - e^{-I}) / (e^{-I} * J(t)) where I is the
-        period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds,
-        sampled at SAMPLES times.
+    PeriodicScalarSignal
+        The orbit rho(t) = (1 - e^{-I}) / (e^{-I} * J(t)) where I is the
+        period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds. Its
+        fn is this closed form, so off-grid calls keep full accuracy; its
+        values are the closed form at SAMPLES times.
 
     Raises
     ------
@@ -128,19 +106,13 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> RhoOrbit:
     shift = float(anti.max())
     grow = cumulative_simpson(np.exp(anti - shift), dt)
 
-    def evaluate(t):
-        tq = np.asarray(t, dtype=float) % T
-        a_t = np.interp(tq, ts, anti)
-        j = np.exp(-(a_t - shift) - period_integral) * (
+    def rho(t):
+        tq = t % T
+        j = np.exp(-(np.interp(tq, ts, anti) - shift) - period_integral) * (
             np.interp(tq + T, ts, grow) - np.interp(tq, ts, grow))
-        out = -np.expm1(-period_integral) / j
-        return out if np.ndim(t) else float(out)
+        return -np.expm1(-period_integral) / j
 
-    times = np.linspace(0.0, T, SAMPLES)
-    samples = np.asarray(evaluate(times), dtype=float)
-    fine_times = ts[:FINE_INTERVALS + 1]
-    mean = float(simpson(evaluate(fine_times), dt)) / T
-    return RhoOrbit(period=T, times=times, samples=samples, mean=mean, evaluate=evaluate)
+    return PeriodicScalarSignal.from_array_callable(T, rho)
 
 
 def _rk4_steps(q, sizes: array, triples, h: float, t0: float, depth: int):
@@ -182,13 +154,12 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     steps cycle through its (start, midpoint, end) triples. A step whose
     result is not positive is retried as two half steps, recursively,
     evaluating q directly; more than 40 halvings raises NumericalError, as
-    does a start that is negative or not finite, and a negative t_end
-    raises ConfigError. Returns (times, rho).
+    does a start that is negative or not finite, and a t_end that is
+    negative or not finite raises ConfigError. Returns (times, rho).
     """
     if not 0.0 <= rho0 < math.inf:
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
-    if not t_end >= 0.0:
-        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
+    check_end_time(t_end)
     T = q.period
     steps, dt = snap_steps(T, T / 1024 if dt is None else dt)
     n = int(round(t_end / dt))

@@ -33,7 +33,7 @@ def test_c01_logistic_orbit_attracts_integrations(ex1_model):
     for rho0 in (0.05, 5.0):
         times, rho = fs.integrate_logistic(q, rho0, 50.0)
         last = times >= 49.0 - 1e-12
-        gap = np.abs(rho[last] - orbit.evaluate(times[last])).max()
+        gap = np.abs(rho[last] - orbit(times[last])).max()
         assert gap < 1e-6, f"final-period gap {gap:.3e} from rho0={rho0}"
     assert time.perf_counter() - start < 1.0
 
@@ -42,7 +42,7 @@ def test_c02_constant_rate_collapses_to_equilibrium():
     r = 1.0
     q = fs.PeriodicScalarSignal.from_array_callable(1.0, lambda ts: np.full_like(ts, r))
     orbit = fs.periodic_rho_closed_form(q)
-    assert np.abs(orbit.samples - r).max() < 1e-12
+    assert np.abs(orbit.values - r).max() < 1e-12
 
 
 def test_c03_sigma0_concentration(ex1_model):
@@ -55,7 +55,7 @@ def test_c03_sigma0_concentration(ex1_model):
     assert metrics.mass_outside < 1e-2
     orbit = fs.periodic_rho_closed_form(_ex1_q_at_optimum(ex1_model))
     last = times >= 199.0 - 1e-12
-    rho_gap = np.abs(rho[last] - orbit.evaluate(times[last])).max()
+    rho_gap = np.abs(rho[last] - orbit(times[last])).max()
     assert rho_gap < 1e-2
     assert time.perf_counter() - start < 10.0
 
@@ -63,8 +63,7 @@ def test_c03_sigma0_concentration(ex1_model):
 def test_c04_floquet_identity_and_truncation(ex1_model, ex2_model,
                                              ex1_eigen, ex2_eigen):
     for model, pair in ((ex1_model, ex1_eigen), (ex2_model, ex2_eigen)):
-        eff = fs.effective_signals(pair, model)
-        resid = fs.lambda_identity_residual(pair, eff)
+        resid = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
         assert resid < 1e-6, f"identity residual {resid:.3e} ({model.kind})"
     rows = fs.radius_sweep(ex1_model, [2.0, 3.0, 4.0, 5.0], sigma=EPS * EPS,
                            points_per_unit=100, steps_per_period=1024)
@@ -89,10 +88,11 @@ def test_c05_extinction_dichotomy(ex1_model, ex1_eigen):
 
 def test_c06_orbit_density_matches_eigenprofile(ex1_orbit, ex1_eigen,
                                                 ex1_model):
-    eff = fs.effective_signals(ex1_eigen, ex1_model)
+    # the unit-mass eigenprofiles P = p / int p, one row per snapshot
+    P = ex1_eigen.p_snapshots / (ex1_eigen.grid.dx * ex1_eigen.row_sums)[:, None]
     rho = ex1_orbit.rho_samples
     shape = np.array([ex1_orbit.density(k) / rho[k] for k in range(len(rho))])
-    gap = np.abs(shape - eff.P_snapshots).max()
+    gap = np.abs(shape - P).max()
     assert gap < 1e-3, f"sup density/eigenprofile gap {gap:.3e}"
 
 

@@ -431,6 +431,31 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     assert "config error" in err and "does not read" in err
 
 
+@pytest.mark.parametrize("tag,override,key", [
+    ("sigma0-convergence", "experiment.t_end=inf", "t_end"),
+    ("sigma0-convergence", "experiment.t_end_density=nan", "t_end_density"),
+    ("sigma0-convergence", "experiment.t_end_density=-1", "t_end_density"),
+    ("periodic-orbit", "solver.steps_per_period=0", "steps_per_period"),
+    # the summary compares the last two radii
+    ("floquet-sweep", "experiment.radii=3", "radii"),
+    ("epsilon-limit", "experiment.eps_list=", "eps_list"),
+    ("moments", "experiment.nt=0", "nt"),
+    ("sigma0-convergence", "model.b=nan", " b "),
+    ("sigma0-convergence", "model.b=inf", " b "),
+    # numerical failures (exit 3) or an empty table before
+    ("example2", "solver.max_periods=0", "max_periods"),
+    ("sigma0-convergence", "experiment.w0=0", "w0"),
+    ("refinement", "experiment.levels=0", "levels"),
+])
+def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
+        tag, override, key, capsys, tmp_path):
+    assert cli_io.main([tag, "--override", override,
+                        "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
 def test_every_tag_resolves_its_own_defaults(tag):
     cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag))
@@ -528,3 +553,39 @@ def test_module_entry_point_runs_an_experiment(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# one tag per distinct default config: example1 runs moments', example2
+# fitness-compare's
+DISTINCT_TAGS = ("sigma0-convergence", "periodic-orbit", "floquet-sweep",
+                 "epsilon-limit", "moments", "fitness-compare", "refinement")
+_WRITE_BUNDLES = """
+import sys
+from fluctsel.cli_io import RunConfig, emit_bundle, run_experiment
+for tag in sys.argv[1:]:
+    emit_bundle(run_experiment(RunConfig(experiment=tag, out_dir=tag)), tag)
+"""
+
+
+def test_bundles_do_not_depend_on_the_blas_thread_count(tmp_path):
+    assert ({id(cli_io.EXPERIMENTS[t]) for t in DISTINCT_TAGS}
+            == {id(entry) for entry in cli_io.EXPERIMENTS.values()})
+    src = pathlib.Path(cli_io.__file__).resolve().parents[1]
+    procs = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", _WRITE_BUNDLES, *DISTINCT_TAGS],
+            cwd=tmp_path / threads, env=env, stderr=subprocess.PIPE, text=True)
+    for proc in procs.values():
+        _, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+    for tag in DISTINCT_TAGS:
+        names, again = (sorted(p.name for p in (tmp_path / t / tag).iterdir()
+                               if p.name != "manifest.json") for t in ("1", "2"))
+        assert names == again
+        assert "summary.json" in names and any(n.endswith(".csv") for n in names)
+        for name in names:
+            one, two = (tmp_path / t / tag / name for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), f"{tag}/{name}"

@@ -1,0 +1,63 @@
+"""tools/compare_bundles.py's comparison, on two small synthetic bundle
+directories (writing real bundles is left to the script itself)."""
+
+import importlib.util
+import json
+import math
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "compare_bundles.py"
+_spec = importlib.util.spec_from_file_location("compare_bundles", _PATH)
+compare_bundles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_bundles)
+
+
+def _bundle(root, tag, summary, csv, elapsed):
+    out = root / tag
+    out.mkdir(parents=True)
+    manifest = {"config": {"out_dir": tag}, "timing": {"elapsed_seconds": elapsed}}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    (out / "summary.json").write_text(json.dumps(summary))
+    (out / "table.csv").write_text(csv)
+
+
+def test_identical_bundles_up_to_timing(tmp_path):
+    for side, elapsed in (("old", 0.1), ("new", 0.2)):
+        _bundle(tmp_path / side, "a", {"x": 1.0}, "t,y\n0,1\n", elapsed)
+    lines, differs = compare_bundles.compare(tmp_path / "old", tmp_path / "new")
+    assert not differs
+    assert lines == ["a/manifest.json: identical", "a/summary.json: identical",
+                     "a/table.csv: identical"]
+
+
+def test_differences_name_the_file_and_the_largest_shift_per_key(tmp_path):
+    _bundle(tmp_path / "old", "a", {"x": 2.0, "v": [1.0, 4.0], "ok": True, "same": 3.0,
+                                    "gone": 1.0}, "t,y\n0,1\n", 0.1)
+    _bundle(tmp_path / "new", "a", {"x": 2.0 + 2e-12, "v": [1.0, 3.0], "ok": False,
+                                    "same": 3.0, "new": 1.0}, "t,y\n0,2\n", 0.1)
+    _bundle(tmp_path / "old", "b", {"x": 1.0}, "t\n0\n", 0.1)
+    lines, differs = compare_bundles.compare(tmp_path / "old", tmp_path / "new")
+    assert differs
+    assert lines == [
+        "a/manifest.json: identical",
+        "a/summary.json: differs",
+        "  gone: only in old",
+        "  new: only in new",
+        "  ok: largest relative shift inf",
+        "  v: largest relative shift 0.25",
+        "  x: largest relative shift 1e-12",
+        "a/table.csv: differs",
+        "b/manifest.json: differs (only in old)",
+        "b/summary.json: differs (only in old)",
+        "b/table.csv: differs (only in old)",
+    ]
+
+
+@pytest.mark.parametrize("old,new,shift", [
+    (1.0, 1.0, 0.0), (-2.0, 2.0, 2.0), (0, 1e-3, 1.0), ([1.0, 2.0], [1.0, 2.5], 0.2),
+    ([1.0], [1.0, 2.0], math.inf), (None, None, 0.0), ("a", "b", math.inf),
+    (math.nan, math.nan, 0.0), (math.nan, 1.0, math.inf)])
+def test_relative_shift(old, new, shift):
+    assert compare_bundles.relative_shift(old, new) == pytest.approx(shift)

@@ -42,8 +42,7 @@ def test_separable_eigenfunction_is_sine_mode():
 def test_separable_matched_residual_closed_form():
     grid, model, _ = _separable_setup()
     pair = fs.principal_eigenpair(grid, model, tol=1e-13)
-    eff = fs.effective_signals(pair, model)
-    got = fs.lambda_identity_residual(pair, eff, method="matched")
+    got = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
     dt = grid.dt
     expected = np.log1p(dt * grid.sigma * _discrete_mode_rate(grid)) / dt
     assert got == pytest.approx(expected, abs=1e-10)
@@ -72,35 +71,20 @@ def test_known_eigenvalue_oscillating_optimum(ex1_eigen):
 
 
 def test_effective_profiles_unit_mass(ex1_eigen, ex1_model):
-    eff = fs.effective_signals(ex1_eigen, ex1_model)
     dx = ex1_eigen.grid.dx
-    masses = dx * eff.P_snapshots.sum(axis=1)
-    np.testing.assert_allclose(masses, 1.0, rtol=0, atol=1e-10)
+    P = ex1_eigen.p_snapshots / (dx * ex1_eigen.row_sums)[:, None]
+    np.testing.assert_allclose(dx * P.sum(axis=1), 1.0, rtol=0, atol=1e-10)
     # mean effective rate balances the decay exponent to first order in dt
-    assert eff.Q.mean() == pytest.approx(-ex1_eigen.lam, abs=5e-3)
-
-
-def test_effective_profiles_are_built_on_first_use(ex1_eigen, ex1_model):
-    eff = fs.effective_signals(ex1_eigen, ex1_model)
-    assert "P_snapshots" not in vars(eff)
-    p = ex1_eigen.p_snapshots
-    expect = p / (ex1_eigen.grid.dx * p.sum(axis=1))[:, None]
-    assert np.array_equal(eff.P_snapshots, expect)
-    assert eff.P_snapshots is eff.P_snapshots
+    q = fs.effective_signals(ex1_eigen, ex1_model)
+    assert q.mean() == pytest.approx(-ex1_eigen.lam, abs=5e-3)
 
 
 def test_matched_identity_beats_simpson(ex1_eigen, ex1_model):
-    eff = fs.effective_signals(ex1_eigen, ex1_model)
-    matched = fs.lambda_identity_residual(ex1_eigen, eff, method="matched")
-    plain = fs.lambda_identity_residual(ex1_eigen, eff, method="simpson")
+    q = fs.effective_signals(ex1_eigen, ex1_model)
+    matched = fs.lambda_identity_residual(ex1_eigen, q)
+    plain = abs(ex1_eigen.lam + q.mean())
     assert matched < 1e-8
     assert matched < plain
-
-
-def test_residual_rejects_unknown_method(ex1_eigen, ex1_model):
-    eff = fs.effective_signals(ex1_eigen, ex1_model)
-    with pytest.raises(fs.NumericalError):
-        fs.lambda_identity_residual(ex1_eigen, eff, method="trapezoid")
 
 
 def test_eigenpair_is_deterministic(ex1_model):

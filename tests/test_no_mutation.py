@@ -28,9 +28,9 @@ def test_mass_coupling_closes_on_logistic_ode(ex1_model):
     grid = _grid(dt=2e-4)
     n0 = np.exp(-((grid.x - 0.2) ** 2) / 0.08)
     state, (times, rho), diag = fs.simulate_sigma0(grid, ex1_model, n0, 2.0)
-    sig = fs.PeriodicScalarSignal.from_samples(2.0 * times[-1],
-                                               np.concatenate([diag["mean_growth"],
-                                                               diag["mean_growth"][1:]]))
+    q = np.concatenate([diag["mean_growth"], diag["mean_growth"][1:]])
+    span = 2.0 * times[-1]
+    sig = fs.PeriodicScalarSignal(span, np.linspace(0.0, span, len(q)), q)
     t2, rho2 = fs.integrate_logistic(sig, rho[0], 2.0, dt=grid.dt)
     assert np.abs(rho2 - rho).max() < 1e-6
 

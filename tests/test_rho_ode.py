@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
-from fluctsel.quadrature import snap_steps
+from fluctsel.quadrature import simpson, snap_steps
+from fluctsel.rho_ode import FINE_INTERVALS
 
 
 def _ex1_q():
@@ -17,15 +18,15 @@ def test_closed_form_satisfies_ode():
     # start a high-order integrator exactly on the orbit: it must stay there
     q = _ex1_q()
     orbit = fs.periodic_rho_closed_form(q)
-    times, rho = fs.integrate_logistic(q, orbit.evaluate(0.0), 1.0, dt=1.0 / 2048)
-    assert np.abs(rho - orbit.evaluate(times)).max() < 1e-7
+    times, rho = fs.integrate_logistic(q, orbit(0.0), 1.0, dt=1.0 / 2048)
+    assert np.abs(rho - orbit(times)).max() < 1e-7
 
 
 def test_orbit_is_periodic_and_positive():
     orbit = fs.periodic_rho_closed_form(_ex1_q())
-    assert orbit.samples.min() > 0.0
+    assert orbit.values.min() > 0.0
     ts = np.linspace(0.0, 1.0, 37)
-    np.testing.assert_allclose(orbit.evaluate(ts + 1.0), orbit.evaluate(ts),
+    np.testing.assert_allclose(orbit(ts + 1.0), orbit(ts),
                                rtol=0, atol=1e-12)
 
 
@@ -33,14 +34,14 @@ def test_orbit_mean_equals_rate_mean():
     # dividing the ODE by rho and averaging: mean(rho) = mean(q)
     q = _ex1_q()
     orbit = fs.periodic_rho_closed_form(q)
-    assert orbit.mean == pytest.approx(q.mean(), abs=1e-9)
+    assert orbit.mean() == pytest.approx(q.mean(), abs=1e-9)
 
 
 def test_constant_rate_collapses_to_logistic_equilibrium():
     q = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: np.full_like(ts, 0.7))
     orbit = fs.periodic_rho_closed_form(q)
-    np.testing.assert_allclose(orbit.samples, 0.7, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(orbit.values, 0.7, rtol=0, atol=1e-9)
 
 
 def test_extinction_when_mean_rate_nonpositive():
@@ -57,7 +58,7 @@ def test_integrator_attracted_to_orbit(rho0):
     orbit = fs.periodic_rho_closed_form(q)
     times, rho = fs.integrate_logistic(q, rho0, 40.0)
     tail = times >= 39.0
-    assert np.abs(rho[tail] - orbit.evaluate(times[tail])).max() < 1e-5
+    assert np.abs(rho[tail] - orbit(times[tail])).max() < 1e-5
 
 
 def test_integrator_survives_harsh_steps():
@@ -168,7 +169,7 @@ def test_integrator_equals_the_reference_through_the_halving_fallback():
 
 def test_signal_from_samples_interpolates():
     vals = np.sin(2 * np.pi * np.linspace(0.0, 1.0, 101)) + 2.0
-    sig = fs.PeriodicScalarSignal.from_samples(1.0, vals)
+    sig = fs.PeriodicScalarSignal(1.0, np.linspace(0.0, 1.0, 101), vals)
     assert sig(0.0) == pytest.approx(2.0)
     assert sig(1.25) == pytest.approx(3.0, abs=1e-3)
     assert sig.mean() == pytest.approx(2.0, abs=1e-9)
@@ -185,10 +186,10 @@ def test_integrator_reads_q_from_one_period_table():
     q = fs.PeriodicScalarSignal(period=1.0, times=np.linspace(0.0, 1.0, 3),
                                 values=np.zeros(3), fn=rate)
     orbit = fs.periodic_rho_closed_form(_ex1_q())
-    times, rho = fs.integrate_logistic(q, orbit.evaluate(0.0), 5.0, dt=1.0 / 256)
+    times, rho = fs.integrate_logistic(q, orbit(0.0), 5.0, dt=1.0 / 256)
     assert len(times) == 5 * 256 + 1
     assert len(calls) <= 2 * 256 + 1
-    assert np.abs(rho - orbit.evaluate(times)).max() < 1e-7
+    assert np.abs(rho - orbit(times)).max() < 1e-7
 
 
 def test_integrator_snaps_dt_to_divide_the_period():
@@ -222,10 +223,46 @@ def test_array_callable_matches_scalar_callable(ex1_model):
        n=st.integers(5, 400))
 def test_first_harmonic_recovers_an_exact_sinusoid(amp, phase, offset, period, n):
     times = np.linspace(0.0, period, n)
-    signal = fs.PeriodicScalarSignal.from_samples(
-        period, offset + amp * np.sin(2.0 * np.pi * times / period + phase))
+    signal = fs.PeriodicScalarSignal(
+        period, times, offset + amp * np.sin(2.0 * np.pi * times / period + phase))
     got_amp, got_phase, got_offset = signal.first_harmonic()
     assert got_amp == pytest.approx(amp, rel=1e-12, abs=1e-12)
     assert got_offset == pytest.approx(offset, rel=1e-12, abs=1e-12)
     # the phase is defined modulo 2 pi; compare on the circle
     assert abs((got_phase - phase + np.pi) % (2.0 * np.pi) - np.pi) < 1e-12
+
+
+def _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness):
+    # positive: the harmonics have amplitudes f1 * base / 2 and f2 * base / 2
+    # with f1, f2 < 1, and the bump is nonnegative
+    w = 2.0 * np.pi / period
+
+    def rate(ts):
+        return (base * (1.0 + 0.5 * f1 * np.sin(w * ts + phi1)
+                        + 0.5 * f2 * np.sin(2.0 * w * ts + phi2))
+                + height * np.exp(-sharpness * np.sin(0.5 * w * ts) ** 2))
+
+    return fs.PeriodicScalarSignal.from_array_callable(period, rate)
+
+
+# The closed form carries the roundoff of its running sums over 2 * 8192
+# intervals, which grows with the period integral I of q: the two means of a
+# constant q differ by 2.5e-14 at I = 8 and 1.3e-13 at I = 12. These rates
+# keep I <= 10 (mean q <= 5 over a period of at most 2).
+@settings(max_examples=40, deadline=None)
+@given(period=st.floats(0.5, 2.0), base=st.floats(0.05, 2.0),
+       f1=st.floats(0.0, 0.99), phi1=st.floats(-np.pi, np.pi),
+       f2=st.floats(0.0, 0.99), phi2=st.floats(-np.pi, np.pi),
+       height=st.floats(0.0, 3.0), sharpness=st.floats(0.0, 50.0))
+@example(period=1.0, base=0.2, f1=0.0, phi1=0.0, f2=0.0, phi2=0.0,
+         height=3.0, sharpness=50.0)  # 0.2 + 3 exp(-50 sin^2(pi t))
+def test_closed_form_orbit_is_a_signal_of_its_formula(period, base, f1, phi1, f2, phi2,
+                                                      height, sharpness):
+    q = _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness)
+    orbit = fs.periodic_rho_closed_form(q)
+    # the samples are the closed form at the sample times, bit for bit
+    assert np.array_equal(orbit(orbit.times), orbit.values)
+    # the mean of the samples is Simpson of the closed form on the fine grid
+    fine, dt = np.linspace(0.0, period, FINE_INTERVALS + 1, retstep=True)
+    fine_mean = float(simpson(orbit(fine), dt)) / period
+    assert orbit.mean() == pytest.approx(fine_mean, rel=1e-13, abs=0.0)

@@ -50,3 +50,29 @@ def test_every_solver_snaps_to_the_same_steps(ex1_model, caplog):
     _, v = step_eigenpair(grid, fs.mean_growth(ex1_model, grid.x), dt)
     np.testing.assert_array_equal(fs.default_orbit_guess(grid, ex1_model),
                                   v / fs.total_mass(grid, v))
+
+
+def _run_simulate(model, t_end):
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=1.0 / 64, sigma=0.01)
+    return fs.simulate(grid, model, np.exp(-grid.x ** 2), t_end)
+
+
+def _run_simulate_sigma0(model, t_end):
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=1.0 / 64, sigma=0.0)
+    return fs.simulate_sigma0(grid, model, np.exp(-grid.x ** 2), t_end)
+
+
+def _run_integrate_logistic(model, t_end):
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        model.period, lambda ts: fs.rate_table(model, ts, np.array([0.0]))[:, 0])
+    return fs.integrate_logistic(q, 0.5, t_end)
+
+
+@pytest.mark.parametrize("t_end", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("run", [_run_simulate, _run_simulate_sigma0,
+                                 _run_integrate_logistic],
+                         ids=["simulate", "simulate_sigma0", "integrate_logistic"])
+def test_every_integrator_rejects_an_end_time_outside_0_to_inf(run, t_end, ex1_model):
+    # one check, quadrature.check_end_time, before any step
+    with pytest.raises(fs.ConfigError, match="t_end must be finite and nonnegative"):
+        run(ex1_model, t_end)

@@ -1,0 +1,106 @@
+"""Write the default bundle of every experiment tag from two source trees and
+compare them file by file.
+
+    python tools/compare_bundles.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository. A fresh interpreter imports the
+package from TREE/src and writes the bundle of every tag at its defaults,
+one directory per tag. For each file, the script prints "identical" or
+"differs". For each summary.json key that differs, it prints the largest
+relative shift: |old - new| / max(|old|, |new|), taken element-wise over a
+list and reported as inf when a value is not a number or changes type. A
+manifest is compared without its timing block, and both trees write to the
+same relative out_dir. The exit status is 1 on any difference, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_WRITE_BUNDLES = """
+from fluctsel.cli_io import EXPERIMENT_TAGS, RunConfig, emit_bundle, run_experiment
+for tag in EXPERIMENT_TAGS:
+    emit_bundle(run_experiment(RunConfig(experiment=tag, out_dir=tag)), tag)
+"""
+
+
+def write_bundles(tree: Path, out: Path) -> None:
+    """Write every tag's default bundle from the package in tree/src into
+    out/<tag>, in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    subprocess.run([sys.executable, "-c", _WRITE_BUNDLES], cwd=out, env=env, check=True)
+
+
+def relative_shift(old, new) -> float:
+    """Largest relative change from old to new (see the module docstring)."""
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return max((relative_shift(a, b) for a, b in zip(old, new)), default=0.0)
+    if old == new:
+        return 0.0
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (old, new))
+    if not numbers or math.isnan(old) or math.isnan(new):
+        return 0.0 if numbers and math.isnan(old) and math.isnan(new) else math.inf
+    return abs(old - new) / max(abs(old), abs(new))
+
+
+def _manifest_without_timing(path: Path) -> dict:
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest.pop("timing", None)
+    return manifest
+
+
+def compare(old: Path, new: Path) -> tuple[list[str], bool]:
+    """Compare the bundle directories old/<tag> and new/<tag>; returns the
+    report lines and whether anything differs."""
+    old, new = Path(old), Path(new)
+    lines = []
+    differs = False
+    names = sorted({p.relative_to(root).as_posix() for root in (old, new)
+                    for p in root.glob("*/*") if p.is_file()})
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: differs (only in {'old' if a.is_file() else 'new'})")
+            differs = True
+            continue
+        if name.endswith("manifest.json"):
+            same = _manifest_without_timing(a) == _manifest_without_timing(b)
+        else:
+            same = a.read_bytes() == b.read_bytes()
+        lines.append(f"{name}: {'identical' if same else 'differs'}")
+        differs |= not same
+        if not same and name.endswith("summary.json"):
+            sa = json.loads(a.read_text(encoding="utf-8"))
+            sb = json.loads(b.read_text(encoding="utf-8"))
+            for key in sorted(sa.keys() | sb.keys()):
+                if key not in sa or key not in sb:
+                    lines.append(f"  {key}: only in {'old' if key in sa else 'new'}")
+                elif sa[key] != sb[key]:
+                    shift = relative_shift(sa[key], sb[key])
+                    lines.append(f"  {key}: largest relative shift {shift:.3g}")
+    return lines, differs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as work:
+        outs = [Path(work, side) for side in ("old", "new")]
+        for tree, out in zip(argv, outs):
+            out.mkdir()
+            write_bundles(Path(tree), out)
+        lines, differs = compare(*outs)
+    print("\n".join(lines))
+    return 1 if differs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
