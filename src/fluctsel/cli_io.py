@@ -406,6 +406,8 @@ def _run_epsilon_limit(cfg: RunConfig):
     # the nodes, and so the limit profile, are the same for every eps
     nodes = build_grid(cfg, model.period)
     window = (nodes.x >= lo) & (nodes.x <= hi)
+    if not window.any():
+        raise ConfigError(f"window_lo, window_hi = [{lo}, {hi}] holds no grid node")
     limit = asymptotics.limit_profile(model, nodes.x).u_values[window]
     rows = []
     for eps in eps_list:
@@ -609,6 +611,7 @@ _BOUNDS = {"steps_per_period": _COUNT, "max_periods": _COUNT, "nt": _COUNT,
            "levels": _COUNT, "w0": (lambda v: v > 0, "positive"),
            "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
            "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
+           "window": (lambda v: 0.0 < v < np.inf, "positive and finite"),
            "t_end": _END_TIME, "t_end_density": _END_TIME}
 
 

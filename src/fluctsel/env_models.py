@@ -22,7 +22,7 @@ MEAN_NODES = 1025
 # Points per refinement round of locate_optimum: each round shrinks the
 # bracket 16-fold for one averaging pass.
 REFINE_POINTS = 33
-# Elements per rate call in rate_table (20 rows at nx = 800): a whole-table
+# Elements per rate call in rate_blocks (20 rows at nx = 800): a whole-table
 # broadcast costs memory and runs slower, larger blocks ran no faster.
 RATE_BLOCK = 16384
 
@@ -249,17 +249,23 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
     return model
 
 
-def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:
-    """a(t, x) for each t in times, one row per time: shape (len(times), len(x)).
-
-    Filled a block of rows at a time, one rate call with a column of times
-    per block of about RATE_BLOCK elements.
-    """
+def rate_blocks(model: EnvironmentModel, times, x):
+    """Yields (rows, a(times[rows], x)) for consecutive slices rows of times:
+    one rate call with a column of times per block of about RATE_BLOCK
+    elements, each block a C-contiguous float array of len(x) columns."""
     times = np.asarray(times, dtype=float)
-    table = np.empty((len(times), np.size(x)))
-    rows = max(1, RATE_BLOCK // max(1, table.shape[1]))
+    rows = max(1, RATE_BLOCK // max(1, np.size(x)))
     for j in range(0, len(times), rows):
-        table[j:j + rows] = model.rate(times[j:j + rows, None], x)
+        column = times[j:j + rows, None]
+        block = np.broadcast_to(model.rate(column, x), (len(column), np.size(x)))
+        yield slice(j, j + rows), np.ascontiguousarray(block, dtype=float)
+
+
+def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:
+    """a(t, x) for each t in times (rate_blocks), shape (len(times), len(x))."""
+    table = np.empty((np.size(times), np.size(x)))
+    for rows, block in rate_blocks(model, times, x):
+        table[rows] = block
     return table
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env_models import EnvironmentModel, averaged_optimum, check_hypotheses, rate_table
+from .env_models import (EnvironmentModel, averaged_optimum, check_hypotheses, rate_blocks,
+                         rate_table)
 from .errors import NumericalError
 from .pde_solver import FloquetPair, OrbitRecord, SimulationGrid, principal_eigenpair
 from .rho_ode import PeriodicScalarSignal
@@ -21,8 +22,12 @@ from .rho_ode import PeriodicScalarSignal
 
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> PeriodicScalarSignal:
     """Q, the per-capita growth rate felt by the eigenprofile of pair:
-    Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx at its times."""
-    q = pair.average(rate_table(model, pair.times, pair.grid.x))
+    Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx at its times,
+    reduced per block of rate rows (rate_blocks): no rate table is built."""
+    q = np.empty(len(pair.times))
+    for rows, block in rate_blocks(model, pair.times, pair.grid.x):
+        q[rows] = np.einsum("ij,ij->i", pair.p_snapshots[rows], block)
+    q /= pair.row_sums
     return PeriodicScalarSignal(period=pair.period, times=pair.times.copy(), values=q)
 
 
@@ -66,9 +71,10 @@ def orbit_bounds(record: OrbitRecord, model: EnvironmentModel) -> dict:
         dist = np.abs(grid.x - report.x_m)
         outside = dist >= report.h5_radius
         if outside.any():
-            p = record.pair.p_snapshots
-            envelope = p.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
-            worst = float((p[:, outside] / envelope[None, :]).max())
+            # the maxima over time first: dividing by a positive envelope is monotone
+            peaks = record.pair.p_snapshots.max(axis=0)
+            envelope = peaks.max() * np.exp(-decay * (dist[outside] - report.h5_radius))
+            worst = float((peaks[outside] / envelope).max())
             tail_ok = bool(worst <= 1.0 + 1e-9)
             tail_margin = worst
     return {

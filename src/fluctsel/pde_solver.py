@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 import scipy
 
-from .env_models import EnvironmentModel, mean_growth, rate_table
+from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 from .quadrature import check_end_time, snap_steps
 
@@ -254,11 +254,11 @@ class _Stepper:
     """Precomputed machinery for repeated IMEX periods on a fixed grid.
 
     dt is snapped to an integer number of steps per period so that period
-    boundaries are hit exactly. The gain table holds 1 + dt * a(k * dt, x)
-    for the steps of one period; I - dt * sigma * L is factored once (LAPACK
-    dpttrf), and every step is one in-place dpttrs solve. dt * max|a| < 1
-    keeps the gains positive, so the M-matrix solve keeps densities
-    nonnegative without clipping.
+    boundaries are hit exactly. gain[k] = 1 + dt * a(k * dt, x) is row k + 1
+    of a table whose spare row 0 lets record run one period in the table.
+    I - dt * sigma * L is factored once (LAPACK dpttrf), and every step is
+    one in-place dpttrs solve. dt * max|a| < 1 keeps the gains positive, so
+    the M-matrix solve keeps densities nonnegative without clipping.
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
@@ -267,10 +267,14 @@ class _Stepper:
         self.steps, self.dt = snap_steps(model.period, grid.dt)
         self.dx = grid.dx
         self.times = self.dt * np.arange(self.steps + 1)
-        self.gain = rate_table(model, self.times[:-1], grid.x)
-        self.gain *= self.dt
-        _check_step_constraint(self.gain)
-        self.gain += 1.0
+        self.table = np.empty((self.steps + 1, grid.nx))
+        self.gain = self.table[1:]
+        hi = lo = 0.0  # max and min of dt * a: one pass per block of rate rows
+        for rows, block in rate_blocks(model, self.times[:-1], grid.x):
+            gain = np.multiply(block, self.dt, out=self.gain[rows])
+            hi, lo = np.maximum(hi, gain.max()), np.minimum(lo, gain.min())
+            gain += 1.0
+        _check_step_constraint(np.array([hi, lo]))
         al = self.dt * grid.sigma / (self.dx * self.dx)
         self.d, self.e, info = dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
                                       np.full(grid.nx - 1, -al))
@@ -283,27 +287,27 @@ class _Stepper:
         n *= self.gain[k]
         return dpttrs(self.d, self.e, n, 1)[0]
 
-    def run(self, n: np.ndarray, nsteps: int, record: bool = False):
+    def run(self, n: np.ndarray, nsteps: int) -> np.ndarray:
         """Advance nsteps <= steps linear steps from the period start, in
-        place on one copy of n.
-
-        Returns (n, snapshots): with record, snapshots holds the densities at
-        the nsteps + 1 times, each row stepped from the one before where it
-        lies, and n is its last row; else snapshots is None.
-        """
+        place on one copy of n; returns it."""
         d, e = self.d, self.e
-        if record:
-            snaps = np.empty((nsteps + 1, n.size))
-            snaps[0] = n
-            for prev, row, gain in zip(snaps[:-1], snaps[1:], self.gain):
-                np.multiply(prev, gain, out=row)
-                dpttrs(d, e, row, 1)
-            return snaps[nsteps], snaps
         n = np.array(n, dtype=float)
         for gain in self.gain[:nsteps]:
             n *= gain
             n = dpttrs(d, e, n, 1)[0]
-        return n, None
+        return n
+
+    def record(self, start: np.ndarray) -> np.ndarray:
+        """The densities at times from start, in the table itself: row k + 1
+        is row k times gain k (which it held), solved in place. Returns the
+        table; the stepper keeps no gains and can run no further step."""
+        table, d, e = self.table, self.d, self.e
+        del self.table, self.gain
+        table[0] = start
+        for prev, row in zip(table[:-1], table[1:]):
+            np.multiply(prev, row, out=row)
+            dpttrs(d, e, row, 1)
+        return table
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
         """Principal eigenpair of the linear period map (restarted Arnoldi).
@@ -328,7 +332,7 @@ class _Stepper:
                     f"no principal eigenpair within {budget} periods; "
                     f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
             with np.errstate(over="ignore"):  # an overflow is reported below
-                w = self.run(basis[j], self.steps)[0]
+                w = self.run(basis[j], self.steps)
             factors.append(float(np.linalg.norm(w)))
             if not np.isfinite(factors[-1]):
                 raise NumericalError(f"period map overflowed (factor {factors[-1]})")
@@ -355,7 +359,7 @@ class _Stepper:
             raise NumericalError(f"period map lost positivity (factor {mu}, "
                                  f"eigenvector min/max {p.min() / p.max():.3g})")
         np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
-        snaps = self.run(p / p.max(), self.steps, record=True)[1]
+        snaps = self.record(p / p.max())
         lam = -np.log(mu) / self.period
         snaps *= np.exp(lam * self.times)[:, None]
         return FloquetPair(lam=float(lam), period=self.period, p_snapshots=snaps,

@@ -446,6 +446,12 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     ("example2", "solver.max_periods=0", "max_periods"),
     ("sigma0-convergence", "experiment.w0=0", "w0"),
     ("refinement", "experiment.levels=0", "levels"),
+    # a concentration radius: mass_outside_window read 1.0 before
+    ("sigma0-convergence", "experiment.window=-1", "window"),
+    ("sigma0-convergence", "experiment.window=nan", "window"),
+    # a window with no grid node: a ValueError traceback before
+    ("epsilon-limit", "experiment.window_lo=2", "window_lo"),
+    ("epsilon-limit", "experiment.window_hi=-5", "window_hi"),
 ])
 def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
         tag, override, key, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,18 @@ def test_radius_sweep_rejects_unordered(ex1_model):
     with pytest.raises(fs.NumericalError):
         fs.radius_sweep(ex1_model, [2.0, 1.0], sigma=0.0025)
 
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_q_and_orbit_bounds_allocate_no_table(ex1_eigen, ex1_model):
+    # neither builds a temporary of the 2049 x 800 table's size (13 MiB)
+    orbit = fs.orbit_from_pair(ex1_eigen)
+    assert _traced_peak(fs.effective_signals, ex1_eigen, ex1_model) < 2 ** 20
+    assert _traced_peak(fs.orbit_bounds, orbit, ex1_model) < 2 ** 20

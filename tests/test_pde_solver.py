@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -84,8 +84,7 @@ def test_pure_diffusion_conserves_interior_mass():
     # through the far-away ends, so it is conserved to solver accuracy
     grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, dt=1e-3, sigma=0.01)
     n0 = np.exp(-grid.x ** 2 / 0.02) / np.sqrt(0.02 * np.pi)
-    n, snaps = _Stepper(grid, _const_model(0.0)).run(n0, 200)
-    assert snaps is None
+    n = _Stepper(grid, _const_model(0.0)).run(n0, 200)
     assert fs.total_mass(grid, n) == pytest.approx(fs.total_mass(grid, n0), rel=1e-9)
     assert n.min() >= 0.0
 
@@ -103,6 +102,17 @@ def test_step_constraint_rejects_non_finite_rates(bad):
     scaled[17] = bad
     with pytest.raises(fs.NumericalError, match="step constraint"):
         _check_step_constraint(scaled)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 300.0])
+def test_stepper_margin_is_the_worst_block(bad):
+    # one rate row far from the first block (20 rows a block at nx = 800)
+    # breaks the step constraint; a NaN there is not lost between blocks
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=800, dt=1.0 / 256, sigma=0.01)
+    model = fs.make_custom(1.0, lambda t, x: np.where(
+        np.asarray(t) == 0.75, bad, 0.5) + 0.0 * np.asarray(x))
+    with pytest.raises(fs.NumericalError, match="step constraint"):
+        _Stepper(grid, model)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +176,7 @@ def test_period_map_is_linear_on_signed_vectors():
     u, v = rng.standard_normal((2, grid.nx))
 
     def period_map(w):
-        return stepper.run(w, stepper.steps)[0]
+        return stepper.run(w, stepper.steps)
 
     combo = period_map(2.5 * u - 0.75 * v)
     parts = 2.5 * period_map(u) - 0.75 * period_map(v)
@@ -213,10 +223,10 @@ def test_eigen_solve_runs_at_most_its_budget(monkeypatch):
     maps = []
     run = _Stepper.run
 
-    def counted(self, n, nsteps, record=False):
-        if nsteps == self.steps and not record:
+    def counted(self, n, nsteps):
+        if nsteps == self.steps:
             maps.append(nsteps)
-        return run(self, n, nsteps, record)
+        return run(self, n, nsteps)
 
     monkeypatch.setattr(_Stepper, "run", counted)
     need = fs.principal_eigenpair(grid, model, guess=flat).iterations
@@ -256,7 +266,7 @@ def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
                                                 pressure):
     grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
     stepper = _Stepper(grid, model)
-    dense = np.column_stack([stepper.run(e, stepper.steps)[0]
+    dense = np.column_stack([stepper.run(e, stepper.steps)
                              for e in np.eye(nx)])
     assert dense.min() >= 0.0
     vals, vecs = np.linalg.eig(dense)
@@ -271,28 +281,52 @@ def test_eigenpair_matches_the_dense_period_map(nx, steps, sigma, r, g, swing,
     assert np.abs(profile - perron / perron.max()).max() <= 100.0 * tol
 
 
+# nx = 300 and 257 fill the tables in blocks of 54 and 63 rate rows that do
+# not divide the steps
+_BLOCKED = dict(sigma=0.01, r=1.0, g=0.5, swing=0.5, pressure=False)
+
+
 @settings(max_examples=40, deadline=None)
 @given(**_SMALL_CASES, seed=st.integers(0, 2**32 - 1), part=st.floats(0.0, 1.0))
+@example(nx=300, steps=64, seed=3, part=0.5, **_BLOCKED)
+@example(nx=257, steps=63, seed=4, part=1.0, **_BLOCKED)
 def test_run_is_the_step_loop_bit_for_bit(nx, steps, sigma, r, g, swing,
                                           pressure, seed, part):
-    # the in-place run against a loop that makes a fresh array at every
-    # step; run leaves its input as it was
+    # the gains are 1 + dt a to the bit; the in-place run and the recorded
+    # period, which overwrites the gains, against a loop that makes a fresh
+    # array at every step. Neither changes its input, and recording spends
+    # the stepper
     grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
     stepper = _Stepper(grid, model)
+    gain = stepper.gain.copy()
+    rates = fs.rate_table(model, stepper.times[:-1], grid.x)
+    assert np.array_equal(gain, 1.0 + stepper.dt * rates)
     nsteps = round(part * stepper.steps)
     v = np.random.default_rng(seed).uniform(0.0, 1.0, nx)
     before = v.copy()
     ref = [v]
-    for k in range(nsteps):
+    for k in range(stepper.steps):
         ref.append(scipy.linalg.lapack.dpttrs(stepper.d, stepper.e,
-                                              ref[-1] * stepper.gain[k])[0])
-    n, none = stepper.run(v, nsteps)
-    last, snaps = stepper.run(v, nsteps, record=True)
-    assert none is None
-    assert np.array_equal(n, ref[-1])
-    assert np.array_equal(last, ref[-1])
-    assert np.array_equal(snaps, np.array(ref))
+                                              ref[-1] * gain[k])[0])
+    assert np.array_equal(stepper.run(v, nsteps), ref[nsteps])
+    assert np.array_equal(stepper.record(v), np.array(ref))
     assert np.array_equal(v, before)
+    with pytest.raises(AttributeError):
+        stepper.run(v, 1)
+
+
+def test_eigen_solve_holds_one_period_table(wide_grid, ex1_model):
+    # the recorded period runs in the stepper's gain table: at the example1
+    # grid the solve peaks at that one 2049 x 800 table (13 MiB) plus less
+    # than 1 MiB
+    tracemalloc.start()
+    try:
+        pair = fs.principal_eigenpair(wide_grid, ex1_model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.p_snapshots.shape == (2049, 800)
+    assert peak < pair.p_snapshots.nbytes + 2 ** 20
 
 
 @settings(max_examples=40, deadline=None)
@@ -315,6 +349,20 @@ def test_lambda_identity_holds_up_to_the_boundary_flux(nx, steps, sigma, r, g,
     f = (grown @ leak) / grown.sum(axis=1)
     boundary = -float(np.sum(np.log1p(-f))) / model.period
     assert abs(residual - boundary) <= 10.0 * tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_SMALL_CASES)
+@example(nx=300, steps=64, **_BLOCKED)
+@example(nx=257, steps=63, **_BLOCKED)
+def test_blocked_q_is_the_average_of_the_rate_table(nx, steps, sigma, r, g,
+                                                    swing, pressure):
+    # effective_signals reduces Q block by block, with no rate table
+    grid, model = _small_case(nx, steps, sigma, r, g, swing, pressure)
+    pair = fs.principal_eigenpair(grid, model, tol=1e-10)
+    q = fs.effective_signals(pair, model)
+    assert np.array_equal(q.values,
+                          pair.average(fs.rate_table(model, pair.times, grid.x)))
 
 
 def test_eigen_solve_reports_an_overflowing_period_map():
