@@ -38,7 +38,8 @@ v_sim = measured.sigma2.mean()
 print(f"\nperiod-mean variance: predicted {v_pred:.5f}, "
       f"simulated {v_sim:.5f}, eps/sqrt(g) = {eps:.5f}")
 
-# the mean fitness of the periodic state equals its mean size
-fbar = fs.mean_fitness(record, model)
-print(f"mean fitness along the orbit {fbar:.5f} "
-      f"(equals the mean size up to quadrature error)")
+# the mean of the population growth rate Q along the periodic state equals
+# its mean size
+qbar = fs.effective_signals(record.pair, model).mean()
+print(f"mean of Q along the orbit {qbar:.5f}, mean size {record.rho.mean():.5f} "
+      f"(equal up to quadrature error)")

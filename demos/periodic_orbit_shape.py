@@ -23,9 +23,9 @@ print(f"principal exponent lambda = {pair.lam:.8f} "
       f"({pair.iterations} period maps of the Krylov eigen-solve)")
 print(f"orbit read off the eigenpair, period-to-period gap "
       f"{orbit.period_gap:.2e}")
-rho = orbit.rho_samples
+rho = orbit.rho.values
 print(f"rho over one period: min {rho.min():.5f}  max {rho.max():.5f}  "
-      f"mean {rho.mean():.5f}")
+      f"mean {orbit.rho.mean():.5f}")
 
 # the orbit's normalized profile against the unit-mass eigenprofile
 P = pair.p_snapshots / (pair.grid.dx * pair.row_sums)[:, None]

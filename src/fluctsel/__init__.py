@@ -14,7 +14,7 @@ from .cli_io import (ResultBundle, RunConfig, __version__,
 from .asymptotics import (Corrector, FitnessComparison, LimitProfile,
                           MomentReport, corrector, fitness_comparison,
                           gaussian_moment_expansion, hopf_cole, limit_profile,
-                          mean_fitness, measure_moments, predict_moments,
+                          measure_moments, predict_moments,
                           stationary_constant_env)
 from .env_models import (EnvironmentModel, HypothesisReport, averaged_optimum,
                          check_hypotheses, load_tabulated, locate_optimum,

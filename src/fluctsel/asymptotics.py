@@ -225,19 +225,9 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
     shifted = x - c
     m1 = pair.average(shifted)
     var = pair.average(shifted * shifted) - m1 * m1
-    mu = c + m1
-    T = float(record.times[-1])
-    rho_mean = float(simpson(record.rho_samples, record.times[1] - record.times[0])) / T
-    return MomentReport(
-        mu=PeriodicScalarSignal(period=T, times=record.times.copy(), values=mu),
-        sigma2=PeriodicScalarSignal(period=T, times=record.times.copy(), values=var),
-        rho_mean=rho_mean, source="simulated")
-
-
-def mean_fitness(record: OrbitRecord, model: EnvironmentModel) -> float:
-    """Period average of the population mean growth rate int a n dx / rho,
-    which is the effective signal Q of the orbit's eigenpair."""
-    return effective_signals(record.pair, model).mean()
+    return MomentReport(mu=replace(record.rho, values=c + m1),
+                        sigma2=replace(record.rho, values=var),
+                        rho_mean=record.rho.mean(), source="simulated")
 
 
 def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):

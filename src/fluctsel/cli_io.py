@@ -36,7 +36,6 @@ import numpy as np
 
 from . import asymptotics, env_models, floquet, no_mutation, pde_solver, rho_ode
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
-from .quadrature import simpson
 
 __version__ = "0.1.0"
 
@@ -349,7 +348,7 @@ def _run_periodic_orbit(cfg: RunConfig):
     except ExtinctionError as exc:
         t_end = float(cfg.extra["t_end"])
         n0 = pde_solver.default_orbit_guess(grid, model)
-        _, (times, rho), diag = pde_solver.simulate(grid, model, n0, t_end)
+        _, (times, rho), _ = pde_solver.simulate(grid, model, n0, t_end)
         stride = max(1, len(times) // 2048)
         tables = {"rho_decay": (["t", "rho"],
                                 np.column_stack([times[::stride], rho[::stride]]))}
@@ -361,19 +360,18 @@ def _run_periodic_orbit(cfg: RunConfig):
         })
         return tables, summary
 
-    mrep = asymptotics.measure_moments(record)
     summary.update({
         "extinct": False,
         "period_gap": record.period_gap,
         "periods_run": record.periods_run,
-        "rho_mean": mrep.rho_mean,
+        "rho_mean": record.rho.mean(),
         "identity_residual": floquet.lambda_identity_residual(
             pair, floquet.effective_signals(pair, model)),
     })
     summary.update(floquet.orbit_bounds(record, model))
     tables = {
         "orbit_rho": (["t", "rho"],
-                      np.column_stack([record.times, record.rho_samples])),
+                      np.column_stack([record.rho.times, record.rho.values])),
     }
     return tables, summary
 
@@ -435,17 +433,15 @@ def _run_moments(cfg: RunConfig):
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi),
         nt=int(cfg.extra["nt"]))
-    T = model.period
     mu_pred = predicted.mu(measured.mu.times)
     var_pred = predicted.sigma2(measured.sigma2.times)
     amp_s, ph_s, _ = measured.mu.first_harmonic()
     amp_p, ph_p, _ = replace(measured.mu, values=mu_pred).first_harmonic()
     phase_err = abs((ph_s - ph_p + np.pi) % (2.0 * np.pi) - np.pi)
     var_mean_s = measured.sigma2.mean()
-    var_mean_p = float(simpson(var_pred, record.times[1] - record.times[0])) / T
+    var_mean_p = replace(measured.sigma2, values=var_pred).mean()
     rows = np.column_stack([measured.mu.times, measured.mu.values, mu_pred,
-                            measured.sigma2.values, var_pred,
-                            record.rho_samples])
+                            measured.sigma2.values, var_pred, record.rho.values])
     summary = {
         "mean_amplitude_simulated": amp_s,
         "mean_amplitude_predicted": amp_p,
@@ -504,9 +500,7 @@ def _run_refinement(cfg: RunConfig):
         steps = cfg.solver["steps_per_period"] * 4 ** level
         grid = replace(base, nx=nx, dt=T / steps)
         pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
-        record = pde_solver.orbit_from_pair(pair)
-        dt = record.times[1] - record.times[0]
-        rho_bar = float(simpson(record.rho_samples, dt)) / T
+        rho_bar = pde_solver.orbit_from_pair(pair).rho.mean()
         rows.append([level, nx, steps, pair.lam, rho_bar])
     rows = np.array(rows)
     summary = {}

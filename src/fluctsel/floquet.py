@@ -23,12 +23,14 @@ from .rho_ode import PeriodicScalarSignal
 def effective_signals(pair: FloquetPair, model: EnvironmentModel) -> PeriodicScalarSignal:
     """Q, the per-capita growth rate felt by the eigenprofile of pair:
     Q(t_k) = int a(t_k, x) p(t_k, x) dx / int p(t_k, x) dx at its times,
-    reduced per block of rate rows (rate_blocks): no rate table is built."""
+    reduced per block of rate rows (rate_blocks): no rate table is built.
+    The signal shares pair.times, as the orbit's size and measured moments
+    do; nothing writes to them."""
     q = np.empty(len(pair.times))
     for rows, block in rate_blocks(model, pair.times, pair.grid.x):
         q[rows] = np.einsum("ij,ij->i", pair.p_snapshots[rows], block)
     q /= pair.row_sums
-    return PeriodicScalarSignal(period=pair.period, times=pair.times.copy(), values=q)
+    return PeriodicScalarSignal(period=pair.period, times=pair.times, values=q)
 
 
 def lambda_identity_residual(pair: FloquetPair, q: PeriodicScalarSignal) -> float:
@@ -58,9 +60,9 @@ def orbit_bounds(record: OrbitRecord, model: EnvironmentModel) -> dict:
     """
     grid = record.grid
     lam = record.pair.lam
-    d0 = float(np.abs(rate_table(model, record.times[::64], grid.x)).max())
+    d0 = float(np.abs(rate_table(model, record.rho.times[::64], grid.x)).max())
     T = model.period
-    rho = record.rho_samples
+    rho = record.rho.values
     rho_upper = max(float(rho[0]), d0)
     rho_lower = np.exp(-d0 * T) * np.expm1(abs(lam) * T) / T
     report = check_hypotheses(model, (grid.x_lo, grid.x_hi), lambda_hint=lam)

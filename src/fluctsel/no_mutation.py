@@ -86,12 +86,12 @@ def _shifted_exp(w: np.ndarray):
 
 
 def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
-    """Exponents and rates of the first count steps of a period, in blocks.
+    """Exponents of the first count steps of a period, in blocks.
 
-    Yields (r0, half, c_end, a_end) for the steps r0 <= r < r0 + rows:
-    the Simpson exponent C_{r+1} = int_0^{(r+1) dt} a accumulated from
-    C_0 = 0, the half-step exponent C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4
-    and the rate a((r + 1) dt). Each block holds about RATE_BLOCK elements.
+    Yields (r0, half, c_end) for the steps r0 <= r < r0 + rows: the Simpson
+    exponent C_{r+1} = int_0^{(r+1) dt} a accumulated from C_0 = 0 and the
+    half-step exponent C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4. Each block
+    holds about RATE_BLOCK elements.
     """
     rows = max(1, RATE_BLOCK // len(x))
     c = np.zeros(len(x))
@@ -106,7 +106,7 @@ def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int)
         half[0] += c
         half[1:] += c_end[:-1]
         c = c_end[-1]
-        yield r0, half, c_end, a_end.copy()
+        yield r0, half, c_end
 
 
 def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
@@ -120,13 +120,11 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     is third order in dt. Step k = p S + r ends at the exponent
     p L_T + C_{r+1}, so every mass sum is a product of a period row and a
     phase row (see the module docstring).
-    Returns (state, (times, rho), diagnostics); a size below 1e-12 sets the
-    extinct flag. diagnostics["mean_growth"] records the population mean of
-    a at every time, int n a dx / rho, the effective per-capita rate the
-    total size runs on. An initial density that is negative, identically
-    zero or not finite, or a size beyond the double range, raises
-    NumericalError; a t_end that is negative or not finite raises
-    ConfigError.
+    Returns (state, (times, rho), diagnostics); diagnostics holds only the
+    extinct flag, set by a size below 1e-12. An initial density that is
+    negative, identically zero or not finite, or a size beyond the double
+    range, raises NumericalError; a t_end that is negative or not finite
+    raises ConfigError.
     """
     check_end_time(t_end)
     values = initial_density(n0)
@@ -143,41 +141,35 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     last = nsteps - (periods - 1) * phases  # steps in the last period
     L_T = np.zeros(grid.nx)
     if periods > 1:
-        for _, _, c_end, _ in _phase_blocks(model, x, dt, per_period):
+        for _, _, c_end in _phase_blocks(model, x, dt, per_period):
             L_T = c_end[-1]
     log_masses = np.empty((2, periods, phases))
-    q_eff = np.empty(periods * phases + 1)
-    q_table = q_eff[1:].reshape(periods, phases)
     floor = grid.nx * _UNDERFLOW
     period_rows = max(1, RATE_BLOCK // grid.nx)
-    for r0, half, c_end, a_end in _phase_blocks(model, x, dt, phases):
+    for r0, half, c_end in _phase_blocks(model, x, dt, phases):
         r1 = r0 + len(c_end)
         m_half, e_half = _shifted_exp(half)
         m_end, e_end = _shifted_exp(c_end)
-        e = np.concatenate((e_half, e_end, e_end * a_end))
+        e = np.concatenate((e_half, e_end))
         if r0 < last <= r1:
             L_last = c_end[last - 1 - r0].copy()
         for p0 in range(0, periods, period_rows):
             p1 = min(p0 + period_rows, periods)
             m_w, w = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T)
-            s_half, s_end, num = np.split(w @ e.T, 3, axis=1)
+            s_half, s_end = np.split(w @ e.T, 2, axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
                 log_masses[0, p0:p1, r0:r1] = m_w[:, None] + m_half + np.log(s_half)
                 log_masses[1, p0:p1, r0:r1] = m_w[:, None] + m_end + np.log(s_end)
-                q_table[p0:p1, r0:r1] = num / s_end
             # a sum that underflowed (the two maxima at distant traits) is
             # recomputed directly by log-sum-exp
             for i, j in zip(*np.nonzero((s_half < floor) | (s_end < floor))):
                 p, r = p0 + i, r0 + j
                 m, weights = _shifted_exp(
                     log_n0 + p * L_T + np.stack((half[j], c_end[j])))
-                sums = weights.sum(axis=1)
-                log_masses[:, p, r] = m + np.log(sums)
-                q_table[p, r] = float(weights[1] @ a_end[j]) / sums[1]
+                log_masses[:, p, r] = m + np.log(weights.sum(axis=1))
 
     m_0 = log_n0.max()
     weights = np.exp(log_n0 - m_0)
-    q_eff[0] = float(weights @ model.rate(0.0, x)) / float(weights.sum())
     # Y_{k+1} = Y_k + dt dx / 6 (M_k + 4 M_{k+1/2} + M_{k+1}) and
     # rho_k = M_k / Y_k in logs, where the log_masses are log(M / dx); one
     # period of steps at a time carries log Y and the last log(M / dx)
@@ -204,8 +196,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     state = ExponentState(grid=grid, time=float(times[-1]),
                           log_factors=(periods - 1) * L_T + L_last,
                           rho_integral=log_y, log_n0=log_n0)
-    diagnostics = {"extinct": extinct, "mean_growth": q_eff[:nsteps + 1]}
-    return state, (times, rho), diagnostics
+    return state, (times, rho), {"extinct": extinct}
 
 
 def concentration_metrics(grid: SimulationGrid, values: np.ndarray,

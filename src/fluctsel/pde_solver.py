@@ -40,6 +40,7 @@ import scipy
 from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 from .quadrature import check_end_time, snap_steps
+from .rho_ode import PeriodicScalarSignal
 
 
 def _load_flapack():
@@ -152,23 +153,20 @@ class FloquetPair:
 class OrbitRecord:
     """One period of a converged periodic state n = rho * P.
 
-    pair is the FloquetPair the orbit was read from and rho_samples the
-    sizes at its times; density(k) is the density at times[k], and no
-    density table is stored. period_gap is the relative sup-norm distance
-    between the first and last density; periods_run counts the period maps
-    of the eigen-solve plus the recorded period.
+    pair is the FloquetPair the orbit was read from and rho the size signal
+    on its period, sharing its times; density(k) is the density at
+    rho.times[k], and no density table is stored. period_gap is the
+    relative sup-norm distance between the first and last density;
+    periods_run counts the period maps of the eigen-solve plus the recorded
+    period.
     """
 
     pair: FloquetPair
-    rho_samples: np.ndarray
+    rho: PeriodicScalarSignal
 
     @property
     def grid(self) -> SimulationGrid:
         return self.pair.grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.pair.times
 
     @property
     def periods_run(self) -> int:
@@ -180,9 +178,9 @@ class OrbitRecord:
         return float(np.abs(last - first).max()) / max(float(last.max()), 1e-300)
 
     def density(self, k: int) -> np.ndarray:
-        """rho_k * p_k / int p_k: the density at times[k]."""
+        """rho_k * p_k / int p_k: the density at rho.times[k]."""
         p = self.pair.p_snapshots[k]
-        return (self.rho_samples[k] / total_mass(self.grid, p)) * p
+        return (self.rho.values[k] / total_mass(self.grid, p)) * p
 
 
 def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
@@ -435,7 +433,8 @@ def orbit_from_pair(pair: FloquetPair) -> OrbitRecord:
     and m_k its masses, the scheme maps n_k = p_k / y_k onto itself for
     y_0 = dt * sum_{k<N} m_k / (mu - 1), y_{k+1} = y_k + dt * m_k: the
     discrete twin of periodic_rho_closed_form. The record holds the pair and
-    the sizes rho_k = m_k / y_k; pair is not changed. Raises ExtinctionError
+    the signal of the sizes rho_k = m_k / y_k on the pair's period and
+    times (not copied); pair is not changed. Raises ExtinctionError
     when mu <= 1 (lambda >= 0).
     """
     mu = np.exp(-pair.lam * pair.period)
@@ -446,7 +445,8 @@ def orbit_from_pair(pair: FloquetPair) -> OrbitRecord:
     masses = pair.grid.dx * pair.row_sums * np.exp(-pair.lam * pair.times)
     gains = dt * masses[:-1]
     y = np.cumsum(np.concatenate(([gains.sum() / (mu - 1.0)], gains)))
-    return OrbitRecord(pair=pair, rho_samples=masses / y)
+    return OrbitRecord(pair=pair, rho=PeriodicScalarSignal(
+        period=pair.period, times=pair.times, values=masses / y))
 
 
 def find_periodic_orbit(grid: SimulationGrid, model: EnvironmentModel,

@@ -84,7 +84,9 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
         The orbit rho(t) = (1 - e^{-I}) / (e^{-I} * J(t)) where I is the
         period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds. Its
         fn is this closed form, so off-grid calls keep full accuracy; its
-        values are the closed form at SAMPLES times.
+        values are the closed form at SAMPLES times. Its error is Simpson's
+        truncation error on J, about (I / FINE_INTERVALS)^4 / 180 relative
+        for a constant q: it grows with I (1.3e-12 at I = 32).
 
     Raises
     ------

@@ -90,7 +90,7 @@ def test_c06_orbit_density_matches_eigenprofile(ex1_orbit, ex1_eigen,
                                                 ex1_model):
     # the unit-mass eigenprofiles P = p / int p, one row per snapshot
     P = ex1_eigen.p_snapshots / (ex1_eigen.grid.dx * ex1_eigen.row_sums)[:, None]
-    rho = ex1_orbit.rho_samples
+    rho = ex1_orbit.rho.values
     shape = np.array([ex1_orbit.density(k) / rho[k] for k in range(len(rho))])
     gap = np.abs(shape - P).max()
     assert gap < 1e-3, f"sup density/eigenprofile gap {gap:.3e}"

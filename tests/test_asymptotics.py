@@ -152,19 +152,19 @@ def test_measured_moments_match_the_two_pass_formula(nx, steps, centre, spread,
     p = np.exp(-0.5 * ((grid.x - means[:, None]) / width) ** 2)
     pair = FloquetPair(lam=-1.0, period=1.0, p_snapshots=p, times=times,
                        iterations=0, grid=grid)
-    rep = fs.measure_moments(OrbitRecord(pair=pair, rho_samples=np.ones(steps + 1)))
+    rho = fs.PeriodicScalarSignal(period=1.0, times=times, values=np.ones(steps + 1))
+    rep = fs.measure_moments(OrbitRecord(pair=pair, rho=rho))
     mu = pair.average(grid.x)
     var = pair.average((grid.x - mu[:, None]) ** 2)
     np.testing.assert_allclose(rep.mu.values, mu, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(rep.sigma2.values, var, rtol=1e-12, atol=0.0)
 
 
-def test_mean_fitness_balances_mean_size(ex1_orbit, ex1_model):
+def test_mean_q_balances_mean_size(ex1_orbit, ex1_model):
     # over one period of the orbit, log rho returns to itself, so the mean
-    # of the population growth rate equals the mean size
-    rep = fs.measure_moments(ex1_orbit)
-    assert fs.mean_fitness(ex1_orbit, ex1_model) == pytest.approx(rep.rho_mean,
-                                                                  abs=2e-4)
+    # of the population growth rate Q equals the mean size
+    q = fs.effective_signals(ex1_orbit.pair, ex1_model)
+    assert q.mean() == pytest.approx(ex1_orbit.rho.mean(), abs=2e-4)
 
 
 def test_stationary_constant_env():

@@ -530,6 +530,33 @@ def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch, caplog):
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
+def test_every_orbit_mean_is_the_signal_mean(monkeypatch):
+    # the drivers' period means of rho are record.rho.mean(), bit for bit,
+    # and the measured moments are signals on the record's own times
+    records = []
+    orbit_from_pair = pde_solver.orbit_from_pair
+
+    def kept(pair):
+        records.append(orbit_from_pair(pair))
+        return records[-1]
+
+    monkeypatch.setattr(pde_solver, "orbit_from_pair", kept)
+    cfg = fs.RunConfig(experiment="periodic-orbit",
+                       grid={"nx": 200}, solver={"steps_per_period": 512})
+    summary = fs.run_experiment(cfg).summary
+    (record,) = records
+    assert summary["rho_mean"] == record.rho.mean()
+    rep = asymptotics.measure_moments(record)
+    assert rep.rho_mean == record.rho.mean()
+    assert rep.mu.times is record.rho.times
+    assert rep.sigma2.times is record.rho.times
+    records.clear()
+    rows = fs.run_experiment(fs.RunConfig(
+        experiment="refinement", extra={"levels": 2})).tables["refinement"][1]
+    assert len(records) == len(rows) == 2
+    assert [row[4] for row in rows] == [r.rho.mean() for r in records]
+
+
 def test_main_output_error_exits_2(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory")

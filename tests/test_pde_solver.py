@@ -18,7 +18,7 @@ def _const_model(value=1.0):
 
 
 def _densities(record):
-    return np.array([record.density(k) for k in range(len(record.times))])
+    return np.array([record.density(k) for k in range(len(record.rho.times))])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -202,7 +202,7 @@ def test_orbit_is_deterministic():
     first = fs.find_periodic_orbit(grid, model)
     again = fs.find_periodic_orbit(grid, model)
     assert np.array_equal(first.pair.p_snapshots, again.pair.p_snapshots)
-    assert np.array_equal(first.rho_samples, again.rho_samples)
+    assert np.array_equal(first.rho.values, again.rho.values)
     assert first.periods_run == again.periods_run
 
 
@@ -422,7 +422,7 @@ def test_autonomous_steady_state():
     within = np.abs(snaps - snaps[0]).max() / snaps[0].max()
     assert within < 1e-6
     # steady total size is the principal eigenvalue's negative
-    assert rec.rho_samples[0] == pytest.approx(1.0 - np.sqrt(0.01), abs=5e-3)
+    assert rec.rho.values[0] == pytest.approx(1.0 - np.sqrt(0.01), abs=5e-3)
 
 
 def test_find_periodic_orbit_detects_extinction():
@@ -443,7 +443,7 @@ def test_find_periodic_orbit_convergence_error():
 
 def test_orbit_shape_is_the_eigenprofile(ex1_eigen):
     orbit = fs.orbit_from_pair(ex1_eigen)
-    shape = _densities(orbit) / orbit.rho_samples[:, None]
+    shape = _densities(orbit) / orbit.rho.values[:, None]
     masses = ex1_eigen.grid.dx * ex1_eigen.p_snapshots.sum(axis=1)
     profile = ex1_eigen.p_snapshots / masses[:, None]
     assert np.abs(shape - profile).max() <= 1e-12 * profile.max()
@@ -455,7 +455,7 @@ def test_orbit_is_a_trajectory_of_the_saturating_scheme():
     grid, stepper = _ex1_stepper()
     model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
     rec = fs.find_periodic_orbit(grid, model)
-    snaps, rho = _densities(rec), rec.rho_samples
+    snaps, rho = _densities(rec), rec.rho.values
     np.testing.assert_allclose(grid.dx * snaps.sum(axis=1), rho, rtol=1e-12)
     for k in range(stepper.steps):
         out = stepper.step(snaps[k], k) / (1.0 + stepper.dt * rho[k])
@@ -475,7 +475,7 @@ def test_orbit_is_positive_and_a_saturating_trajectory(nx, steps, sigma, r, g,
         return
     orbit = fs.orbit_from_pair(pair)
     stepper = _Stepper(grid, model)
-    for k, rho in enumerate(orbit.rho_samples):
+    for k, rho in enumerate(orbit.rho.values):
         n = orbit.density(k)
         assert n.min() >= 0.0
         assert grid.dx * n.sum() == pytest.approx(rho, rel=1e-12, abs=0.0)
@@ -497,6 +497,8 @@ def test_orbit_owns_no_density_table(ex1_eigen):
         tracemalloc.stop()
     assert peak < 2 ** 20
     assert orbit.pair is ex1_eigen
+    assert orbit.rho.times is ex1_eigen.times
+    assert orbit.rho.period == ex1_eigen.period
     assert np.array_equal(ex1_eigen.p_snapshots, before)
 
 
@@ -518,7 +520,7 @@ def test_principal_eigenpair_rejects_bad_guess(guess):
 def test_orbit_record_shape(ex1_orbit, wide_grid):
     steps = round(1.0 / wide_grid.dt)
     assert ex1_orbit.pair.p_snapshots.shape == (steps + 1, wide_grid.nx)
-    assert ex1_orbit.times[0] == 0.0
-    assert ex1_orbit.times[-1] == pytest.approx(1.0)
-    assert len(ex1_orbit.rho_samples) == steps + 1
+    assert ex1_orbit.rho.times[0] == 0.0
+    assert ex1_orbit.rho.times[-1] == pytest.approx(1.0)
+    assert len(ex1_orbit.rho.values) == steps + 1
     assert ex1_orbit.period_gap < 1e-8

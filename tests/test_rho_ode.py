@@ -245,10 +245,12 @@ def _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness):
     return fs.PeriodicScalarSignal.from_array_callable(period, rate)
 
 
-# The closed form carries the roundoff of its running sums over 2 * 8192
-# intervals, which grows with the period integral I of q: the two means of a
-# constant q differ by 2.5e-14 at I = 8 and 1.3e-13 at I = 12. These rates
-# keep I <= 10 (mean q <= 5 over a period of at most 2).
+# The closed form carries the truncation error of Simpson's rule on the
+# integrals of exp(int q) over the fine grid, which grows with the period
+# integral I of q: about (I / 8192)^4 / 180 relative for a constant q, and
+# the two means of a constant q differ by about five times that (2.5e-14 at
+# I = 8, 1.3e-13 at I = 12). These rates keep I <= 10 (mean q <= 5 over a
+# period of at most 2).
 @settings(max_examples=40, deadline=None)
 @given(period=st.floats(0.5, 2.0), base=st.floats(0.05, 2.0),
        f1=st.floats(0.0, 0.99), phi1=st.floats(-np.pi, np.pi),
@@ -266,3 +268,16 @@ def test_closed_form_orbit_is_a_signal_of_its_formula(period, base, f1, phi1, f2
     fine, dt = np.linspace(0.0, period, FINE_INTERVALS + 1, retstep=True)
     fine_mean = float(simpson(orbit(fine), dt)) / period
     assert orbit.mean() == pytest.approx(fine_mean, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("c, period", [(8.0, 4.0), (8.0, 5.0), (4.0, 6.0),
+                                       (20.0, 1.0)])
+def test_closed_form_error_is_simpson_truncation(c, period):
+    # a constant rate c: the exact orbit is c, and Simpson's rule on
+    # int exp(c s) ds with step h = T / 8192 is off by (c h)^4 / 180 relative
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        period, lambda ts: np.full_like(ts, c))
+    estimate = (c * period / FINE_INTERVALS) ** 4 / 180.0
+    assert estimate >= 1e-13
+    err = np.abs(fs.periodic_rho_closed_form(q).values / c - 1.0).max()
+    assert err <= 2.0 * estimate + 1e-14
