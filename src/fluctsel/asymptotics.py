@@ -30,12 +30,12 @@ from .rho_ode import PeriodicScalarSignal
 class LimitProfile:
     """Concave limit exponent of the concentration asymptotics.
 
-    u_values <= 0 on xs with the single zero at x_m; rho_bar is the limiting
-    mean size (averaged rate at x_m); taylor = (A, B, C) are the local
-    expansion coefficients u ~ -A/2 w^2 + B w^3 + C w^4, w = x - x_m, A > 0.
+    u_values <= 0 on the nodes it was built on, with the single zero at x_m;
+    rho_bar is the limiting mean size (averaged rate at x_m); taylor =
+    (A, B, C) are the local expansion coefficients
+    u ~ -A/2 w^2 + B w^3 + C w^4, w = x - x_m, A > 0.
     """
 
-    xs: np.ndarray
     u_values: np.ndarray
     x_m: float
     rho_bar: float
@@ -65,7 +65,6 @@ class MomentReport:
     mu: PeriodicScalarSignal
     sigma2: PeriodicScalarSignal
     rho_mean: float
-    source: str
     notes: str = ""
 
 
@@ -96,13 +95,12 @@ def _taylor_from_derivatives(d2: float, d3: float, d4: float):
     return float(A), float(B), float(C)
 
 
-def limit_profile(model: EnvironmentModel, xs: np.ndarray,
-                  rho_bar: float | None = None) -> LimitProfile:
+def limit_profile(model: EnvironmentModel, xs: np.ndarray) -> LimitProfile:
     """Build the limit exponent on the nodes xs.
 
-    u(x) = -|int_{x_m}^x sqrt(rho_bar - abar(s)) ds| with rho_bar defaulting
-    to abar(x_m), so u(x_m) = 0 is the maximum. A radicand below -1e-12
-    raises "H2/limit inconsistency"; values in [-1e-12, 0] are clamped to 0.
+    u(x) = -|int_{x_m}^x sqrt(rho_bar - abar(s)) ds| with rho_bar = abar(x_m),
+    so u(x_m) = 0 is the maximum. A radicand below -1e-12 raises
+    "H2/limit inconsistency"; values in [-1e-12, 0] are clamped to 0.
     Taylor coefficients come from the model's stored derivatives when
     available, otherwise from 5-point centered differences of the averaged
     rate with a step of 10 times the xs spacing.
@@ -110,8 +108,7 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
     xs = np.asarray(xs, dtype=float)
     info = model.analytic_info or {}
     x_m = averaged_optimum(model, (xs[0], xs[-1]))
-    if rho_bar is None:
-        rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
+    rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
     fine, dfine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1, retstep=True)
     radicand = rho_bar - np.asarray(mean_growth(model, fine), dtype=float)
     if radicand.min() < -1e-12:
@@ -132,8 +129,7 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray,
         d3 = (st[4] - 2 * st[3] + 2 * st[1] - st[0]) / (2 * h ** 3)
         d4 = (st[4] - 4 * st[3] + 6 * st[2] - 4 * st[1] + st[0]) / h ** 4
         taylor = _taylor_from_derivatives(d2, d3, d4)
-    return LimitProfile(xs=xs, u_values=u_values, x_m=x_m,
-                        rho_bar=float(rho_bar), taylor=taylor)
+    return LimitProfile(u_values=u_values, x_m=x_m, rho_bar=rho_bar, taylor=taylor)
 
 
 def _cell_solution(model: EnvironmentModel, times: np.ndarray,
@@ -206,7 +202,7 @@ def predict_moments(model: EnvironmentModel, eps: float,
     sigma2 = gaussian_moment_expansion(profile, corr, eps, 2)
     rho_mean = profile.rho_bar + eps * corr.kappa_bar
     return MomentReport(
-        mu=mu, sigma2=sigma2, rho_mean=float(rho_mean), source="asymptotic",
+        mu=mu, sigma2=sigma2, rho_mean=float(rho_mean),
         notes=("time-resolved first-order size correction omitted; "
                "rho_mean is the period mean"))
 
@@ -227,7 +223,7 @@ def measure_moments(record: OrbitRecord) -> MomentReport:
     var = pair.average(shifted * shifted) - m1 * m1
     return MomentReport(mu=replace(record.rho, values=c + m1),
                         sigma2=replace(record.rho, values=var),
-                        rho_mean=record.rho.mean(), source="simulated")
+                        rho_mean=record.rho.mean())
 
 
 def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):

@@ -502,6 +502,7 @@ def _run_refinement(cfg: RunConfig):
         pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
         rho_bar = pde_solver.orbit_from_pair(pair).rho.mean()
         rows.append([level, nx, steps, pair.lam, rho_bar])
+        del pair  # free this level's period table before the next solve
     rows = np.array(rows)
     summary = {}
     if levels >= 3:

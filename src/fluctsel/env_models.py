@@ -2,9 +2,9 @@
 
 A model is a time-periodic net growth rate a(t, x) for a population structured
 by a scalar trait x. The rest of the package consumes models through this
-module: the time-averaged rate, the location of its maximum, and a numerical
-audit of the structural hypotheses (periodicity, a unique averaged optimum,
-confinement away from the optimum) that the analysis relies on.
+module: the time-averaged rate, the location of its maximum, and the
+confinement of the rate away from it, the facts of the structural hypotheses
+that the orbit bounds use.
 """
 
 from __future__ import annotations
@@ -36,33 +36,24 @@ class EnvironmentModel:
     rate : callable
         a(t, x); x is a scalar or ndarray, t a scalar or a column of times
         of shape (k, 1), and the result broadcasts to (k, len(x)).
-    kind : str
-        One of "oscillating_optimum", "oscillating_pressure", "tabulated",
-        "custom".
     analytic_info : dict
         Optional closed-form facts: "mean_growth" (callable), "x_m",
-        "d2"/"d3"/"d4" (derivatives of the averaged rate at the optimum),
-        "params" (constructor parameters).
+        "d2"/"d3"/"d4" (derivatives of the averaged rate at the optimum).
     """
 
     period: float
     rate: Callable
-    kind: str
     analytic_info: dict | None = None
 
 
 @dataclass
 class HypothesisReport:
-    """Result of the numerical hypothesis audit."""
+    """The averaged optimum x_m (H2) and the confinement margin and radius
+    around it (H5); None where check_hypotheses could not establish them."""
 
-    h2_unique_max: bool
     x_m: float | None
-    h2_a_m: float | None
     h5_delta: float | None
     h5_radius: float | None
-    periodicity_residual: float
-    d0: float
-    notes: str = ""
 
 
 def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> EnvironmentModel:
@@ -83,15 +74,13 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
         return r - g * (np.asarray(x) ** 2 + 0.5 * c * c)
 
     info = {
-        "params": {"r": r, "g": g, "c": c, "b": b},
         "mean_growth": mean_rate,
         "x_m": 0.0,
         "d2": -2.0 * g,
         "d3": 0.0,
         "d4": 0.0,
     }
-    return EnvironmentModel(period=period, rate=rate, kind="oscillating_optimum",
-                            analytic_info=info)
+    return EnvironmentModel(period=period, rate=rate, analytic_info=info)
 
 
 def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> EnvironmentModel:
@@ -125,15 +114,13 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
         return r - g_bar * np.asarray(x) ** 2
 
     info = {
-        "params": {"r": r, "g_fn": g_fn, "g_bar": g_bar},
         "mean_growth": mean_rate,
         "x_m": 0.0,
         "d2": -2.0 * g_bar,
         "d3": 0.0,
         "d4": 0.0,
     }
-    return EnvironmentModel(period=1.0, rate=rate, kind="oscillating_pressure",
-                            analytic_info=info)
+    return EnvironmentModel(period=1.0, rate=rate, analytic_info=info)
 
 
 def make_custom(period: float, rate: Callable, analytic_info: dict | None = None) -> EnvironmentModel:
@@ -153,7 +140,7 @@ def make_custom(period: float, rate: Callable, analytic_info: dict | None = None
             row[...] = rate(ti, x)
         return out
 
-    return EnvironmentModel(period=float(period), rate=column_rate, kind="custom",
+    return EnvironmentModel(period=float(period), rate=column_rate,
                             analytic_info=analytic_info)
 
 
@@ -199,8 +186,7 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
         out = np.where(xs >= x_nodes[-1], rows[:, -1:], out)
         return out[0].reshape(np.shape(x))[()] if np.ndim(t) == 0 else out
 
-    return EnvironmentModel(period=float(period), rate=rate, kind="tabulated",
-                            analytic_info=None)
+    return EnvironmentModel(period=float(period), rate=rate)
 
 
 def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
@@ -332,56 +318,26 @@ def averaged_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> f
 
 def check_hypotheses(model: EnvironmentModel, domain: tuple[float, float],
                      lambda_hint: float = 0.0) -> HypothesisReport:
-    """Audit the structural hypotheses on a trait domain.
+    """The averaged optimum and the confinement around it, on a trait domain.
 
-    Checks, on sample grids: exact periodicity of the rate; existence of a
-    unique interior maximum x_m of the averaged rate with a positive value
-    there (the model's closed-form x_m is taken when it has one); and
-    confinement, i.e. a radius R0 and margin delta > 0 with
-    max_t a(t, x) + lambda_hint <= -delta for |x - x_m| >= R0. Bounds on
-    higher derivatives are not checked numerically.
+    x_m is averaged_optimum on the domain, or None (and so are the others)
+    when the averaged rate has no unique interior maximum there.
+    Confinement is a radius R0 and margin delta > 0 with
+    max_t a(t, x) + lambda_hint <= -delta for |x - x_m| >= R0, the max taken
+    over 64 sample times on 513 nodes; both are None when the shifted rate
+    is nonnegative at a domain edge or no node lies beyond R0.
     """
     lo, hi = float(domain[0]), float(domain[1])
-    xs = np.linspace(lo, hi, 513)
-    table = rate_table(model, np.linspace(0.0, model.period, 65), xs)
-    periodicity_residual = float(np.max(np.abs(table[-1] - table[0])))
-    d0 = float(np.max(np.abs(table)))
-    notes = [f"rate bound d0 = {d0:.6g}",
-             f"periodicity residual = {periodicity_residual:.3g}",
-             "H6 (higher-derivative bounds) not checked numerically"]
-
     try:
         x_m = averaged_optimum(model, (lo, hi))
-        unique = True
-        a_m = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
-        if a_m <= 0.0:
-            notes.append(f"averaged rate at the optimum is not positive ({a_m:.6g})")
-    except NumericalError as exc:
-        unique, x_m, a_m = False, None, None
-        notes.append(str(exc))
-
-    # Confinement: s(x) = max over sampled t of a(t, x), shifted by the hint.
-    s = table[:-1].max(axis=0) + lambda_hint
-    delta = None
-    radius = None
-    if s[0] >= 0.0 or s[-1] >= 0.0:
-        notes.append("no confinement: rate nonnegative at the domain edge")
-    elif x_m is None:
-        notes.append("confinement radius not measured: no unique optimum")
-    else:
-        dist = np.abs(xs - x_m)
-        hot = dist[s >= 0.0]
-        r_zero = float(hot.max()) if hot.size else 0.0
-        r0 = 1.1 * r_zero
-        outside = dist >= r0
-        if not outside.any():
-            notes.append("no sample points beyond the confinement radius")
-        else:
-            radius = r0
-            delta = float(-s[outside].max())
-
-    return HypothesisReport(
-        h2_unique_max=unique, x_m=x_m, h2_a_m=a_m,
-        h5_delta=delta, h5_radius=radius,
-        periodicity_residual=periodicity_residual, d0=d0,
-        notes="; ".join(notes))
+    except NumericalError:
+        return HypothesisReport(x_m=None, h5_delta=None, h5_radius=None)
+    xs = np.linspace(lo, hi, 513)
+    times = np.linspace(0.0, model.period, 65)[:-1]
+    s = rate_table(model, times, xs).max(axis=0) + lambda_hint
+    dist = np.abs(xs - x_m)
+    r0 = 1.1 * float(dist[s >= 0.0].max(initial=0.0))
+    outside = dist >= r0
+    if s[0] >= 0.0 or s[-1] >= 0.0 or not outside.any():
+        return HypothesisReport(x_m=x_m, h5_delta=None, h5_radius=None)
+    return HypothesisReport(x_m=x_m, h5_delta=float(-s[outside].max()), h5_radius=r0)

@@ -53,8 +53,6 @@ class ExponentState:
     self-contained; -inf entries mark traits absent from the start.
     """
 
-    grid: SimulationGrid
-    time: float
     log_factors: np.ndarray
     rho_integral: float
     log_n0: np.ndarray
@@ -193,8 +191,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     if not np.isfinite(rho).all():
         raise NumericalError("population size exceeds the double range")
     extinct = bool((rho < EXTINCTION_SIZE).any())
-    state = ExponentState(grid=grid, time=float(times[-1]),
-                          log_factors=(periods - 1) * L_T + L_last,
+    state = ExponentState(log_factors=(periods - 1) * L_T + L_last,
                           rho_integral=log_y, log_n0=log_n0)
     return state, (times, rho), {"extinct": extinct}
 

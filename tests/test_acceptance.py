@@ -62,9 +62,10 @@ def test_c03_sigma0_concentration(ex1_model):
 
 def test_c04_floquet_identity_and_truncation(ex1_model, ex2_model,
                                              ex1_eigen, ex2_eigen):
-    for model, pair in ((ex1_model, ex1_eigen), (ex2_model, ex2_eigen)):
+    for name, model, pair in (("example1", ex1_model, ex1_eigen),
+                              ("example2", ex2_model, ex2_eigen)):
         resid = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
-        assert resid < 1e-6, f"identity residual {resid:.3e} ({model.kind})"
+        assert resid < 1e-6, f"identity residual {resid:.3e} ({name})"
     rows = fs.radius_sweep(ex1_model, [2.0, 3.0, 4.0, 5.0], sigma=EPS * EPS,
                            points_per_unit=100, steps_per_period=1024)
     lams = np.array([row["lambda"] for row in rows])

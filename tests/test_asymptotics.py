@@ -61,9 +61,12 @@ def test_limit_profile_finite_difference_fallback(ex1_model):
 
 
 def test_limit_profile_rejects_low_rho_bar(ex1_model):
+    # a closed-form x_m = 0.5 off the true maximum 0 gives rho_bar =
+    # abar(0.5) = 0.25, below abar(0) = 0.5
+    wrong = fs.make_custom(1.0, ex1_model.rate, {"x_m": 0.5})
     xs = np.linspace(-3.0, 3.0, 401)
     with pytest.raises(fs.NumericalError, match="H2/limit inconsistency"):
-        fs.limit_profile(ex1_model, xs, rho_bar=0.4)
+        fs.limit_profile(wrong, xs)
 
 
 def test_corrector_oscillating_optimum(ex1_model):
@@ -109,7 +112,6 @@ def test_moment_expansion_orders(ex1_model):
 
 def test_predict_moments_bundles_the_pieces(ex1_model):
     rep = fs.predict_moments(ex1_model, EPS, domain=(-3.0, 3.0))
-    assert rep.source == "asymptotic"
     assert rep.rho_mean == pytest.approx(0.5 - EPS)
     assert "omitted" in rep.notes
     assert np.abs(rep.mu.values).max() == pytest.approx(EPS / np.pi, rel=1e-6)
@@ -117,7 +119,7 @@ def test_predict_moments_bundles_the_pieces(ex1_model):
 
 def test_measured_moments_match_prediction(ex1_orbit):
     rep = fs.measure_moments(ex1_orbit)
-    assert rep.source == "simulated"
+    assert rep.notes == ""  # no caveat: the moments are measured, not predicted
     assert rep.rho_mean == pytest.approx(0.45, abs=2e-3)
     assert np.abs(rep.mu.values).max() == pytest.approx(EPS / np.pi, rel=0.1)
     assert rep.sigma2.mean() == pytest.approx(EPS, rel=0.05)

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -147,10 +148,10 @@ def test_resolve_config_defaults():
 
 def test_build_model_kinds(tmp_path):
     model = cli_io.build_model({"kind": "oscillating_optimum", "r": 2.0}, {})
-    assert model.analytic_info["params"]["r"] == 2.0
+    assert float(model.rate(0.0, 0.0)) == 2.0  # r at the optimum, sin(0) = 0
     model = cli_io.build_model({"kind": "oscillating_pressure", "g_mean": 3.0,
                                 "g_amp": 1.0}, {})
-    assert model.analytic_info["params"]["g_bar"] == pytest.approx(3.0, abs=1e-9)
+    assert model.analytic_info["d2"] == pytest.approx(-2.0 * 3.0, abs=2e-9)
     with pytest.raises(fs.ConfigError, match="needs a 'kind'"):
         cli_io.build_model({}, {})
     with pytest.raises(fs.ConfigError, match="needs a 'path'"):
@@ -161,7 +162,7 @@ def test_build_model_kinds(tmp_path):
     table.write_text("1.0 3 2\n0 1 0\n0 2 0\n", encoding="utf-8")
     model = cli_io.build_model({"kind": "tabulated", "path": str(table)},
                                {"x_lo": -1.0, "x_hi": 1.0})
-    assert model.kind == "tabulated"
+    assert model.analytic_info is None
     assert float(model.rate(0.0, np.array([0.0]))[0]) == pytest.approx(1.0)
 
 
@@ -528,6 +529,25 @@ def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch, caplog):
     assert calls == [500]
     assert bundle.tables["refinement"][1][0][2] == 500
     assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+
+
+def test_refinement_frees_each_pair_before_the_next_solve(monkeypatch):
+    # level 0's FloquetPair, and with it its period table, is gone when
+    # level 1's eigen-solve starts
+    pairs, alive = [], []
+    principal = pde_solver._Stepper.principal
+
+    def watched(self, start, tol, budget):
+        alive.append([ref() is not None for ref in pairs])
+        pair = principal(self, start, tol, budget)
+        pairs.append(weakref.ref(pair))
+        return pair
+
+    monkeypatch.setattr(pde_solver._Stepper, "principal", watched)
+    fs.run_experiment(fs.RunConfig(experiment="refinement", grid={"nx": 99},
+                                   solver={"steps_per_period": 128},
+                                   extra={"levels": 2}))
+    assert alive == [[], [False]]
 
 
 def test_every_orbit_mean_is_the_signal_mean(monkeypatch):

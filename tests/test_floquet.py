@@ -139,3 +139,17 @@ def test_q_and_orbit_bounds_allocate_no_table(ex1_eigen, ex1_model):
     orbit = fs.orbit_from_pair(ex1_eigen)
     assert _traced_peak(fs.effective_signals, ex1_eigen, ex1_model) < 2 ** 20
     assert _traced_peak(fs.orbit_bounds, orbit, ex1_model) < 2 ** 20
+
+
+def test_no_unique_optimum_leaves_the_tail_unchecked():
+    # the averaged rate has two peaks, near x = -1 and x = 1: check_hypotheses
+    # reports no x_m and no confinement instead of raising, and orbit_bounds
+    # skips the tail envelope
+    model = fs.make_custom(
+        1.0, lambda t, x: 1.0 - (np.asarray(x) ** 2 - 1.0) ** 2 + 0.2 * np.asarray(x))
+    rep = fs.check_hypotheses(model, (-2.5, 2.5))
+    assert (rep.x_m, rep.h5_delta, rep.h5_radius) == (None, None, None)
+    grid = fs.SimulationGrid(x_lo=-2.5, x_hi=2.5, nx=199, dt=1.0 / 64, sigma=0.01)
+    bounds = fs.orbit_bounds(fs.find_periodic_orbit(grid, model), model)
+    assert bounds["tail_ok"] is None and bounds["tail_worst_ratio"] is None
+    assert bounds["rho_band_ok"]

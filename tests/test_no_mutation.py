@@ -16,10 +16,10 @@ def test_exponent_matches_time_independent_rate():
     grid = _grid()
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
-    state, _, _ = fs.simulate_sigma0(grid, model, n0, 2.0)
+    state, (times, _), _ = fs.simulate_sigma0(grid, model, n0, 2.0)
     np.testing.assert_allclose(state.log_factors, 2.0 * (1.0 - grid.x ** 2),
                                rtol=0, atol=1e-10)
-    assert state.time == pytest.approx(2.0)
+    assert times[-1] == pytest.approx(2.0)
 
 
 def test_mass_coupling_closes_on_logistic_ode(ex1_model):
