@@ -23,7 +23,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import os
@@ -607,7 +606,9 @@ _BOUNDS = {"steps_per_period": _COUNT, "max_periods": _COUNT, "nt": _COUNT,
            "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
            "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
            "window": (lambda v: 0.0 < v < np.inf, "positive and finite"),
-           "t_end": _END_TIME, "t_end_density": _END_TIME}
+           "t_end": _END_TIME, "t_end_density": _END_TIME,
+           "t_star": (lambda v: v is None or np.isfinite(v), "finite"),
+           "points_per_unit": _COUNT}
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
@@ -725,6 +726,8 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
 # command line
 
 def main(argv=None) -> int:
+    import argparse  # here, so that a library import of fluctsel does not load it
+
     parser = argparse.ArgumentParser(
         prog="fluctsel",
         description=("Run one experiment of the fluctuating-selection toolkit "

@@ -61,8 +61,11 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
 
     a(t, x) = r - g * (x - c * sin(b t))**2, with period 2*pi/b.
     """
-    if not g > 0:
-        raise ConfigError(f"selection strength g must be positive, got {g}")
+    for name, value in (("growth rate r", r), ("amplitude c", c)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+    if not 0 < g < np.inf:
+        raise ConfigError(f"selection strength g must be positive and finite, got {g}")
     if not 0 < b < np.inf:
         raise ConfigError(f"angular frequency b must be positive and finite, got {b}")
     period = 2.0 * np.pi / b
@@ -88,19 +91,21 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
 
     a(t, x) = r - g(t) * x**2. g_fn is called with arrays of times and must
     return an array of the same shape, or a constant that broadcasts to it.
-    The pressure g must be positive and 1-periodic; both are checked on a
-    sample grid over one period, periodicity as
+    The pressure g must be positive, finite and 1-periodic; all three are
+    checked on a sample grid over one period, periodicity as
     |g(t + 1) - g(t)| <= 1e-10 * max|g|.
     """
+    if not np.isfinite(r):
+        raise ConfigError(f"growth rate r must be finite, got {r}")
     ts, dt = np.linspace(0.0, 1.0, MEAN_NODES, retstep=True)
 
     def sample(times):
         return np.broadcast_to(np.asarray(g_fn(times), dtype=float), times.shape)
 
     gs = sample(ts)
-    if gs.min() <= 0.0:
-        raise ConfigError(
-            f"selection pressure must stay positive; sampled min g = {gs.min():.6g}")
+    if not (gs.min() > 0.0 and gs.max() < np.inf):
+        raise ConfigError("selection pressure must stay positive and finite; "
+                          f"sampled g in [{gs.min():.6g}, {gs.max():.6g}]")
     shift = float(np.abs(sample(ts + 1.0) - gs).max())
     if shift > 1e-10 * np.abs(gs).max():
         raise ConfigError(

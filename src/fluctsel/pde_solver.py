@@ -35,33 +35,54 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy
 
 from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
 from .quadrature import check_end_time, snap_steps
 from .rho_ode import PeriodicScalarSignal
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_in(folder: str):
+    """Run the extension _flapack found in folder and register it under its
+    scipy name; ImportError if folder has none or it does not load."""
+    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [folder])
+    if spec is None:
+        raise ImportError(f"no {_FLAPACK} in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
 
 def _load_flapack():
     """scipy's compiled LAPACK wrappers, the extension scipy.linalg._flapack,
-    loaded on their own: the scipy.linalg package __init__, which imports
-    scipy._lib.array_api_compat, numpy.f2py and numpy.testing (about 0.25 s),
-    never runs. The module is registered under its own name, so a later
-    import of scipy.linalg shares it and it is initialised once (that import
-    finds it in sys.modules, so the package gets no _flapack attribute)."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+    loaded on their own. importlib.util.find_spec locates the scipy package
+    without running it, so neither scipy/__init__ (scipy._lib._testutils,
+    subprocess, sysconfig, ...) nor the scipy.linalg package __init__
+    (scipy._lib.array_api_compat, numpy.f2py, numpy.testing) runs. Only if
+    that load fails is scipy imported, for whatever library-path set-up its
+    __init__ does and for the version in the error, and the load retried
+    once. The module is registered under its own name, so a later import of
+    scipy.linalg shares it and it is initialised once (that import finds it
+    in sys.modules, so the package gets no _flapack attribute)."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    found = importlib.util.find_spec("scipy")
+    if found is not None:
+        try:
+            return _flapack_in(os.path.join(os.path.dirname(found.origin), "linalg"))
+        except ImportError:
+            pass
+    import scipy
+
     folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    spec = importlib.machinery.PathFinder.find_spec(name, [folder])
-    if spec is None:
+    try:
+        return _flapack_in(folder)
+    except ImportError as exc:
         raise ImportError(f"scipy {scipy.__version__} has no compiled "
-                          f"extension _flapack in {folder}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+                          f"extension _flapack in {folder}") from exc
 
 
 _flapack = _load_flapack()

@@ -453,6 +453,18 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     # a window with no grid node: a ValueError traceback before
     ("epsilon-limit", "experiment.window_lo=2", "window_lo"),
     ("epsilon-limit", "experiment.window_hi=-5", "window_hi"),
+    # a step-constraint failure (exit 3) before
+    ("example2", "experiment.t_star=nan", "t_star"),
+    ("example2", "experiment.t_star=inf", "t_star"),
+    ("sigma0-convergence", "model.r=nan", " r "),
+    ("sigma0-convergence", "model.c=nan", " c "),
+    ("example2", "model.r=nan", " r "),
+    ("example2", "model.g_mean=nan", "selection pressure"),
+    ("example2", "model.g_amp=nan", "selection pressure"),
+    ("example2", "model.g_mean=inf", "selection pressure"),
+    ("sigma0-convergence", "model.g=inf", " g "),
+    # every radius clamped to 16 grid points, exit 0, before
+    ("floquet-sweep", "experiment.points_per_unit=0", "points_per_unit"),
 ])
 def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
         tag, override, key, capsys, tmp_path):

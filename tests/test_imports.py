@@ -211,11 +211,14 @@ def test_every_dataclass_field_is_read():
 
 def test_import_keeps_heavy_scipy_modules_out():
     # fluctsel binds four LAPACK routines from scipy's compiled extension
-    # scipy.linalg._flapack alone; the scipy.linalg package would load
-    # scipy._lib.array_api_compat, numpy.f2py and numpy.testing, about half
-    # the import time. scipy.integrate would pull in scipy.special and
-    # scipy.optimize, and scipy.sparse adds about 70 modules
-    heavy = ("scipy.linalg", "scipy._lib.array_api_compat", "numpy.f2py",
+    # scipy.linalg._flapack alone, found without running the scipy package
+    # (whose __init__ loads scipy._lib._testutils, subprocess and sysconfig);
+    # the scipy.linalg package would load scipy._lib.array_api_compat,
+    # numpy.f2py and numpy.testing, about half the import time.
+    # scipy.integrate would pull in scipy.special and scipy.optimize, and
+    # scipy.sparse adds about 70 modules. Only the command line reads argparse
+    heavy = ("scipy", "scipy._lib", "argparse", "scipy.linalg",
+             "scipy._lib.array_api_compat", "numpy.f2py",
              "numpy.testing", "scipy.integrate", "scipy.special",
              "scipy.optimize", "scipy.sparse")
     code = ("import sys, fluctsel\n"

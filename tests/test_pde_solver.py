@@ -1,3 +1,7 @@
+import importlib.machinery
+import os
+import pathlib
+import subprocess
 import sys
 import tracemalloc
 
@@ -139,11 +143,47 @@ def test_lapack_binding_is_the_scipy_linalg_module():
     assert pde_solver.dpttrs is scipy.linalg.lapack.dpttrs
 
 
-def test_missing_lapack_extension_names_the_scipy_version(monkeypatch, tmp_path):
+def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
+    # no _flapack in scipy's linalg folder, before or after scipy is imported
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    find_spec = importlib.machinery.PathFinder.find_spec
+
+    def no_flapack(cls, name, path=None, target=None):
+        return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(no_flapack))
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} "):
         pde_solver._load_flapack()
+
+
+_FAIL_FIRST_LOAD = """
+import importlib.machinery, sys
+loader = importlib.machinery.ExtensionFileLoader
+load, failed = loader.exec_module, []
+
+def exec_module(self, module):
+    if module.__name__ == "scipy.linalg._flapack" and not failed:
+        failed.append(module.__name__)
+        raise ImportError("first load fails")
+    load(self, module)
+
+loader.exec_module = exec_module
+from fluctsel import pde_solver
+module = pde_solver._flapack
+print(failed, "scipy" in sys.modules, module is sys.modules["scipy.linalg._flapack"],
+      pde_solver.dpttrs is module.dpttrs)
+"""
+
+
+def test_a_failed_lapack_load_is_retried_after_importing_scipy():
+    # a fresh interpreter, where scipy is not imported unless the load fails
+    src = pathlib.Path(fs.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", _FAIL_FIRST_LOAD], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["['scipy.linalg._flapack']", "True", "True", "True"]
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])

@@ -1,0 +1,34 @@
+"""tools/setup_time.py's summary, on synthetic samples (timing real
+processes is left to the script itself)."""
+
+import importlib.util
+import pathlib
+
+_PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "setup_time.py"
+_spec = importlib.util.spec_from_file_location("setup_time", _PATH)
+setup_time = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(setup_time)
+
+
+def _runs(scale, offsets):
+    # every phase of run i reads scale * (i + 1) + offsets[i]
+    return [{phase: scale * (i + 1) + off for phase in setup_time.PHASES}
+            for i, off in enumerate(offsets)]
+
+
+def test_summary_gives_median_quartiles_and_paired_wins():
+    old = _runs(10.0, [0.0] * 5)  # 10, 20, 30, 40, 50
+    new = _runs(10.0, [-1.0, -1.0, 1.0, -1.0, 0.0])  # 9, 19, 31, 39, 50
+    lines = setup_time.summarize(old, new)
+    assert len(lines) == 1 + len(setup_time.PHASES)
+    assert lines[0].split() == ["phase", "old", "median", "[q1,", "q3]", "new",
+                                "median", "[q1,", "q3]", "new", "lower"]
+    for phase, line in zip(setup_time.PHASES, lines[1:]):
+        assert line.split() == [phase, "30.00", "[20.00,", "40.00]",
+                                "31.00", "[19.00,", "39.00]", "3/5"]
+
+
+def test_ties_do_not_count_as_wins():
+    same = _runs(1.0, [0.0, 0.0])
+    for line in setup_time.summarize(same, same)[1:]:
+        assert line.endswith("0/2")

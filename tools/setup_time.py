@@ -1,0 +1,96 @@
+"""Time the set-up of a fresh fluctsel process from two source trees, phase
+by phase.
+
+    python tools/setup_time.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository. After one unrecorded warm-up
+process per tree, the script runs PAIRS alternating pairs of fresh
+interpreters (OLD first in even pairs, NEW first in odd ones). Each imports
+numpy, then fluctsel from TREE/src, then resolves the default config of
+example2, and prints a time.monotonic() stamp after each step and its peak
+resident memory (ru_maxrss). On Linux that clock is shared by all
+processes, so the stamp of the child's first line minus the spawn time
+taken here is the interpreter start. The phases:
+
+- interpreter_ms: spawn to the child's first line;
+- numpy_ms, fluctsel_ms, resolve_config_ms: each step;
+- total_ms: spawn to the resolved config;
+- peak_rss_mb: the child's peak resident memory.
+
+For each phase the script prints the median and quartiles of each side and
+the number of pairs in which NEW is lower.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+PAIRS = 20
+PHASES = ("interpreter_ms", "numpy_ms", "fluctsel_ms", "resolve_config_ms",
+          "total_ms", "peak_rss_mb")
+
+_CHILD = """
+import time
+stamps = [time.monotonic()]
+import numpy
+stamps.append(time.monotonic())
+import fluctsel
+stamps.append(time.monotonic())
+from fluctsel.cli_io import RunConfig, resolve_config
+resolve_config(RunConfig(experiment="example2"))
+stamps.append(time.monotonic())
+import resource
+print(*stamps, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+def run_once(tree: Path) -> dict:
+    """One fresh interpreter on tree/src; returns each phase's value."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    spawn = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", _CHILD], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    start, numpy_done, fluctsel_done, resolved, rss = map(float, out.split())
+    ms = [1e3 * (b - a) for a, b in ((spawn, start), (start, numpy_done),
+                                     (numpy_done, fluctsel_done),
+                                     (fluctsel_done, resolved), (spawn, resolved))]
+    return dict(zip(PHASES, [*ms, rss]))
+
+
+def summarize(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per phase: median [q1, q3] of each side, and in how many of
+    the pairs (old[i], new[i]) the new value is lower."""
+    lines = [f"{'phase':<18}{'old median [q1, q3]':>26}{'new median [q1, q3]':>26}"
+             "  new lower"]
+    for phase in PHASES:
+        sides = [np.array([run[phase] for run in runs]) for runs in (old, new)]
+        cells = ["{1:.2f} [{0:.2f}, {2:.2f}]".format(*np.percentile(v, [25, 50, 75]))
+                 for v in sides]
+        wins = int(np.sum(sides[1] < sides[0]))
+        lines.append(f"{phase:<18}{cells[0]:>26}{cells[1]:>26}  {wins}/{len(old)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    trees = [Path(tree) for tree in argv]
+    for tree in trees:
+        run_once(tree)
+    runs = ([], [])
+    for i in range(PAIRS):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(run_once(trees[side]))
+    print("\n".join(summarize(*runs)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
