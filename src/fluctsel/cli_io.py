@@ -291,16 +291,15 @@ def _run_sigma0(cfg: RunConfig):
     orbit = rho_ode.periodic_rho_closed_form(q)
 
     t_end = float(cfg.extra["t_end"])
-    # both runs step the same times; compare their last period with the orbit
-    (times_l, rho_low), (_, rho_high) = (rho_ode.integrate_logistic(q, rho0, t_end)
-                                         for rho0 in (0.05, 5.0))
+    # both runs step the same times; only their last period is kept
+    times_l, rho_low = rho_ode.integrate_logistic(q, 0.05, t_end)
     keep = times_l >= t_end - T - 1e-12
-    closed = orbit(times_l[keep])
+    times_l, rho_low = times_l[keep], rho_low[keep]
+    rho_high = rho_ode.integrate_logistic(q, 5.0, t_end)[1][keep]
+    closed = orbit(times_l)
     qbar = q.mean()
-    q_const = rho_ode.PeriodicScalarSignal.from_array_callable(
-        T, lambda ts: np.full(len(ts), qbar))
-    const_orbit = rho_ode.periodic_rho_closed_form(q_const)
-    const_gap = float(np.abs(const_orbit.values - qbar).max())
+    q_const = rho_ode.PeriodicScalarSignal.from_array_callable(T, lambda t: np.full(len(t), qbar))
+    const_gap = float(np.abs(rho_ode.periodic_rho_closed_form(q_const).values - qbar).max())
 
     grid = build_grid(cfg, T)
     w0 = float(cfg.extra["w0"])
@@ -314,18 +313,17 @@ def _run_sigma0(cfg: RunConfig):
     last = times_d >= t_density - T - 1e-12
     rho_gap_final = float(np.abs(rho_d[last] - orbit(times_d[last])).max())
 
-    rows_logistic = np.column_stack([times_l[keep], closed, rho_low[keep], rho_high[keep]])
     stride = max(1, len(times_d) // 2048)
     rows_density = np.column_stack([
         times_d[::stride], rho_d[::stride], orbit(times_d[::stride])])
     tables = {
         "logistic_compare": (["t", "rho_closed", "rho_from_low", "rho_from_high"],
-                             rows_logistic),
+                             np.column_stack([times_l, closed, rho_low, rho_high])),
         "sigma0_rho": (["t", "rho", "rho_closed"], rows_density),
     }
     summary = {
-        "final_period_gap_from_low": float(np.abs(rho_low[keep] - closed).max()),
-        "final_period_gap_from_high": float(np.abs(rho_high[keep] - closed).max()),
+        "final_period_gap_from_low": float(np.abs(rho_low - closed).max()),
+        "final_period_gap_from_high": float(np.abs(rho_high - closed).max()),
         "constant_rate_collapse_gap": const_gap,
         "orbit_mean": orbit.mean(),
         "mass_outside_window": metrics.mass_outside,

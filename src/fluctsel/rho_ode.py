@@ -1,17 +1,17 @@
 """Periodic logistic dynamics for the total population size.
 
 When the population concentrates at a single trait, its total size rho obeys
-the scalar logistic law rho' = rho * (q(t) - rho) with a periodic per-capita
-rate q. This module provides the positive periodic solution in closed form,
-a direct time integrator to observe attraction toward it, and period means.
+the logistic law rho' = rho * (q(t) - rho) with a periodic per-capita rate q,
+and u = 1 / rho the linear law u' = 1 - q u. This module provides the positive
+periodic solution in closed form, an RK4 integrator of u to observe
+attraction toward it, and period means.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -117,57 +117,59 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
     return PeriodicScalarSignal.from_array_callable(T, rho)
 
 
-def _rk4_steps(q, sizes: array, triples, h: float, t0: float, depth: int):
-    """Fill sizes[1:] from sizes[0] with RK4 steps of width h for
-    rho' = rho (q - rho), the step into sizes[i] taking q at its start,
-    midpoint and end from the i-th (q_start, q_mid, q_end) of triples. A
-    step whose result is not positive is redone as two half steps from its
-    start t0 + (i - 1) h, evaluating q directly; more than 40 nested
-    halvings raise NumericalError."""
+def _rk4_map(h, q_start, q_mid, q_end):
+    """RK4 step of width h for u' = 1 - q u as u -> alpha u + beta, from the stages
+    k_i = a_i u + b_i; q at the step's start, midpoint and end (scalars or arrays)."""
     half, sixth = 0.5 * h, h / 6.0
-    rho = sizes[0]
-    for i, (q_start, q_mid, q_end) in zip(range(1, len(sizes)), triples):
-        k1 = rho * (q_start - rho)
-        r2 = rho + half * k1
-        k2 = r2 * (q_mid - r2)
-        r3 = rho + half * k2
-        k3 = r3 * (q_mid - r3)
-        r4 = rho + h * k3
-        k4 = r4 * (q_end - r4)
-        out = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (out > 0.0 or rho == 0.0):
-            t = t0 + h * (i - 1)
-            if depth >= 40:
-                raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
-            sub = array("d", (rho, 0.0, 0.0))
-            _rk4_steps(q, sub, [(q(s), q(s + 0.5 * half), q(s + half))
-                                for s in (t, t + half)], half, t, depth + 1)
-            out = sub[2]
-        sizes[i] = rho = out
+    a2, b2 = -q_mid * (1.0 - half * q_start), 1.0 - half * q_mid
+    a3, b3 = -q_mid * (1.0 + half * a2), 1.0 - q_mid * (half * b2)
+    a4, b4 = -q_end * (1.0 + h * a3), 1.0 - q_end * (h * b3)
+    return (1.0 + sixth * (-q_start + 2.0 * a2 + 2.0 * a3 + a4),
+            sixth * (1.0 + 2.0 * b2 + 2.0 * b3 + b4))
+
+
+def _positive_map(q, t, h, depth, q_start, q_mid, q_end):
+    """The RK4 map of the step of width h from t or, if its alpha or beta is not
+    positive, the composition of its halves (q evaluated directly), recursively."""
+    alpha, beta = _rk4_map(h, q_start, q_mid, q_end)
+    if alpha > 0.0 and beta > 0.0:
+        return alpha, beta
+    if depth >= 40:
+        raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
+    (a1, b1), (a2, b2) = (_positive_map(q, s, h / 2, depth + 1, q(s), q(s + h / 4), q(s + h / 2))
+                          for s in (t, t + h / 2))
+    return a2 * a1, a2 * b1 + b2
 
 
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
                        dt: float | None = None):
-    """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4.
+    """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4 on the
+    linear law u' = 1 - q u of u = 1 / rho. Returns (times, rho).
 
-    Steps live on a uniform grid of width dt (default period/1024), snapped
-    to period / round(period / dt) so that a whole number of steps fills one
-    period. q is evaluated once on one period's half-step grid, and the
-    steps cycle through its (start, midpoint, end) triples. A step whose
-    result is not positive is retried as two half steps, recursively,
-    evaluating q directly; more than 40 halvings raises NumericalError, as
-    does a start that is negative or not finite, and a t_end that is
-    negative or not finite raises ConfigError. Returns (times, rho).
+    Steps of width dt (default period/1024, snapped to period / round(period
+    / dt)) fill each period, and q is evaluated once on one period's half-step
+    grid, so step r of every period is one affine map u -> alpha_r u + beta_r,
+    composed over a period by one scan. A step with alpha or beta not positive
+    is replaced by its two half steps, recursively; more than 40 halvings raise
+    NumericalError, as does a negative or non-finite start (a negative or
+    non-finite t_end raises ConfigError). After the start rho stays in
+    (0, 1 / min beta] up to rounding, and a start of 0 stays 0.
     """
     if not 0.0 <= rho0 < math.inf:
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
     check_end_time(t_end)
-    T = q.period
-    steps, dt = snap_steps(T, T / 1024 if dt is None else dt)
+    steps, dt = snap_steps(q.period, q.period / 1024 if dt is None else dt)
     n = int(round(t_end / dt))
-    times = dt * np.arange(n + 1)
     # q at t = j dt / 2: the step starts, midpoints and ends of one period
-    table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float).tolist()
-    sizes = array("d", (rho0,)) * (n + 1)
-    _rk4_steps(q, sizes, cycle(zip(table[0:-1:2], table[1::2], table[2::2])), dt, 0.0, 0)
-    return times, np.frombuffer(sizes)
+    table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
+    alpha, beta = _rk4_map(dt, table[0:-1:2], table[1::2], table[2::2])
+    for r in np.flatnonzero(~((alpha > 0.0) & (beta > 0.0))):
+        alpha[r], beta[r] = _positive_map(q, dt * r, dt, 0, *table[2 * r:2 * r + 3])
+    # (A_r, B_r) maps u at a period's start to u after r of its steps
+    *maps, (A_T, B_T) = accumulate(zip(alpha.tolist(), beta.tolist()), initial=(1.0, 0.0),
+                                   func=lambda m, s: (s[0] * m[0], s[0] * m[1] + s[1]))
+    A, B = np.array(maps).T
+    # 1 / (A u_p + B) written in rho_p = 1 / u_p, so that 0 stays 0 exactly
+    starts = np.array([*accumulate(range(n // steps), lambda rho, _: rho / (A_T + B_T * rho),
+                                   initial=rho0)])[:, None]
+    return dt * np.arange(n + 1), (starts / (A + B * starts)).ravel()[:n + 1]

@@ -49,9 +49,35 @@ def test_differences_name_the_file_and_the_largest_shift_per_key(tmp_path):
         "  v: largest relative shift 0.25",
         "  x: largest relative shift 1e-12",
         "a/table.csv: differs",
+        "  y: largest relative shift 0.5",
         "b/manifest.json: differs (only in old)",
         "b/summary.json: differs (only in old)",
         "b/table.csv: differs (only in old)",
+    ]
+
+
+def test_a_differing_csv_names_the_largest_shift_per_column(tmp_path):
+    _bundle(tmp_path / "old", "a", {"x": 1.0},
+            "t,rho,gone,tag\n0,1.0e+00,5,a\n1,4.0e+00,5,b\n", 0.1)
+    _bundle(tmp_path / "new", "a", {"x": 1.0},
+            "t,rho,tag,new\n0,1.000000000001e+00,a,5\n1,3.0e+00,c,5\n", 0.1)
+    _bundle(tmp_path / "old", "b", {"x": 1.0}, "t,y\n0,1\n1,2\n", 0.1)
+    _bundle(tmp_path / "new", "b", {"x": 1.0}, "t,y\n0,1\n", 0.1)
+    lines, differs = compare_bundles.compare(tmp_path / "old", tmp_path / "new")
+    assert differs
+    assert lines == [
+        "a/manifest.json: identical",
+        "a/summary.json: identical",
+        "a/table.csv: differs",
+        "  gone: only in old",
+        "  new: only in new",
+        "  rho: largest relative shift 0.25",
+        "  tag: largest relative shift inf",
+        "b/manifest.json: identical",
+        "b/summary.json: identical",
+        "b/table.csv: differs",
+        "  t: largest relative shift inf",
+        "  y: largest relative shift inf",
     ]
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
@@ -61,11 +61,12 @@ def test_integrator_attracted_to_orbit(rho0):
     assert np.abs(rho[tail] - orbit(times[tail])).max() < 1e-5
 
 
-def test_integrator_survives_harsh_steps():
-    # a large step through a strongly negative stretch would go nonpositive;
-    # the halving fallback must keep the iterate positive
+@pytest.mark.parametrize("swing", [-40.0, 40.0])
+def test_integrator_survives_harsh_steps(swing):
+    # quarter-period steps through a strongly negative or strongly positive
+    # stretch; the iterate must stay positive
     q = fs.PeriodicScalarSignal.from_array_callable(
-        1.0, lambda ts: 1.0 - 40.0 * (np.sin(np.pi * ts) ** 2))
+        1.0, lambda ts: 1.0 + swing * (np.sin(np.pi * ts) ** 2))
     times, rho = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
     assert (rho > 0.0).all()
 
@@ -83,42 +84,80 @@ def test_integrator_rejects_a_start_outside_the_double_range(rho0):
         fs.integrate_logistic(_ex1_q(), rho0, 1.0)
 
 
-def _reference_logistic(q, rho0, t_end, dt):
-    """integrate_logistic step by step: step k is one RK4 step reading q
-    from the half-step table at index 2 (k mod steps), and a step that is
-    not positive is redone as two half steps with q evaluated directly."""
+def _reference_phase_maps(q, dt):
+    """The snapped step count and width, and the step maps (alpha_r, beta_r)
+    of one period, one phase at a time from the half-step table: the RK4
+    stages k_i = a_i u + b_i of u' = 1 - q u are expanded into their affine
+    coefficients, and a map with alpha or beta not positive is replaced by
+    the composition of its two half steps with q evaluated directly."""
     steps, dt = snap_steps(q.period, dt)
-    n = int(round(t_end / dt))
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
 
-    def rk4(rho, h, q_start, q_mid, q_end):
-        k1 = rho * (q_start - rho)
-        r2 = rho + 0.5 * h * k1
-        k2 = r2 * (q_mid - r2)
-        r3 = rho + 0.5 * h * k2
-        k3 = r3 * (q_mid - r3)
-        r4 = rho + h * k3
-        k4 = r4 * (q_end - r4)
-        return rho + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rk4_map(h, q_start, q_mid, q_end):
+        a1, b1 = -q_start, 1.0
+        a2, b2 = -q_mid * (1.0 + 0.5 * h * a1), 1.0 - q_mid * (0.5 * h * b1)
+        a3, b3 = -q_mid * (1.0 + 0.5 * h * a2), 1.0 - q_mid * (0.5 * h * b2)
+        a4, b4 = -q_end * (1.0 + h * a3), 1.0 - q_end * (h * b3)
+        return (1.0 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    def advance(rho, t, h, depth, q_start, q_mid, q_end):
-        out = rk4(rho, h, q_start, q_mid, q_end)
-        if out > 0.0 or rho == 0.0:
-            return out
+    def positive_map(t, h, depth, q_start, q_mid, q_end):
+        alpha, beta = rk4_map(h, q_start, q_mid, q_end)
+        if alpha > 0.0 and beta > 0.0:
+            return alpha, beta
         if depth >= 40:
             raise fs.NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
         h2 = 0.5 * h
-        for s in (t, t + h2):
-            rho = advance(rho, s, h2, depth + 1, q(s), q(s + 0.5 * h2), q(s + h2))
-        return rho
+        (a1, b1), (a2, b2) = (positive_map(s, h2, depth + 1, q(s), q(s + 0.5 * h2),
+                                           q(s + h2)) for s in (t, t + h2))
+        return a2 * a1, a2 * b1 + b2
 
+    maps = [positive_map(dt * r, dt, 0, *table[2 * r:2 * r + 3]) for r in range(steps)]
+    return steps, dt, maps
+
+
+def _reference_logistic(q, rho0, t_end, dt):
+    """integrate_logistic one step at a time: u = 1 / rho after step r of a
+    period is A_r u_p + B_r, where u_p is u at the period's start and the
+    prefix maps (A_r, B_r) are running products of the step maps; in rho,
+    rho_p / (A_r + B_r rho_p)."""
+    steps, dt, maps = _reference_phase_maps(q, dt)
+    A, B = [1.0], [0.0]
+    for alpha, beta in maps:
+        A.append(float(alpha) * A[-1])
+        B.append(float(alpha) * B[-1] + float(beta))
+    n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
+    rho = np.empty(n + 1)
+    start = rho0
+    for k in range(n + 1):
+        r = k % steps
+        if r == 0 and k > 0:
+            start = start / (A[steps] + B[steps] * start)
+        rho[k] = start / (A[r] + B[r] * start)
+    return times, rho
+
+
+def _rk4_on_rho(q, rho0, t_end, dt):
+    """Classical RK4 on rho' = rho (q - rho) itself, reading q from the same
+    half-step table (no positivity fallback)."""
+    steps, dt = snap_steps(q.period, dt)
+    n = int(round(t_end / dt))
+    table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
     rho = np.empty(n + 1)
     rho[0] = rho0
     for k in range(n):
-        j = 2 * (k % steps)
-        rho[k + 1] = advance(rho[k], times[k], dt, 0, *table[j:j + 3])
-    return times, rho
+        q_start, q_mid, q_end = table[2 * (k % steps):2 * (k % steps) + 3]
+        r = rho[k]
+        k1 = r * (q_start - r)
+        r2 = r + 0.5 * dt * k1
+        k2 = r2 * (q_mid - r2)
+        r3 = r + 0.5 * dt * k2
+        k3 = r3 * (q_mid - r3)
+        r4 = r + dt * k3
+        k4 = r4 * (q_end - r4)
+        rho[k + 1] = r + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return dt * np.arange(n + 1), rho
 
 
 def _outcome(integrate, q, rho0, t_end, dt):
@@ -158,13 +197,66 @@ def test_integrator_equals_the_step_by_step_reference(offset, amp, phase, period
 
 
 def test_integrator_equals_the_reference_through_the_halving_fallback():
-    # a quarter-period step into a rate of -39 goes nonpositive and is
-    # halved, with q evaluated one time at a time
-    q, sizes = _counting_signal(1.0, lambda ts: 1.0 - 40.0 * np.sin(np.pi * ts) ** 2)
+    # a quarter-period step into a rate of 41 has a negative alpha or beta
+    # and is halved, with q evaluated one time at a time
+    q, sizes = _counting_signal(1.0, lambda ts: 1.0 + 40.0 * np.sin(np.pi * ts) ** 2)
     got = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
     assert sizes.count(1) > 0
     want = _reference_logistic(q, 1.0, 2.0, 0.25)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+# Both schemes are fourth order. When dt times each rate of the problem
+# (max|q|, rho0 and the angular frequency 2 pi / period of q) is at most 0.05
+# they agree within 5e-6 relative over at most 3 periods; the largest gap
+# found by a sweep of these inputs is 6.9e-7 (q = -5, rho0 = 5, dt = 0.01,
+# nine time units).
+@settings(max_examples=60, deadline=None)
+@given(offset=st.floats(-5.0, 5.0), amp=st.floats(0.0, 20.0),
+       phase=st.floats(-np.pi, np.pi), period=st.floats(0.2, 3.0),
+       steps=st.integers(126, 400), rho0=st.floats(1e-3, 10.0),
+       periods=st.floats(0.0, 3.0))
+def test_integrator_is_close_to_rk4_on_rho_for_small_steps(offset, amp, phase, period,
+                                                           steps, rho0, periods):
+    dt = period / steps
+    assume(dt * max(abs(offset) + amp, rho0, 2 * np.pi / period) <= 0.05)
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        period, lambda ts: offset + amp * np.sin(2 * np.pi * ts / period + phase))
+    times, rho = fs.integrate_logistic(q, rho0, periods * period, dt)
+    want_times, want = _rk4_on_rho(q, rho0, periods * period, dt)
+    assert np.array_equal(times, want_times)
+    np.testing.assert_allclose(rho, want, rtol=5e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("swing, dt", [(0.0, None), (40.0, 0.25), (-40.0, 0.25)])
+def test_a_start_of_zero_stays_exactly_zero(swing, dt):
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 1.0 + swing * np.sin(np.pi * ts) ** 2)
+    times, rho = fs.integrate_logistic(q, 0.0, 3.0, dt)
+    assert len(times) == len(rho) > 3 and not rho.any()
+
+
+@pytest.mark.parametrize("swing", [-40.0, 0.0, 40.0])
+@pytest.mark.parametrize("rho0", [1e-6, 1.0, 1e3])
+def test_the_size_never_exceeds_one_over_the_least_beta(swing, rho0):
+    # u after each step is at least that step's beta, whatever the start;
+    # the three roundings of rho_p / (A_r + B_r rho_p) may add an ulp or two
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 1.0 + swing * np.sin(np.pi * ts) ** 2)
+    _, _, maps = _reference_phase_maps(q, 0.25)
+    _, rho = fs.integrate_logistic(q, rho0, 3.0, dt=0.25)
+    assert (rho[1:] > 0.0).all()
+    bound = 1.0 / min(beta for _, beta in maps)
+    assert rho[1:].max() <= bound * (1.0 + 4.0 * np.finfo(float).eps)
+
+
+def test_a_nan_rate_raises_numerical_error_after_40_halvings():
+    # the step that ends at t = 0.5 is halved toward its end 40 times, each
+    # halving evaluating q at the three times of both halves
+    q, sizes = _counting_signal(1.0, lambda ts: np.where(ts % 1.0 < 0.5, 1.0, np.nan))
+    with pytest.raises(fs.NumericalError, match="positivity lost at t = 0.5 "):
+        fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
+    assert sizes == [9] + [1] * 6 * 40
 
 
 def test_signal_from_samples_interpolates():

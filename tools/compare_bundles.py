@@ -6,11 +6,12 @@ compare them file by file.
 Each tree is a checkout of this repository. A fresh interpreter imports the
 package from TREE/src and writes the bundle of every tag at its defaults,
 one directory per tag. For each file, the script prints "identical" or
-"differs". For each summary.json key that differs, it prints the largest
-relative shift: |old - new| / max(|old|, |new|), taken element-wise over a
-list and reported as inf when a value is not a number or changes type. A
-manifest is compared without its timing block, and both trees write to the
-same relative out_dir. The exit status is 1 on any difference, else 0.
+"differs". For each summary.json key and each CSV column that differs, it
+prints the largest relative shift: |old - new| / max(|old|, |new|), taken
+element-wise over a list or column and reported as inf when a value is not a
+number or changes type, or a column changes length. A manifest is compared
+without its timing block, and both trees write to the same relative out_dir.
+The exit status is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -50,6 +51,34 @@ def relative_shift(old, new) -> float:
     return abs(old - new) / max(abs(old), abs(new))
 
 
+def _csv_columns(path: Path) -> dict:
+    """Each column of a CSV with a header row, by name: its numbers, or its
+    text where a cell is not a number."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    names = header.split(",")
+    columns = zip(*(row.split(",") for row in rows)) if rows else [()] * len(names)
+    return {name: [_number(v) for v in column] for name, column in zip(names, columns)}
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _shift_lines(old: dict, new: dict) -> list[str]:
+    """One line per key of old or new whose values differ."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in old or key not in new:
+            lines.append(f"  {key}: only in {'old' if key in old else 'new'}")
+        elif old[key] != new[key]:
+            shift = relative_shift(old[key], new[key])
+            lines.append(f"  {key}: largest relative shift {shift:.3g}")
+    return lines
+
+
 def _manifest_without_timing(path: Path) -> dict:
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest.pop("timing", None)
@@ -77,14 +106,9 @@ def compare(old: Path, new: Path) -> tuple[list[str], bool]:
         lines.append(f"{name}: {'identical' if same else 'differs'}")
         differs |= not same
         if not same and name.endswith("summary.json"):
-            sa = json.loads(a.read_text(encoding="utf-8"))
-            sb = json.loads(b.read_text(encoding="utf-8"))
-            for key in sorted(sa.keys() | sb.keys()):
-                if key not in sa or key not in sb:
-                    lines.append(f"  {key}: only in {'old' if key in sa else 'new'}")
-                elif sa[key] != sb[key]:
-                    shift = relative_shift(sa[key], sb[key])
-                    lines.append(f"  {key}: largest relative shift {shift:.3g}")
+            lines += _shift_lines(*(json.loads(p.read_text(encoding="utf-8")) for p in (a, b)))
+        elif not same and name.endswith(".csv"):
+            lines += _shift_lines(_csv_columns(a), _csv_columns(b))
     return lines, differs
 
 
