@@ -15,8 +15,9 @@ Config files use INI-like sections
     ...
 
 or, when the file starts with "{", a JSON object with the same section names.
-Unknown keys, type mismatches, and constraint violations are reported with
-the offending line number.
+Unknown keys, type mismatches, and values outside their bounds are reported
+with their source: file:line, a JSON file's [section] key, or the override
+text; a config built in code meets the same bounds when it is resolved.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -92,7 +93,7 @@ def _coerce(raw, want: type, where):
 
 
 def _parse_ini_sections(text: str, origin: str):
-    """INI-like parse keeping the line number of every key."""
+    """INI-like parse keeping the file:line source of every key."""
     sections: dict[str, dict] = {}
     current = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -117,17 +118,22 @@ def _parse_ini_sections(text: str, origin: str):
         key = key.strip()
         if key in current:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
-        current[key] = (value.strip(), lineno)
+        current[key] = (value.strip(), f"{origin}:{lineno}")
     return sections
 
 
 def _set(cfg: RunConfig, sec: str, key: str, raw, where: str) -> None:
-    """Check one key against the schema and store its coerced value."""
+    """Check one key against the schema and its bound, and store its coerced
+    value; where names the source (a file line, a JSON file, an override)."""
     schema = _SCHEMA[sec]
     if key not in schema:
         raise ConfigError(f"{where}: unknown key {key!r} in [{sec}] "
                           f"(known: {', '.join(sorted(schema))})")
-    value = _coerce(raw, schema[key], where)
+    name = f"{where}: [{sec}] {key}"
+    value = _coerce(raw, schema[key], name)
+    _check_value(key, value, name)
+    if sec == "model" and key == "kind" and value not in MODEL_KINDS:
+        raise ConfigError(f"{where}: unknown model kind {value!r}")
     if sec != "experiment":
         getattr(cfg, sec)[key] = value
     elif key == "tag":
@@ -140,45 +146,24 @@ def _set(cfg: RunConfig, sec: str, key: str, raw, where: str) -> None:
         cfg.extra[key] = value
 
 
-def _validated(sections: dict, origin: str) -> RunConfig:
-    """Apply the schema to parsed (value, lineno) sections."""
+def _validated(sections: dict) -> RunConfig:
+    """Apply the schema to parsed sections of (value, source) pairs."""
     cfg = RunConfig()
     for sec, entries in sections.items():
-        for key, (raw, lineno) in entries.items():
-            _set(cfg, sec, key, raw, f"{origin}:{lineno}")
-    _check_constraints(cfg, sections, origin)
+        for key, (raw, where) in entries.items():
+            _set(cfg, sec, key, raw, where)
+    _check_constraints(cfg, lambda sec, key: f"{sections[sec][key][1]}: [{sec}] {key}")
     return cfg
 
 
-def _line_of(sections, sec, key, origin):
-    entry = sections.get(sec, {}).get(key)
-    return f"{origin}:{entry[1]}" if entry else origin
-
-
-def _check_constraints(cfg: RunConfig, sections, origin):
-    grid = cfg.grid
-    if "nx" in grid and grid["nx"] < 16:
-        raise ConfigError(
-            f"{_line_of(sections, 'grid', 'nx', origin)}: nx must be >= 16, "
-            f"got {grid['nx']}")
+def _check_constraints(cfg: RunConfig, name=lambda sec, key: f"[{sec}] {key}"):
+    """The checks that read two keys; name(sec, key) names the source of a
+    value."""
+    grid, solver = cfg.grid, cfg.solver
     if "x_lo" in grid and "x_hi" in grid and not grid["x_hi"] > grid["x_lo"]:
-        raise ConfigError(
-            f"{_line_of(sections, 'grid', 'x_hi', origin)}: "
-            "x_hi must exceed x_lo")
-    solver = cfg.solver
+        raise ConfigError(f"{name('grid', 'x_hi')}: x_hi must exceed x_lo")
     if "eps" in solver and "sigma" in solver:
-        raise ConfigError(
-            f"{_line_of(sections, 'solver', 'sigma', origin)}: "
-            "give either eps or sigma, not both")
-    for key in ("eps", "sigma", "eigen_tol"):
-        if key in solver and not solver[key] > 0:
-            raise ConfigError(
-                f"{_line_of(sections, 'solver', key, origin)}: "
-                f"{key} must be positive")
-    if "kind" in cfg.model and cfg.model["kind"] not in MODEL_KINDS:
-        raise ConfigError(
-            f"{_line_of(sections, 'model', 'kind', origin)}: unknown model kind "
-            f"{cfg.model['kind']!r}")
+        raise ConfigError(f"{name('solver', 'sigma')}: give either eps or sigma, not both")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -199,9 +184,9 @@ def parse_config(path: str) -> RunConfig:
                 raise ConfigError(f"{path}: unknown section {sec!r}")
             if not isinstance(entries, dict):
                 raise ConfigError(f"{path}: section {sec!r} must be an object")
-            sections[sec] = {k: (v, 0) for k, v in entries.items()}
-        return _validated(sections, path)
-    return _validated(_parse_ini_sections(text, path), path)
+            sections[sec] = {k: (v, path) for k, v in entries.items()}
+        return _validated(sections)
+    return _validated(_parse_ini_sections(text, path))
 
 
 def apply_override(cfg: RunConfig, text: str) -> None:
@@ -214,9 +199,10 @@ def apply_override(cfg: RunConfig, text: str) -> None:
         raise ConfigError(f"override {text!r} is not of the form section.key=value")
     if sec not in _SCHEMA:
         raise ConfigError(f"override {text!r}: unknown section {sec!r}")
-    _set(cfg, sec, key, value.strip(), f"override {text!r}")
+    where = f"override {text!r}"
+    _set(cfg, sec, key, value.strip(), where)
     # re-check cross-key constraints on the merged config
-    _check_constraints(cfg, {}, f"override {text!r}")
+    _check_constraints(cfg, lambda sec, key: f"{where}: [{sec}] {key}")
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +268,7 @@ def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
 # ---------------------------------------------------------------------------
 # experiment drivers
 
-def _run_sigma0(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_sigma0(cfg: RunConfig, model):
     T = model.period
     x_m = env_models.averaged_optimum(model, (cfg.grid["x_lo"], cfg.grid["x_hi"]))
     q = rho_ode.PeriodicScalarSignal.from_array_callable(
@@ -335,8 +320,7 @@ def _run_sigma0(cfg: RunConfig):
     return tables, summary
 
 
-def _run_periodic_orbit(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_periodic_orbit(cfg: RunConfig, model):
     grid = build_grid(cfg, model.period)
     pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
@@ -373,8 +357,7 @@ def _run_periodic_orbit(cfg: RunConfig):
     return tables, summary
 
 
-def _run_floquet_sweep(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_floquet_sweep(cfg: RunConfig, model):
     radii = [float(r) for r in cfg.extra["radii"]]
     records = floquet.radius_sweep(
         model, radii, sigma=_sigma_of(cfg.solver),
@@ -394,8 +377,7 @@ def _run_floquet_sweep(cfg: RunConfig):
     return tables, summary
 
 
-def _run_epsilon_limit(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_epsilon_limit(cfg: RunConfig, model):
     eps_list = [float(e) for e in cfg.extra["eps_list"]]
     lo, hi = float(cfg.extra["window_lo"]), float(cfg.extra["window_hi"])
     # the nodes, and so the limit profile, are the same for every eps
@@ -421,8 +403,7 @@ def _run_epsilon_limit(cfg: RunConfig):
     return {"epsilon_gaps": (["eps", "sup_gap"], rows)}, summary
 
 
-def _run_moments(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_moments(cfg: RunConfig, model):
     grid = build_grid(cfg, model.period)
     eps = np.sqrt(grid.sigma)
     record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
@@ -458,8 +439,7 @@ def _run_moments(cfg: RunConfig):
     return tables, summary
 
 
-def _run_fitness_compare(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_fitness_compare(cfg: RunConfig, model):
     grid = build_grid(cfg, model.period)
     t_star = cfg.extra["t_star"]
     comp = asymptotics.fitness_comparison(
@@ -486,8 +466,7 @@ def _run_fitness_compare(cfg: RunConfig):
     return tables, summary
 
 
-def _run_refinement(cfg: RunConfig):
-    model = build_model(cfg.model, cfg.grid)
+def _run_refinement(cfg: RunConfig, model):
     T = model.period
     levels = int(cfg.extra["levels"])
     base = build_grid(cfg, T)
@@ -596,24 +575,34 @@ def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
             f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
 
 
-# key -> (test, requirement) that a resolved value must meet for its driver to run
+# key -> (test, requirement): the one table of single-key bounds, which every
+# value meets whether it comes from a file, an override or code
 _COUNT = (lambda v: v >= 1, "at least 1")
+_POSITIVE = (lambda v: 0.0 < v < np.inf, "positive and finite")
 _END_TIME = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
-_BOUNDS = {"steps_per_period": _COUNT, "max_periods": _COUNT, "nt": _COUNT,
-           "levels": _COUNT, "w0": (lambda v: v > 0, "positive"),
+_BOUNDS = {"x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
+           "nx": (lambda v: v >= 16, ">= 16"), "eps": _POSITIVE, "sigma": _POSITIVE,
+           "eigen_tol": _POSITIVE, "steps_per_period": _COUNT, "max_periods": _COUNT,
+           "nt": _COUNT, "levels": _COUNT, "w0": _POSITIVE,
            "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
            "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
-           "window": (lambda v: 0.0 < v < np.inf, "positive and finite"),
-           "t_end": _END_TIME, "t_end_density": _END_TIME,
+           "window": _POSITIVE, "t_end": _END_TIME, "t_end_density": _END_TIME,
            "t_star": (lambda v: v is None or np.isfinite(v), "finite"),
            "points_per_unit": _COUNT}
+
+
+def _check_value(key: str, value, name: str) -> None:
+    """Raise a ConfigError naming the value's source and key (name) when it
+    is outside its _BOUNDS entry."""
+    if key in _BOUNDS and not _BOUNDS[key][0](value):
+        raise ConfigError(f"{name} must be {_BOUNDS[key][1]}, got {value}")
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill tag defaults under the user's settings; returns a new config.
     A [grid], [solver] or [experiment] key the tag does not read, a [model]
-    key the model kind does not read, or a resolved value outside _BOUNDS
-    is a ConfigError."""
+    key the model kind does not read, a resolved value outside _BOUNDS, or a
+    pair of values _check_constraints rejects is a ConfigError."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
@@ -633,13 +622,16 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
         _check_keys_read(f"model kind {kind!r}", "model", out.model,
                          {"kind", *MODEL_KINDS[kind]})
     out.grid = {**defaults["grid"], **cfg.grid}
-    out.solver = {**defaults["solver"], **cfg.solver}
     if "sigma" in cfg.solver:
-        out.solver.pop("eps", None)
+        # a user sigma displaces the default eps, not a user eps
+        defaults["solver"].pop("eps", None)
+    out.solver = {**defaults["solver"], **cfg.solver}
     out.extra = {**defaults["extra"], **cfg.extra}
-    for key, value in {**out.solver, **out.extra}.items():
-        if key in _BOUNDS and not _BOUNDS[key][0](value):
-            raise ConfigError(f"{key} must be {_BOUNDS[key][1]}, got {value}")
+    for sec, block in (("model", out.model), ("grid", out.grid),
+                       ("solver", out.solver), ("experiment", out.extra)):
+        for key, value in block.items():
+            _check_value(key, value, f"[{sec}] {key}")
+    _check_constraints(out)
     return out
 
 
@@ -647,7 +639,8 @@ def run_experiment(cfg: RunConfig) -> ResultBundle:
     """Run the configured experiment; deterministic, no randomness anywhere."""
     cfg = resolve_config(cfg)
     start = time.perf_counter()
-    tables, summary = EXPERIMENTS[cfg.experiment][0](cfg)
+    model = build_model(cfg.model, cfg.grid)
+    tables, summary = EXPERIMENTS[cfg.experiment][0](cfg, model)
     elapsed = time.perf_counter() - start
     manifest = {
         "version": __version__,

@@ -11,6 +11,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluctsel as fs
 from fluctsel import asymptotics, cli_io, pde_solver
@@ -94,19 +96,25 @@ def test_parse_json(tmp_path):
     assert cfg.extra["radii"] == [1.0, 2.0]
 
 
-def test_parse_json_errors(tmp_path):
-    path = _write(tmp_path, '{\n  "model": {\n', "bad.json")
-    with pytest.raises(fs.ConfigError, match=re.escape(f"{path}:")):
+@pytest.mark.parametrize("text,fragment", [
+    ('{\n  "model": {\n', "Expecting"),
+    ('{"weird": {}}', "unknown section 'weird'"),
+    ('{"model": 5}', "section 'model' must be an object"),
+    ('{"grid": {"nx": 40.5}}', "[grid] nx: 40.5 is not an integer"),
+    ('{"grid": {"nx": 4}}', "[grid] nx must be >= 16, got 4"),
+    ('{"grid": {"x_lo": 2.0, "x_hi": -2.0}}', "[grid] x_hi: x_hi must exceed x_lo"),
+    ('{"solver": {"eps": 0.1, "sigma": 0.01}}', "[solver] sigma: give either eps"),
+    ('{"model": {"zeta": 1}}', "unknown key 'zeta' in [model]"),
+])
+def test_parse_json_errors(tmp_path, text, fragment):
+    # a JSON file has no line per key: a message names the file and the
+    # section and key, never a line 0
+    path = _write(tmp_path, text, "bad.json")
+    with pytest.raises(fs.ConfigError) as err:
         fs.parse_config(path)
-    path = _write(tmp_path, '{"weird": {}}', "bad2.json")
-    with pytest.raises(fs.ConfigError, match="unknown section"):
-        fs.parse_config(path)
-    path = _write(tmp_path, '{"model": 5}', "bad3.json")
-    with pytest.raises(fs.ConfigError, match="must be an object"):
-        fs.parse_config(path)
-    path = _write(tmp_path, '{"grid": {"nx": 40.5}}', "bad4.json")
-    with pytest.raises(fs.ConfigError, match="not an integer"):
-        fs.parse_config(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}:") and ":0:" not in message
+    assert fragment in message
 
 
 def test_overrides():
@@ -205,6 +213,76 @@ def test_run_experiment_roundtrip_and_determinism(tmp_path):
     man2 = json.loads((dir2 / "manifest.json").read_text())
     man1.pop("timing"), man2.pop("timing")
     assert man1 == man2
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+# tag -> strategies for its [model] and [experiment] blocks, and the ranges of
+# the domain's half-width and of eps within which it runs on a small grid
+_SMALL_RUNS = {
+    "moments": (st.fixed_dictionaries({"c": _floats(0.2, 1.0), "g": _floats(0.5, 1.5)}),
+                st.fixed_dictionaries({"nt": st.integers(16, 64)}),
+                (2.0, 3.0), (0.1, 0.3)),
+    "fitness-compare": (
+        st.fixed_dictionaries({"g_amp": _floats(0.0, 1.5)}),
+        st.fixed_dictionaries({"t_star": st.one_of(st.none(), _floats(0.0, 0.9))}),
+        (3.0, 3.5), (0.05, 0.15)),
+    "floquet-sweep": (st.just({}), st.fixed_dictionaries({
+        "radii": st.tuples(st.just(1.0), _floats(1.2, 1.6)).map(list),
+        "points_per_unit": st.integers(16, 32)}), (2.0, 3.0), (0.2, 0.3)),
+    "sigma0-convergence": (st.just({}), st.fixed_dictionaries({
+        "t_end": _floats(1.0, 3.0), "t_end_density": _floats(1.0, 3.0),
+        "w0": _floats(0.05, 0.2), "window": _floats(0.1, 0.5)}), (2.0, 3.0), (0.1, 0.3)),
+    "periodic-orbit": (st.just({}), st.fixed_dictionaries({"t_end": _floats(1.0, 3.0)}),
+                       (2.0, 3.0), (0.1, 0.3)),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """A config within the schema, on a small grid."""
+    tag = draw(st.sampled_from(sorted(_SMALL_RUNS)))
+    model, extra, half_width, eps_range = _SMALL_RUNS[tag]
+    eps = draw(_floats(*eps_range))
+    cfg = fs.RunConfig(
+        experiment=tag, model=draw(model), extra=draw(extra),
+        grid={"x_lo": -draw(_floats(*half_width)), "x_hi": draw(_floats(*half_width)),
+              "nx": draw(st.integers(16, 48))},
+        solver={"steps_per_period": draw(st.integers(64, 128)),
+                "eigen_tol": draw(st.sampled_from([1e-6, 1e-8, 1e-9])),
+                **draw(st.sampled_from([{"eps": eps}, {"sigma": eps * eps}]))})
+    # the keys these two tags do not read
+    if tag == "floquet-sweep":
+        del cfg.grid["nx"]
+    if tag == "sigma0-convergence":
+        cfg.solver = {"steps_per_period": cfg.solver["steps_per_period"]}
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_configs(), data=st.data())
+def test_a_manifest_replays_its_run_and_keeps_its_bounds(cfg, data, tmp_path_factory):
+    bundle = fs.run_experiment(cfg)
+    again = fs.run_experiment(cli_io.config_from_manifest(bundle.manifest))
+    assert again.manifest["config"] == bundle.manifest["config"]
+    dirs = [tmp_path_factory.mktemp("bundle") for _ in range(2)]
+    for b, d in zip((bundle, again), dirs):
+        fs.emit_bundle(b, d)
+    names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in dirs[1].iterdir() if p.name != "manifest.json")
+    assert "summary.json" in names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    # the same manifest with one value pushed outside its bound is rejected
+    config = copy.deepcopy(bundle.manifest["config"])
+    blocks = [config[b] for b in ("grid", "solver", "extra")]
+    block = data.draw(st.sampled_from([b for b in blocks if set(b) & set(OUT_OF_BOUNDS)]))
+    key = data.draw(st.sampled_from(sorted(set(block) & set(OUT_OF_BOUNDS))))
+    block[key] = OUT_OF_BOUNDS[key]
+    with pytest.raises(fs.ConfigError, match=re.escape(f"] {key} must be ")):
+        fs.run_experiment(cli_io.config_from_manifest({"config": config}))
 
 
 def test_emitted_files_and_format(tmp_path):
@@ -415,7 +493,7 @@ def test_main_rejects_unread_solver_key(capsys):
 
 
 @pytest.mark.parametrize("tag,override", [
-    ("example1", "experiment.radii=1"),
+    ("example1", "experiment.radii=1,2"),
     ("sigma0-convergence", "solver.eigen_tol=1e-8"),
     ("sigma0-convergence", "solver.eps=0.1"),
     # the sweep builds one grid per radius from experiment.points_per_unit
@@ -465,6 +543,13 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     ("sigma0-convergence", "model.g=inf", " g "),
     # every radius clamped to 16 grid points, exit 0, before
     ("floquet-sweep", "experiment.points_per_unit=0", "points_per_unit"),
+    # a non-finite step matrix (exit 3) before
+    ("moments", "solver.eps=inf", "eps"),
+    ("moments", "solver.sigma=inf", "sigma"),
+    # exit 0 after 2 period maps with an orbit that had not converged, before
+    ("periodic-orbit", "solver.eigen_tol=inf", "eigen_tol"),
+    # a non-finite step matrix (exit 3) before
+    ("moments", "grid.x_lo=-inf", "x_lo"),
 ])
 def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
         tag, override, key, capsys, tmp_path):
@@ -473,6 +558,73 @@ def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err
     assert not (tmp_path / "out").exists()
+
+
+# one value outside each _BOUNDS entry
+OUT_OF_BOUNDS = {
+    "x_lo": -np.inf, "x_hi": np.nan, "nx": 15, "eps": np.inf, "sigma": np.inf, "eigen_tol": np.inf,
+    "steps_per_period": 0, "max_periods": 0, "nt": 0, "levels": 0, "w0": np.inf,
+    "radii": [3.0], "eps_list": [], "window": np.nan, "t_end": -1.0,
+    "t_end_density": np.inf, "t_star": np.nan, "points_per_unit": 0}
+
+
+def _section_and_reader(key):
+    """The config section of a key, and a tag that reads it."""
+    (sec,) = [s for s, keys in cli_io._SCHEMA.items() if key in keys]
+    block = "extra" if sec == "experiment" else sec
+    tag = next(t for t, (_, d) in cli_io.EXPERIMENTS.items()
+               if key in d[block] or (key == "sigma" and "eps" in d[block]))
+    return sec, block, tag
+
+
+@pytest.mark.parametrize("source", ["ini", "json", "override", "code"])
+@pytest.mark.parametrize("key", sorted(OUT_OF_BOUNDS))
+def test_every_bound_holds_for_every_source_and_names_it(key, source, tmp_path, capsys):
+    # one table and one check: a value outside its bound is a config error
+    # (exit 2) whether it comes from a file, an override or code, and the
+    # message names the key and where the value came from
+    assert set(OUT_OF_BOUNDS) == set(cli_io._BOUNDS)
+    sec, block, tag = _section_and_reader(key)
+    value = OUT_OF_BOUNDS[key]
+    if source == "code":
+        with pytest.raises(fs.ConfigError) as err:
+            fs.run_experiment(fs.RunConfig(experiment=tag, **{block: {key: value}}))
+        assert f"[{sec}] {key} must be " in str(err.value)
+        return
+    out = tmp_path / "out"
+    argv = [tag, "--out", str(out)]
+    if source == "ini":
+        path = _write(tmp_path, f"[{sec}]\n{key} = {_override_text(value)}\n")
+        argv += ["--config", path]
+        where = f"{path}:2: [{sec}] {key}"
+    elif source == "json":
+        path = _write(tmp_path, json.dumps({sec: {key: value}}), "run.json")
+        argv += ["--config", path]
+        where = f"{path}: [{sec}] {key}"
+    else:
+        text = f"{sec}.{key}={_override_text(value)}"
+        argv += ["--override", text]
+        where = f"override {text!r}: [{sec}] {key}"
+    assert cli_io.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("blocks,where", [
+    # ran with eps = 0.05, echoing -0.05 in its manifest, before
+    ({"solver": {"eps": -0.05}}, "[solver] eps must be positive"),
+    # ran with sigma = 0.01, before
+    ({"solver": {"eps": 0.05, "sigma": 0.01}}, "[solver] sigma: give either eps"),
+    ({"grid": {"x_lo": 2.0, "x_hi": -2.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
+    ({"grid": {"x_hi": -5.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
+])
+def test_run_experiment_rejects_a_code_built_config_a_file_could_not_give(
+        blocks, where, monkeypatch):
+    monkeypatch.setattr(cli_io, "build_model", None)  # nothing may run
+    with pytest.raises(fs.ConfigError) as err:
+        fs.run_experiment(fs.RunConfig(experiment="moments", **blocks))
+    assert str(err.value).startswith(where)
 
 
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)

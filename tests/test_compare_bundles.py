@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import subprocess
 
 import pytest
 
@@ -87,3 +88,26 @@ def test_a_differing_csv_names_the_largest_shift_per_column(tmp_path):
     (math.nan, math.nan, 0.0), (math.nan, 1.0, math.inf)])
 def test_relative_shift(old, new, shift):
     assert compare_bundles.relative_shift(old, new) == pytest.approx(shift)
+
+
+def test_a_revision_exports_its_source_tree(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "notes.txt").write_text("not exported\n")
+    module = repo / "src" / "pkg" / "mod.py"
+    module.write_text("X = 1\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+                        *args], cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    module.write_text("X = 2\n")  # a working-tree change the revision does not hold
+    tree = compare_bundles.export_revision("HEAD", repo, tmp_path / "tree")
+    assert tree == tmp_path / "tree"
+    assert (tree / "src" / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert sorted(p.name for p in tree.iterdir()) == ["src"]
+    with pytest.raises(subprocess.CalledProcessError):
+        compare_bundles.export_revision("no-such-revision", repo, tmp_path / "bad")

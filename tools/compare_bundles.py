@@ -1,26 +1,32 @@
 """Write the default bundle of every experiment tag from two source trees and
 compare them file by file.
 
-    python tools/compare_bundles.py OLD_TREE NEW_TREE
+    python tools/compare_bundles.py OLD NEW
 
-Each tree is a checkout of this repository. A fresh interpreter imports the
-package from TREE/src and writes the bundle of every tag at its defaults,
-one directory per tag. For each file, the script prints "identical" or
-"differs". For each summary.json key and each CSV column that differs, it
-prints the largest relative shift: |old - new| / max(|old|, |new|), taken
-element-wise over a list or column and reported as inf when a value is not a
-number or changes type, or a column changes length. A manifest is compared
-without its timing block, and both trees write to the same relative out_dir.
-The exit status is 1 on any difference, else 0.
+Each of OLD and NEW is a checkout of this repository, or a git revision of
+the repository this script lives in, whose src/ is exported with
+`git archive` into a temporary tree; so `python tools/compare_bundles.py
+HEAD .` checks the working tree against the last commit. A fresh
+interpreter imports the package from TREE/src and writes the bundle of
+every tag at its defaults, one directory per tag. For each file, the script
+prints "identical" or "differs". For each summary.json key and each CSV
+column that differs, it prints the largest relative shift:
+|old - new| / max(|old|, |new|), taken element-wise over a list or column
+and reported as inf when a value is not a number or changes type, or a
+column changes length. A manifest is compared without its timing block, and
+both trees write to the same relative out_dir. The exit status is 1 on any
+difference, 2 when git cannot export a revision, else 0.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -29,6 +35,15 @@ from fluctsel.cli_io import EXPERIMENT_TAGS, RunConfig, emit_bundle, run_experim
 for tag in EXPERIMENT_TAGS:
     emit_bundle(run_experiment(RunConfig(experiment=tag, out_dir=tag)), tag)
 """
+
+
+def export_revision(revision: str, repo: Path, dest: Path) -> Path:
+    """Extract src/ of a git revision of repo into dest; returns dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", revision, "src"],
+                             cwd=repo, capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def write_bundles(tree: Path, out: Path) -> None:
@@ -116,10 +131,18 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as work:
         outs = [Path(work, side) for side in ("old", "new")]
         for tree, out in zip(argv, outs):
             out.mkdir()
+            if not Path(tree).is_dir():
+                try:
+                    tree = export_revision(tree, repo, Path(work, f"{out.name}-tree"))
+                except subprocess.CalledProcessError as exc:
+                    print(f"{tree}: not a directory, and git archive failed: "
+                          f"{exc.stderr.decode().strip()}", file=sys.stderr)
+                    return 2
             write_bundles(Path(tree), out)
         lines, differs = compare(*outs)
     print("\n".join(lines))
