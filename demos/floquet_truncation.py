@@ -26,7 +26,7 @@ print(f"last two radii agree to {max(drop, 1e-16):.0e}; "
       "the residual tracks the truncation error")
 
 # on a comfortably wide domain the residual is quadrature-exact
-grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                          sigma=sigma)
 pair = fs.principal_eigenpair(grid, model)
 q = fs.effective_signals(pair, model)

@@ -17,7 +17,7 @@ import fluctsel as fs
 eps = 0.05
 model = fs.make_oscillating_pressure(
     1.0, lambda t: 2.0 + 1.8 * np.cos(2.0 * np.pi * t))
-grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                          sigma=eps * eps)
 
 comp = fs.fitness_comparison(grid, model)

@@ -16,7 +16,7 @@ eps = 0.05
 model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
 
 predicted = fs.predict_moments(model, eps)
-grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                          sigma=eps * eps)
 record = fs.find_periodic_orbit(grid, model)
 measured = fs.measure_moments(record)

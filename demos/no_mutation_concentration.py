@@ -11,7 +11,7 @@ import numpy as np
 import fluctsel as fs
 
 model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
-grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.01, sigma=0.0)
+grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=100, sigma=0.0)
 
 # broad Gaussian start, unit mass
 x = grid.x

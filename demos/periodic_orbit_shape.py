@@ -13,7 +13,7 @@ import fluctsel as fs
 
 eps = 0.05
 model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
-grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                          sigma=eps * eps)
 
 # one Krylov eigen-solve; the orbit n = rho * P is read off its result

@@ -22,7 +22,7 @@ print(f"local shape -A/2 (x - x_m)^2 + ... with A = {A:.4f}, "
 
 print("\n  eps     sup |u_eps - u| on [-1, 1]")
 for eps in (0.1, 0.05, 0.025):
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                              sigma=eps * eps)
     record = fs.find_periodic_orbit(grid, model)
     u_eps = fs.hopf_cole(record.density(0), grid.sigma)

@@ -22,7 +22,7 @@ from .errors import ConfigError, ExtinctionError, NumericalError
 from .floquet import effective_signals
 from .pde_solver import (MAX_PERIODS, OrbitRecord, SimulationGrid,
                          find_periodic_orbit, step_eigenpair, total_mass)
-from .quadrature import cumulative_simpson, simpson, snap_steps
+from .quadrature import cumulative_simpson, simpson
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -242,12 +242,12 @@ def stationary_constant_env(grid: SimulationGrid, model: EnvironmentModel):
 
 def _stationary_state(grid: SimulationGrid, row: np.ndarray, period: float):
     """Size rho_c = log(mu) / dt and density rho_c times the unit-mass v,
-    from the principal step eigenpair at grid.dt snapped to divide T.
+    from the principal step eigenpair at dt = period / grid.steps_per_period.
 
     Raises ExtinctionError when rho_c <= 0 and NumericalError when the
     profile leans on the domain boundary (the domain does not confine it).
     """
-    _, dt = snap_steps(period, grid.dt)
+    dt = period / grid.steps_per_period
     log_mu, p = step_eigenpair(grid, row, dt)
     rho_c = log_mu / dt
     if rho_c <= 0.0:

@@ -17,7 +17,8 @@ Config files use INI-like sections
 or, when the file starts with "{", a JSON object with the same section names.
 Unknown keys, type mismatches, and values outside their bounds are reported
 with their source: file:line, a JSON file's [section] key, or the override
-text; a config built in code meets the same bounds when it is resolved.
+text; a config built in code meets the same types and bounds when it is
+resolved.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -129,9 +130,7 @@ def _set(cfg: RunConfig, sec: str, key: str, raw, where: str) -> None:
     if key not in schema:
         raise ConfigError(f"{where}: unknown key {key!r} in [{sec}] "
                           f"(known: {', '.join(sorted(schema))})")
-    name = f"{where}: [{sec}] {key}"
-    value = _coerce(raw, schema[key], name)
-    _check_value(key, value, name)
+    value = _checked(sec, key, raw, f"{where}: [{sec}] {key}")
     if sec == "model" and key == "kind" and value not in MODEL_KINDS:
         raise ConfigError(f"{where}: unknown model kind {value!r}")
     if sec != "experiment":
@@ -256,13 +255,12 @@ def _eigen_budget(solver: dict) -> dict:
             "max_periods": int(solver["max_periods"])}
 
 
-def build_grid(cfg: RunConfig, period: float) -> pde_solver.SimulationGrid:
-    """SimulationGrid from the (defaults-resolved) grid and solver blocks,
-    at dt = period / steps_per_period."""
+def build_grid(cfg: RunConfig) -> pde_solver.SimulationGrid:
+    """SimulationGrid from the (defaults-resolved) grid and solver blocks."""
     g = cfg.grid
     return pde_solver.SimulationGrid(
         x_lo=g["x_lo"], x_hi=g["x_hi"], nx=g["nx"],
-        dt=period / cfg.solver["steps_per_period"], sigma=_sigma_of(cfg.solver))
+        steps_per_period=cfg.solver["steps_per_period"], sigma=_sigma_of(cfg.solver))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def _run_sigma0(cfg: RunConfig, model):
     q_const = rho_ode.PeriodicScalarSignal.from_array_callable(T, lambda t: np.full(len(t), qbar))
     const_gap = float(np.abs(rho_ode.periodic_rho_closed_form(q_const).values - qbar).max())
 
-    grid = build_grid(cfg, T)
+    grid = build_grid(cfg)
     w0 = float(cfg.extra["w0"])
     # a unit-mass Gaussian of width w0 at x_m
     n0 = np.exp(-((grid.x - x_m) ** 2) / (2.0 * w0 * w0)) / (w0 * np.sqrt(2.0 * np.pi))
@@ -321,7 +319,7 @@ def _run_sigma0(cfg: RunConfig, model):
 
 
 def _run_periodic_orbit(cfg: RunConfig, model):
-    grid = build_grid(cfg, model.period)
+    grid = build_grid(cfg)
     pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
     try:
@@ -362,7 +360,7 @@ def _run_floquet_sweep(cfg: RunConfig, model):
     records = floquet.radius_sweep(
         model, radii, sigma=_sigma_of(cfg.solver),
         points_per_unit=int(cfg.extra["points_per_unit"]),
-        steps_per_period=int(cfg.solver["steps_per_period"]),
+        steps_per_period=cfg.solver["steps_per_period"],
         tol=float(cfg.solver["eigen_tol"]))
     rows = np.array([[r["R"], r["sigma"], r["lambda"], r["identity_residual"],
                       r["iterations"]] for r in records])
@@ -381,7 +379,7 @@ def _run_epsilon_limit(cfg: RunConfig, model):
     eps_list = [float(e) for e in cfg.extra["eps_list"]]
     lo, hi = float(cfg.extra["window_lo"]), float(cfg.extra["window_hi"])
     # the nodes, and so the limit profile, are the same for every eps
-    nodes = build_grid(cfg, model.period)
+    nodes = build_grid(cfg)
     window = (nodes.x >= lo) & (nodes.x <= hi)
     if not window.any():
         raise ConfigError(f"window_lo, window_hi = [{lo}, {hi}] holds no grid node")
@@ -404,7 +402,7 @@ def _run_epsilon_limit(cfg: RunConfig, model):
 
 
 def _run_moments(cfg: RunConfig, model):
-    grid = build_grid(cfg, model.period)
+    grid = build_grid(cfg)
     eps = np.sqrt(grid.sigma)
     record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
     measured = asymptotics.measure_moments(record)
@@ -440,7 +438,7 @@ def _run_moments(cfg: RunConfig, model):
 
 
 def _run_fitness_compare(cfg: RunConfig, model):
-    grid = build_grid(cfg, model.period)
+    grid = build_grid(cfg)
     t_star = cfg.extra["t_star"]
     comp = asymptotics.fitness_comparison(
         grid, model, t_star=None if t_star is None else float(t_star),
@@ -467,14 +465,13 @@ def _run_fitness_compare(cfg: RunConfig, model):
 
 
 def _run_refinement(cfg: RunConfig, model):
-    T = model.period
     levels = int(cfg.extra["levels"])
-    base = build_grid(cfg, T)
+    base = build_grid(cfg)
     rows = []
     for level in range(levels):
         nx = (base.nx + 1) * 2 ** level - 1
         steps = cfg.solver["steps_per_period"] * 4 ** level
-        grid = replace(base, nx=nx, dt=T / steps)
+        grid = replace(base, nx=nx, steps_per_period=steps)
         pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
         rho_bar = pde_solver.orbit_from_pair(pair).rho.mean()
         rows.append([level, nx, steps, pair.lam, rho_bar])
@@ -587,22 +584,26 @@ _BOUNDS = {"x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
            "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
            "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
            "window": _POSITIVE, "t_end": _END_TIME, "t_end_density": _END_TIME,
-           "t_star": (lambda v: v is None or np.isfinite(v), "finite"),
+           "t_star": (np.isfinite, "finite"),
            "points_per_unit": _COUNT}
 
 
-def _check_value(key: str, value, name: str) -> None:
-    """Raise a ConfigError naming the value's source and key (name) when it
-    is outside its _BOUNDS entry."""
+def _checked(sec: str, key: str, raw, name: str):
+    """raw coerced to the _SCHEMA type of [sec] key; a ConfigError naming the
+    value's source and key (name) when it does not coerce or is outside its
+    _BOUNDS entry."""
+    value = _coerce(raw, _SCHEMA[sec][key], name)
     if key in _BOUNDS and not _BOUNDS[key][0](value):
         raise ConfigError(f"{name} must be {_BOUNDS[key][1]}, got {value}")
+    return value
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill tag defaults under the user's settings; returns a new config.
     A [grid], [solver] or [experiment] key the tag does not read, a [model]
-    key the model kind does not read, a resolved value outside _BOUNDS, or a
-    pair of values _check_constraints rejects is a ConfigError."""
+    key the model kind does not read, a resolved value that does not coerce
+    to its _SCHEMA type or is outside _BOUNDS, or a pair of values
+    _check_constraints rejects is a ConfigError."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
@@ -630,7 +631,9 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     for sec, block in (("model", out.model), ("grid", out.grid),
                        ("solver", out.solver), ("experiment", out.extra)):
         for key, value in block.items():
-            _check_value(key, value, f"[{sec}] {key}")
+            # a None t_star asks the driver for the time of weakest selection
+            if key in _SCHEMA[sec] and (value is not None or key != "t_star"):
+                block[key] = _checked(sec, key, value, f"[{sec}] {key}")
     _check_constraints(out)
     return out
 

@@ -227,6 +227,9 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
         nt = int(header[2])
     except ValueError as exc:
         raise ConfigError(f"{path}: bad header 'T nx nt': {exc}") from exc
+    if nx < 2 or nt < 2:
+        raise ConfigError(f"{path}: header 'T nx nt' = {' '.join(header)!r} "
+                          "needs nx and nt of at least 2")
     if len(tokens) != nt * nx:
         raise ConfigError(
             f"{path}: expected {nt * nx} values ({nt} times x {nx} nodes), found {len(tokens)}")

@@ -112,7 +112,7 @@ def radius_sweep(model: EnvironmentModel, radii, sigma: float,
     for R in radii:
         nx = max(16, int(round(2.0 * R * points_per_unit)) - 1)
         grid = SimulationGrid(x_lo=center - R, x_hi=center + R, nx=nx,
-                              dt=model.period / steps_per_period, sigma=sigma)
+                              steps_per_period=steps_per_period, sigma=sigma)
         pair = principal_eigenpair(grid, model, tol=tol)
         q = effective_signals(pair, model)
         out.append({

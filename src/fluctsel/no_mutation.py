@@ -34,7 +34,7 @@ import numpy as np
 from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
-from .quadrature import check_end_time, snap_steps
+from .quadrature import check_end_time
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
 # weights stay normal numbers (subnormal arithmetic is slow)
@@ -111,8 +111,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                     t_end: float):
     """Integrate the mutation-free model from density n0 up to t_end.
 
-    grid.dt is snapped to T / round(T / grid.dt), so that S steps fill one
-    period; a warning is logged when that moves it by more than roundoff.
+    S = grid.steps_per_period steps of dt = T / S fill one period.
     The growth exponent is accumulated per step with Simpson quadrature of
     a(., x), and so is Y = exp(int rho) from the linear masses; the scheme
     is third order in dt. Step k = p S + r ends at the exponent
@@ -128,7 +127,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     values = initial_density(n0)
     x = grid.x
     dx = grid.dx
-    per_period, dt = snap_steps(model.period, grid.dt)
+    per_period = grid.steps_per_period
+    dt = model.period / per_period
     nsteps = max(1, int(round(t_end / dt)))
     times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):

@@ -31,14 +31,14 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
-from .quadrature import check_end_time, snap_steps
+from .quadrature import check_end_time
 from .rho_ode import PeriodicScalarSignal
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -108,13 +108,15 @@ class SimulationGrid:
 
     The nx unknowns sit at the interior nodes x_i = x_lo + i * dx for
     i = 1..nx with dx = (x_hi - x_lo) / (nx + 1); the endpoint values are
-    pinned to zero. sigma is the mutation (diffusion) coefficient.
+    pinned to zero. Every solver runs steps_per_period steps of
+    dt = T / steps_per_period over a period T of its model, so period ends
+    fall on steps. sigma is the mutation (diffusion) coefficient.
     """
 
     x_lo: float
     x_hi: float
     nx: int
-    dt: float
+    steps_per_period: int
     sigma: float
 
     def __post_init__(self):
@@ -122,8 +124,9 @@ class SimulationGrid:
             raise ConfigError(f"nx must be at least 16, got {self.nx}")
         if not self.x_hi > self.x_lo:
             raise ConfigError(f"empty trait interval [{self.x_lo}, {self.x_hi}]")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        steps = self.steps_per_period
+        if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+            raise ConfigError(f"steps_per_period must be a whole number >= 1, got {steps!r}")
         if self.sigma < 0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
 
@@ -265,16 +268,16 @@ def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.nda
     """Unit-mass principal eigenvector of one step with the averaged rate,
     which peaks where the periodic profile concentrates as sigma -> 0."""
     _, v = step_eigenpair(grid, mean_growth(model, grid.x),
-                          snap_steps(model.period, grid.dt)[1])
+                          model.period / grid.steps_per_period)
     return v / total_mass(grid, v)
 
 
 class _Stepper:
     """Precomputed machinery for repeated IMEX periods on a fixed grid.
 
-    dt is snapped to an integer number of steps per period so that period
-    boundaries are hit exactly. gain[k] = 1 + dt * a(k * dt, x) is row k + 1
-    of a table whose spare row 0 lets record run one period in the table.
+    One period is grid.steps_per_period steps of dt = T / steps_per_period.
+    gain[k] = 1 + dt * a(k * dt, x) is row k + 1 of a table whose spare
+    row 0 lets record run one period in the table.
     I - dt * sigma * L is factored once (LAPACK dpttrf), and every step is
     one in-place dpttrs solve. dt * max|a| < 1 keeps the gains positive, so
     the M-matrix solve keeps densities nonnegative without clipping.
@@ -283,7 +286,8 @@ class _Stepper:
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
         self.grid = grid
         self.period = model.period
-        self.steps, self.dt = snap_steps(model.period, grid.dt)
+        self.steps = grid.steps_per_period
+        self.dt = model.period / self.steps
         self.dx = grid.dx
         self.times = self.dt * np.arange(self.steps + 1)
         self.table = np.empty((self.steps + 1, grid.nx))
@@ -425,7 +429,6 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     diagnostics = {
         "boundary_mass_fraction": boundary_frac,
         "extinct": bool(rho.min() < EXTINCTION_SIZE),
-        "steps_per_period": stepper.steps,
     }
     return n / y, (times, rho), diagnostics
 
@@ -433,14 +436,14 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
                         tol: float = 1e-10, max_periods: int = MAX_PERIODS,
                         guess: np.ndarray | None = None) -> FloquetPair:
-    """The one Krylov eigen-solve of the linear period map at grid.dt snapped
-    to divide T, started from guess (default_orbit_guess when None), to the
-    relative tolerance tol of the growth factor, within max_periods period
-    maps. A guess must be nonnegative with positive mass (else ConfigError).
+    """The one Krylov eigen-solve of the linear period map of
+    grid.steps_per_period steps, started from guess (default_orbit_guess
+    when None), to the relative tolerance tol of the growth factor, within
+    max_periods period maps. A guess must be nonnegative with positive mass
+    (else ConfigError).
     """
     stepper = _Stepper(grid, model)
-    # the default start is built on the stepper's dt, so dt is snapped once
-    start = (default_orbit_guess(replace(grid, dt=stepper.dt), model) if guess is None
+    start = (default_orbit_guess(grid, model) if guess is None
              else np.asarray(guess, float))
     if start.min() < 0.0 or total_mass(grid, start) <= 0.0:
         raise ConfigError("eigen-solve guess must be nonnegative with positive mass")

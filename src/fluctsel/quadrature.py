@@ -1,41 +1,25 @@
-"""Uniform time grids over one period and composite Simpson quadrature on them.
+"""End-time check and composite Simpson quadrature on uniform grids.
 
-Every solver steps a whole number of steps per period (snap_steps), and every
-period integral of the package (averaged rates, mean sizes, moment and
-fitness means, antiderivatives) is taken on an equally spaced grid, so both
-rules take the spacing dx instead of the nodes. They are the equal-spacing
-rules of scipy.integrate, written out so that importing the package does not
-load scipy.integrate (and with it scipy.special and scipy.optimize), and so
-that the even-N rule does not change with the SciPy release.
+Every period integral of the package (averaged rates, mean sizes, moment
+and fitness means, antiderivatives) is taken on an equally spaced grid, so
+both rules take the spacing dx instead of the nodes. They are the
+equal-spacing rules of scipy.integrate, written out so that importing the
+package does not load scipy.integrate (and with it scipy.special and
+scipy.optimize), and so that the even-N rule does not change with the SciPy
+release.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 
 def check_end_time(t_end: float) -> None:
     """ConfigError unless 0 <= t_end < inf (a NaN fails too)."""
     if not 0.0 <= t_end < np.inf:
         raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
-
-
-def snap_steps(period: float, dt: float) -> tuple[int, float]:
-    """(steps, period / steps) for the whole number of steps nearest
-    period / dt, at least one, so that the steps end exactly on the period.
-    A snap that moves dt by more than roundoff is logged as a warning."""
-    steps = max(1, int(round(period / dt)))
-    if abs(period / steps - dt) > 1e-12 * dt:
-        log.warning("dt = %.6g does not divide the period %.6g; using dt = T / %d "
-                    "= %.6g instead", dt, period, steps, period / steps)
-    return steps, period / steps
-
 
 def _parabola_interval(f1, f2, f3, dx):
     """Integral over [x1, x2] of the parabola through (x1, f1), (x2, f2),

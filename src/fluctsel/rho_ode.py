@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 from .errors import ExtinctionError, NumericalError
-from .quadrature import check_end_time, cumulative_simpson, simpson, snap_steps
+from .quadrature import check_end_time, cumulative_simpson, simpson
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
@@ -142,15 +142,15 @@ def _positive_map(q, t, h, depth, q_start, q_mid, q_end):
 
 
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
-                       dt: float | None = None):
+                       steps_per_period: int = 1024):
     """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4 on the
     linear law u' = 1 - q u of u = 1 / rho. Returns (times, rho).
 
-    Steps of width dt (default period/1024, snapped to period / round(period
-    / dt)) fill each period, and q is evaluated once on one period's half-step
-    grid, so step r of every period is one affine map u -> alpha_r u + beta_r,
-    composed over a period by one scan. A step with alpha or beta not positive
-    is replaced by its two half steps, recursively; more than 40 halvings raise
+    steps_per_period steps of dt = period / steps_per_period fill each
+    period, and q is evaluated once on one period's half-step grid, so step r
+    of every period is one affine map u -> alpha_r u + beta_r, composed over
+    a period by one scan. A step with alpha or beta not positive is replaced
+    by its two half steps, recursively; more than 40 halvings raise
     NumericalError, as does a negative or non-finite start (a negative or
     non-finite t_end raises ConfigError). After the start rho stays in
     (0, 1 / min beta] up to rounding, and a start of 0 stays 0.
@@ -158,7 +158,8 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     if not 0.0 <= rho0 < math.inf:
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
     check_end_time(t_end)
-    steps, dt = snap_steps(q.period, q.period / 1024 if dt is None else dt)
+    steps = steps_per_period
+    dt = q.period / steps
     n = int(round(t_end / dt))
     # q at t = j dt / 2: the step starts, midpoints and ends of one period
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)

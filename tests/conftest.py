@@ -22,7 +22,7 @@ def ex2_model():
 
 @pytest.fixture(scope="session")
 def wide_grid():
-    return fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=1.0 / STEPS,
+    return fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=STEPS,
                              sigma=EPS * EPS)
 
 

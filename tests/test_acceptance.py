@@ -47,7 +47,8 @@ def test_c02_constant_rate_collapses_to_equilibrium():
 
 def test_c03_sigma0_concentration(ex1_model):
     start = time.perf_counter()
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=200,
+                             sigma=0.0)
     w0 = 0.05
     n0 = np.exp(-grid.x ** 2 / (2 * w0 * w0)) / (w0 * np.sqrt(2 * np.pi))
     state, (times, rho), diag = fs.simulate_sigma0(grid, ex1_model, n0, 200.0)
@@ -75,7 +76,7 @@ def test_c04_floquet_identity_and_truncation(ex1_model, ex2_model,
 
 def test_c05_extinction_dichotomy(ex1_model, ex1_eigen):
     shifted = fs.make_oscillating_optimum(1.0 - 10.0, 1.0, 1.0, 2.0 * np.pi)
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                              sigma=EPS * EPS)
     pair = fs.principal_eigenpair(grid, shifted)
     assert ex1_eigen.lam < 0.0 < pair.lam
@@ -101,7 +102,7 @@ def test_c07_hopf_cole_limit(ex1_model):
     start = time.perf_counter()
     gaps = []
     for eps in (0.1, 0.05, 0.025):
-        grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=1.0 / 1024,
+        grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=1024,
                                  sigma=eps * eps)
         record = fs.find_periodic_orbit(grid, ex1_model)
         u_eps = fs.hopf_cole(record.density(0), grid.sigma)
@@ -146,7 +147,7 @@ def test_c10_stationary_state_matches_gaussian(ex2_model):
         1.0, lambda t, x: ex2_model.rate(0.5, x),
         analytic_info={"mean_growth": lambda x: ex2_model.rate(0.5, x),
                        "x_m": 0.0, "d2": -2.0 * gamma})
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=512,
                              sigma=EPS * EPS)
     rho_c, n_c = fs.stationary_constant_env(grid, frozen)
     assert abs(rho_c - (1.0 - EPS * np.sqrt(gamma))) < 1e-3
@@ -169,7 +170,7 @@ def test_c12_richardson_refinement(ex1_model):
     for level in range(3):
         nx = 150 * 2 ** level - 1
         steps = 500 * 4 ** level
-        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, dt=1.0 / steps,
+        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, steps_per_period=steps,
                                  sigma=EPS * EPS)
         pair = fs.principal_eigenpair(grid, ex1_model)
         rep = fs.measure_moments(fs.orbit_from_pair(pair))

@@ -146,7 +146,7 @@ def test_measured_moments_match_the_two_pass_formula(nx, steps, centre, spread,
     # narrow off-centre Gaussians, a few nodes wide, whose mean moves up to 10
     # widths away from that of snapshot 0: the shifted one-pass variance
     # keeps the accuracy of the two-pass <(x - mu_k)^2>
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, dt=1.0 / steps,
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, steps_per_period=steps,
                              sigma=0.01)
     width = spread * grid.dx
     times = np.linspace(0.0, 1.0, steps + 1)
@@ -170,7 +170,8 @@ def test_mean_q_balances_mean_size(ex1_orbit, ex1_model):
 
 
 def test_stationary_constant_env():
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2,
                            analytic_info={"x_m": 0.0, "d2": -2.0})
     rho_c, n_c = fs.stationary_constant_env(grid, model)
@@ -183,7 +184,7 @@ def test_stationary_direct_solve_matches_krylov(ex2_model):
     # period map of the same frozen model at the same dt, started from a
     # Gaussian so that it does not lean on the direct solve
     frozen = fs.make_custom(1.0, lambda t, x: ex2_model.rate(0.5, x))
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                              sigma=EPS * EPS)
     rho_c, n_c = fs.stationary_constant_env(grid, frozen)
     pair = fs.principal_eigenpair(grid, frozen, tol=1e-13,
@@ -198,7 +199,7 @@ def test_fitness_comparison_reads_few_rates():
     # the frozen side takes one rate row; no frozen model steps through time
     cfg = cli_io.resolve_config(cli_io.RunConfig(experiment="example2"))
     model = cli_io.build_model(cfg.model, cfg.grid)
-    grid = cli_io.build_grid(cfg, model.period)
+    grid = cli_io.build_grid(cfg)
     calls = []
 
     def counted(t, x):
@@ -210,14 +211,15 @@ def test_fitness_comparison_reads_few_rates():
 
 
 def test_stationary_rejects_time_dependent(ex1_model):
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=200, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=200, steps_per_period=512,
                              sigma=0.0025)
     with pytest.raises(fs.ConfigError):
         fs.stationary_constant_env(grid, ex1_model)
 
 
 def test_stationary_detects_extinction():
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, dt=1.0 / 512, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, steps_per_period=512,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: -0.5 - np.asarray(x) ** 2,
                            analytic_info={"x_m": 0.0, "d2": -2.0})
     with pytest.raises(fs.ExtinctionError):
@@ -225,7 +227,8 @@ def test_stationary_detects_extinction():
 
 
 def test_stationary_detects_nonconfining_domain():
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=200, dt=1.0 / 512, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=200, steps_per_period=512,
+                             sigma=0.01)
     model = fs.make_custom(1.0,
                            lambda t, x: np.full_like(np.asarray(x, float), 1.0))
     with pytest.raises(fs.NumericalError, match="does not confine"):
@@ -235,7 +238,7 @@ def test_stationary_detects_nonconfining_domain():
 def test_fitness_comparison_degenerate_for_static_pressure():
     # constant pressure: freezing changes nothing, both sides must agree
     model = fs.make_oscillating_pressure(1.0, lambda t: 2.0)
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=300, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=300, steps_per_period=512,
                              sigma=EPS ** 2)
     cmp = fs.fitness_comparison(grid, model)
     assert cmp.q_star == pytest.approx(cmp.q_mean, abs=1e-8)

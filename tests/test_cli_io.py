@@ -1,7 +1,6 @@
 import copy
 import inspect
 import json
-import logging
 import os
 import pathlib
 import re
@@ -174,14 +173,14 @@ def test_build_model_kinds(tmp_path):
     assert float(model.rate(0.0, np.array([0.0]))[0]) == pytest.approx(1.0)
 
 
-def test_build_grid_records_resolved_dt():
+def test_build_grid_records_the_steps_per_period():
     cfg = fs.RunConfig(grid={"x_lo": -2.0, "x_hi": 2.0, "nx": 100},
                        solver={"eps": 0.1, "steps_per_period": 200})
     before = copy.deepcopy(cfg)
-    grid = cli_io.build_grid(cfg, period=1.0)
-    assert grid.dt == 1.0 / 200
+    grid = cli_io.build_grid(cfg)
+    assert grid.steps_per_period == 200
     assert grid.sigma == pytest.approx(0.01)
-    # the time step lives in the grid only; the config is left as it was
+    # the config is left as it was
     assert cfg == before
 
 
@@ -627,6 +626,26 @@ def test_run_experiment_rejects_a_code_built_config_a_file_could_not_give(
     assert str(err.value).startswith(where)
 
 
+@pytest.mark.parametrize("section,key,given,want", [
+    # escaped as TypeError: '>=' not supported, before
+    ("grid", "nx", "40", 40),
+    ("solver", "steps_per_period", 64.0, 64),
+    # resolved unchanged, before; a config file rejects both
+    ("solver", "max_periods", 2.5, "[solver] max_periods: 2.5 is not an integer"),
+    ("grid", "nx", "forty", "[grid] nx: invalid literal for int()"),
+    ("grid", "nx", None, "[grid] nx: int() argument must be"),
+])
+def test_a_code_built_value_is_coerced_like_a_file_value(section, key, given, want):
+    cfg = fs.RunConfig(experiment="moments", **{section: {key: given}})
+    if isinstance(want, str):
+        with pytest.raises(fs.ConfigError) as err:
+            cli_io.resolve_config(cfg)
+        assert str(err.value).startswith(want)
+    else:
+        value = getattr(cli_io.resolve_config(cfg), section)[key]
+        assert value == want and type(value) is type(want)
+
+
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
 def test_every_tag_resolves_its_own_defaults(tag):
     cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag))
@@ -684,15 +703,13 @@ def test_periodic_orbit_runs_one_eigen_solve(monkeypatch):
     assert summary["periods_run"] == summary["eigen_iterations"] + 1
 
 
-def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch, caplog):
+def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch):
     calls = _count_solves(monkeypatch)
     cfg = fs.RunConfig(experiment="refinement", extra={"levels": 1})
-    with caplog.at_level(logging.WARNING):
-        bundle = fs.run_experiment(cfg)
-    # level 0 runs at its own 500 steps per period, with no warning
+    bundle = fs.run_experiment(cfg)
+    # level 0 runs at its own 500 steps per period
     assert calls == [500]
     assert bundle.tables["refinement"][1][0][2] == 500
-    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_refinement_frees_each_pair_before_the_next_solve(monkeypatch):

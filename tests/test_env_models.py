@@ -172,6 +172,8 @@ def test_tabulated_file_roundtrip(tmp_path, ex1_model):
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty"),
     ("1.0 33\n0 0", "header"),
+    ("1.0 -2 -3\n1 2 3 4 5 6", "header 'T nx nt' = '1.0 -2 -3' needs nx and nt"),
+    ("1.0 1 4\n1 2 3 4", "header 'T nx nt' = '1.0 1 4' needs nx and nt"),
     ("1.0 4 2\n1 2 3", "expected 8 values"),
     ("1.0 2 2\n1 2 3 oops", "non-numeric"),
     ("1.0 2 2\n1 2 nan 4", "finite"),

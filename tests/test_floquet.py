@@ -9,7 +9,7 @@ import fluctsel as fs
 def _separable_setup(a0=0.3, sigma=0.5, nx=199, steps=512):
     # constant rate: the period map acts diagonally on the Dirichlet sine
     # modes, so everything about the discrete eigenpair is known in closed form
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, dt=1.0 / steps,
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, steps_per_period=steps,
                              sigma=sigma)
     model = fs.make_custom(1.0, lambda t, x: np.full_like(np.asarray(x, float), a0))
     return grid, model, a0
@@ -23,10 +23,10 @@ def _discrete_mode_rate(grid):
 
 @pytest.mark.parametrize("steps", [512, 256])
 def test_separable_eigenvalue_exact(steps):
-    # every solve runs at grid.dt itself, also below 512 steps per period
+    # every solve runs the grid's own steps, also below 512 per period
     grid, model, a0 = _separable_setup(steps=steps)
     pair = fs.principal_eigenpair(grid, model, tol=1e-13)
-    dt = grid.dt
+    dt = 1.0 / steps
     omega = _discrete_mode_rate(grid)
     lam_exact = -(np.log1p(dt * a0) - np.log1p(dt * grid.sigma * omega)) / dt
     assert pair.lam == pytest.approx(lam_exact, abs=1e-8)
@@ -45,7 +45,7 @@ def test_separable_matched_residual_closed_form():
     grid, model, _ = _separable_setup()
     pair = fs.principal_eigenpair(grid, model, tol=1e-13)
     got = fs.lambda_identity_residual(pair, fs.effective_signals(pair, model))
-    dt = grid.dt
+    dt = 1.0 / grid.steps_per_period
     expected = np.log1p(dt * grid.sigma * _discrete_mode_rate(grid)) / dt
     assert got == pytest.approx(expected, abs=1e-10)
 
@@ -90,7 +90,7 @@ def test_matched_identity_beats_simpson(ex1_eigen, ex1_model):
 
 
 def test_eigenpair_is_deterministic(ex1_model):
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, steps_per_period=512,
                              sigma=0.0025)
     first = fs.principal_eigenpair(grid, ex1_model)
     again = fs.principal_eigenpair(grid, ex1_model)
@@ -100,7 +100,7 @@ def test_eigenpair_is_deterministic(ex1_model):
 
 
 def test_convergence_error_reports_factors(ex1_model):
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, dt=1.0 / 512,
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, steps_per_period=512,
                              sigma=0.0025)
     with pytest.raises(fs.ConvergenceError, match="last two factors"):
         fs.principal_eigenpair(grid, ex1_model, tol=1e-14, max_periods=2)
@@ -149,7 +149,8 @@ def test_no_unique_optimum_leaves_the_tail_unchecked():
         1.0, lambda t, x: 1.0 - (np.asarray(x) ** 2 - 1.0) ** 2 + 0.2 * np.asarray(x))
     rep = fs.check_hypotheses(model, (-2.5, 2.5))
     assert (rep.x_m, rep.h5_delta, rep.h5_radius) == (None, None, None)
-    grid = fs.SimulationGrid(x_lo=-2.5, x_hi=2.5, nx=199, dt=1.0 / 64, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-2.5, x_hi=2.5, nx=199, steps_per_period=64,
+                             sigma=0.01)
     bounds = fs.orbit_bounds(fs.find_periodic_orbit(grid, model), model)
     assert bounds["tail_ok"] is None and bounds["tail_worst_ratio"] is None
     assert bounds["rho_band_ok"]

@@ -216,11 +216,13 @@ def test_import_keeps_heavy_scipy_modules_out():
     # the scipy.linalg package would load scipy._lib.array_api_compat,
     # numpy.f2py and numpy.testing, about half the import time.
     # scipy.integrate would pull in scipy.special and scipy.optimize, and
-    # scipy.sparse adds about 70 modules. Only the command line reads argparse
+    # scipy.sparse adds about 70 modules. Only the command line reads
+    # argparse. The package has no logger, so logging (with traceback and
+    # string) stays out too
     heavy = ("scipy", "scipy._lib", "argparse", "scipy.linalg",
              "scipy._lib.array_api_compat", "numpy.f2py",
              "numpy.testing", "scipy.integrate", "scipy.special",
-             "scipy.optimize", "scipy.sparse")
+             "scipy.optimize", "scipy.sparse", "logging", "traceback", "string")
     code = ("import sys, fluctsel\n"
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
     env = dict(os.environ)

@@ -1,4 +1,3 @@
-import logging
 import tracemalloc
 
 import numpy as np
@@ -7,8 +6,9 @@ import pytest
 import fluctsel as fs
 
 
-def _grid(dt=1e-3, nx=600):
-    return fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, dt=dt, sigma=0.0)
+def _grid(steps=1000, nx=600):
+    return fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, steps_per_period=steps,
+                             sigma=0.0)
 
 
 def test_exponent_matches_time_independent_rate():
@@ -26,14 +26,15 @@ def test_mass_coupling_closes_on_logistic_ode(ex1_model):
     # the population-mean rate int n a dx / rho of the step-by-step loop
     # drives a scalar logistic equation whose solution must reproduce the
     # size of the blocked integrator
-    grid = _grid(dt=2e-4)
+    grid = _grid(steps=5000)
     n0 = np.exp(-((grid.x - 0.2) ** 2) / 0.08)
     _, (times, rho), _ = fs.simulate_sigma0(grid, ex1_model, n0, 2.0)
     q_eff = _reference_sigma0(grid, ex1_model, n0, 2.0)[3]
     q = np.concatenate([q_eff, q_eff[1:]])
     span = 2.0 * times[-1]
     sig = fs.PeriodicScalarSignal(span, np.linspace(0.0, span, len(q)), q)
-    t2, rho2 = fs.integrate_logistic(sig, rho[0], 2.0, dt=grid.dt)
+    # the grid's step: sig's period span = 4 holds 4 periods of 5000 steps
+    t2, rho2 = fs.integrate_logistic(sig, rho[0], 2.0, steps_per_period=20000)
     assert np.abs(rho2 - rho).max() < 1e-6
 
 
@@ -60,7 +61,8 @@ def test_variance_decays_like_inverse_time(ex1_model):
 
 
 def test_gaussian_mass_outside_three_sigma():
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=4000, dt=1e-3, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=4000, steps_per_period=1000,
+                             sigma=0.0)
     w = 0.25
     dens = np.exp(-grid.x ** 2 / (2 * w * w))
     got = fs.concentration_metrics(grid, dens, radius=3 * w).mass_outside
@@ -133,7 +135,7 @@ def _reference_sigma0(grid, model, n0, t_end):
     # Simpson in Y = exp(int rho) over the linear masses M, rho = M / Y.
     # Y - 1 is carried, so that log Y = log1p(Y - 1) keeps its relative
     # accuracy while Y stays near 1
-    x, dx, dt = grid.x, grid.dx, grid.dt
+    x, dx, dt = grid.x, grid.dx, model.period / grid.steps_per_period
     nsteps = max(1, int(round(t_end / dt)))
     times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):
@@ -176,7 +178,8 @@ def test_blocked_steps_match_one_step_at_a_time(r):
     # 137 steps: one whole period (S = 100 steps at dt = 0.01) and 37 phase
     # steps; the density is zero on some traits and so narrow that exp
     # underflows on most others
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, dt=0.01, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, steps_per_period=100,
+                             sigma=0.0)
     model = fs.make_oscillating_optimum(r, 1.0, 1.0, 2.0 * np.pi)
     n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))
     n0[:10] = 0.0
@@ -194,7 +197,8 @@ def test_blocked_steps_match_one_step_at_a_time(r):
 @pytest.mark.parametrize("t_end", [0.37, 3.37])
 def test_period_boundaries_match_one_step_at_a_time(t_end, r):
     # less than one period, and three whole periods plus a partial one
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, dt=0.01, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, steps_per_period=100,
+                             sigma=0.0)
     model = fs.make_oscillating_optimum(r, 1.0, 1.0, 2.0 * np.pi)
     n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))
     n0[:10] = 0.0
@@ -211,7 +215,8 @@ def test_underflowed_products_are_recomputed():
     # the 400 sin(2 pi t) x term puts the maxima of the phase rows near
     # x = +-6, hundreds below the density's peak at x = 0 in the log
     # weights, so their products with the period rows underflow
-    grid = fs.SimulationGrid(x_lo=-6.0, x_hi=6.0, nx=601, dt=0.01, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-6.0, x_hi=6.0, nx=601, steps_per_period=100,
+                             sigma=0.0)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2
                            + 400.0 * np.sin(2.0 * np.pi * t) * np.asarray(x))
     n0 = np.exp(-grid.x ** 2 / (2 * 0.02 ** 2))
@@ -228,7 +233,7 @@ def test_size_converges_at_third_order(ex1_model):
     n0 = np.exp(-(np.linspace(-3.0, 3.0, 202)[1:-1] - 0.3) ** 2 / 0.08)
 
     def rho(steps):
-        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, dt=1.0 / steps,
+        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, steps_per_period=steps,
                                  sigma=0.0)
         return fs.simulate_sigma0(grid, ex1_model, n0, 2.0)[1][1]
 
@@ -243,7 +248,8 @@ def test_memory_stays_bounded(ex1_model):
     # the c03 inputs: 200 periods of 200 steps on 800 traits. A table of
     # all periods or all phases against the traits takes 1.2 MiB each; the
     # blocks keep the peak of traced allocations below 4 MiB
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=200,
+                             sigma=0.0)
     n0 = np.exp(-grid.x ** 2 / (2 * 0.05 ** 2))
     tracemalloc.start()
     try:
@@ -252,31 +258,3 @@ def test_memory_stays_bounded(ex1_model):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
-
-
-def _snap_warnings(caplog):
-    return sum("using dt = T / 333" in r.getMessage() for r in caplog.records)
-
-
-def test_dt_snap_is_logged(caplog, ex1_model):
-    n0 = np.exp(-_grid(nx=100).x ** 2)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
-        _, (times, _), _ = fs.simulate_sigma0(_grid(dt=0.003, nx=100),
-                                              ex1_model, n0, 1.0)
-    assert times[1] == 1.0 / 333
-    assert _snap_warnings(caplog) == 1
-    caplog.clear()
-    # the orbit's eigen-solve snaps the same dt and says so once, though its
-    # default start is built on the snapped grid too
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=0.003, sigma=0.01)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
-        fs.find_periodic_orbit(grid, ex1_model)
-    assert _snap_warnings(caplog) == 1
-    caplog.clear()
-    # the c03 inputs (the sigma0-convergence defaults) and the test grids
-    # divide the period
-    c03 = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, dt=0.005, sigma=0.0)
-    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
-        for grid in (c03, _grid(nx=100), _grid(dt=2e-4, nx=100)):
-            fs.simulate_sigma0(grid, ex1_model, np.exp(-grid.x ** 2), 0.1)
-    assert caplog.text == ""

@@ -28,18 +28,19 @@ def _densities(record):
 @pytest.mark.parametrize("kwargs", [
     dict(nx=8),
     dict(x_lo=2.0, x_hi=-2.0),
-    dict(dt=0.0),
+    dict(steps_per_period=0),
     dict(sigma=-1e-3),
 ])
 def test_grid_validation(kwargs):
-    base = dict(x_lo=-2.0, x_hi=2.0, nx=64, dt=1e-3, sigma=1e-2)
+    base = dict(x_lo=-2.0, x_hi=2.0, nx=64, steps_per_period=1000, sigma=1e-2)
     base.update(kwargs)
     with pytest.raises(fs.ConfigError):
         fs.SimulationGrid(**base)
 
 
 def test_grid_geometry():
-    grid = fs.SimulationGrid(x_lo=-1.0, x_hi=1.0, nx=19, dt=1e-3, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-1.0, x_hi=1.0, nx=19, steps_per_period=1000,
+                             sigma=0.0)
     assert grid.dx == pytest.approx(0.1)
     assert grid.x[0] == pytest.approx(-0.9)
     assert grid.x[-1] == pytest.approx(0.9)
@@ -53,7 +54,8 @@ def test_simulate_rejects_bad_start_before_any_step(monkeypatch):
         raise AssertionError("stepped a rejected start")
 
     monkeypatch.setattr(_Stepper, "step", no_step)
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     ones = np.ones(100)
     for value, at, match in [(-1.0, slice(None), "negative"),
                              (-0.1, 50, "negative"),
@@ -67,26 +69,30 @@ def test_simulate_rejects_bad_start_before_any_step(monkeypatch):
 
 
 def test_default_guess_has_unit_mass(ex1_model):
-    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, dt=1e-3, sigma=0.0025)
+    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, steps_per_period=1000,
+                             sigma=0.0025)
     guess = fs.default_orbit_guess(grid, ex1_model)
     assert fs.total_mass(grid, guess) == pytest.approx(1.0, abs=1e-6)
     assert grid.x[np.argmax(guess)] == pytest.approx(0.0, abs=2 * grid.dx)
 
 
 def test_step_without_diffusion_is_exact_reaction():
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=63, dt=1e-2, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=63, steps_per_period=100,
+                             sigma=0.0)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     n0 = np.exp(-grid.x ** 2)
     # the step runs in place, so it gets a copy of n0
-    out = _Stepper(grid, model).step(n0.copy(), 0) / (1.0 + grid.dt * 0.3)
-    expect = n0 * (1.0 + grid.dt * (1.0 - grid.x ** 2)) / (1.0 + grid.dt * 0.3)
+    stepper = _Stepper(grid, model)
+    out = stepper.step(n0.copy(), 0) / (1.0 + stepper.dt * 0.3)
+    expect = n0 * (1.0 + stepper.dt * (1.0 - grid.x ** 2)) / (1.0 + stepper.dt * 0.3)
     np.testing.assert_allclose(out, expect, rtol=1e-13)
 
 
 def test_pure_diffusion_conserves_interior_mass():
     # zero growth in the linear flow: only diffusion acts; mass leaks just
     # through the far-away ends, so it is conserved to solver accuracy
-    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, dt=1e-3, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=1000, steps_per_period=1000,
+                             sigma=0.01)
     n0 = np.exp(-grid.x ** 2 / 0.02) / np.sqrt(0.02 * np.pi)
     n = _Stepper(grid, _const_model(0.0)).run(n0, 200)
     assert fs.total_mass(grid, n) == pytest.approx(fs.total_mass(grid, n0), rel=1e-9)
@@ -95,7 +101,7 @@ def test_pure_diffusion_conserves_interior_mass():
 
 def test_step_rejects_oversized_reaction():
     # dt * max|a| = 0.5 * 2.5 >= 1: a growth factor 1 + dt * a would be negative
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, dt=0.5, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=64, steps_per_period=2, sigma=0.0)
     with pytest.raises(fs.NumericalError, match="step constraint"):
         _Stepper(grid, _const_model(-2.5))
 
@@ -112,7 +118,8 @@ def test_step_constraint_rejects_non_finite_rates(bad):
 def test_stepper_margin_is_the_worst_block(bad):
     # one rate row far from the first block (20 rows a block at nx = 800)
     # breaks the step constraint; a NaN there is not lost between blocks
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=800, dt=1.0 / 256, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=800, steps_per_period=256,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: np.where(
         np.asarray(t) == 0.75, bad, 0.5) + 0.0 * np.asarray(x))
     with pytest.raises(fs.NumericalError, match="step constraint"):
@@ -121,9 +128,11 @@ def test_stepper_margin_is_the_worst_block(bad):
 
 @settings(max_examples=60, deadline=None)
 @given(nx=st.integers(16, 200), seed=st.integers(0, 2**32 - 1),
-       sigma=st.floats(0.0, 0.1), dt=st.floats(1e-4, 0.1))
-def test_step_eigenpair_matches_eigh_tridiagonal_bit_for_bit(nx, seed, sigma, dt):
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, dt=dt, sigma=sigma)
+       sigma=st.floats(0.0, 0.1), steps=st.integers(10, 10000))
+def test_step_eigenpair_matches_eigh_tridiagonal_bit_for_bit(nx, seed, sigma, steps):
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, steps_per_period=steps,
+                             sigma=sigma)
+    dt = 1.0 / steps
     row = np.random.default_rng(seed).uniform(-0.95, 0.95, nx) / dt
     log_mu, v = step_eigenpair(grid, row, dt)
     # the reference: the same matrix through scipy.linalg.eigh_tridiagonal
@@ -191,20 +200,22 @@ def test_step_eigenpair_reports_a_lapack_failure(monkeypatch, routine):
     real = getattr(pde_solver, routine)
     monkeypatch.setattr(pde_solver, routine,
                         lambda *args: (*real(*args)[:-1], 1))
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=0.01, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=100,
+                             sigma=0.01)
     with pytest.raises(fs.NumericalError, match=f"{routine} info 1"):
-        step_eigenpair(grid, np.zeros(grid.nx), grid.dt)
+        step_eigenpair(grid, np.zeros(grid.nx), 0.01)
 
 
 def test_step_eigenpair_rejects_a_non_finite_matrix():
     # dt * sigma / dx^2 overflows to inf
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=0.1, sigma=1e308)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=10,
+                             sigma=1e308)
     with pytest.raises(fs.NumericalError, match="non-finite"):
-        step_eigenpair(grid, np.zeros(grid.nx), grid.dt)
+        step_eigenpair(grid, np.zeros(grid.nx), 0.1)
 
 
 def _ex1_stepper(nx=200, steps=256):
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=nx, dt=1.0 / steps,
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=nx, steps_per_period=steps,
                              sigma=0.0025)
     return grid, _Stepper(grid, fs.make_oscillating_optimum(1.0, 1.0, 1.0,
                                                             2.0 * np.pi))
@@ -236,7 +247,7 @@ def test_step_keeps_nonnegative_input_nonnegative():
 
 
 def test_orbit_is_deterministic():
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, dt=1.0 / 256,
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=150, steps_per_period=256,
                              sigma=0.0025)
     model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
     first = fs.find_periodic_orbit(grid, model)
@@ -257,7 +268,8 @@ def test_orbit_uses_a_small_krylov_basis(ex1_orbit, ex2_orbit):
 def test_eigen_solve_runs_at_most_its_budget(monkeypatch):
     # from a flat start this solve needs 16 maps at tol 1e-10: it succeeds
     # on exactly that budget and raises after exactly k maps on a smaller one
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
     flat = np.ones(grid.nx)
     maps = []
@@ -295,7 +307,7 @@ def _small_case(nx, steps, sigma, r, g, swing, pressure):
             r, lambda t: 1.5 * g * (1.0 + swing * np.cos(2.0 * np.pi * t)))
     else:
         model = fs.make_oscillating_optimum(r, g, swing, 2.0 * np.pi)
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, dt=1.0 / steps,
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=nx, steps_per_period=steps,
                              sigma=sigma)
     return grid, model
 
@@ -407,7 +419,8 @@ def test_blocked_q_is_the_average_of_the_rate_table(nx, steps, sigma, r, g,
 
 def test_eigen_solve_reports_an_overflowing_period_map():
     # a growth factor of about e^1000 per period is past the double range
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 2048, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=2048,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1000.0 - np.asarray(x) ** 2)
     with pytest.raises(fs.NumericalError, match="overflowed"):
         fs.principal_eigenpair(grid, model)
@@ -415,7 +428,8 @@ def test_eigen_solve_reports_an_overflowing_period_map():
 
 def test_simulate_logistic_growth_matches_ode():
     # flat rate: mass obeys rho' = rho (1 - rho) regardless of diffusion
-    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=500, dt=1e-3, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=500, steps_per_period=1000,
+                             sigma=0.01)
     n0 = np.exp(-grid.x ** 2)
     n0 *= 0.1 / fs.total_mass(grid, n0)
     n, (times, rho), diag = fs.simulate(grid, _const_model(1.0), n0, 5.0)
@@ -425,7 +439,8 @@ def test_simulate_logistic_growth_matches_ode():
 
 
 def test_simulate_decay_and_extinction_flag():
-    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=200, dt=1e-2, sigma=0.0025)
+    grid = fs.SimulationGrid(x_lo=-5.0, x_hi=5.0, nx=200, steps_per_period=100,
+                             sigma=0.0025)
     n0 = np.exp(-grid.x ** 2)
     n, (times, rho), diag = fs.simulate(grid, _const_model(-1.0), n0, 30.0)
     assert (rho[1:] <= rho[0] * np.exp(-times[1:] + 1e-9)).all()
@@ -455,7 +470,8 @@ def test_simulate_is_the_saturating_scheme(nx, steps, sigma, r, g, swing,
 def test_autonomous_steady_state():
     # frozen environment: the period map fixed point is a true steady state
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
-    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, dt=1.0 / 256, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=256,
+                             sigma=0.01)
     rec = fs.find_periodic_orbit(grid, model, tol=1e-10)
     assert rec.period_gap < 1e-9
     snaps = _densities(rec)
@@ -466,14 +482,16 @@ def test_autonomous_steady_state():
 
 
 def test_find_periodic_orbit_detects_extinction():
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: -0.5 - np.asarray(x) ** 2)
     with pytest.raises(fs.ExtinctionError, match="no positive periodic orbit"):
         fs.find_periodic_orbit(grid, model)
 
 
 def test_find_periodic_orbit_convergence_error():
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     # the default start solves this frozen environment exactly (one map), so
     # start flat: that needs 10 maps
@@ -543,7 +561,8 @@ def test_orbit_owns_no_density_table(ex1_eigen):
 
 
 def test_find_periodic_orbit_rejects_bad_guess():
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     with pytest.raises(fs.ConfigError):
         fs.find_periodic_orbit(grid, model, guess=np.zeros(100))
@@ -551,14 +570,15 @@ def test_find_periodic_orbit_rejects_bad_guess():
 
 @pytest.mark.parametrize("guess", [np.zeros(100), -np.ones(100)])
 def test_principal_eigenpair_rejects_bad_guess(guess):
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=1.0 / 128, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
+                             sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     with pytest.raises(fs.ConfigError, match="nonnegative with positive mass"):
         fs.principal_eigenpair(grid, model, guess=guess)
 
 
 def test_orbit_record_shape(ex1_orbit, wide_grid):
-    steps = round(1.0 / wide_grid.dt)
+    steps = wide_grid.steps_per_period
     assert ex1_orbit.pair.p_snapshots.shape == (steps + 1, wide_grid.nx)
     assert ex1_orbit.rho.times[0] == 0.0
     assert ex1_orbit.rho.times[-1] == pytest.approx(1.0)

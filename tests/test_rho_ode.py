@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
-from fluctsel.quadrature import simpson, snap_steps
+from fluctsel.quadrature import simpson
 from fluctsel.rho_ode import FINE_INTERVALS
 
 
@@ -18,7 +18,7 @@ def test_closed_form_satisfies_ode():
     # start a high-order integrator exactly on the orbit: it must stay there
     q = _ex1_q()
     orbit = fs.periodic_rho_closed_form(q)
-    times, rho = fs.integrate_logistic(q, orbit(0.0), 1.0, dt=1.0 / 2048)
+    times, rho = fs.integrate_logistic(q, orbit(0.0), 1.0, steps_per_period=2048)
     assert np.abs(rho - orbit(times)).max() < 1e-7
 
 
@@ -67,7 +67,7 @@ def test_integrator_survives_harsh_steps(swing):
     # stretch; the iterate must stay positive
     q = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: 1.0 + swing * (np.sin(np.pi * ts) ** 2))
-    times, rho = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
+    times, rho = fs.integrate_logistic(q, 1.0, 2.0, steps_per_period=4)
     assert (rho > 0.0).all()
 
 
@@ -84,13 +84,13 @@ def test_integrator_rejects_a_start_outside_the_double_range(rho0):
         fs.integrate_logistic(_ex1_q(), rho0, 1.0)
 
 
-def _reference_phase_maps(q, dt):
-    """The snapped step count and width, and the step maps (alpha_r, beta_r)
+def _reference_phase_maps(q, steps):
+    """The step width period / steps and the step maps (alpha_r, beta_r)
     of one period, one phase at a time from the half-step table: the RK4
     stages k_i = a_i u + b_i of u' = 1 - q u are expanded into their affine
     coefficients, and a map with alpha or beta not positive is replaced by
     the composition of its two half steps with q evaluated directly."""
-    steps, dt = snap_steps(q.period, dt)
+    dt = q.period / steps
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
 
     def rk4_map(h, q_start, q_mid, q_end):
@@ -113,15 +113,15 @@ def _reference_phase_maps(q, dt):
         return a2 * a1, a2 * b1 + b2
 
     maps = [positive_map(dt * r, dt, 0, *table[2 * r:2 * r + 3]) for r in range(steps)]
-    return steps, dt, maps
+    return dt, maps
 
 
-def _reference_logistic(q, rho0, t_end, dt):
+def _reference_logistic(q, rho0, t_end, steps):
     """integrate_logistic one step at a time: u = 1 / rho after step r of a
     period is A_r u_p + B_r, where u_p is u at the period's start and the
     prefix maps (A_r, B_r) are running products of the step maps; in rho,
     rho_p / (A_r + B_r rho_p)."""
-    steps, dt, maps = _reference_phase_maps(q, dt)
+    dt, maps = _reference_phase_maps(q, steps)
     A, B = [1.0], [0.0]
     for alpha, beta in maps:
         A.append(float(alpha) * A[-1])
@@ -138,10 +138,10 @@ def _reference_logistic(q, rho0, t_end, dt):
     return times, rho
 
 
-def _rk4_on_rho(q, rho0, t_end, dt):
+def _rk4_on_rho(q, rho0, t_end, steps):
     """Classical RK4 on rho' = rho (q - rho) itself, reading q from the same
     half-step table (no positivity fallback)."""
-    steps, dt = snap_steps(q.period, dt)
+    dt = q.period / steps
     n = int(round(t_end / dt))
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
     rho = np.empty(n + 1)
@@ -160,9 +160,9 @@ def _rk4_on_rho(q, rho0, t_end, dt):
     return dt * np.arange(n + 1), rho
 
 
-def _outcome(integrate, q, rho0, t_end, dt):
+def _outcome(integrate, q, rho0, t_end, steps):
     try:
-        return integrate(q, rho0, t_end, dt)
+        return integrate(q, rho0, t_end, steps)
     except fs.NumericalError as exc:
         return str(exc)
 
@@ -188,8 +188,8 @@ def test_integrator_equals_the_step_by_step_reference(offset, amp, phase, period
                                                       steps, rho0, periods):
     q, _ = _counting_signal(
         period, lambda ts: offset + amp * np.sin(2 * np.pi * ts / period + phase))
-    got = _outcome(fs.integrate_logistic, q, rho0, periods * period, period / steps)
-    want = _outcome(_reference_logistic, q, rho0, periods * period, period / steps)
+    got = _outcome(fs.integrate_logistic, q, rho0, periods * period, steps)
+    want = _outcome(_reference_logistic, q, rho0, periods * period, steps)
     if isinstance(want, str):
         assert got == want
     else:
@@ -200,9 +200,9 @@ def test_integrator_equals_the_reference_through_the_halving_fallback():
     # a quarter-period step into a rate of 41 has a negative alpha or beta
     # and is halved, with q evaluated one time at a time
     q, sizes = _counting_signal(1.0, lambda ts: 1.0 + 40.0 * np.sin(np.pi * ts) ** 2)
-    got = fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
+    got = fs.integrate_logistic(q, 1.0, 2.0, steps_per_period=4)
     assert sizes.count(1) > 0
-    want = _reference_logistic(q, 1.0, 2.0, 0.25)
+    want = _reference_logistic(q, 1.0, 2.0, 4)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -222,17 +222,17 @@ def test_integrator_is_close_to_rk4_on_rho_for_small_steps(offset, amp, phase, p
     assume(dt * max(abs(offset) + amp, rho0, 2 * np.pi / period) <= 0.05)
     q = fs.PeriodicScalarSignal.from_array_callable(
         period, lambda ts: offset + amp * np.sin(2 * np.pi * ts / period + phase))
-    times, rho = fs.integrate_logistic(q, rho0, periods * period, dt)
-    want_times, want = _rk4_on_rho(q, rho0, periods * period, dt)
+    times, rho = fs.integrate_logistic(q, rho0, periods * period, steps)
+    want_times, want = _rk4_on_rho(q, rho0, periods * period, steps)
     assert np.array_equal(times, want_times)
     np.testing.assert_allclose(rho, want, rtol=5e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("swing, dt", [(0.0, None), (40.0, 0.25), (-40.0, 0.25)])
-def test_a_start_of_zero_stays_exactly_zero(swing, dt):
+@pytest.mark.parametrize("swing, steps", [(0.0, 1024), (40.0, 4), (-40.0, 4)])
+def test_a_start_of_zero_stays_exactly_zero(swing, steps):
     q = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: 1.0 + swing * np.sin(np.pi * ts) ** 2)
-    times, rho = fs.integrate_logistic(q, 0.0, 3.0, dt)
+    times, rho = fs.integrate_logistic(q, 0.0, 3.0, steps)
     assert len(times) == len(rho) > 3 and not rho.any()
 
 
@@ -243,8 +243,8 @@ def test_the_size_never_exceeds_one_over_the_least_beta(swing, rho0):
     # the three roundings of rho_p / (A_r + B_r rho_p) may add an ulp or two
     q = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: 1.0 + swing * np.sin(np.pi * ts) ** 2)
-    _, _, maps = _reference_phase_maps(q, 0.25)
-    _, rho = fs.integrate_logistic(q, rho0, 3.0, dt=0.25)
+    _, maps = _reference_phase_maps(q, 4)
+    _, rho = fs.integrate_logistic(q, rho0, 3.0, steps_per_period=4)
     assert (rho[1:] > 0.0).all()
     bound = 1.0 / min(beta for _, beta in maps)
     assert rho[1:].max() <= bound * (1.0 + 4.0 * np.finfo(float).eps)
@@ -255,7 +255,7 @@ def test_a_nan_rate_raises_numerical_error_after_40_halvings():
     # halving evaluating q at the three times of both halves
     q, sizes = _counting_signal(1.0, lambda ts: np.where(ts % 1.0 < 0.5, 1.0, np.nan))
     with pytest.raises(fs.NumericalError, match="positivity lost at t = 0.5 "):
-        fs.integrate_logistic(q, 1.0, 2.0, dt=0.25)
+        fs.integrate_logistic(q, 1.0, 2.0, steps_per_period=4)
     assert sizes == [9] + [1] * 6 * 40
 
 
@@ -278,18 +278,10 @@ def test_integrator_reads_q_from_one_period_table():
     q = fs.PeriodicScalarSignal(period=1.0, times=np.linspace(0.0, 1.0, 3),
                                 values=np.zeros(3), fn=rate)
     orbit = fs.periodic_rho_closed_form(_ex1_q())
-    times, rho = fs.integrate_logistic(q, orbit(0.0), 5.0, dt=1.0 / 256)
+    times, rho = fs.integrate_logistic(q, orbit(0.0), 5.0, steps_per_period=256)
     assert len(times) == 5 * 256 + 1
     assert len(calls) <= 2 * 256 + 1
     assert np.abs(rho - orbit(times)).max() < 1e-7
-
-
-def test_integrator_snaps_dt_to_divide_the_period():
-    q = fs.PeriodicScalarSignal.from_array_callable(
-        2.0, lambda ts: 0.5 + np.sin(np.pi * ts))
-    times, rho = fs.integrate_logistic(q, 0.5, 4.0, dt=0.3)
-    assert times[1] == 2.0 / round(2.0 / 0.3)
-    assert times[-1] == pytest.approx(4.0)
 
 
 def test_array_callable_matches_scalar_callable(ex1_model):

@@ -1,5 +1,6 @@
-"""tools/setup_time.py's summary, on synthetic samples (timing real
-processes is left to the script itself)."""
+"""tools/setup_time.py's summary and module comparison, on synthetic samples
+(timing real processes is left to the script itself), and its module list of
+this tree, from one fresh interpreter."""
 
 import importlib.util
 import pathlib
@@ -32,3 +33,20 @@ def test_ties_do_not_count_as_wins():
     same = _runs(1.0, [0.0, 0.0])
     for line in setup_time.summarize(same, same)[1:]:
         assert line.endswith("0/2")
+
+
+def test_module_comparison_counts_and_names_the_difference():
+    old = ["fluctsel", "json", "logging", "string"]
+    new = ["fluctsel", "json", "tomllib"]
+    assert setup_time.compare_modules(old, new) == [
+        "modules after numpy: old 4, new 3",
+        "added: tomllib",
+        "removed: logging string"]
+    assert setup_time.compare_modules(new, new)[1:] == ["added: -", "removed: -"]
+
+
+def test_modules_after_numpy_lists_the_package_and_not_numpy():
+    names = setup_time.modules_after_numpy(_PATH.parents[1])
+    assert names == sorted(names)
+    assert {"fluctsel", "fluctsel.pde_solver"} <= set(names)
+    assert "numpy" not in names

@@ -1,7 +1,5 @@
-"""One snap of dt to a whole number of steps per period, shared by every
-solver."""
-
-import logging
+"""The grid's steps_per_period is the one time resolution: every solver runs
+that many steps of T / steps_per_period per period T of its model."""
 
 import numpy as np
 import pytest
@@ -9,56 +7,76 @@ import pytest
 import fluctsel as fs
 from fluctsel.asymptotics import _stationary_state
 from fluctsel.pde_solver import _Stepper, step_eigenpair
-from fluctsel.quadrature import snap_steps
+
+# a period of 2 pi / 3, so that no step count divides it into a round dt
+T = 2.0 * np.pi / 3.0
+STEPS = 333
 
 
-@pytest.mark.parametrize("period,dt", [
-    (1.0, 1.0 / 2048), (1.0, 0.005), (1.0, 1.0 / 500), (2.0 * np.pi / 3.0, 0.01),
-    (1.0, 0.003), (2.0, 0.3), (1.0, 1e-3 / 3.0), (1.0, 5.0)])
-def test_snap_steps_rounds_to_the_nearest_whole_number_of_steps(period, dt):
-    steps, snapped = snap_steps(period, dt)
-    expect = max(1, int(round(period / dt)))
-    assert isinstance(steps, int)
-    assert steps == expect
-    # the same double as dividing the period by the step count
-    assert snapped == period / expect
+@pytest.fixture(scope="module")
+def model():
+    return fs.make_oscillating_optimum(1.0, 1.0, 1.0, 3.0)
 
 
-def test_every_solver_snaps_to_the_same_steps(ex1_model, caplog):
-    # dt = 0.003 does not divide T = 1; every solver runs 333 steps of 1/333
-    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, dt=0.003, sigma=0.01)
-    steps, dt = snap_steps(ex1_model.period, grid.dt)
-    assert (steps, dt) == (333, 1.0 / 333)
+def _grid(sigma=0.01, steps=STEPS):
+    return fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=steps,
+                             sigma=sigma)
 
-    stepper = _Stepper(grid, ex1_model)
-    assert (stepper.steps, stepper.dt) == (steps, dt)
 
-    with caplog.at_level(logging.WARNING, logger="fluctsel.quadrature"):
-        _, (times, _), _ = fs.simulate_sigma0(grid, ex1_model,
-                                              np.exp(-grid.x ** 2), 0.1)
-    assert times[1] == dt
+def test_every_solver_steps_the_period_over_the_step_count(model):
+    assert model.period == T
+    dt = T / STEPS
+    grid = _grid()
+
+    stepper = _Stepper(grid, model)
+    assert (stepper.steps, stepper.dt) == (STEPS, dt)
+    assert stepper.times[-1] == STEPS * dt
+
+    n0 = np.exp(-grid.x ** 2)
+    _, (times, _), diagnostics = fs.simulate(grid, model, n0, T)
+    assert times[1] == dt and len(times) == STEPS + 1
+    assert set(diagnostics) == {"boundary_mass_fraction", "extinct"}
+
+    _, (times, _), _ = fs.simulate_sigma0(_grid(sigma=0.0), model, n0, T)
+    assert times[1] == dt and len(times) == STEPS + 1
 
     q = fs.PeriodicScalarSignal.from_array_callable(
-        1.0, lambda ts: 0.5 + np.sin(2 * np.pi * ts))
-    times, _ = fs.integrate_logistic(q, 0.5, 0.1, dt=grid.dt)
-    assert times[1] == dt
+        T, lambda ts: 0.5 + np.sin(3.0 * ts))
+    times, _ = fs.integrate_logistic(q, 0.5, T, steps_per_period=STEPS)
+    assert times[1] == dt and len(times) == STEPS + 1
+    times, _ = fs.integrate_logistic(q, 0.5, T)
+    assert times[1] == T / 1024
 
-    row = ex1_model.rate(0.0, grid.x)
-    rho_c, _ = _stationary_state(grid, row, ex1_model.period)
+    row = model.rate(0.0, grid.x)
+    rho_c, _ = _stationary_state(grid, row, model.period)
     assert rho_c == step_eigenpair(grid, row, dt)[0] / dt
 
-    _, v = step_eigenpair(grid, fs.mean_growth(ex1_model, grid.x), dt)
-    np.testing.assert_array_equal(fs.default_orbit_guess(grid, ex1_model),
+    _, v = step_eigenpair(grid, fs.mean_growth(model, grid.x), dt)
+    np.testing.assert_array_equal(fs.default_orbit_guess(grid, model),
                                   v / fs.total_mass(grid, v))
+
+    pair = fs.principal_eigenpair(grid, model, tol=1e-8)
+    np.testing.assert_array_equal(pair.times, dt * np.arange(STEPS + 1))
+
+
+def test_a_numpy_integer_step_count_is_whole():
+    assert _grid(steps=np.int64(64)).steps_per_period == 64
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, 64.0, True, "64", None])
+def test_grid_rejects_a_step_count_that_is_not_a_whole_number_from_1(steps):
+    with pytest.raises(fs.ConfigError, match="steps_per_period must be a whole number"):
+        _grid(steps=steps)
 
 
 def _run_simulate(model, t_end):
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=1.0 / 64, sigma=0.01)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64,
+                             sigma=0.01)
     return fs.simulate(grid, model, np.exp(-grid.x ** 2), t_end)
 
 
 def _run_simulate_sigma0(model, t_end):
-    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, dt=1.0 / 64, sigma=0.0)
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64, sigma=0.0)
     return fs.simulate_sigma0(grid, model, np.exp(-grid.x ** 2), t_end)
 
 

@@ -18,7 +18,10 @@ taken here is the interpreter start. The phases:
 - peak_rss_mb: the child's peak resident memory.
 
 For each phase the script prints the median and quartiles of each side and
-the number of pairs in which NEW is lower.
+the number of pairs in which NEW is lower. Before the timed runs, one more
+fresh interpreter per tree lists the modules that `import fluctsel` loads
+after numpy; the script prints the count of each tree and the names that
+NEW adds or removes.
 """
 
 from __future__ import annotations
@@ -49,13 +52,41 @@ import resource
 print(*stamps, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 
+_MODULES_CHILD = """
+import sys
+import numpy
+before = set(sys.modules)
+import fluctsel
+print(*sorted(set(sys.modules) - before))
+"""
+
+
+def _child(tree: Path, code: str) -> str:
+    """The standard output of a fresh interpreter running code on tree/src."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def modules_after_numpy(tree: Path) -> list[str]:
+    """The sorted names of the modules that import fluctsel loads after
+    numpy, from tree/src in one fresh interpreter."""
+    return _child(tree, _MODULES_CHILD).split()
+
+
+def compare_modules(old: list[str], new: list[str]) -> list[str]:
+    """The module count of each side, and the names that only new loads
+    (added) or only old loads (removed)."""
+    added, removed = sorted(set(new) - set(old)), sorted(set(old) - set(new))
+    return [f"modules after numpy: old {len(old)}, new {len(new)}",
+            f"added: {' '.join(added) or '-'}",
+            f"removed: {' '.join(removed) or '-'}"]
+
 
 def run_once(tree: Path) -> dict:
     """One fresh interpreter on tree/src; returns each phase's value."""
-    env = {**os.environ, "PYTHONPATH": str(Path(tree).resolve() / "src")}
     spawn = time.monotonic()
-    out = subprocess.run([sys.executable, "-c", _CHILD], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _child(tree, _CHILD)
     start, numpy_done, fluctsel_done, resolved, rss = map(float, out.split())
     ms = [1e3 * (b - a) for a, b in ((spawn, start), (start, numpy_done),
                                      (numpy_done, fluctsel_done),
@@ -82,6 +113,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     trees = [Path(tree) for tree in argv]
+    print("\n".join(compare_modules(*map(modules_after_numpy, trees))))
     for tree in trees:
         run_once(tree)
     runs = ([], [])
