@@ -18,10 +18,12 @@ exponent of the first r steps of a period and L_T = C_S the exponent gained
 over one period, about T times the averaged rate whose maximum the density
 concentrates on. Every mass sum over the traits is then an inner product of
 a period row exp(log n0 + p L_T) and a phase row exp(C_r), each shifted by
-its maximum as in log-sum-exp, and all of them are matrix products over
-blocks of periods and phases; log Y is a running log-sum-exp over the steps
-of one period at a time. A product that underflows, because the two rows
-peak at distant traits, is recomputed directly.
+its maximum as in log-sum-exp. The period rows of all periods are
+exponentiated once and held (nx doubles per period); the phase rows are
+made a block at a time, and each phase block's sums are matrix products
+with blocks of period rows. log Y is one running log-sum-exp over all
+steps. A product that underflows, because the two rows peak at distant
+traits, is recomputed directly.
 """
 
 from __future__ import annotations
@@ -73,23 +75,27 @@ def reconstruct_density(state: ExponentState) -> np.ndarray:
         return np.exp(state.log_n0 + state.log_factors - state.rho_integral)
 
 
-def _shifted_exp(w: np.ndarray):
-    """Row maxima m of w and the row-shifted weights exp(w - m).
+def _shifted_exp(w: np.ndarray, out: np.ndarray | None = None):
+    """Row maxima m of w and the row-shifted weights exp(w - m), written into
+    out (a new array by default).
 
     Weights below exp(_LOG_FLOOR) are set to 0 without evaluating exp.
     """
     m = w.max(axis=1)
     w = w - m[:, None]
-    return m, np.exp(w, out=np.zeros_like(w), where=w > _LOG_FLOOR)
+    out = np.empty_like(w) if out is None else out
+    out.fill(0.0)
+    return m, np.exp(w, out=out, where=w > _LOG_FLOOR)
 
 
 def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
     """Exponents of the first count steps of a period, in blocks.
 
-    Yields (r0, half, c_end) for the steps r0 <= r < r0 + rows: the Simpson
-    exponent C_{r+1} = int_0^{(r+1) dt} a accumulated from C_0 = 0 and the
-    half-step exponent C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4. Each block
-    holds about RATE_BLOCK elements.
+    Yields (r0, exponents) for the rows = len(exponents) // 2 steps
+    r0 <= r < r0 + rows: exponents[:rows] holds the half-step exponents
+    C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4 and exponents[rows:] the
+    Simpson exponents C_{r+1} = int_0^{(r+1) dt} a, accumulated from C_0 = 0.
+    Each block holds about RATE_BLOCK elements per half.
     """
     rows = max(1, RATE_BLOCK // len(x))
     c = np.zeros(len(x))
@@ -97,14 +103,16 @@ def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int)
         r1 = min(r0 + rows, count)
         a = rate_table(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
         a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
-        c_end = dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
+        exponents = np.empty((2 * (r1 - r0), len(x)))
+        half, c_end = np.split(exponents, 2)
+        np.multiply(dt / 6.0, a_start + 4.0 * a_mid + a_end, out=c_end)
         c_end[0] += c
         np.cumsum(c_end, axis=0, out=c_end)
-        half = 0.25 * dt * (a_start + a_mid)
+        np.multiply(0.25 * dt, a_start + a_mid, out=half)
         half[0] += c
         half[1:] += c_end[:-1]
         c = c_end[-1]
-        yield r0, half, c_end
+        yield r0, exponents
 
 
 def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
@@ -116,7 +124,9 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     a(., x), and so is Y = exp(int rho) from the linear masses; the scheme
     is third order in dt. Step k = p S + r ends at the exponent
     p L_T + C_{r+1}, so every mass sum is a product of a period row and a
-    phase row (see the module docstring).
+    phase row (see the module docstring). The period rows of all periods
+    are held, nx doubles per period; the phase rows are made a block at a
+    time.
     Returns (state, (times, rho), diagnostics); diagnostics holds only the
     extinct flag, set by a size below 1e-12. An initial density that is
     negative, identically zero or not finite, or a size beyond the double
@@ -130,7 +140,6 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     per_period = grid.steps_per_period
     dt = model.period / per_period
     nsteps = max(1, int(round(t_end / dt)))
-    times = dt * np.arange(nsteps + 1)
     with np.errstate(divide="ignore"):
         log_n0 = np.log(values)
 
@@ -139,53 +148,69 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     last = nsteps - (periods - 1) * phases  # steps in the last period
     L_T = np.zeros(grid.nx)
     if periods > 1:
-        for _, _, c_end in _phase_blocks(model, x, dt, per_period):
-            L_T = c_end[-1]
+        for _, exponents in _phase_blocks(model, x, dt, per_period):
+            L_T = exponents[-1].copy()  # a copy frees the block
+    # the period rows exp(log n0 + p L_T - m_w[p]) of every period
+    period_rows = max(1, RATE_BLOCK // grid.nx)
+    m_w, w = np.empty(periods), np.empty((periods, grid.nx))
+    for p0 in range(0, periods, period_rows):
+        p1 = min(p0 + period_rows, periods)
+        m_w[p0:p1], _ = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T,
+                                     out=w[p0:p1])
     log_masses = np.empty((2, periods, phases))
     floor = grid.nx * _UNDERFLOW
-    period_rows = max(1, RATE_BLOCK // grid.nx)
-    for r0, half, c_end in _phase_blocks(model, x, dt, phases):
-        r1 = r0 + len(c_end)
-        m_half, e_half = _shifted_exp(half)
-        m_end, e_end = _shifted_exp(c_end)
-        e = np.concatenate((e_half, e_end))
+    # a phase block has at most period_rows rows too
+    e = np.empty((2 * period_rows, grid.nx))
+    sums = np.empty(periods * len(e))
+    for r0, exponents in _phase_blocks(model, x, dt, phases):
+        rows = len(exponents) // 2
+        r1 = r0 + rows
         if r0 < last <= r1:
-            L_last = c_end[last - 1 - r0].copy()
+            L_last = exponents[rows + last - 1 - r0].copy()
+        m_e, e_block = _shifted_exp(exponents, out=e[:2 * rows])
+        # s[p, j] is the half-step (j < rows) or end (j >= rows) sum of
+        # step r0 + j % rows of period p, from one product per block of
+        # period rows: one product over all periods rounds differently
+        # (BLAS splits the sums by shape) and moves rho in the 13th digit
+        s = sums[:periods * 2 * rows].reshape(periods, 2 * rows)
         for p0 in range(0, periods, period_rows):
             p1 = min(p0 + period_rows, periods)
-            m_w, w = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T)
-            s_half, s_end = np.split(w @ e.T, 2, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_masses[0, p0:p1, r0:r1] = m_w[:, None] + m_half + np.log(s_half)
-                log_masses[1, p0:p1, r0:r1] = m_w[:, None] + m_end + np.log(s_end)
-            # a sum that underflowed (the two maxima at distant traits) is
-            # recomputed directly by log-sum-exp
-            for i, j in zip(*np.nonzero((s_half < floor) | (s_end < floor))):
-                p, r = p0 + i, r0 + j
-                m, weights = _shifted_exp(
-                    log_n0 + p * L_T + np.stack((half[j], c_end[j])))
-                log_masses[:, p, r] = m + np.log(weights.sum(axis=1))
+            np.matmul(w[p0:p1], e_block.T, out=s[p0:p1])
+        low = s < floor
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(s, out=s)
+            s += m_w[:, None] + m_e
+        log_masses[:, :, r0:r1] = s.reshape(periods, 2, rows).transpose(1, 0, 2)
+        # a sum that underflowed (the two maxima at distant traits) is
+        # recomputed directly by log-sum-exp
+        for p, j in zip(*np.nonzero(low[:, :rows] | low[:, rows:])):
+            m, weights = _shifted_exp(log_n0 + p * L_T + exponents[j::rows])
+            log_masses[:, p, r0 + j] = m + np.log(weights.sum(axis=1))
+    del w
 
     m_0 = log_n0.max()
     weights = np.exp(log_n0 - m_0)
     # Y_{k+1} = Y_k + dt dx / 6 (M_k + 4 M_{k+1/2} + M_{k+1}) and
-    # rho_k = M_k / Y_k in logs, where the log_masses are log(M / dx); one
-    # period of steps at a time carries log Y and the last log(M / dx)
+    # rho_k = M_k / Y_k in logs, where the log_masses are log(M / dx).
+    # Flattened, the (periods, phases) masses run through the steps in
+    # order, so one running log-sum-exp over all steps, written into
+    # rho[1:], carries log Y across the period ends
     log_dx, log_step, log_4 = math.log(dx), math.log(dt * dx / 6.0), math.log(4.0)
     log_m = m_0 + math.log(float(weights.sum()))
-    log_y = 0.0
+    log_half, log_end = (masses.ravel()[:nsteps] for masses in log_masses)
     rho = np.empty(nsteps + 1)
     rho[0] = log_dx + log_m
-    for p in range(periods):
-        k0 = 1 + p * phases
-        log_half, log_end = log_masses[:, p, :nsteps + 1 - k0]
-        ends = np.concatenate(([log_m], log_end))
-        log_ys = np.logaddexp(np.logaddexp(ends[:-1], ends[1:]), log_4 + log_half)
-        log_ys += log_step
-        log_ys[0] = np.logaddexp(log_y, log_ys[0])
-        np.logaddexp.accumulate(log_ys, out=log_ys)
-        rho[k0:k0 + len(log_end)] = log_dx + log_end - log_ys
-        log_y, log_m = float(log_ys[-1]), float(log_end[-1])
+    log_ys = rho[1:]
+    log_ys[0] = np.logaddexp(log_m, log_end[0])
+    np.logaddexp(log_end[:-1], log_end[1:], out=log_ys[1:])
+    log_half += log_4
+    np.logaddexp(log_ys, log_half, out=log_ys)
+    log_ys += log_step
+    log_ys[0] = np.logaddexp(0.0, log_ys[0])
+    np.logaddexp.accumulate(log_ys, out=log_ys)
+    log_y = float(log_ys[-1])
+    log_end += log_dx
+    np.subtract(log_end, log_ys, out=log_ys)
     with np.errstate(over="ignore"):
         np.exp(rho, out=rho)
     if not np.isfinite(rho).all():
@@ -193,7 +218,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     extinct = bool((rho < EXTINCTION_SIZE).any())
     state = ExponentState(log_factors=(periods - 1) * L_T + L_last,
                           rho_integral=log_y, log_n0=log_n0)
-    return state, (times, rho), {"extinct": extinct}
+    return state, (dt * np.arange(nsteps + 1), rho), {"extinct": extinct}
 
 
 def concentration_metrics(grid: SimulationGrid, values: np.ndarray,

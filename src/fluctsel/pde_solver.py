@@ -38,7 +38,7 @@ import numpy as np
 
 from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
-from .quadrature import check_end_time
+from .quadrature import check_end_time, check_steps_per_period
 from .rho_ode import PeriodicScalarSignal
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -124,9 +124,7 @@ class SimulationGrid:
             raise ConfigError(f"nx must be at least 16, got {self.nx}")
         if not self.x_hi > self.x_lo:
             raise ConfigError(f"empty trait interval [{self.x_lo}, {self.x_hi}]")
-        steps = self.steps_per_period
-        if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-            raise ConfigError(f"steps_per_period must be a whole number >= 1, got {steps!r}")
+        check_steps_per_period(self.steps_per_period)
         if self.sigma < 0:
             raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
 

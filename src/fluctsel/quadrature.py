@@ -1,4 +1,4 @@
-"""End-time check and composite Simpson quadrature on uniform grids.
+"""Time-grid checks and composite Simpson quadrature on uniform grids.
 
 Every period integral of the package (averaged rates, mean sizes, moment
 and fitness means, antiderivatives) is taken on an equally spaced grid, so
@@ -20,6 +20,14 @@ def check_end_time(t_end: float) -> None:
     """ConfigError unless 0 <= t_end < inf (a NaN fails too)."""
     if not 0.0 <= t_end < np.inf:
         raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
+
+
+def check_steps_per_period(steps) -> None:
+    """ConfigError unless steps is a whole number >= 1 (a bool or a float
+    fails, a numpy integer passes)."""
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
+        raise ConfigError(f"steps_per_period must be a whole number >= 1, got {steps!r}")
+
 
 def _parabola_interval(f1, f2, f3, dx):
     """Integral over [x1, x2] of the parabola through (x1, f1), (x2, f2),

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 from .errors import ExtinctionError, NumericalError
-from .quadrature import check_end_time, cumulative_simpson, simpson
+from .quadrature import (check_end_time, check_steps_per_period, cumulative_simpson,
+                         simpson)
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
@@ -152,12 +153,14 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     a period by one scan. A step with alpha or beta not positive is replaced
     by its two half steps, recursively; more than 40 halvings raise
     NumericalError, as does a negative or non-finite start (a negative or
-    non-finite t_end raises ConfigError). After the start rho stays in
+    non-finite t_end, or a steps_per_period that is not a whole number
+    >= 1, raises ConfigError). After the start rho stays in
     (0, 1 / min beta] up to rounding, and a start of 0 stays 0.
     """
     if not 0.0 <= rho0 < math.inf:
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
     check_end_time(t_end)
+    check_steps_per_period(steps_per_period)
     steps = steps_per_period
     dt = q.period / steps
     n = int(round(t_end / dt))

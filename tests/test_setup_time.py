@@ -50,3 +50,16 @@ def test_modules_after_numpy_lists_the_package_and_not_numpy():
     assert names == sorted(names)
     assert {"fluctsel", "fluctsel.pde_solver"} <= set(names)
     assert "numpy" not in names
+
+
+def test_pairs_alternate_after_one_warm_up_per_tree():
+    calls = []
+
+    def run(tree):
+        calls.append(tree)
+        return len(calls)
+
+    old, new = setup_time.run_pairs(["old", "new"], run, pairs=3)
+    assert calls == ["old", "new", "old", "new", "new", "old", "old", "new"]
+    # each side keeps its own results, pair by pair
+    assert old == [3, 6, 7] and new == [4, 5, 8]

@@ -63,10 +63,21 @@ def test_a_numpy_integer_step_count_is_whole():
     assert _grid(steps=np.int64(64)).steps_per_period == 64
 
 
-@pytest.mark.parametrize("steps", [0, -1, 2.5, 64.0, True, "64", None])
+BAD_STEPS = [0, -1, 2.5, 64.0, True, "64", None]
+
+
+@pytest.mark.parametrize("steps", BAD_STEPS)
 def test_grid_rejects_a_step_count_that_is_not_a_whole_number_from_1(steps):
     with pytest.raises(fs.ConfigError, match="steps_per_period must be a whole number"):
         _grid(steps=steps)
+
+
+@pytest.mark.parametrize("steps", BAD_STEPS)
+def test_integrate_logistic_rejects_the_step_counts_the_grid_rejects(steps):
+    # one check, quadrature.check_steps_per_period, for both
+    q = fs.PeriodicScalarSignal.from_array_callable(T, lambda ts: 1.0 + np.sin(3.0 * ts))
+    with pytest.raises(fs.ConfigError, match="steps_per_period must be a whole number"):
+        fs.integrate_logistic(q, 0.5, T, steps_per_period=steps)
 
 
 def _run_simulate(model, t_end):

@@ -1,0 +1,54 @@
+"""tools/wall_pairs.py's summary of the child's metrics, on synthetic
+samples, and one real child run of this tree."""
+
+import importlib.util
+import pathlib
+import sys
+
+_TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    # wall_pairs imports setup_time by name, as the script run from tools/ does
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_load("setup_time")
+wall_pairs = _load("wall_pairs")
+
+
+def _summary(old, new):
+    runs = [[dict(zip(wall_pairs.METRICS, values)) for values in side]
+            for side in (old, new)]
+    return wall_pairs.summarize(*runs, names=wall_pairs.METRICS, label="metric",
+                                digits=4)
+
+
+def test_summary_gives_median_quartiles_and_paired_wins_per_metric():
+    old = [(0.0585, 0.06, 36.49), (0.0595, 0.06, 36.49), (0.0575, 0.06, 36.5),
+           (0.0605, 0.06, 36.48), (0.0565, 0.06, 36.49)]
+    new = [(0.0445, 0.05, 36.97), (0.0455, 0.06, 36.97), (0.0600, 0.07, 36.96),
+           (0.0435, 0.05, 36.98), (0.0465, 0.05, 36.97)]
+    lines = _summary(old, new)
+    assert lines[0].split()[0] == "metric"
+    assert [line.split() for line in lines[1:]] == [
+        ["wall_s", "0.0585", "[0.0575,", "0.0595]", "0.0455", "[0.0445,", "0.0465]", "4/5"],
+        ["cpu_s", "0.0600", "[0.0600,", "0.0600]", "0.0500", "[0.0500,", "0.0600]", "3/5"],
+        ["peak_rss_mb", "36.4900", "[36.4900,", "36.4900]", "36.9700", "[36.9700,",
+         "36.9700]", "0/5"]]
+
+
+def test_one_child_run_reports_every_metric():
+    got = wall_pairs.run_once(_TOOLS.parent, "sigma0-convergence")
+    assert set(got) == set(wall_pairs.METRICS)
+    assert all(value > 0.0 for value in got.values())
+    assert got["cpu_s"] < 60.0
+
+
+def test_children_run_with_the_benchmarks_one_thread_pins():
+    env = wall_pairs.thread_env()
+    assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"

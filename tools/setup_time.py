@@ -94,17 +94,31 @@ def run_once(tree: Path) -> dict:
     return dict(zip(PHASES, [*ms, rss]))
 
 
-def summarize(old: list[dict], new: list[dict]) -> list[str]:
-    """One line per phase: median [q1, q3] of each side, and in how many of
-    the pairs (old[i], new[i]) the new value is lower."""
-    lines = [f"{'phase':<18}{'old median [q1, q3]':>26}{'new median [q1, q3]':>26}"
+def run_pairs(trees: list[Path], run, pairs: int = PAIRS) -> tuple[list, list]:
+    """The results of run(tree) for the two trees (old, new): one unrecorded
+    warm-up run per tree, then pairs alternating pairs, old first in even
+    pairs and new first in odd ones."""
+    for tree in trees:
+        run(tree)
+    runs = ([], [])
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            runs[side].append(run(trees[side]))
+    return runs
+
+
+def summarize(old: list[dict], new: list[dict], names=PHASES, label: str = "phase",
+              digits: int = 2) -> list[str]:
+    """One line per name: median [q1, q3] of each side, to digits decimals,
+    and in how many of the pairs (old[i], new[i]) the new value is lower."""
+    lines = [f"{label:<18}{'old median [q1, q3]':>30}{'new median [q1, q3]':>30}"
              "  new lower"]
-    for phase in PHASES:
-        sides = [np.array([run[phase] for run in runs]) for runs in (old, new)]
-        cells = ["{1:.2f} [{0:.2f}, {2:.2f}]".format(*np.percentile(v, [25, 50, 75]))
-                 for v in sides]
+    for name in names:
+        sides = [np.array([run[name] for run in runs]) for runs in (old, new)]
+        cells = ["{1:.{3}f} [{0:.{3}f}, {2:.{3}f}]".format(
+            *np.percentile(v, [25, 50, 75]), digits) for v in sides]
         wins = int(np.sum(sides[1] < sides[0]))
-        lines.append(f"{phase:<18}{cells[0]:>26}{cells[1]:>26}  {wins}/{len(old)}")
+        lines.append(f"{name:<18}{cells[0]:>30}{cells[1]:>30}  {wins}/{len(old)}")
     return lines
 
 
@@ -114,13 +128,7 @@ def main(argv: list[str]) -> int:
         return 2
     trees = [Path(tree) for tree in argv]
     print("\n".join(compare_modules(*map(modules_after_numpy, trees))))
-    for tree in trees:
-        run_once(tree)
-    runs = ([], [])
-    for i in range(PAIRS):
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            runs[side].append(run_once(trees[side]))
-    print("\n".join(summarize(*runs)))
+    print("\n".join(summarize(*run_pairs(trees, run_once))))
     return 0
 
 
