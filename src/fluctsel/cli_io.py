@@ -25,7 +25,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import sys
@@ -131,8 +130,6 @@ def _set(cfg: RunConfig, sec: str, key: str, raw, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {key!r} in [{sec}] "
                           f"(known: {', '.join(sorted(schema))})")
     value = _checked(sec, key, raw, f"{where}: [{sec}] {key}")
-    if sec == "model" and key == "kind" and value not in MODEL_KINDS:
-        raise ConfigError(f"{where}: unknown model kind {value!r}")
     if sec != "experiment":
         getattr(cfg, sec)[key] = value
     elif key == "tag":
@@ -156,13 +153,11 @@ def _validated(sections: dict) -> RunConfig:
 
 
 def _check_constraints(cfg: RunConfig, name=lambda sec, key: f"[{sec}] {key}"):
-    """The checks that read two keys; name(sec, key) names the source of a
+    """The check that reads two keys; name(sec, key) names the source of a
     value."""
-    grid, solver = cfg.grid, cfg.solver
+    grid = cfg.grid
     if "x_lo" in grid and "x_hi" in grid and not grid["x_hi"] > grid["x_lo"]:
         raise ConfigError(f"{name('grid', 'x_hi')}: x_hi must exceed x_lo")
-    if "eps" in solver and "sigma" in solver:
-        raise ConfigError(f"{name('solver', 'sigma')}: give either eps or sigma, not both")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -217,17 +212,12 @@ MODEL_KINDS = {
 
 
 def build_model(model_cfg: dict, grid_cfg: dict) -> env_models.EnvironmentModel:
-    """Construct the environment model described by a config block; an
-    unset parameter takes its MODEL_KINDS default."""
-    kind = model_cfg.get("kind")
-    if kind is None:
-        raise ConfigError("model block needs a 'kind'")
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    p = {**MODEL_KINDS[kind], **model_cfg}
-    if kind == "oscillating_optimum":
+    """Construct the environment model of a resolved [model] block: a known
+    kind and every parameter it reads (resolve_config fills them in)."""
+    p = model_cfg
+    if p["kind"] == "oscillating_optimum":
         return env_models.make_oscillating_optimum(r=p["r"], g=p["g"], c=p["c"], b=p["b"])
-    if kind == "oscillating_pressure":
+    if p["kind"] == "oscillating_pressure":
         def g_fn(t, _m=p["g_mean"], _a=p["g_amp"]):
             return _m + _a * np.cos(2.0 * np.pi * t)
 
@@ -240,19 +230,16 @@ def build_model(model_cfg: dict, grid_cfg: dict) -> env_models.EnvironmentModel:
 
 
 def _sigma_of(solver: dict) -> float:
-    """sigma, else eps^2, else 0: sigma0-convergence and epsilon-limit read
-    no mutation key (epsilon-limit takes its eps values from eps_list)."""
-    if "sigma" in solver:
-        return float(solver["sigma"])
-    eps = float(solver.get("eps", 0.0))
+    """eps^2, else 0: sigma0-convergence and epsilon-limit read no eps
+    (epsilon-limit takes its eps values from eps_list)."""
+    eps = solver.get("eps", 0.0)
     return eps * eps
 
 
 def _eigen_budget(solver: dict) -> dict:
     """The eigen-solve keywords of a solver block: Krylov tolerance and
     period-map budget."""
-    return {"tol": float(solver["eigen_tol"]),
-            "max_periods": int(solver["max_periods"])}
+    return {"tol": solver["eigen_tol"], "max_periods": solver["max_periods"]}
 
 
 def build_grid(cfg: RunConfig) -> pde_solver.SimulationGrid:
@@ -273,7 +260,7 @@ def _run_sigma0(cfg: RunConfig, model):
         T, lambda ts: env_models.rate_table(model, ts, np.array([x_m]))[:, 0])
     orbit = rho_ode.periodic_rho_closed_form(q)
 
-    t_end = float(cfg.extra["t_end"])
+    t_end = cfg.extra["t_end"]
     # both runs step the same times; only their last period is kept
     times_l, rho_low = rho_ode.integrate_logistic(q, 0.05, t_end)
     keep = times_l >= t_end - T - 1e-12
@@ -285,14 +272,14 @@ def _run_sigma0(cfg: RunConfig, model):
     const_gap = float(np.abs(rho_ode.periodic_rho_closed_form(q_const).values - qbar).max())
 
     grid = build_grid(cfg)
-    w0 = float(cfg.extra["w0"])
+    w0 = cfg.extra["w0"]
     # a unit-mass Gaussian of width w0 at x_m
     n0 = np.exp(-((grid.x - x_m) ** 2) / (2.0 * w0 * w0)) / (w0 * np.sqrt(2.0 * np.pi))
-    t_density = float(cfg.extra["t_end_density"])
+    t_density = cfg.extra["t_end_density"]
     state, (times_d, rho_d), diag = no_mutation.simulate_sigma0(
         grid, model, n0, t_density)
     metrics = no_mutation.concentration_metrics(
-        grid, state, radius=float(cfg.extra["window"]), center=x_m)
+        grid, state, radius=cfg.extra["window"], center=x_m)
     last = times_d >= t_density - T - 1e-12
     rho_gap_final = float(np.abs(rho_d[last] - orbit(times_d[last])).max())
 
@@ -325,7 +312,7 @@ def _run_periodic_orbit(cfg: RunConfig, model):
     try:
         record = pde_solver.orbit_from_pair(pair)
     except ExtinctionError as exc:
-        t_end = float(cfg.extra["t_end"])
+        t_end = cfg.extra["t_end"]
         n0 = pde_solver.default_orbit_guess(grid, model)
         _, (times, rho), _ = pde_solver.simulate(grid, model, n0, t_end)
         stride = max(1, len(times) // 2048)
@@ -356,12 +343,11 @@ def _run_periodic_orbit(cfg: RunConfig, model):
 
 
 def _run_floquet_sweep(cfg: RunConfig, model):
-    radii = [float(r) for r in cfg.extra["radii"]]
     records = floquet.radius_sweep(
-        model, radii, sigma=_sigma_of(cfg.solver),
-        points_per_unit=int(cfg.extra["points_per_unit"]),
+        model, cfg.extra["radii"], sigma=_sigma_of(cfg.solver),
+        points_per_unit=cfg.extra["points_per_unit"],
         steps_per_period=cfg.solver["steps_per_period"],
-        tol=float(cfg.solver["eigen_tol"]))
+        tol=cfg.solver["eigen_tol"])
     rows = np.array([[r["R"], r["sigma"], r["lambda"], r["identity_residual"],
                       r["iterations"]] for r in records])
     lams = rows[:, 2]
@@ -376,8 +362,7 @@ def _run_floquet_sweep(cfg: RunConfig, model):
 
 
 def _run_epsilon_limit(cfg: RunConfig, model):
-    eps_list = [float(e) for e in cfg.extra["eps_list"]]
-    lo, hi = float(cfg.extra["window_lo"]), float(cfg.extra["window_hi"])
+    lo, hi = cfg.extra["window_lo"], cfg.extra["window_hi"]
     # the nodes, and so the limit profile, are the same for every eps
     nodes = build_grid(cfg)
     window = (nodes.x >= lo) & (nodes.x <= hi)
@@ -385,7 +370,7 @@ def _run_epsilon_limit(cfg: RunConfig, model):
         raise ConfigError(f"window_lo, window_hi = [{lo}, {hi}] holds no grid node")
     limit = asymptotics.limit_profile(model, nodes.x).u_values[window]
     rows = []
-    for eps in eps_list:
+    for eps in cfg.extra["eps_list"]:
         grid = replace(nodes, sigma=eps * eps)
         # bind no record: the previous eps's period table would stay alive
         # through the next solve
@@ -402,13 +387,12 @@ def _run_epsilon_limit(cfg: RunConfig, model):
 
 
 def _run_moments(cfg: RunConfig, model):
-    grid = build_grid(cfg)
-    eps = np.sqrt(grid.sigma)
+    grid, eps = build_grid(cfg), cfg.solver["eps"]
     record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi),
-        nt=int(cfg.extra["nt"]))
+        nt=cfg.extra["nt"])
     mu_pred = predicted.mu(measured.mu.times)
     var_pred = predicted.sigma2(measured.sigma2.times)
     amp_s, ph_s, _ = measured.mu.first_harmonic()
@@ -429,7 +413,7 @@ def _run_moments(cfg: RunConfig, model):
         "rho_mean_simulated": measured.rho_mean,
         "rho_mean_predicted": predicted.rho_mean,
         "rho_mean_gap": abs(measured.rho_mean - predicted.rho_mean),
-        "eps": float(eps),
+        "eps": eps,
         "notes": predicted.notes,
     }
     tables = {"moments": (["t", "mu_simulated", "mu_predicted",
@@ -439,11 +423,8 @@ def _run_moments(cfg: RunConfig, model):
 
 def _run_fitness_compare(cfg: RunConfig, model):
     grid = build_grid(cfg)
-    t_star = cfg.extra["t_star"]
     comp = asymptotics.fitness_comparison(
-        grid, model, t_star=None if t_star is None else float(t_star),
-        **_eigen_budget(cfg.solver))
-    eps = np.sqrt(grid.sigma)
+        grid, model, t_star=cfg.extra["t_star"], **_eigen_budget(cfg.solver))
     summary = {
         "t_star": comp.t_star,
         "periodic_fitness_at_t_star": comp.q_star,
@@ -457,7 +438,7 @@ def _run_fitness_compare(cfg: RunConfig, model):
         "periodic_variance_below_frozen": bool(
             comp.sigma2_periodic_mean < comp.sigma2_frozen),
         "periodic_rho_below_frozen": bool(comp.rho_mean_periodic < comp.frozen_rho),
-        "eps": float(eps),
+        "eps": cfg.solver["eps"],
     }
     tables = {"fitness": (["t", "q_periodic"],
                           np.column_stack([comp.q.times, comp.q.values]))}
@@ -465,7 +446,7 @@ def _run_fitness_compare(cfg: RunConfig, model):
 
 
 def _run_refinement(cfg: RunConfig, model):
-    levels = int(cfg.extra["levels"])
+    levels = cfg.extra["levels"]
     base = build_grid(cfg)
     rows = []
     for level in range(levels):
@@ -496,8 +477,8 @@ _WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
 
 # One entry per experiment tag: its driver, and the [grid], [solver] and
 # [experiment] keys it reads with their defaults; resolve_config rejects any
-# other user key there. sigma may replace eps, and every tag reads x_lo/x_hi
-# (a tabulated model needs them).
+# other user key there. Every tag reads x_lo/x_hi (a tabulated model needs
+# them).
 _MOMENTS = (_run_moments, {
     "model": _EX1_MODEL, "grid": _WIDE_GRID,
     "solver": {"eps": 0.05, "eigen_tol": 1e-8,
@@ -558,18 +539,17 @@ def _typed(blocks) -> dict:
 _SCHEMA = {
     "model": {"kind": str, "path": str, **_typed(MODEL_KINDS.values())},
     "grid": _typed(d["grid"] for _, d in EXPERIMENTS.values()),
-    "solver": {"sigma": float, **_typed(d["solver"] for _, d in EXPERIMENTS.values())},
+    "solver": _typed(d["solver"] for _, d in EXPERIMENTS.values()),
     "experiment": {"tag": str, "out": str, "t_star": float,
                    **_typed(d["extra"] for _, d in EXPERIMENTS.values())},
 }
 
 
 def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
-    allowed = set(known) | ({"sigma"} if "eps" in known else set())
-    if set(given) - allowed:
+    if set(given) - set(known):
         raise ConfigError(
             f"{reader} does not read [{section}] key(s) "
-            f"{sorted(set(given) - allowed)} (it reads: {sorted(allowed)})")
+            f"{sorted(set(given) - set(known))} (it reads: {sorted(known)})")
 
 
 # key -> (test, requirement): the one table of single-key bounds, which every
@@ -577,12 +557,17 @@ def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
 _COUNT = (lambda v: v >= 1, "at least 1")
 _POSITIVE = (lambda v: 0.0 < v < np.inf, "positive and finite")
 _END_TIME = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
-_BOUNDS = {"x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
-           "nx": (lambda v: v >= 16, ">= 16"), "eps": _POSITIVE, "sigma": _POSITIVE,
+_BOUNDS = {"kind": (lambda v: v in MODEL_KINDS, f"one of {', '.join(MODEL_KINDS)}"),
+           "x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
+           "nx": (lambda v: v >= 16, ">= 16"), "eps": _POSITIVE,
            "eigen_tol": _POSITIVE, "steps_per_period": _COUNT, "max_periods": _COUNT,
            "nt": _COUNT, "levels": _COUNT, "w0": _POSITIVE,
-           "radii": (lambda v: len(v) >= 2, "a list of at least 2 radii"),
-           "eps_list": (lambda v: len(v) >= 1, "a nonempty list"),
+           # 0 < r_1 < r_2 < ... < inf; a NaN fails every comparison
+           "radii": (lambda v: len(v) >= 2 and all(
+               0.0 < a < b < np.inf for a, b in zip(v, v[1:])),
+               "at least 2 positive, finite radii in increasing order"),
+           "eps_list": (lambda v: len(v) >= 1 and all(0.0 < e < np.inf for e in v),
+                        "a nonempty list of positive, finite values"),
            "window": _POSITIVE, "t_end": _END_TIME, "t_end_density": _END_TIME,
            "t_star": (np.isfinite, "finite"),
            "points_per_unit": _COUNT}
@@ -599,40 +584,39 @@ def _checked(sec: str, key: str, raw, name: str):
 
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
-    """Fill tag defaults under the user's settings; returns a new config.
-    A [grid], [solver] or [experiment] key the tag does not read, a [model]
-    key the model kind does not read, a resolved value that does not coerce
-    to its _SCHEMA type or is outside _BOUNDS, or a pair of values
-    _check_constraints rejects is a ConfigError."""
+    """Fill defaults under the user's settings; returns a new config, which
+    is what the driver runs and the manifest echoes. The user's [model] block
+    updates the tag's model, or replaces it when it names a kind; the block
+    is then laid over the MODEL_KINDS defaults of its kind. A [grid],
+    [solver] or [experiment] key the tag does not read, a [model] key the
+    kind does not read, a value that does not coerce to its _SCHEMA type or
+    is outside _BOUNDS, or a pair of values _check_constraints rejects is a
+    ConfigError. A value may stay None only where its default is None."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
             f"(known: {', '.join(EXPERIMENT_TAGS)})")
-    defaults = copy.deepcopy(EXPERIMENTS[cfg.experiment][1])
+    defaults = EXPERIMENTS[cfg.experiment][1]
     reader = f"experiment {cfg.experiment!r}"
     _check_keys_read(reader, "grid", cfg.grid, {*defaults["grid"], "x_lo", "x_hi"})
     _check_keys_read(reader, "solver", cfg.solver, defaults["solver"])
     _check_keys_read(reader, "experiment", cfg.extra, defaults["extra"])
-    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir)
-    out.model = {**defaults["model"], **cfg.model}
-    if "kind" in cfg.model:
-        # a user-chosen kind replaces the default model wholesale
-        out.model = dict(cfg.model)
-    kind = out.model["kind"]
-    if kind in MODEL_KINDS:
-        _check_keys_read(f"model kind {kind!r}", "model", out.model,
-                         {"kind", *MODEL_KINDS[kind]})
-    out.grid = {**defaults["grid"], **cfg.grid}
-    if "sigma" in cfg.solver:
-        # a user sigma displaces the default eps, not a user eps
-        defaults["solver"].pop("eps", None)
-    out.solver = {**defaults["solver"], **cfg.solver}
-    out.extra = {**defaults["extra"], **cfg.extra}
-    for sec, block in (("model", out.model), ("grid", out.grid),
-                       ("solver", out.solver), ("experiment", out.extra)):
+    # a user-chosen kind replaces the default model wholesale
+    model = dict(cfg.model) if "kind" in cfg.model else {**defaults["model"], **cfg.model}
+    kind = _checked("model", "kind", model["kind"], "[model] kind")
+    _check_keys_read(f"model kind {kind!r}", "model", model, {"kind", *MODEL_KINDS[kind]})
+    out = RunConfig(experiment=cfg.experiment, out_dir=cfg.out_dir,
+                    model={**MODEL_KINDS[kind], **model},
+                    grid={**defaults["grid"], **cfg.grid},
+                    solver={**defaults["solver"], **cfg.solver},
+                    extra={**defaults["extra"], **cfg.extra})
+    for sec, block, default in (("model", out.model, MODEL_KINDS[kind]),
+                                ("grid", out.grid, defaults["grid"]),
+                                ("solver", out.solver, defaults["solver"]),
+                                ("experiment", out.extra, defaults["extra"])):
         for key, value in block.items():
-            # a None t_star asks the driver for the time of weakest selection
-            if key in _SCHEMA[sec] and (value is not None or key != "t_star"):
+            # None stays only where the default is None: t_star, a tabulated path
+            if value is not None or default.get(key, 0) is not None:
                 block[key] = _checked(sec, key, value, f"[{sec}] {key}")
     _check_constraints(out)
     return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .env_models import (EnvironmentModel, averaged_optimum, check_hypotheses, rate_blocks,
                          rate_table)
-from .errors import NumericalError
+from .errors import ConfigError
 from .pde_solver import FloquetPair, OrbitRecord, SimulationGrid, principal_eigenpair
 from .rho_ode import PeriodicScalarSignal
 
@@ -106,7 +106,7 @@ def radius_sweep(model: EnvironmentModel, radii, sigma: float,
     """
     radii = list(radii)
     if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise NumericalError("radii must be strictly increasing")
+        raise ConfigError("radii must be strictly increasing")
     center = averaged_optimum(model, (-radii[-1], radii[-1]))
     out = []
     for R in radii:

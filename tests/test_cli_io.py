@@ -64,7 +64,7 @@ def test_parse_ini_full(tmp_path):
     ("[model]\nwhatever = 3\n", 2, "unknown key"),
     ("[grid]\nnx = many\n", 2, "invalid literal"),
     ("[grid]\nnx = 4\n", 2, "nx must be >= 16"),
-    ("[model]\nkind = quartic\n", 2, "unknown model kind"),
+    ("[model]\nkind = quartic\n", 2, "[model] kind must be one of"),
     ("[experiment]\ntag = frobnicate\n", 2, "unknown experiment tag"),
     ("[model\nr = 1.0\n", 1, "unterminated section"),
 ])
@@ -77,9 +77,6 @@ def test_parse_ini_errors_carry_line_numbers(tmp_path, text, lineno, fragment):
 
 
 def test_parse_ini_cross_constraints(tmp_path):
-    path = _write(tmp_path, "[solver]\neps = 0.1\nsigma = 0.01\n")
-    with pytest.raises(fs.ConfigError, match="either eps or sigma"):
-        fs.parse_config(path)
     path = _write(tmp_path, "[grid]\nx_lo = 2.0\nx_hi = -2.0\n")
     with pytest.raises(fs.ConfigError, match="x_hi must exceed x_lo"):
         fs.parse_config(path)
@@ -102,7 +99,7 @@ def test_parse_json(tmp_path):
     ('{"grid": {"nx": 40.5}}', "[grid] nx: 40.5 is not an integer"),
     ('{"grid": {"nx": 4}}', "[grid] nx must be >= 16, got 4"),
     ('{"grid": {"x_lo": 2.0, "x_hi": -2.0}}', "[grid] x_hi: x_hi must exceed x_lo"),
-    ('{"solver": {"eps": 0.1, "sigma": 0.01}}', "[solver] sigma: give either eps"),
+    ('{"solver": {"sigma": 0.01}}', "unknown key 'sigma' in [solver]"),
     ('{"model": {"zeta": 1}}', "unknown key 'zeta' in [model]"),
 ])
 def test_parse_json_errors(tmp_path, text, fragment):
@@ -131,9 +128,9 @@ def test_overrides():
     with pytest.raises(fs.ConfigError, match="section.key=value"):
         cli_io.apply_override(cfg, "noequals")
     # overrides re-check cross constraints against the merged config
-    cfg2 = fs.RunConfig(solver={"eps": 0.1})
-    with pytest.raises(fs.ConfigError, match="either eps or sigma"):
-        cli_io.apply_override(cfg2, "solver.sigma=0.01")
+    cfg2 = fs.RunConfig(grid={"x_lo": 1.0})
+    with pytest.raises(fs.ConfigError, match="x_hi must exceed x_lo"):
+        cli_io.apply_override(cfg2, "grid.x_hi=0.5")
 
 
 def test_resolve_config_defaults():
@@ -141,34 +138,44 @@ def test_resolve_config_defaults():
     assert cfg.model["kind"] == "oscillating_optimum"
     assert cfg.grid["nx"] == 800
     assert cfg.solver["eps"] == 0.05
-    # user sigma displaces the default eps
-    cfg = cli_io.resolve_config(fs.RunConfig(experiment="example1",
-                                             solver={"sigma": 0.01}))
-    assert "eps" not in cfg.solver and cfg.solver["sigma"] == 0.01
-    # a user kind replaces the default model block wholesale
+    # a user kind replaces the default model block wholesale, and takes the
+    # defaults of its own kind
     cfg = cli_io.resolve_config(fs.RunConfig(
         experiment="example1", model={"kind": "oscillating_pressure"}))
-    assert cfg.model == {"kind": "oscillating_pressure"}
+    assert cfg.model == {"kind": "oscillating_pressure", "r": 1.0, "g_mean": 2.0,
+                         "g_amp": 0.0}
     with pytest.raises(fs.ConfigError, match="unknown experiment tag"):
         cli_io.resolve_config(fs.RunConfig(experiment="bogus"))
 
 
-def test_build_model_kinds(tmp_path):
-    model = cli_io.build_model({"kind": "oscillating_optimum", "r": 2.0}, {})
-    assert float(model.rate(0.0, 0.0)) == 2.0  # r at the optimum, sin(0) = 0
-    model = cli_io.build_model({"kind": "oscillating_pressure", "g_mean": 3.0,
-                                "g_amp": 1.0}, {})
-    assert model.analytic_info["d2"] == pytest.approx(-2.0 * 3.0, abs=2e-9)
-    with pytest.raises(fs.ConfigError, match="needs a 'kind'"):
-        cli_io.build_model({}, {})
-    with pytest.raises(fs.ConfigError, match="needs a 'path'"):
-        cli_io.build_model({"kind": "tabulated"}, {})
-    with pytest.raises(fs.ConfigError, match="x_lo/x_hi"):
-        cli_io.build_model({"kind": "tabulated", "path": "x"}, {})
+def _rate_table(tmp_path):
     table = tmp_path / "tab.txt"
     table.write_text("1.0 3 2\n0 1 0\n0 2 0\n", encoding="utf-8")
-    model = cli_io.build_model({"kind": "tabulated", "path": str(table)},
-                               {"x_lo": -1.0, "x_hi": 1.0})
+    return str(table)
+
+
+def _resolved_model(tag="periodic-orbit", grid=None, **model):
+    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag, model=model,
+                                             grid=grid or {}))
+    return cli_io.build_model(cfg.model, cfg.grid)
+
+
+def test_build_model_kinds(tmp_path):
+    model = _resolved_model(kind="oscillating_optimum", r=2.0)
+    assert float(model.rate(0.0, 0.0)) == 2.0  # r at the optimum, sin(0) = 0
+    model = _resolved_model(kind="oscillating_pressure", g_mean=3.0, g_amp=1.0)
+    assert model.analytic_info["d2"] == pytest.approx(-2.0 * 3.0, abs=2e-9)
+    with pytest.raises(fs.ConfigError, match=re.escape("[model] kind: expected a string")):
+        _resolved_model(kind=None)
+    with pytest.raises(fs.ConfigError, match=re.escape("[model] kind must be one of")):
+        _resolved_model(kind="quartic")
+    with pytest.raises(fs.ConfigError, match="needs a 'path'"):
+        _resolved_model(kind="tabulated")
+    # the sweep's grid block names no x_lo/x_hi
+    with pytest.raises(fs.ConfigError, match="x_lo/x_hi"):
+        _resolved_model("floquet-sweep", kind="tabulated", path="x")
+    model = _resolved_model(kind="tabulated", path=_rate_table(tmp_path),
+                            grid={"x_lo": -1.0, "x_hi": 1.0})
     assert model.analytic_info is None
     assert float(model.rate(0.0, np.array([0.0]))[0]) == pytest.approx(1.0)
 
@@ -218,23 +225,31 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
 
+def _model(kinds, **params):
+    """A [model] block that may name a kind, which then replaces the tag's
+    model and takes the defaults of its own kind."""
+    return st.fixed_dictionaries(params, optional={"kind": st.sampled_from(kinds)})
+
+
+_ANY_KIND = _model(["oscillating_optimum", "oscillating_pressure"])
+
 # tag -> strategies for its [model] and [experiment] blocks, and the ranges of
 # the domain's half-width and of eps within which it runs on a small grid
 _SMALL_RUNS = {
-    "moments": (st.fixed_dictionaries({"c": _floats(0.2, 1.0), "g": _floats(0.5, 1.5)}),
+    "moments": (_model(["oscillating_optimum"], c=_floats(0.2, 1.0), g=_floats(0.5, 1.5)),
                 st.fixed_dictionaries({"nt": st.integers(16, 64)}),
                 (2.0, 3.0), (0.1, 0.3)),
     "fitness-compare": (
-        st.fixed_dictionaries({"g_amp": _floats(0.0, 1.5)}),
+        _model(["oscillating_pressure"], g_amp=_floats(0.0, 1.5)),
         st.fixed_dictionaries({"t_star": st.one_of(st.none(), _floats(0.0, 0.9))}),
         (3.0, 3.5), (0.05, 0.15)),
-    "floquet-sweep": (st.just({}), st.fixed_dictionaries({
+    "floquet-sweep": (_ANY_KIND, st.fixed_dictionaries({
         "radii": st.tuples(st.just(1.0), _floats(1.2, 1.6)).map(list),
         "points_per_unit": st.integers(16, 32)}), (2.0, 3.0), (0.2, 0.3)),
-    "sigma0-convergence": (st.just({}), st.fixed_dictionaries({
+    "sigma0-convergence": (_ANY_KIND, st.fixed_dictionaries({
         "t_end": _floats(1.0, 3.0), "t_end_density": _floats(1.0, 3.0),
         "w0": _floats(0.05, 0.2), "window": _floats(0.1, 0.5)}), (2.0, 3.0), (0.1, 0.3)),
-    "periodic-orbit": (st.just({}), st.fixed_dictionaries({"t_end": _floats(1.0, 3.0)}),
+    "periodic-orbit": (_ANY_KIND, st.fixed_dictionaries({"t_end": _floats(1.0, 3.0)}),
                        (2.0, 3.0), (0.1, 0.3)),
 }
 
@@ -244,14 +259,13 @@ def small_configs(draw):
     """A config within the schema, on a small grid."""
     tag = draw(st.sampled_from(sorted(_SMALL_RUNS)))
     model, extra, half_width, eps_range = _SMALL_RUNS[tag]
-    eps = draw(_floats(*eps_range))
     cfg = fs.RunConfig(
         experiment=tag, model=draw(model), extra=draw(extra),
         grid={"x_lo": -draw(_floats(*half_width)), "x_hi": draw(_floats(*half_width)),
               "nx": draw(st.integers(16, 48))},
         solver={"steps_per_period": draw(st.integers(64, 128)),
                 "eigen_tol": draw(st.sampled_from([1e-6, 1e-8, 1e-9])),
-                **draw(st.sampled_from([{"eps": eps}, {"sigma": eps * eps}]))})
+                "eps": draw(_floats(*eps_range))})
     # the keys these two tags do not read
     if tag == "floquet-sweep":
         del cfg.grid["nx"]
@@ -264,6 +278,8 @@ def small_configs(draw):
 @given(cfg=small_configs(), data=st.data())
 def test_a_manifest_replays_its_run_and_keeps_its_bounds(cfg, data, tmp_path_factory):
     bundle = fs.run_experiment(cfg)
+    model = bundle.manifest["config"]["model"]
+    assert set(model) == {"kind", *cli_io.MODEL_KINDS[model["kind"]]}
     again = fs.run_experiment(cli_io.config_from_manifest(bundle.manifest))
     assert again.manifest["config"] == bundle.manifest["config"]
     dirs = [tmp_path_factory.mktemp("bundle") for _ in range(2)]
@@ -279,7 +295,7 @@ def test_a_manifest_replays_its_run_and_keeps_its_bounds(cfg, data, tmp_path_fac
     blocks = [config[b] for b in ("grid", "solver", "extra")]
     block = data.draw(st.sampled_from([b for b in blocks if set(b) & set(OUT_OF_BOUNDS)]))
     key = data.draw(st.sampled_from(sorted(set(block) & set(OUT_OF_BOUNDS))))
-    block[key] = OUT_OF_BOUNDS[key]
+    block[key] = data.draw(st.sampled_from(OUT_OF_BOUNDS[key]))
     with pytest.raises(fs.ConfigError, match=re.escape(f"] {key} must be ")):
         fs.run_experiment(cli_io.config_from_manifest({"config": config}))
 
@@ -485,10 +501,14 @@ def test_main_missing_tabulated_file(tmp_path, capsys):
     assert "config error" in err and "no_rates.txt" in err
 
 
-def test_main_rejects_unread_solver_key(capsys):
+@pytest.mark.parametrize("key", [
     # no experiment passes an iteration cap on; the key is not accepted
-    assert cli_io.main(["example1", "--override", "solver.max_iters=5"]) == 2
-    assert "unknown key 'max_iters'" in capsys.readouterr().err
+    "max_iters",
+    # the mutation scale has one key, solver.eps (sigma = eps^2)
+    "sigma"])
+def test_main_rejects_unread_solver_key(key, capsys):
+    assert cli_io.main(["example1", "--override", f"solver.{key}=0.0025"]) == 2
+    assert f"unknown key '{key}' in [solver]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tag,override", [
@@ -544,7 +564,6 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     ("floquet-sweep", "experiment.points_per_unit=0", "points_per_unit"),
     # a non-finite step matrix (exit 3) before
     ("moments", "solver.eps=inf", "eps"),
-    ("moments", "solver.sigma=inf", "sigma"),
     # exit 0 after 2 period maps with an orbit that had not converged, before
     ("periodic-orbit", "solver.eigen_tol=inf", "eigen_tol"),
     # a non-finite step matrix (exit 3) before
@@ -559,32 +578,45 @@ def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
     assert not (tmp_path / "out").exists()
 
 
-# one value outside each _BOUNDS entry
+def _override_text(value):
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+# values outside each _BOUNDS entry
 OUT_OF_BOUNDS = {
-    "x_lo": -np.inf, "x_hi": np.nan, "nx": 15, "eps": np.inf, "sigma": np.inf, "eigen_tol": np.inf,
-    "steps_per_period": 0, "max_periods": 0, "nt": 0, "levels": 0, "w0": np.inf,
-    "radii": [3.0], "eps_list": [], "window": np.nan, "t_end": -1.0,
-    "t_end_density": np.inf, "t_star": np.nan, "points_per_unit": 0}
+    "kind": ["quartic"], "x_lo": [-np.inf], "x_hi": [np.nan], "nx": [15],
+    "eps": [np.inf], "eigen_tol": [np.inf], "steps_per_period": [0], "max_periods": [0],
+    "nt": [0], "levels": [0], "w0": [np.inf],
+    # a ValueError or OverflowError traceback (exit 1), "radii must be
+    # strictly increasing" (exit 3), or an empty trait interval that named
+    # no key, before
+    "radii": [[3.0], [np.nan, np.inf], [3.0, 2.0], [-1.0, 2.0], [0.0, 2.0], [1.0, np.inf]],
+    # exit 0 after running sigma = 0.01 for eps = -0.1, a non-finite step matrix
+    # (exit 3), or hopf_cole's message that names no key, before
+    "eps_list": [[], [-0.1], [np.nan], [np.inf], [0.0], [0.1, -0.1]],
+    "window": [np.nan], "t_end": [-1.0], "t_end_density": [np.inf], "t_star": [np.nan],
+    "points_per_unit": [0]}
 
 
 def _section_and_reader(key):
     """The config section of a key, and a tag that reads it."""
     (sec,) = [s for s, keys in cli_io._SCHEMA.items() if key in keys]
     block = "extra" if sec == "experiment" else sec
-    tag = next(t for t, (_, d) in cli_io.EXPERIMENTS.items()
-               if key in d[block] or (key == "sigma" and "eps" in d[block]))
+    tag = next(t for t, (_, d) in cli_io.EXPERIMENTS.items() if key in d[block])
     return sec, block, tag
 
 
 @pytest.mark.parametrize("source", ["ini", "json", "override", "code"])
-@pytest.mark.parametrize("key", sorted(OUT_OF_BOUNDS))
-def test_every_bound_holds_for_every_source_and_names_it(key, source, tmp_path, capsys):
+@pytest.mark.parametrize("key,value", [
+    pytest.param(key, value, id=f"{key}={_override_text(value)}")
+    for key, values in OUT_OF_BOUNDS.items() for value in values])
+def test_every_bound_holds_for_every_source_and_names_it(key, value, source, tmp_path,
+                                                         capsys):
     # one table and one check: a value outside its bound is a config error
     # (exit 2) whether it comes from a file, an override or code, and the
     # message names the key and where the value came from
     assert set(OUT_OF_BOUNDS) == set(cli_io._BOUNDS)
     sec, block, tag = _section_and_reader(key)
-    value = OUT_OF_BOUNDS[key]
     if source == "code":
         with pytest.raises(fs.ConfigError) as err:
             fs.run_experiment(fs.RunConfig(experiment=tag, **{block: {key: value}}))
@@ -610,11 +642,20 @@ def test_every_bound_holds_for_every_source_and_names_it(key, source, tmp_path, 
     assert not out.exists()
 
 
+def test_the_readme_table_of_bounds_names_every_bounded_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split("| keys | bound |\n", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    named = set(re.findall(r"`(\w+)\.(\w+)`", table))
+    assert named == {(sec, key) for sec, keys in cli_io._SCHEMA.items()
+                     for key in keys if key in cli_io._BOUNDS}
+
+
 @pytest.mark.parametrize("blocks,where", [
     # ran with eps = 0.05, echoing -0.05 in its manifest, before
     ({"solver": {"eps": -0.05}}, "[solver] eps must be positive"),
-    # ran with sigma = 0.01, before
-    ({"solver": {"eps": 0.05, "sigma": 0.01}}, "[solver] sigma: give either eps"),
+    ({"solver": {"sigma": 0.01}}, "experiment 'moments' does not read [solver] key(s) ['sigma']"),
+    ({"model": {"kind": "quartic"}}, "[model] kind must be one of"),
     ({"grid": {"x_lo": 2.0, "x_hi": -2.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
     ({"grid": {"x_hi": -5.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
 ])
@@ -647,18 +688,17 @@ def test_a_code_built_value_is_coerced_like_a_file_value(section, key, given, wa
 
 
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
-def test_every_tag_resolves_its_own_defaults(tag):
-    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag))
+@pytest.mark.parametrize("kind", [None, *sorted(cli_io.MODEL_KINDS)])
+def test_every_tag_resolves_its_own_defaults(kind, tag, tmp_path):
+    model = {} if kind is None else {"kind": kind}
+    if kind == "tabulated":
+        model["path"] = _rate_table(tmp_path)
+    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag, model=model))
     # a resolved config (as echoed in a manifest) resolves to itself
     assert cli_io.resolve_config(cfg) == cfg
-    solver = cfg.solver
-    if "eps" in solver:
-        sigma = fs.RunConfig(experiment=tag, solver={"sigma": 0.01})
-        assert cli_io.resolve_config(sigma).solver["sigma"] == 0.01
-
-
-def _override_text(value):
-    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+    # the model block, the tag's or a chosen kind's, names every parameter
+    # of its kind
+    assert set(cfg.model) == {"kind", *cli_io.MODEL_KINDS[cfg.model["kind"]]}
 
 
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
@@ -676,9 +716,8 @@ def test_every_default_round_trips_through_an_override(tag):
             got = cfg.extra[key] if sec == "experiment" else getattr(cfg, sec)[key]
             assert got == value and type(got) is type(value), (sec, key, got)
     cfg = fs.RunConfig()
-    cli_io.apply_override(cfg, "solver.sigma=0.0025")
     cli_io.apply_override(cfg, "experiment.t_star=0.25")
-    assert cfg.solver["sigma"] == 0.0025 and cfg.extra["t_star"] == 0.25
+    assert cfg.extra["t_star"] == 0.25
 
 
 def _count_solves(monkeypatch):

@@ -121,7 +121,8 @@ def test_radius_sweep_monotone(ex1_model):
 
 
 def test_radius_sweep_rejects_unordered(ex1_model):
-    with pytest.raises(fs.NumericalError):
+    # an input check, like every other library input check
+    with pytest.raises(fs.ConfigError, match="strictly increasing"):
         fs.radius_sweep(ex1_model, [2.0, 1.0], sigma=0.0025)
 
 
