@@ -546,10 +546,10 @@ _SCHEMA = {
 
 
 def _check_keys_read(reader: str, section: str, given: dict, known) -> None:
-    if set(given) - set(known):
-        raise ConfigError(
-            f"{reader} does not read [{section}] key(s) "
-            f"{sorted(set(given) - set(known))} (it reads: {sorted(known)})")
+    unread = set(given) - set(known)
+    if unread:
+        raise ConfigError(f"{reader} does not read [{section}] key(s) "
+                          f"{sorted(unread)} (it reads: {sorted(known)})")
 
 
 # key -> (test, requirement): the one table of single-key bounds, which every
