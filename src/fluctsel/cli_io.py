@@ -585,7 +585,7 @@ def _checked(sec: str, key: str, raw, name: str):
 
 def resolve_config(cfg: RunConfig) -> RunConfig:
     """Fill defaults under the user's settings; returns a new config, which
-    is what the driver runs and the manifest echoes. The user's [model] block
+    is what the experiment runs with and the manifest echoes. The user's [model] block
     updates the tag's model, or replaces it when it names a kind; the block
     is then laid over the MODEL_KINDS defaults of its kind. A [grid],
     [solver] or [experiment] key the tag does not read, a [model] key the
