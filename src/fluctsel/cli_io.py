@@ -222,10 +222,6 @@ def build_model(model_cfg: dict, grid_cfg: dict) -> env_models.EnvironmentModel:
             return _m + _a * np.cos(2.0 * np.pi * t)
 
         return env_models.make_oscillating_pressure(p["r"], g_fn)
-    if p["path"] is None:
-        raise ConfigError("tabulated model needs a 'path'")
-    if "x_lo" not in grid_cfg or "x_hi" not in grid_cfg:
-        raise ConfigError("tabulated model needs grid x_lo/x_hi for its nodes")
     return env_models.load_tabulated(p["path"], grid_cfg["x_lo"], grid_cfg["x_hi"])
 
 
@@ -391,8 +387,7 @@ def _run_moments(cfg: RunConfig, model):
     record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
-        model, eps, domain=(grid.x_lo, grid.x_hi),
-        nt=cfg.extra["nt"])
+        model, eps, domain=(grid.x_lo, grid.x_hi), nt=cfg.solver["steps_per_period"])
     mu_pred = predicted.mu(measured.mu.times)
     var_pred = predicted.sigma2(measured.sigma2.times)
     amp_s, ph_s, _ = measured.mu.first_harmonic()
@@ -484,7 +479,7 @@ _MOMENTS = (_run_moments, {
     "solver": {"eps": 0.05, "eigen_tol": 1e-8,
                "max_periods": pde_solver.MAX_PERIODS,
                "steps_per_period": 2048},
-    "extra": {"nt": 2048}})
+    "extra": {}})
 _FITNESS_COMPARE = (_run_fitness_compare, {
     "model": _EX2_MODEL, "grid": _WIDE_GRID,
     "solver": {"eps": 0.05, "eigen_tol": 1e-8,
@@ -561,7 +556,7 @@ _BOUNDS = {"kind": (lambda v: v in MODEL_KINDS, f"one of {', '.join(MODEL_KINDS)
            "x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
            "nx": (lambda v: v >= 16, ">= 16"), "eps": _POSITIVE,
            "eigen_tol": _POSITIVE, "steps_per_period": _COUNT, "max_periods": _COUNT,
-           "nt": _COUNT, "levels": _COUNT, "w0": _POSITIVE,
+           "levels": _COUNT, "w0": _POSITIVE,
            # 0 < r_1 < r_2 < ... < inf; a NaN fails every comparison
            "radii": (lambda v: len(v) >= 2 and all(
                0.0 < a < b < np.inf for a, b in zip(v, v[1:])),
@@ -590,8 +585,9 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
     is then laid over the MODEL_KINDS defaults of its kind. A [grid],
     [solver] or [experiment] key the tag does not read, a [model] key the
     kind does not read, a value that does not coerce to its _SCHEMA type or
-    is outside _BOUNDS, or a pair of values _check_constraints rejects is a
-    ConfigError. A value may stay None only where its default is None."""
+    is outside _BOUNDS, a tabulated kind without a path, x_lo or x_hi, or a
+    pair of values _check_constraints rejects is a ConfigError. A value may
+    stay None only where its default is None."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment tag {cfg.experiment!r} "
@@ -618,6 +614,12 @@ def resolve_config(cfg: RunConfig) -> RunConfig:
             # None stays only where the default is None: t_star, a tabulated path
             if value is not None or default.get(key, 0) is not None:
                 block[key] = _checked(sec, key, value, f"[{sec}] {key}")
+    if kind == "tabulated":
+        # the file's trait nodes span the grid's x_lo..x_hi
+        for sec, block, key in (("model", out.model, "path"), ("grid", out.grid, "x_lo"),
+                                ("grid", out.grid, "x_hi")):
+            if block.get(key) is None:
+                raise ConfigError(f"[{sec}] {key} must be set for a tabulated model")
     _check_constraints(out)
     return out
 

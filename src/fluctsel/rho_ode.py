@@ -3,8 +3,8 @@
 When the population concentrates at a single trait, its total size rho obeys
 the logistic law rho' = rho * (q(t) - rho) with a periodic per-capita rate q,
 and u = 1 / rho the linear law u' = 1 - q u. This module provides the positive
-periodic solution in closed form, an RK4 integrator of u to observe
-attraction toward it, and period means.
+periodic solution in closed form, an integrator of u to observe attraction
+toward it, both stepped by one positive map of u, and period means.
 """
 
 from __future__ import annotations
@@ -69,93 +69,70 @@ class PeriodicScalarSignal:
                 float(coef[2]))
 
 
+def _step_map(h, q_start, q_mid, q_end):
+    """u -> alpha u + beta, the step of width h of u' = 1 - q u from q at its
+    start, midpoint and end: alpha = exp(-int q), beta = int_0^h exp(-int_s^h q)
+    ds, every integral by Simpson's rule on the parabola through the three
+    values. Fourth order, with alpha >= 0 and beta > 0 for every finite q."""
+    alpha = np.exp(-h / 6.0 * (q_start + 4.0 * q_mid + q_end))
+    half = np.exp(-h / 24.0 * (5.0 * q_end + 8.0 * q_mid - q_start))
+    return alpha, h / 6.0 * (alpha + 4.0 * half + 1.0)
+
+
 def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
-    """Positive periodic logistic orbit for per-capita rate q.
+    """Positive periodic logistic orbit for the per-capita rate q of period T.
 
-    Parameters
-    ----------
-    q : PeriodicScalarSignal
-        Per-capita growth rate with period T. It is evaluated on one period
-        of a fine grid, and its antiderivative is precomputed once over two
-        periods.
-
-    Returns
-    -------
-    PeriodicScalarSignal
-        The orbit rho(t) = (1 - e^{-I}) / (e^{-I} * J(t)) where I is the
-        period integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds. Its
-        fn is this closed form, so off-grid calls keep full accuracy; its
-        values are the closed form at SAMPLES times. Its error is Simpson's
-        truncation error on J, about (I / FINE_INTERVALS)^4 / 180 relative
-        for a constant q: it grows with I (1.3e-12 at I = 32).
-
-    Raises
-    ------
-    ExtinctionError
-        If the period integral of q is not positive, in which case no
-        positive periodic solution exists and 0 attracts.
+    The orbit is rho(t) = (1 - e^{-I}) / (e^{-I} J(t)), where I is the period
+    integral of q and J(t) = int_t^{t+T} exp(int_t^s q) ds. q is evaluated on
+    one period of a fine grid of FINE_INTERVALS intervals and repeated for a
+    second, and rho is taken at the grid's nodes t_k. The signal's fn maps
+    the node value below any t by one _step_map step of width s = t - t_k:
+    to the bit on a node, within an error of order (s max|q|)^5 between
+    nodes. Its values are fn at SAMPLES times, which are nodes. The node
+    error is Simpson's truncation error on J, about (I / FINE_INTERVALS)^4 /
+    180 relative for a constant q: it grows with I (1.3e-12 at I = 32).
+    Raises ExtinctionError if I <= 0: no positive periodic solution exists
+    then, and 0 attracts.
     """
-    T = q.period
-    ts, dt = np.linspace(0.0, 2.0 * T, 2 * FINE_INTERVALS + 1, retstep=True)
+    T, n = q.period, FINE_INTERVALS
+    ts, dt = np.linspace(0.0, 2.0 * T, 2 * n + 1, retstep=True)
     # q is periodic: evaluate one period and repeat it for the second
-    qs = np.asarray(q(ts[:FINE_INTERVALS + 1]), dtype=float)
-    qs = np.concatenate([qs, qs[1:]])
-    anti = cumulative_simpson(qs, dt)
-    period_integral = float(anti[FINE_INTERVALS])
+    qs = np.asarray(q(ts[:n + 1]), dtype=float)
+    anti = cumulative_simpson(np.concatenate([qs, qs[1:]]), dt)
+    period_integral = float(anti[n])
     if period_integral <= 0.0:
         raise ExtinctionError(
             "extinction regime: no positive periodic orbit "
             f"(period integral of q = {period_integral:.6g})")
     shift = float(anti.max())
     grow = cumulative_simpson(np.exp(anti - shift), dt)
+    # the orbit at the nodes of one closed period
+    j = np.exp(-(anti[:n + 1] - shift) - period_integral) * (grow[n:] - grow[:n + 1])
+    at_nodes = -np.expm1(-period_integral) / j
 
     def rho(t):
         tq = t % T
-        j = np.exp(-(np.interp(tq, ts, anti) - shift) - period_integral) * (
-            np.interp(tq + T, ts, grow) - np.interp(tq, ts, grow))
-        return -np.expm1(-period_integral) / j
+        k = np.searchsorted(ts, tq, side="right") - 1
+        s = tq - ts[k]
+        alpha, beta = _step_map(s, qs[k], q(ts[k] + 0.5 * s), q(tq))
+        return at_nodes[k] / (alpha + beta * at_nodes[k])
 
     return PeriodicScalarSignal.from_array_callable(T, rho)
 
 
-def _rk4_map(h, q_start, q_mid, q_end):
-    """RK4 step of width h for u' = 1 - q u as u -> alpha u + beta, from the stages
-    k_i = a_i u + b_i; q at the step's start, midpoint and end (scalars or arrays)."""
-    half, sixth = 0.5 * h, h / 6.0
-    a2, b2 = -q_mid * (1.0 - half * q_start), 1.0 - half * q_mid
-    a3, b3 = -q_mid * (1.0 + half * a2), 1.0 - q_mid * (half * b2)
-    a4, b4 = -q_end * (1.0 + h * a3), 1.0 - q_end * (h * b3)
-    return (1.0 + sixth * (-q_start + 2.0 * a2 + 2.0 * a3 + a4),
-            sixth * (1.0 + 2.0 * b2 + 2.0 * b3 + b4))
-
-
-def _positive_map(q, t, h, depth, q_start, q_mid, q_end):
-    """The RK4 map of the step of width h from t or, if its alpha or beta is not
-    positive, the composition of its halves (q evaluated directly), recursively."""
-    alpha, beta = _rk4_map(h, q_start, q_mid, q_end)
-    if alpha > 0.0 and beta > 0.0:
-        return alpha, beta
-    if depth >= 40:
-        raise NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
-    (a1, b1), (a2, b2) = (_positive_map(q, s, h / 2, depth + 1, q(s), q(s + h / 4), q(s + h / 2))
-                          for s in (t, t + h / 2))
-    return a2 * a1, a2 * b1 + b2
-
-
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
                        steps_per_period: int = 1024):
-    """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 with RK4 on the
+    """Integrate rho' = rho (q(t) - rho) from rho(0) = rho0 through the
     linear law u' = 1 - q u of u = 1 / rho. Returns (times, rho).
 
     steps_per_period steps of dt = period / steps_per_period fill each
     period, and q is evaluated once on one period's half-step grid, so step r
-    of every period is one affine map u -> alpha_r u + beta_r, composed over
-    a period by one scan. A step with alpha or beta not positive is replaced
-    by its two half steps, recursively; more than 40 halvings raise
-    NumericalError, as does a negative or non-finite start (a negative or
-    non-finite t_end, or a steps_per_period that is not a whole number
-    >= 1, raises ConfigError). After the start rho stays in
-    (0, 1 / min beta] up to rounding, and a start of 0 stays 0.
+    of every period is one _step_map u -> alpha_r u + beta_r, composed over
+    a period by one scan. A map that is not finite (a NaN rate, or dt * |q|
+    beyond the range of exp) or a negative or non-finite start raises
+    NumericalError; a negative or non-finite t_end, or a steps_per_period
+    that is not a whole number >= 1, raises ConfigError. After the start rho
+    stays in (0, 1 / min beta] up to rounding, and a start of 0 stays 0.
     """
     if not 0.0 <= rho0 < math.inf:
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
@@ -166,14 +143,21 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,
     n = int(round(t_end / dt))
     # q at t = j dt / 2: the step starts, midpoints and ends of one period
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
-    alpha, beta = _rk4_map(dt, table[0:-1:2], table[1::2], table[2::2])
-    for r in np.flatnonzero(~((alpha > 0.0) & (beta > 0.0))):
-        alpha[r], beta[r] = _positive_map(q, dt * r, dt, 0, *table[2 * r:2 * r + 3])
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha, beta = _step_map(dt, table[0:-1:2], table[1::2], table[2::2])
+    bad = np.flatnonzero(~np.isfinite(alpha + beta))
+    if bad.size:
+        rates = table[2 * bad[0]:2 * bad[0] + 3]
+        raise NumericalError(f"step map at t = {dt * bad[0]:.6g} is not finite: " + (
+            "a NaN rate" if np.isnan(rates).any() else
+            f"dt * |q| = {dt * np.abs(rates).max():.6g}, beyond the range of exp"))
+    if rho0 == 0.0:  # a fixed point, also where a period's exp(-int q) underflows to 0
+        return dt * np.arange(n + 1), np.zeros(n + 1)
     # (A_r, B_r) maps u at a period's start to u after r of its steps
     *maps, (A_T, B_T) = accumulate(zip(alpha.tolist(), beta.tolist()), initial=(1.0, 0.0),
                                    func=lambda m, s: (s[0] * m[0], s[0] * m[1] + s[1]))
     A, B = np.array(maps).T
-    # 1 / (A u_p + B) written in rho_p = 1 / u_p, so that 0 stays 0 exactly
+    # 1 / (A u_p + B) written in rho_p = 1 / u_p
     starts = np.array([*accumulate(range(n // steps), lambda rho, _: rho / (A_T + B_T * rho),
                                    initial=rho0)])[:, None]
     return dt * np.arange(n + 1), (starts / (A + B * starts)).ravel()[:n + 1]

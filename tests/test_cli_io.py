@@ -33,10 +33,10 @@ nx = 200
 
 [solver]
 eps = 0.1
+steps_per_period = 512
 
 [experiment]
 tag = moments
-nt = 512
 """
 
 
@@ -51,9 +51,9 @@ def test_parse_ini_full(tmp_path):
     assert cfg.model == {"kind": "oscillating_optimum", "r": 1.0, "g": 1.0,
                          "c": 0.5, "b": 6.283185307179586}
     assert cfg.grid == {"x_lo": -3.0, "x_hi": 3.0, "nx": 200}
-    assert cfg.solver == {"eps": 0.1}
+    assert cfg.solver == {"eps": 0.1, "steps_per_period": 512}
     assert cfg.experiment == "moments"
-    assert cfg.extra == {"nt": 512}
+    assert cfg.extra == {}
 
 
 @pytest.mark.parametrize("text,lineno,fragment", [
@@ -62,6 +62,8 @@ def test_parse_ini_full(tmp_path):
     ("r = 1.0\n", 1, "outside of any section"),
     ("[model]\nr = 1.0\nr = 2.0\n", 3, "duplicate key"),
     ("[model]\nwhatever = 3\n", 2, "unknown key"),
+    # moments samples its prediction at the orbit's own steps
+    ("[experiment]\nnt = 2048\n", 2, "unknown key"),
     ("[grid]\nnx = many\n", 2, "invalid literal"),
     ("[grid]\nnx = 4\n", 2, "nx must be >= 16"),
     ("[model]\nkind = quartic\n", 2, "[model] kind must be one of"),
@@ -169,11 +171,17 @@ def test_build_model_kinds(tmp_path):
         _resolved_model(kind=None)
     with pytest.raises(fs.ConfigError, match=re.escape("[model] kind must be one of")):
         _resolved_model(kind="quartic")
-    with pytest.raises(fs.ConfigError, match="needs a 'path'"):
+    # resolve_config names the missing key; build_model named none, before
+    with pytest.raises(fs.ConfigError,
+                       match=re.escape("[model] path must be set for a tabulated model")):
         _resolved_model(kind="tabulated")
     # the sweep's grid block names no x_lo/x_hi
-    with pytest.raises(fs.ConfigError, match="x_lo/x_hi"):
+    with pytest.raises(fs.ConfigError,
+                       match=re.escape("[grid] x_lo must be set for a tabulated model")):
         _resolved_model("floquet-sweep", kind="tabulated", path="x")
+    with pytest.raises(fs.ConfigError,
+                       match=re.escape("[grid] x_hi must be set for a tabulated model")):
+        _resolved_model("floquet-sweep", grid={"x_lo": -1.0}, kind="tabulated", path="x")
     model = _resolved_model(kind="tabulated", path=_rate_table(tmp_path),
                             grid={"x_lo": -1.0, "x_hi": 1.0})
     assert model.analytic_info is None
@@ -237,7 +245,7 @@ _ANY_KIND = _model(["oscillating_optimum", "oscillating_pressure"])
 # the domain's half-width and of eps within which it runs on a small grid
 _SMALL_RUNS = {
     "moments": (_model(["oscillating_optimum"], c=_floats(0.2, 1.0), g=_floats(0.5, 1.5)),
-                st.fixed_dictionaries({"nt": st.integers(16, 64)}),
+                st.fixed_dictionaries({}),
                 (2.0, 3.0), (0.1, 0.3)),
     "fitness-compare": (
         _model(["oscillating_pressure"], g_amp=_floats(0.0, 1.5)),
@@ -568,6 +576,8 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     ("periodic-orbit", "solver.eigen_tol=inf", "eigen_tol"),
     # a non-finite step matrix (exit 3) before
     ("moments", "grid.x_lo=-inf", "x_lo"),
+    # "tabulated model needs a 'path'", naming no key, before
+    ("periodic-orbit", "model.kind=tabulated", "[model] path"),
 ])
 def test_main_rejects_a_value_the_driver_cannot_run_naming_its_key(
         tag, override, key, capsys, tmp_path):
@@ -586,7 +596,7 @@ def _override_text(value):
 OUT_OF_BOUNDS = {
     "kind": ["quartic"], "x_lo": [-np.inf], "x_hi": [np.nan], "nx": [15],
     "eps": [np.inf], "eigen_tol": [np.inf], "steps_per_period": [0], "max_periods": [0],
-    "nt": [0], "levels": [0], "w0": [np.inf],
+    "levels": [0], "w0": [np.inf],
     # a ValueError or OverflowError traceback (exit 1), "radii must be
     # strictly increasing" (exit 3), or an empty trait interval that named
     # no key, before
@@ -690,10 +700,13 @@ def test_a_code_built_value_is_coerced_like_a_file_value(section, key, given, wa
 @pytest.mark.parametrize("tag", cli_io.EXPERIMENT_TAGS)
 @pytest.mark.parametrize("kind", [None, *sorted(cli_io.MODEL_KINDS)])
 def test_every_tag_resolves_its_own_defaults(kind, tag, tmp_path):
-    model = {} if kind is None else {"kind": kind}
+    model, grid = ({} if kind is None else {"kind": kind}), {}
     if kind == "tabulated":
         model["path"] = _rate_table(tmp_path)
-    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag, model=model))
+        # its nodes span x_lo..x_hi, which floquet-sweep does not default
+        if "x_lo" not in cli_io.EXPERIMENTS[tag][1]["grid"]:
+            grid = {"x_lo": -1.0, "x_hi": 1.0}
+    cfg = cli_io.resolve_config(fs.RunConfig(experiment=tag, model=model, grid=grid))
     # a resolved config (as echoed in a manifest) resolves to itself
     assert cli_io.resolve_config(cfg) == cfg
     # the model block, the tag's or a chosen kind's, names every parameter

@@ -293,6 +293,20 @@ def test_eigen_solve_runs_at_most_its_budget(monkeypatch):
         assert len(maps) == budget
 
 
+def test_a_restarted_eigen_solve_finds_the_same_pair(monkeypatch):
+    # a basis of 3 vectors fills before the Ritz test passes (9 maps with
+    # the full basis), so the solve restarts from its Ritz vector
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=160, steps_per_period=256,
+                             sigma=0.05 ** 2)
+    model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
+    full = fs.principal_eigenpair(grid, model)
+    monkeypatch.setattr(pde_solver, "KRYLOV_RESTART", 3)
+    restarted = fs.principal_eigenpair(grid, model)
+    assert restarted.iterations > 3
+    assert restarted.lam == pytest.approx(full.lam, rel=0.0, abs=1e-10)
+    np.testing.assert_allclose(restarted.p_snapshots, full.p_snapshots, rtol=0.0, atol=1e-8)
+
+
 # small grids and both model families; on [-2, 2] max|a| <= r + 4 * 2.85 g
 # < 14 < steps, so the step constraint holds
 _SMALL_CASES = dict(

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
+from fluctsel import rho_ode
 from fluctsel.quadrature import simpson
 from fluctsel.rho_ode import FINE_INTERVALS
 
@@ -86,33 +87,19 @@ def test_integrator_rejects_a_start_outside_the_double_range(rho0):
 
 def _reference_phase_maps(q, steps):
     """The step width period / steps and the step maps (alpha_r, beta_r)
-    of one period, one phase at a time from the half-step table: the RK4
-    stages k_i = a_i u + b_i of u' = 1 - q u are expanded into their affine
-    coefficients, and a map with alpha or beta not positive is replaced by
-    the composition of its two half steps with q evaluated directly."""
+    of one period, one phase at a time from the half-step table: alpha is
+    exp(-int q) over the step and beta int_0^dt exp(-int_s^dt q) ds, with
+    every integral of q taken on the parabola through q at the step's start,
+    midpoint and end, and the outer integral by Simpson's rule."""
     dt = q.period / steps
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
-
-    def rk4_map(h, q_start, q_mid, q_end):
-        a1, b1 = -q_start, 1.0
-        a2, b2 = -q_mid * (1.0 + 0.5 * h * a1), 1.0 - q_mid * (0.5 * h * b1)
-        a3, b3 = -q_mid * (1.0 + 0.5 * h * a2), 1.0 - q_mid * (0.5 * h * b2)
-        a4, b4 = -q_end * (1.0 + h * a3), 1.0 - q_end * (h * b3)
-        return (1.0 + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                h / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
-
-    def positive_map(t, h, depth, q_start, q_mid, q_end):
-        alpha, beta = rk4_map(h, q_start, q_mid, q_end)
-        if alpha > 0.0 and beta > 0.0:
-            return alpha, beta
-        if depth >= 40:
-            raise fs.NumericalError(f"positivity lost at t = {t:.6g} despite step halving")
-        h2 = 0.5 * h
-        (a1, b1), (a2, b2) = (positive_map(s, h2, depth + 1, q(s), q(s + 0.5 * h2),
-                                           q(s + h2)) for s in (t, t + h2))
-        return a2 * a1, a2 * b1 + b2
-
-    maps = [positive_map(dt * r, dt, 0, *table[2 * r:2 * r + 3]) for r in range(steps)]
+    maps = []
+    for r in range(steps):
+        q_start, q_mid, q_end = table[2 * r:2 * r + 3]
+        alpha = np.exp(-dt / 6.0 * (q_start + 4.0 * q_mid + q_end))
+        # exp(-int q) over the step's second half
+        half = np.exp(-dt / 24.0 * (5.0 * q_end + 8.0 * q_mid - q_start))
+        maps.append((alpha, dt / 6.0 * (alpha + 4.0 * half + 1.0)))
     return dt, maps
 
 
@@ -167,18 +154,6 @@ def _outcome(integrate, q, rho0, t_end, steps):
         return str(exc)
 
 
-def _counting_signal(period, rate):
-    """A signal of rate(ts) that records the size of every call."""
-    sizes = []
-
-    def fn(ts):
-        sizes.append(len(ts))
-        return rate(ts)
-
-    return fs.PeriodicScalarSignal(period=period, times=np.linspace(0.0, period, 3),
-                                   values=np.zeros(3), fn=fn), sizes
-
-
 @settings(max_examples=80, deadline=None)
 @given(offset=st.floats(-5.0, 5.0), amp=st.floats(0.0, 60.0),
        phase=st.floats(-np.pi, np.pi), period=st.floats(0.2, 3.0),
@@ -186,7 +161,7 @@ def _counting_signal(period, rate):
        periods=st.floats(0.0, 3.0))
 def test_integrator_equals_the_step_by_step_reference(offset, amp, phase, period,
                                                       steps, rho0, periods):
-    q, _ = _counting_signal(
+    q = fs.PeriodicScalarSignal.from_array_callable(
         period, lambda ts: offset + amp * np.sin(2 * np.pi * ts / period + phase))
     got = _outcome(fs.integrate_logistic, q, rho0, periods * period, steps)
     want = _outcome(_reference_logistic, q, rho0, periods * period, steps)
@@ -194,16 +169,6 @@ def test_integrator_equals_the_step_by_step_reference(offset, amp, phase, period
         assert got == want
     else:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
-def test_integrator_equals_the_reference_through_the_halving_fallback():
-    # a quarter-period step into a rate of 41 has a negative alpha or beta
-    # and is halved, with q evaluated one time at a time
-    q, sizes = _counting_signal(1.0, lambda ts: 1.0 + 40.0 * np.sin(np.pi * ts) ** 2)
-    got = fs.integrate_logistic(q, 1.0, 2.0, steps_per_period=4)
-    assert sizes.count(1) > 0
-    want = _reference_logistic(q, 1.0, 2.0, 4)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 # Both schemes are fourth order. When dt times each rate of the problem
@@ -228,7 +193,8 @@ def test_integrator_is_close_to_rk4_on_rho_for_small_steps(offset, amp, phase, p
     np.testing.assert_allclose(rho, want, rtol=5e-6, atol=0.0)
 
 
-@pytest.mark.parametrize("swing, steps", [(0.0, 1024), (40.0, 4), (-40.0, 4)])
+# a swing of 2000 makes exp(-int q) over a period underflow to 0
+@pytest.mark.parametrize("swing, steps", [(0.0, 1024), (40.0, 4), (-40.0, 4), (2000.0, 16)])
 def test_a_start_of_zero_stays_exactly_zero(swing, steps):
     q = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: 1.0 + swing * np.sin(np.pi * ts) ** 2)
@@ -250,13 +216,16 @@ def test_the_size_never_exceeds_one_over_the_least_beta(swing, rho0):
     assert rho[1:].max() <= bound * (1.0 + 4.0 * np.finfo(float).eps)
 
 
-def test_a_nan_rate_raises_numerical_error_after_40_halvings():
-    # the step that ends at t = 0.5 is halved toward its end 40 times, each
-    # halving evaluating q at the three times of both halves
-    q, sizes = _counting_signal(1.0, lambda ts: np.where(ts % 1.0 < 0.5, 1.0, np.nan))
-    with pytest.raises(fs.NumericalError, match="positivity lost at t = 0.5 "):
-        fs.integrate_logistic(q, 1.0, 2.0, steps_per_period=4)
-    assert sizes == [9] + [1] * 6 * 40
+def test_a_map_that_is_not_finite_raises_numerical_error():
+    # the quarter-period step that ends at t = 0.5 reads a NaN rate, and a
+    # rate of -1e4 over a quarter period grows u by exp(2500)
+    nan_at_half = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: np.where(ts % 1.0 < 0.5, 1.0, np.nan))
+    with pytest.raises(fs.NumericalError, match="map at t = 0.25 is not finite: a NaN rate"):
+        fs.integrate_logistic(nan_at_half, 1.0, 2.0, steps_per_period=4)
+    steep = fs.PeriodicScalarSignal.from_array_callable(1.0, lambda ts: np.full_like(ts, -1e4))
+    with pytest.raises(fs.NumericalError, match="= 2500, beyond the range of exp"):
+        fs.integrate_logistic(steep, 1.0, 2.0, steps_per_period=4)
 
 
 def test_signal_from_samples_interpolates():
@@ -365,3 +334,19 @@ def test_closed_form_error_is_simpson_truncation(c, period):
     assert estimate >= 1e-13
     err = np.abs(fs.periodic_rho_closed_form(q).values / c - 1.0).max()
     assert err <= 2.0 * estimate + 1e-14
+
+
+# The bump's nodes themselves are off the finer closed form by 1.1e-12.
+@pytest.mark.parametrize("q, rtol", [
+    (_ex1_q(), 1e-12), (_bumpy_rate(1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 3.0, 50.0), 2e-12)],
+    ids=["ex1", "bump"])
+def test_closed_form_between_nodes_is_as_accurate_as_on_them(q, rtol, monkeypatch):
+    # at a quarter, half and three quarters of each fine interval, against
+    # the closed form on a 16 times finer grid, which has nodes there; a
+    # linear interpolation between the nodes is off by 1.2e-8 and 1.1e-7
+    orbit = fs.periodic_rho_closed_form(q)
+    monkeypatch.setattr(rho_ode, "FINE_INTERVALS", 16 * FINE_INTERVALS)
+    reference = fs.periodic_rho_closed_form(q)
+    nodes, h = np.linspace(0.0, 1.0, FINE_INTERVALS + 1, retstep=True)
+    between = np.concatenate([nodes[:-1] + f * h for f in (0.25, 0.5, 0.75)])
+    np.testing.assert_allclose(orbit(between), reference(between), rtol=rtol, atol=0.0)

@@ -1,14 +1,26 @@
 """tools/setup_time.py's summary and module comparison, on synthetic samples
-(timing real processes is left to the script itself), and its module list of
-this tree, from one fresh interpreter."""
+(timing real processes is left to the script itself), its module list of
+this tree, from one fresh interpreter, and its reading of a git revision."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 _PATH = pathlib.Path(__file__).resolve().parents[1] / "tools" / "setup_time.py"
-_spec = importlib.util.spec_from_file_location("setup_time", _PATH)
-setup_time = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(setup_time)
+
+
+def _load(name):
+    # setup_time imports compare_bundles by name, as the script run from tools/ does
+    spec = importlib.util.spec_from_file_location(name, _PATH.with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_load("compare_bundles")
+setup_time = _load("setup_time")
 
 
 def _runs(scale, offsets):
@@ -63,3 +75,23 @@ def test_pairs_alternate_after_one_warm_up_per_tree():
     assert calls == ["old", "new", "old", "new", "new", "old", "old", "new"]
     # each side keeps its own results, pair by pair
     assert old == [3, 6, 7] and new == [4, 5, 8]
+
+
+def test_a_revision_is_exported_and_a_directory_kept(tmp_path):
+    repo = tmp_path / "repo"
+    module = repo / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("X = 1\n")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+                        *args], cwd=repo, check=True, capture_output=True)
+    module.write_text("X = 2\n")  # a working-tree change the revision does not hold
+    old, new = setup_time.source_trees(["HEAD", str(repo)], repo, tmp_path / "work")
+    assert (old / "src" / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert new == repo
+
+
+def test_a_revision_git_cannot_export_exits_2_with_its_message(capsys):
+    # a CalledProcessError traceback, before
+    assert setup_time.main(["no-such-revision", "."]) == 2
+    assert "git archive failed" in capsys.readouterr().err

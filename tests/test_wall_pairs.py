@@ -9,7 +9,8 @@ _TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
 
 
 def _load(name):
-    # wall_pairs imports setup_time by name, as the script run from tools/ does
+    # wall_pairs imports setup_time, and setup_time compare_bundles, by name, as
+    # the scripts run from tools/ do
     spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -17,6 +18,7 @@ def _load(name):
     return module
 
 
+_load("compare_bundles")
 _load("setup_time")
 wall_pairs = _load("wall_pairs")
 

@@ -1,16 +1,20 @@
 """Time the set-up of a fresh fluctsel process from two source trees, phase
 by phase.
 
-    python tools/setup_time.py OLD_TREE NEW_TREE
+    python tools/setup_time.py OLD NEW
 
-Each tree is a checkout of this repository. After one unrecorded warm-up
-process per tree, the script runs PAIRS alternating pairs of fresh
-interpreters (OLD first in even pairs, NEW first in odd ones). Each imports
-numpy, then fluctsel from TREE/src, then resolves the default config of
-example2, and prints a time.monotonic() stamp after each step and its peak
-resident memory (ru_maxrss). On Linux that clock is shared by all
-processes, so the stamp of the child's first line minus the spawn time
-taken here is the interpreter start. The phases:
+Each of OLD and NEW is a checkout of this repository, or a git revision of
+the repository this script lives in, whose src/ is exported with
+compare_bundles.export_revision into a temporary tree; so `python
+tools/setup_time.py HEAD .` times the working tree against the last commit.
+A revision that git cannot export exits 2 with git's message. After one
+unrecorded warm-up process per tree, the script runs PAIRS alternating
+pairs of fresh interpreters (OLD first in even pairs, NEW first in odd
+ones). Each imports numpy, then fluctsel from TREE/src, then resolves the
+default config of example2, and prints a time.monotonic() stamp after each
+step and its peak resident memory (ru_maxrss). On Linux that clock is
+shared by all processes, so the stamp of the child's first line minus the
+spawn time taken here is the interpreter start. The phases:
 
 - interpreter_ms: spawn to the child's first line;
 - numpy_ms, fluctsel_ms, resolve_config_ms: each step;
@@ -29,10 +33,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+from compare_bundles import export_revision
 
 PAIRS = 20
 PHASES = ("interpreter_ms", "numpy_ms", "fluctsel_ms", "resolve_config_ms",
@@ -122,13 +128,26 @@ def summarize(old: list[dict], new: list[dict], names=PHASES, label: str = "phas
     return lines
 
 
+def source_trees(args: list[str], repo: Path, work: Path) -> list[Path]:
+    """Each argument as a source tree: a directory as it is, anything else a
+    git revision of repo, whose src/ is exported into work/<position>."""
+    return [Path(arg) if Path(arg).is_dir() else export_revision(arg, repo, work / str(i))
+            for i, arg in enumerate(args)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    trees = [Path(tree) for tree in argv]
-    print("\n".join(compare_modules(*map(modules_after_numpy, trees))))
-    print("\n".join(summarize(*run_pairs(trees, run_once))))
+    with tempfile.TemporaryDirectory() as work:
+        try:
+            trees = source_trees(argv, Path(__file__).resolve().parents[1], Path(work))
+        except subprocess.CalledProcessError as exc:
+            print(f"not a directory, and git archive failed: {exc.stderr.decode().strip()}",
+                  file=sys.stderr)
+            return 2
+        print("\n".join(compare_modules(*map(modules_after_numpy, trees))))
+        print("\n".join(summarize(*run_pairs(trees, run_once))))
     return 0
 
 
