@@ -18,12 +18,17 @@ exponent of the first r steps of a period and L_T = C_S the exponent gained
 over one period, about T times the averaged rate whose maximum the density
 concentrates on. Every mass sum over the traits is then an inner product of
 a period row exp(log n0 + p L_T) and a phase row exp(C_r), each shifted by
-its maximum as in log-sum-exp. The period rows of all periods are
-exponentiated once and held (nx doubles per period); the phase rows are
-made a block at a time, and each phase block's sums are matrix products
-with blocks of period rows. log Y is one running log-sum-exp over all
-steps. A product that underflows, because the two rows peak at distant
-traits, is recomputed directly.
+its maximum as in log-sum-exp. Weights far below their row's maximum are
+set to 0, and as the density concentrates they are on most traits. The
+period rows of all periods are exponentiated once, a block of periods at a
+time, and each block is held only over its live window, the traits where
+any of its rows has a weight that is not 0. The phase rows are made a block
+at a time over the union of the windows, and each phase block's sums are
+one matrix product per period block over that block's window. L_T comes
+from a pre-pass that only sums the per-step Simpson increments of one
+period. log Y is one running log-sum-exp over all steps. A product that
+underflows, because the two rows peak at distant traits, is recomputed
+directly over all traits.
 """
 
 from __future__ import annotations
@@ -75,17 +80,35 @@ def reconstruct_density(state: ExponentState) -> np.ndarray:
         return np.exp(state.log_n0 + state.log_factors - state.rho_integral)
 
 
-def _shifted_exp(w: np.ndarray, out: np.ndarray | None = None):
-    """Row maxima m of w and the row-shifted weights exp(w - m), written into
-    out (a new array by default).
-
-    Weights below exp(_LOG_FLOOR) are set to 0 without evaluating exp.
-    """
-    m = w.max(axis=1)
+def _flushed_exp(w: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The weights exp(w - m[:, None]), written into out; weights below
+    exp(_LOG_FLOOR) are set to 0 without evaluating exp."""
     w = w - m[:, None]
-    out = np.empty_like(w) if out is None else out
     out.fill(0.0)
-    return m, np.exp(w, out=out, where=w > _LOG_FLOOR)
+    return np.exp(w, out=out, where=w > _LOG_FLOOR)
+
+
+def _shifted_exp(w: np.ndarray, out: np.ndarray | None = None):
+    """Row maxima m of w and the row-shifted weights _flushed_exp(w, m),
+    written into out (a new array by default)."""
+    m = w.max(axis=1)
+    return m, _flushed_exp(w, m, np.empty_like(w) if out is None else out)
+
+
+def _rate_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
+    """The rates of the first count steps of a period, in blocks.
+
+    Yields (r0, a_start, a_mid, increments) for the steps r0 <= r < r0 + rows
+    of a block: the rates at their starts and midpoints, and their Simpson
+    increments dt (a(r dt) + 4 a((r + 1/2) dt) + a((r + 1) dt)) / 6. Each
+    block has about RATE_BLOCK elements per kind of row.
+    """
+    rows = max(1, RATE_BLOCK // len(x))
+    for r0 in range(0, count, rows):
+        r1 = min(r0 + rows, count)
+        a = rate_table(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
+        a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
+        yield r0, a_start, a_mid, dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
 
 
 def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
@@ -95,19 +118,13 @@ def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int)
     r0 <= r < r0 + rows: exponents[:rows] holds the half-step exponents
     C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4 and exponents[rows:] the
     Simpson exponents C_{r+1} = int_0^{(r+1) dt} a, accumulated from C_0 = 0.
-    Each block holds about RATE_BLOCK elements per half.
     """
-    rows = max(1, RATE_BLOCK // len(x))
     c = np.zeros(len(x))
-    for r0 in range(0, count, rows):
-        r1 = min(r0 + rows, count)
-        a = rate_table(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
-        a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
-        exponents = np.empty((2 * (r1 - r0), len(x)))
+    for r0, a_start, a_mid, increments in _rate_blocks(model, x, dt, count):
+        exponents = np.empty((2 * len(increments), len(x)))
         half, c_end = np.split(exponents, 2)
-        np.multiply(dt / 6.0, a_start + 4.0 * a_mid + a_end, out=c_end)
-        c_end[0] += c
-        np.cumsum(c_end, axis=0, out=c_end)
+        increments[0] += c
+        np.cumsum(increments, axis=0, out=c_end)
         np.multiply(0.25 * dt, a_start + a_mid, out=half)
         half[0] += c
         half[1:] += c_end[:-1]
@@ -125,8 +142,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     is third order in dt. Step k = p S + r ends at the exponent
     p L_T + C_{r+1}, so every mass sum is a product of a period row and a
     phase row (see the module docstring). The period rows of all periods
-    are held, nx doubles per period; the phase rows are made a block at a
-    time.
+    are held, each block of them over its live window; the phase rows are
+    made a block at a time over the union of the windows.
     Returns (state, (times, rho), diagnostics); diagnostics holds only the
     extinct flag, set by a size below 1e-12. An initial density that is
     negative, identically zero or not finite, or a size beyond the double
@@ -148,34 +165,50 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     last = nsteps - (periods - 1) * phases  # steps in the last period
     L_T = np.zeros(grid.nx)
     if periods > 1:
-        for _, exponents in _phase_blocks(model, x, dt, per_period):
-            L_T = exponents[-1].copy()  # a copy frees the block
-    # the period rows exp(log n0 + p L_T - m_w[p]) of every period
+        # the increments are summed with the carry in their first row, in
+        # the order the phase loop's cumsum adds them, so that L_T equals
+        # the C_S it would give to the bit
+        for _, _, _, increments in _rate_blocks(model, x, dt, per_period):
+            increments[0] += L_T
+            L_T = increments.sum(axis=0)
+    # the period rows exp(log n0 + p L_T - m_w[p]), a block of periods at a
+    # time, each block held only over its live window [lo, hi): the traits
+    # where any of its rows has a weight that is not set to 0
     period_rows = max(1, RATE_BLOCK // grid.nx)
-    m_w, w = np.empty(periods), np.empty((periods, grid.nx))
+    m_w, scratch = np.empty(periods), np.empty((min(period_rows, periods), grid.nx))
+    blocks = []
     for p0 in range(0, periods, period_rows):
         p1 = min(p0 + period_rows, periods)
-        m_w[p0:p1], _ = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T,
-                                     out=w[p0:p1])
+        m_w[p0:p1], w = _shifted_exp(log_n0 + np.arange(p0, p1)[:, None] * L_T,
+                                     out=scratch[:p1 - p0])
+        live = np.flatnonzero(w.any(axis=0))
+        # a NaN rate leaves no weight live, and an empty window
+        lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+        blocks.append((p0, p1, lo, hi, w[:, lo:hi].copy()))
+    del scratch, w
+    # the phase rows are needed only over the union [LO, HI) of the windows
+    LO, HI = min(block[2] for block in blocks), max(block[3] for block in blocks)
     log_masses = np.empty((2, periods, phases))
     floor = grid.nx * _UNDERFLOW
     # a phase block has at most period_rows rows too
-    e = np.empty((2 * period_rows, grid.nx))
+    e = np.empty((2 * period_rows, HI - LO))
     sums = np.empty(periods * len(e))
     for r0, exponents in _phase_blocks(model, x, dt, phases):
         rows = len(exponents) // 2
         r1 = r0 + rows
         if r0 < last <= r1:
             L_last = exponents[rows + last - 1 - r0].copy()
-        m_e, e_block = _shifted_exp(exponents, out=e[:2 * rows])
+        # the maxima over all traits, so that the shift is that of full rows
+        m_e = exponents.max(axis=1)
+        e_block = _flushed_exp(exponents[:, LO:HI], m_e, e[:2 * rows])
         # s[p, j] is the half-step (j < rows) or end (j >= rows) sum of
         # step r0 + j % rows of period p, from one product per block of
-        # period rows: one product over all periods rounds differently
-        # (BLAS splits the sums by shape) and moves rho in the 13th digit
+        # period rows over its window: one product over all periods rounds
+        # differently (BLAS splits the sums by shape) and moves rho in the
+        # 13th digit
         s = sums[:periods * 2 * rows].reshape(periods, 2 * rows)
-        for p0 in range(0, periods, period_rows):
-            p1 = min(p0 + period_rows, periods)
-            np.matmul(w[p0:p1], e_block.T, out=s[p0:p1])
+        for p0, p1, lo, hi, w in blocks:
+            np.matmul(w, e_block[:, lo - LO:hi - LO].T, out=s[p0:p1])
         low = s < floor
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(s, out=s)
@@ -186,7 +219,7 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
         for p, j in zip(*np.nonzero(low[:, :rows] | low[:, rows:])):
             m, weights = _shifted_exp(log_n0 + p * L_T + exponents[j::rows])
             log_masses[:, p, r0 + j] = m + np.log(weights.sum(axis=1))
-    del w
+    del blocks
 
     m_0 = log_n0.max()
     weights = np.exp(log_n0 - m_0)

@@ -88,9 +88,10 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
     second, and rho is taken at the grid's nodes t_k. The signal's fn maps
     the node value below any t by one _step_map step of width s = t - t_k:
     to the bit on a node, within an error of order (s max|q|)^5 between
-    nodes. Its values are fn at SAMPLES times, which are nodes. The node
-    error is Simpson's truncation error on J, about (I / FINE_INTERVALS)^4 /
-    180 relative for a constant q: it grows with I (1.3e-12 at I = 32).
+    nodes. Its SAMPLES values are read off the node values without
+    evaluating q, and equal fn at their times. The node error is Simpson's
+    truncation error on J, about (I / FINE_INTERVALS)^4 / 180 relative for
+    a constant q: it grows with I (1.3e-12 at I = 32).
     Raises ExtinctionError if I <= 0: no positive periodic solution exists
     then, and 0 attracts.
     """
@@ -117,7 +118,10 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
         alpha, beta = _step_map(s, qs[k], q(ts[k] + 0.5 * s), q(tq))
         return at_nodes[k] / (alpha + beta * at_nodes[k])
 
-    return PeriodicScalarSignal.from_array_callable(T, rho)
+    # the samples are nodes, every (n / (SAMPLES - 1))-th, and rho(T) = rho(0)
+    values = np.append(at_nodes[:n:n // (SAMPLES - 1)], at_nodes[0])
+    return PeriodicScalarSignal(period=T, times=np.linspace(0.0, T, SAMPLES),
+                                values=values, fn=rho)
 
 
 def integrate_logistic(q: PeriodicScalarSignal, rho0: float, t_end: float,

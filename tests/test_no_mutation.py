@@ -110,6 +110,20 @@ def test_simulate_rejects_a_size_beyond_the_double_range():
     assert np.abs(rho[times >= 0.5] - 5.0).max() < 0.5
 
 
+@pytest.mark.parametrize("rate", [
+    lambda t, x: np.where(np.asarray(x) > 0.0, np.nan, 1.0) + 0 * t,
+    lambda t, x: np.full(np.shape(x), np.nan) + 0 * t,
+    lambda t, x: np.full(np.shape(x), 1e308) + 0 * t,
+], ids=["nan-on-half", "nan", "overflow"])
+def test_a_rate_that_is_not_finite_raises_numerical_error(rate):
+    # over three periods, so the period rows are built from a NaN or
+    # infinite L_T, which leaves no weight in them live
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, steps_per_period=10,
+                             sigma=0.0)
+    with np.errstate(all="ignore"), pytest.raises(fs.NumericalError):
+        fs.simulate_sigma0(grid, fs.make_custom(1.0, rate), np.ones(64), 3.0)
+
+
 def test_extinction_flag_under_negative_rate():
     grid = _grid(nx=200)
     model = fs.make_custom(1.0, lambda t, x: -2.0 + 0 * np.asarray(x))
@@ -263,6 +277,42 @@ def test_underflowed_products_are_recomputed_in_later_period_blocks():
     assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
 
 
+def test_live_windows_follow_the_density_across_period_blocks():
+    # a narrow Gaussian at x = -1.5 on a floor of 1e-190 of its peak, with
+    # n0 = 0 on (-1.45, -0.5). The averaged optimum is x = 0, and the floor
+    # there gains 36 per period on the Gaussian, so it is set to 0 in the
+    # first period block (periods 0-2) and live from period 3 on: the
+    # window of that block ends at x = -1.45, the later ones near x = 1.
+    # Traits right of x = -1.4 hold 2.6e-12 of the mass at the start of the
+    # last period and 4.4 % at its end, far above the tolerance. 3 period
+    # rows to a block, as in test_period_blocks_match_one_step_at_a_time
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=4100, steps_per_period=20,
+                             sigma=0.0)
+    model = fs.make_oscillating_optimum(12.0, 4.0, 1.0, 0.5 * np.pi)
+    n0 = np.exp(-(grid.x + 1.5) ** 2 / (2 * 0.02 ** 2)) + 1e-190
+    n0[(grid.x > -1.45) & (grid.x < -0.5)] = 0.0
+    t_end = 12.35 * model.period
+    state, (times, rho), diag = fs.simulate_sigma0(grid, model, n0, t_end)
+    L, R, rho_ref, _, extinct = _reference_sigma0(grid, model, n0, t_end)
+    assert len(times) == 12 * 20 + 7 + 1
+    np.testing.assert_allclose(rho, rho_ref, rtol=1e-13, atol=0)
+    assert state.rho_integral == pytest.approx(R, rel=1e-13, abs=0)
+    assert diag["extinct"] == extinct
+
+
+@pytest.mark.parametrize("steps", [200, 37])
+def test_two_periods_give_twice_the_one_period_exponent(ex1_model, steps):
+    # after two periods the exponent is L_T + C_S, L_T from the pre-pass
+    # sums and C_S from the phase loop's cumsum: the two agree to the bit
+    # only if both add the increments in the same order. The c03 grid
+    grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=steps,
+                             sigma=0.0)
+    n0 = np.exp(-grid.x ** 2 / (2 * 0.05 ** 2))
+    one = fs.simulate_sigma0(grid, ex1_model, n0, ex1_model.period)[0]
+    two = fs.simulate_sigma0(grid, ex1_model, n0, 2.0 * ex1_model.period)[0]
+    np.testing.assert_array_equal(two.log_factors, 2.0 * one.log_factors)
+
+
 def test_size_converges_at_third_order(ex1_model):
     # Simpson in Y over masses exact at the step ends, and at the half steps
     # up to the trapezoid half-step exponent: the error of rho falls about
@@ -283,9 +333,10 @@ def test_size_converges_at_third_order(ex1_model):
 
 def test_memory_stays_bounded(ex1_model):
     # the c03 inputs: 200 periods of 200 steps on 800 traits. The period
-    # rows of all periods are held (1.2 MiB); the phase rows, a table of the
-    # same size, are made a block at a time, and the peak of traced
-    # allocations stays below 4 MiB (3.4 MiB measured)
+    # rows of all periods are held, each block of 20 over its live window
+    # (194 to 266 of the 800 traits, 0.34 MiB in all); the phase rows, a
+    # table of 1.2 MiB, are made a block at a time, and the peak of traced
+    # allocations stays below 4 MiB (2.4 MiB measured)
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=200,
                              sigma=0.0)
     n0 = np.exp(-grid.x ** 2 / (2 * 0.05 ** 2))

@@ -1,8 +1,11 @@
 """tools/wall_pairs.py's summary of the child's metrics, on synthetic
-samples, and one real child run of this tree."""
+samples, one real child run of this tree and one of a git revision, and its
+reading of a revision git cannot export."""
 
 import importlib.util
 import pathlib
+import shutil
+import subprocess
 import sys
 
 _TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
@@ -54,3 +57,23 @@ def test_one_child_run_reports_every_metric():
 def test_children_run_with_the_benchmarks_one_thread_pins():
     env = wall_pairs.thread_env()
     assert env["OPENBLAS_NUM_THREADS"] == env["OMP_NUM_THREADS"] == "1"
+
+
+def test_a_revision_runs_under_this_checkouts_child(tmp_path):
+    # a repository holding a copy of this src/: its exported revision has
+    # no bench/, so the run can only use this checkout's child
+    repo = tmp_path / "repo"
+    shutil.copytree(_TOOLS.parent / "src", repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
+                        *args], cwd=repo, check=True, capture_output=True)
+    [tree] = wall_pairs.source_trees(["HEAD"], repo, tmp_path / "work")
+    assert not (tree / "bench").exists()
+    got = wall_pairs.run_once(tree, "sigma0-convergence")
+    assert all(value > 0.0 for value in got.values())
+
+
+def test_a_revision_git_cannot_export_exits_2_with_its_message(capsys):
+    assert wall_pairs.main(["no-such-revision", ".", "sigma0-convergence"]) == 2
+    assert "git archive failed" in capsys.readouterr().err
