@@ -243,16 +243,21 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
     return model
 
 
+def rate_rows(model: EnvironmentModel, times, x) -> np.ndarray:
+    """a(t, x) for each t in times from one rate call with a column of
+    times: a C-contiguous float array of shape (len(times), len(x))."""
+    column = np.asarray(times, dtype=float)[:, None]
+    block = np.broadcast_to(model.rate(column, x), (len(column), np.size(x)))
+    return np.ascontiguousarray(block, dtype=float)
+
+
 def rate_blocks(model: EnvironmentModel, times, x):
     """Yields (rows, a(times[rows], x)) for consecutive slices rows of times:
-    one rate call with a column of times per block of about RATE_BLOCK
-    elements, each block a C-contiguous float array of len(x) columns."""
+    one rate_rows call per block of about RATE_BLOCK elements."""
     times = np.asarray(times, dtype=float)
     rows = max(1, RATE_BLOCK // max(1, np.size(x)))
     for j in range(0, len(times), rows):
-        column = times[j:j + rows, None]
-        block = np.broadcast_to(model.rate(column, x), (len(column), np.size(x)))
-        yield slice(j, j + rows), np.ascontiguousarray(block, dtype=float)
+        yield slice(j, j + rows), rate_rows(model, times[j:j + rows], x)
 
 
 def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env_models import RATE_BLOCK, EnvironmentModel, rate_table
+from .env_models import RATE_BLOCK, EnvironmentModel, rate_rows
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
 from .quadrature import check_end_time
@@ -100,13 +100,15 @@ def _rate_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
 
     Yields (r0, a_start, a_mid, increments) for the steps r0 <= r < r0 + rows
     of a block: the rates at their starts and midpoints, and their Simpson
-    increments dt (a(r dt) + 4 a((r + 1/2) dt) + a((r + 1) dt)) / 6. Each
-    block has about RATE_BLOCK elements per kind of row.
+    increments dt (a(r dt) + 4 a((r + 1/2) dt) + a((r + 1) dt)) / 6. The
+    rates of a block come from one rate call of 2 rows + 1 times and at most
+    2 RATE_BLOCK elements: numpy elides temporaries from 256 KiB up, and the
+    first elision in a process adds about 1 MiB to its resident memory.
     """
-    rows = max(1, RATE_BLOCK // len(x))
+    rows = max(1, (2 * RATE_BLOCK // len(x) - 1) // 2)
     for r0 in range(0, count, rows):
         r1 = min(r0 + rows, count)
-        a = rate_table(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
+        a = rate_rows(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
         a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
         yield r0, a_start, a_mid, dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
 

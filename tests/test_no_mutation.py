@@ -22,6 +22,26 @@ def test_exponent_matches_time_independent_rate():
     assert times[-1] == pytest.approx(2.0)
 
 
+def test_each_rate_block_is_one_rate_call(ex1_model):
+    # a block of steps takes its start, midpoint and end times in one rate
+    # call of at most 2 RATE_BLOCK elements; one pass of blocks sums L_T,
+    # one makes the phase rows
+    grid = _grid(steps=200, nx=800)
+    columns = []
+
+    def rate(t, x):
+        columns.append(np.shape(t))
+        return ex1_model.rate(t, x)
+
+    model = fs.EnvironmentModel(ex1_model.period, rate)
+    fs.simulate_sigma0(grid, model, np.exp(-grid.x ** 2), 3.0)
+    steps = [(n - 1) // 2 for n, _ in columns]
+    assert columns == [(2 * k + 1, 1) for k in steps]
+    assert sum(steps) == 2 * 200
+    assert len(columns) == 2 * -(-200 // max(steps)) == 22
+    assert max(steps) * 2 + 1 <= 2 * fs.env_models.RATE_BLOCK // grid.nx
+
+
 def test_mass_coupling_closes_on_logistic_ode(ex1_model):
     # the population-mean rate int n a dx / rho of the step-by-step loop
     # drives a scalar logistic equation whose solution must reproduce the
