@@ -665,6 +665,15 @@ def _pyify(obj):
     return obj
 
 
+def _strict_json(value) -> bool:
+    """Whether value serializes as strict JSON: no NaN and no infinity."""
+    try:
+        json.dumps(value, allow_nan=False)
+    except ValueError:
+        return False
+    return True
+
+
 def _csv_body(rows: np.ndarray) -> np.ndarray:
     """The bytes (uint8) of the CSV lines of a float table with at least one
     cell: each cell f"{v:.12e}", joined by ',' within a row, each row ended
@@ -729,10 +738,12 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
     the bytes of f"{float(v):.12e}", from one vectorized pass per table
     with an exact per-cell fallback (_csv_body). Emission is deterministic,
     so re-emitting the same bundle rewrites byte-identical CSV and summary
-    files. An empty bundle produces only the manifest. Each file is written
-    to a temporary file in out_dir and then renamed over its target, so a
-    failed write leaves the previous file intact and no temporary file
-    behind.
+    files. An empty bundle produces only the manifest. summary.json is
+    strict JSON: a summary value that is NaN or infinite raises
+    NumericalError naming its key, before any file is written. Each file is
+    written to a temporary file in out_dir and then renamed over its
+    target, so a failed write leaves the previous file intact and no
+    temporary file behind.
     """
     tables = {}
     for name, (columns, rows) in bundle.tables.items():
@@ -743,6 +754,13 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
             raise ValueError(f"table {name!r}: {len(columns)} column names for "
                              f"rows of shape {rows.shape}")
         tables[name] = (columns, rows)
+    summary = _pyify(bundle.summary)
+    try:
+        summary_text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        bad = [key for key, value in sorted(summary.items())
+               if not _strict_json(value)]
+        raise NumericalError(f"non-finite summary values: {', '.join(bad)}") from None
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -760,9 +778,8 @@ def emit_bundle(bundle: ResultBundle, out_dir) -> list[str]:
 
     _write("manifest.json",
            (json.dumps(bundle.manifest, indent=2, sort_keys=True) + "\n").encode())
-    if bundle.summary:
-        _write("summary.json", (json.dumps(_pyify(bundle.summary), indent=2,
-                                           sort_keys=True) + "\n").encode())
+    if summary:
+        _write("summary.json", (summary_text + "\n").encode())
     for name, (columns, rows) in tables.items():
         _write(f"{name}.csv", (",".join(columns) + "\n").encode("utf-8"),
                _csv_body(rows) if rows.size else b"")

@@ -66,7 +66,9 @@ def _load_flapack():
     __init__ does and for the version in the error, and the load retried
     once. The module is registered under its own name, so a later import of
     scipy.linalg shares it and it is initialised once (that import finds it
-    in sys.modules, so the package gets no _flapack attribute)."""
+    in sys.modules, so the package gets no _flapack attribute). Nothing
+    loads it at import: the solvers call this on first use, so a run with
+    no diffusion solve never maps the extension."""
     if _FLAPACK in sys.modules:
         return sys.modules[_FLAPACK]
     found = importlib.util.find_spec("scipy")
@@ -84,10 +86,6 @@ def _load_flapack():
         raise ImportError(f"scipy {scipy.__version__} has no compiled "
                           f"extension _flapack in {folder}") from exc
 
-
-_flapack = _load_flapack()
-dpttrf, dpttrs, dstebz, dstein = (_flapack.dpttrf, _flapack.dpttrs,
-                                  _flapack.dstebz, _flapack.dstein)
 
 # Total size below which the population counts as extinct.
 EXTINCTION_SIZE = 1e-12
@@ -252,10 +250,11 @@ def step_eigenpair(grid: SimulationGrid, row: np.ndarray, dt: float):
     # the smallest eigenvalue by bisection (range 2: index il = iu = 1, in
     # block order "B" as dstein needs) and its vector by inverse iteration:
     # the calls of eigh_tridiagonal(select="i", select_range=(0, 0))
-    m, w, iblock, isplit, info = dstebz(shifted, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    lapack = _load_flapack()
+    m, w, iblock, isplit, info = lapack.dstebz(shifted, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
     if info != 0:
         raise NumericalError(f"step eigenvalue bisection failed (dstebz info {info})")
-    vec, info = dstein(shifted, off, w[:m], iblock, isplit)
+    vec, info = lapack.dstein(shifted, off, w[:m], iblock, isplit)
     if info != 0:
         raise NumericalError(f"step eigenvector iteration failed (dstein info {info})")
     # the Perron vector has one sign; abs also lifts roundoff in the tails
@@ -282,6 +281,7 @@ class _Stepper:
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
+        lapack = _load_flapack()
         self.grid = grid
         self.period = model.period
         self.steps = grid.steps_per_period
@@ -297,8 +297,9 @@ class _Stepper:
             gain += 1.0
         _check_step_constraint(np.array([hi, lo]))
         al = self.dt * grid.sigma / (self.dx * self.dx)
-        self.d, self.e, info = dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
-                                      np.full(grid.nx - 1, -al))
+        self.solve = lapack.dpttrs
+        self.d, self.e, info = lapack.dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
+                                             np.full(grid.nx - 1, -al))
         if info != 0:
             raise NumericalError(f"diffusion matrix factorisation failed (info {info})")
 
@@ -306,28 +307,28 @@ class _Stepper:
         """One linear IMEX step from step k of the period, in place on a
         contiguous float64 n (dpttrs overwrites it); returns the solved n."""
         n *= self.gain[k]
-        return dpttrs(self.d, self.e, n, 1)[0]
+        return self.solve(self.d, self.e, n, 1)[0]
 
     def run(self, n: np.ndarray, nsteps: int) -> np.ndarray:
         """Advance nsteps <= steps linear steps from the period start, in
         place on one copy of n; returns it."""
-        d, e = self.d, self.e
+        d, e, solve = self.d, self.e, self.solve
         n = np.array(n, dtype=float)
         for gain in self.gain[:nsteps]:
             n *= gain
-            n = dpttrs(d, e, n, 1)[0]
+            n = solve(d, e, n, 1)[0]
         return n
 
     def record(self, start: np.ndarray) -> np.ndarray:
         """The densities at times from start, in the table itself: row k + 1
         is row k times gain k (which it held), solved in place. Returns the
         table; the stepper keeps no gains and can run no further step."""
-        table, d, e = self.table, self.d, self.e
+        table, d, e, solve = self.table, self.d, self.e, self.solve
         del self.table, self.gain
         table[0] = start
         for prev, row in zip(table[:-1], table[1:]):
             np.multiply(prev, row, out=row)
-            dpttrs(d, e, row, 1)
+            solve(d, e, row, 1)
         return table
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:

@@ -444,6 +444,27 @@ def test_emit_empty_bundle_writes_manifest_only(tmp_path):
     assert [os.path.basename(p) for p in written] == ["manifest.json"]
 
 
+def test_a_non_finite_summary_value_is_refused_naming_its_key(tmp_path):
+    summary = {"fine": 1.0, "nan": float("nan"), "tail": [1.0, np.inf],
+               "low": np.float64(-np.inf), "name": "NaN"}
+    bundle = fs.ResultBundle(manifest={}, tables={"t": (["a"], np.ones((2, 1)))},
+                             summary=summary)
+    with pytest.raises(fs.NumericalError,
+                       match=r"non-finite summary values: low, nan, tail$"):
+        fs.emit_bundle(bundle, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow at r = 800
+def test_main_exits_3_on_a_summary_that_is_not_strict_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_io.main(["sigma0-convergence", "--out", str(out),
+                        "--override", "model.r=800"]) == 3
+    assert "non-finite summary values: constant_rate_collapse_gap" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_emit_failure_keeps_previous_file(tmp_path, monkeypatch):
     out = tmp_path / "out"
     old = fs.ResultBundle(manifest={"version": fs.__version__}, tables={},
@@ -494,8 +515,9 @@ def test_main_uses_config_file(tmp_path, capsys):
 
 def test_main_maps_a_lapack_failure_to_the_numerical_exit_code(
         monkeypatch, tmp_path, capsys):
-    real = pde_solver.dstebz
-    monkeypatch.setattr(pde_solver, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    flapack = pde_solver._load_flapack()
+    real = flapack.dstebz
+    monkeypatch.setattr(flapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
     assert cli_io.main(["example2", "--out", str(tmp_path / "out")]) == 3
     assert "dstebz info 1" in capsys.readouterr().err
 

@@ -209,10 +209,20 @@ def test_every_dataclass_field_is_read():
     assert _dead_fields(package, readers) == []
 
 
+def _fresh(code: str) -> str:
+    """The standard output of a fresh interpreter running code on src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_import_keeps_heavy_scipy_modules_out():
     # fluctsel binds four LAPACK routines from scipy's compiled extension
     # scipy.linalg._flapack alone, found without running the scipy package
-    # (whose __init__ loads scipy._lib._testutils, subprocess and sysconfig);
+    # (whose __init__ loads scipy._lib._testutils, subprocess and sysconfig),
+    # and only when a solver first needs them, so the import maps no LAPACK;
     # the scipy.linalg package would load scipy._lib.array_api_compat,
     # numpy.f2py and numpy.testing, about half the import time.
     # scipy.integrate would pull in scipy.special and scipy.optimize, and
@@ -220,14 +230,48 @@ def test_import_keeps_heavy_scipy_modules_out():
     # argparse. The package has no logger, so logging (with traceback and
     # string) stays out too
     heavy = ("scipy", "scipy._lib", "argparse", "scipy.linalg",
-             "scipy._lib.array_api_compat", "numpy.f2py",
+             "scipy.linalg._flapack", "scipy._lib.array_api_compat", "numpy.f2py",
              "numpy.testing", "scipy.integrate", "scipy.special",
              "scipy.optimize", "scipy.sparse", "logging", "traceback", "string")
     code = ("import sys, fluctsel\n"
             f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert out.stdout.split() == []
+    assert _fresh(code).split() == []
+
+
+def test_a_sigma0_run_never_maps_lapack(tmp_path):
+    # the sigma = 0 limit runs no diffusion solve: resolve, run and emit
+    code = ("import sys\n"
+            "from fluctsel import cli_io\n"
+            "cfg = cli_io.resolve_config(cli_io.RunConfig(\n"
+            f"    experiment='sigma0-convergence', out_dir={str(tmp_path)!r}))\n"
+            "print(len(cli_io.emit_bundle(cli_io.run_experiment(cfg), cfg.out_dir)),\n"
+            "      'scipy.linalg._flapack' in sys.modules)")
+    assert _fresh(code).split() == ["4", "False"]
+
+
+_COUNT_LOADS = """
+import importlib.machinery, sys
+loader = importlib.machinery.ExtensionFileLoader
+load, loads = loader.exec_module, []
+
+def exec_module(self, module):
+    loads.append(module.__name__)
+    load(self, module)
+
+loader.exec_module = exec_module
+import numpy as np
+import fluctsel as fs
+grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=256, sigma=0.01)
+model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 1.0)
+before = "scipy.linalg._flapack" in sys.modules
+fs.find_periodic_orbit(grid, model)
+fs.simulate(grid, model, np.ones(grid.nx), 2.0)
+module = sys.modules["scipy.linalg._flapack"]
+print(before, loads.count(module.__name__), module.__name__)
+"""
+
+
+def test_a_pde_run_loads_lapack_once_under_its_scipy_name():
+    # the guess's eigenpair, the eigen-solve and the simulation each bind
+    # on their first use; the extension runs once and is shared
+    assert _fresh(_COUNT_LOADS).split() == ["False", "1", "scipy.linalg._flapack"]

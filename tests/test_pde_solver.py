@@ -147,9 +147,11 @@ def test_step_eigenpair_matches_eigh_tridiagonal_bit_for_bit(nx, seed, sigma, st
 
 def test_lapack_binding_is_the_scipy_linalg_module():
     # one extension module, whichever of fluctsel and scipy.linalg came first
-    assert sys.modules["scipy.linalg._flapack"] is pde_solver._flapack
-    assert pde_solver.dpttrf is scipy.linalg.lapack.dpttrf
-    assert pde_solver.dpttrs is scipy.linalg.lapack.dpttrs
+    _, stepper = _ex1_stepper(nx=32, steps=64)
+    flapack = pde_solver._load_flapack()
+    assert sys.modules["scipy.linalg._flapack"] is flapack
+    assert flapack.dpttrf is scipy.linalg.lapack.dpttrf
+    assert stepper.solve is flapack.dpttrs is scipy.linalg.lapack.dpttrs
 
 
 def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
@@ -178,10 +180,13 @@ def exec_module(self, module):
     load(self, module)
 
 loader.exec_module = exec_module
+import fluctsel as fs
 from fluctsel import pde_solver
-module = pde_solver._flapack
+grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64, sigma=0.01)
+stepper = pde_solver._Stepper(grid, fs.make_oscillating_optimum(1.0, 1.0, 1.0, 1.0))
+module = pde_solver._load_flapack()
 print(failed, "scipy" in sys.modules, module is sys.modules["scipy.linalg._flapack"],
-      pde_solver.dpttrs is module.dpttrs)
+      stepper.solve is module.dpttrs)
 """
 
 
@@ -197,9 +202,9 @@ def test_a_failed_lapack_load_is_retried_after_importing_scipy():
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_step_eigenpair_reports_a_lapack_failure(monkeypatch, routine):
-    real = getattr(pde_solver, routine)
-    monkeypatch.setattr(pde_solver, routine,
-                        lambda *args: (*real(*args)[:-1], 1))
+    flapack = pde_solver._load_flapack()
+    real = getattr(flapack, routine)
+    monkeypatch.setattr(flapack, routine, lambda *args: (*real(*args)[:-1], 1))
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=100,
                              sigma=0.01)
     with pytest.raises(fs.NumericalError, match=f"{routine} info 1"):

@@ -27,10 +27,9 @@ wall_pairs = _load("wall_pairs")
 
 
 def _summary(old, new):
-    runs = [[dict(zip(wall_pairs.METRICS, values)) for values in side]
-            for side in (old, new)]
-    return wall_pairs.summarize(*runs, names=wall_pairs.METRICS, label="metric",
-                                digits=4)
+    names = ("wall_s", "cpu_s", "peak_rss_mb")
+    runs = [[dict(zip(names, values)) for values in side] for side in (old, new)]
+    return wall_pairs.summarize(*runs, names=names, label="metric", digits=4)
 
 
 def test_summary_gives_median_quartiles_and_paired_wins_per_metric():
@@ -52,6 +51,9 @@ def test_one_child_run_reports_every_metric():
     assert set(got) == set(wall_pairs.METRICS)
     assert all(value > 0.0 for value in got.values())
     assert got["cpu_s"] < 60.0
+    # set-up is spawn to the child's t_enter: at least an interpreter start
+    assert 0.01 < got["setup_s"] < 60.0
+    assert got["setup+wall_s"] == got["setup_s"] + got["wall_s"]
 
 
 def test_children_run_with_the_benchmarks_one_thread_pins():

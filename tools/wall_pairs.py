@@ -13,9 +13,12 @@ bench/child.py TAG, the one harness for both sides, with TREE/src on
 PYTHONPATH and BLAS/OpenMP pinned to one thread by bench/run.py's
 THREAD_ENV, as the benchmark runs it, writing into its own temporary
 directory; the script reads wall_s, cpu_s and peak_rss_mb from its
-child.json. After one unrecorded warm-up run per tree it runs PAIRS
-alternating pairs (OLD first in even pairs, NEW first in odd ones) and
-prints, for each metric, the median and quartiles of each side and the
+child.json, and takes setup_s as bench/run.py does: the child's t_enter
+minus the spawn time taken here (on Linux time.monotonic() is shared by all
+processes). setup+wall_s is their sum, so a cost moved between set-up and
+the run shows its net. After one unrecorded warm-up run per tree it runs
+PAIRS alternating pairs (OLD first in even pairs, NEW first in odd ones)
+and prints, for each metric, the median and quartiles of each side and the
 number of pairs in which NEW is lower, with the pairing and summary of
 tools/setup_time.py.
 """
@@ -28,11 +31,12 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from setup_time import run_pairs, source_trees, summarize
 
-METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+METRICS = ("wall_s", "setup_s", "setup+wall_s", "cpu_s", "peak_rss_mb")
 _CHECKOUT = Path(__file__).resolve().parents[1]
 
 
@@ -50,9 +54,12 @@ def run_once(tree: Path, tag: str) -> dict:
     returns each metric's value."""
     env = {**os.environ, **thread_env(), "PYTHONPATH": str(Path(tree).resolve() / "src")}
     with tempfile.TemporaryDirectory() as out:
+        spawn = time.monotonic()
         subprocess.run([sys.executable, str(_CHECKOUT / "bench" / "child.py"), tag, out],
                        env=env, check=True, capture_output=True)
         report = json.loads((Path(out) / "child.json").read_text(encoding="utf-8"))
+    report["setup_s"] = report["t_enter"] - spawn
+    report["setup+wall_s"] = report["setup_s"] + report["wall_s"]
     return {name: report[name] for name in METRICS}
 
 
