@@ -22,17 +22,17 @@ state n = rho * P is read off it, and simulate runs it forward with y.
 The trait interval is truncated with homogeneous Dirichlet ends; the domain
 should be wide enough that the confinement tail estimate keeps the boundary
 values below roughly 1e-12 of the peak, so truncation is invisible at solver
-accuracy.
+accuracy. The four LAPACK routines (dpttrf and dpttrs for the step, dstebz
+and dstein for step_eigenpair) are bound with ctypes at the first solver
+call, from the OpenBLAS numpy already maps (see _lapack).
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import os
-import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -41,50 +41,58 @@ from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalErr
 from .quadrature import check_end_time, check_steps_per_period
 from .rho_ode import PeriodicScalarSignal
 
-_FLAPACK = "scipy.linalg._flapack"
+# Where numpy's wheels keep the OpenBLAS numpy itself links: numpy.libs beside
+# the package on Linux and Windows, numpy/.dylibs on macOS.
+_NUMPY_LIBS = (os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
+               os.path.join(os.path.dirname(np.__file__), ".dylibs"))
 
 
-def _flapack_in(folder: str):
-    """Run the extension _flapack found in folder and register it under its
-    scipy name; ImportError if folder has none or it does not load."""
-    spec = importlib.machinery.PathFinder.find_spec(_FLAPACK, [folder])
-    if spec is None:
-        raise ImportError(f"no {_FLAPACK} in {folder}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[_FLAPACK] = module
-    return module
+class _Lapack:
+    """dpttrf, dpttrs, dstebz and dstein at address(name), as functions of
+    pointers (Fortran passes by reference; dstebz ends with the size_t
+    lengths of its two one-character strings). int is the LAPACK integer
+    type. They declare no argument types, as ctypes would convert each
+    argument on every call (0.5 us of a 5.7 us dpttrs): callers pass ctypes
+    objects only, made once by args."""
+
+    def __init__(self, int_type, address):
+        self.int = int_type
+        for name in ("dpttrf", "dpttrs", "dstebz", "dstein"):
+            setattr(self, name, ctypes.CFUNCTYPE(None)(address(name)))
+
+    def args(self, *values) -> list:
+        """values as pointers: an array by its address (the caller holds
+        it), an int as a LAPACK integer, a float as a double, and a LAPACK
+        integer object as itself, so the caller reads what was written."""
+        return [ctypes.c_void_p(v.ctypes.data) if isinstance(v, np.ndarray) else ctypes.byref(
+            v if isinstance(v, self.int) else self.int(v) if isinstance(v, int)
+            else ctypes.c_double(v)) for v in values]
 
 
-def _load_flapack():
-    """scipy's compiled LAPACK wrappers, the extension scipy.linalg._flapack,
-    loaded on their own. importlib.util.find_spec locates the scipy package
-    without running it, so neither scipy/__init__ (scipy._lib._testutils,
-    subprocess, sysconfig, ...) nor the scipy.linalg package __init__
-    (scipy._lib.array_api_compat, numpy.f2py, numpy.testing) runs. Only if
-    that load fails is scipy imported, for whatever library-path set-up its
-    __init__ does and for the version in the error, and the load retried
-    once. The module is registered under its own name, so a later import of
-    scipy.linalg shares it and it is initialised once (that import finds it
-    in sys.modules, so the package gets no _flapack attribute). Nothing
-    loads it at import: the solvers call this on first use, so a run with
-    no diffusion solve never maps the extension."""
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
-    found = importlib.util.find_spec("scipy")
-    if found is not None:
+@cache
+def _lapack() -> _Lapack:
+    """The four routines, bound at the first solver call, from the OpenBLAS
+    numpy maps (symbols scipy_<name>_64_, 64-bit integers), so a process
+    holds one BLAS; only where numpy ships none, from the f2py capsules of
+    scipy.linalg._flapack (32-bit integers). ImportError, naming every
+    place searched, when neither is there."""
+    for path in sorted(os.path.join(folder, name) for folder in _NUMPY_LIBS
+                       if os.path.isdir(folder) for name in os.listdir(folder)
+                       if "openblas" in name):
         try:
-            return _flapack_in(os.path.join(os.path.dirname(found.origin), "linalg"))
-        except ImportError:
-            pass
-    import scipy
-
-    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+            lib = ctypes.CDLL(path)
+            return _Lapack(ctypes.c_int64, lambda name: ctypes.cast(
+                getattr(lib, f"scipy_{name}_64_"), ctypes.c_void_p).value)
+        except (OSError, AttributeError):
+            continue
     try:
-        return _flapack_in(folder)
+        import scipy.linalg._flapack as flapack
     except ImportError as exc:
-        raise ImportError(f"scipy {scipy.__version__} has no compiled "
-                          f"extension _flapack in {folder}") from exc
+        raise ImportError(f"no LAPACK: searched {', '.join(_NUMPY_LIBS)} for an OpenBLAS "
+                          f"with scipy_dpttrf_64_, then scipy.linalg._flapack ({exc})") from exc
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return _Lapack(ctypes.c_int32, lambda name: pointer(getattr(flapack, name)._cpointer, None))
 
 
 # Total size below which the population counts as extinct.
@@ -247,18 +255,23 @@ def step_eigenpair(grid: SimulationGrid, row: np.ndarray, dt: float):
     off = -al * s[:-1] * s[1:]
     if not (np.isfinite(shifted).all() and np.isfinite(off).all()):
         raise NumericalError("step matrix has non-finite entries")
-    # the smallest eigenvalue by bisection (range 2: index il = iu = 1, in
-    # block order "B" as dstein needs) and its vector by inverse iteration:
-    # the calls of eigh_tridiagonal(select="i", select_range=(0, 0))
-    lapack = _load_flapack()
-    m, w, iblock, isplit, info = lapack.dstebz(shifted, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info != 0:
-        raise NumericalError(f"step eigenvalue bisection failed (dstebz info {info})")
-    vec, info = lapack.dstein(shifted, off, w[:m], iblock, isplit)
-    if info != 0:
-        raise NumericalError(f"step eigenvector iteration failed (dstein info {info})")
+    # the smallest eigenvalue by bisection (range "I", il = iu = 1, in block
+    # order "B" as dstein needs) and its vector by inverse iteration: the
+    # calls of eigh_tridiagonal(select="i", select_range=(0, 0))
+    lapack, nx, lengths = _lapack(), grid.nx, (ctypes.c_size_t(1),) * 2
+    m, nsplit, info = lapack.int(), lapack.int(), lapack.int()
+    w, vec, work = np.empty(nx), np.empty(nx), np.empty(5 * nx)
+    iblock, isplit, iwork, ifail = (np.empty(k, lapack.int) for k in (nx, nx, 3 * nx, 1))
+    lapack.dstebz(b"I", b"B", *lapack.args(nx, 0.0, 1.0, 1, 1, 0.0, shifted, off, m, nsplit,
+                                           w, iblock, isplit, work, iwork, info), *lengths)
+    if info.value != 0:
+        raise NumericalError(f"step eigenvalue bisection failed (dstebz info {info.value})")
+    lapack.dstein(*lapack.args(nx, shifted, off, m, w, iblock, isplit, vec, nx, work, iwork,
+                               ifail, info))
+    if info.value != 0:
+        raise NumericalError(f"step eigenvector iteration failed (dstein info {info.value})")
     # the Perron vector has one sign; abs also lifts roundoff in the tails
-    return float(-np.log1p(w[0])), np.abs(s * vec[:, 0])
+    return float(-np.log1p(w[0])), np.abs(s * vec)
 
 
 def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.ndarray:
@@ -276,12 +289,15 @@ class _Stepper:
     gain[k] = 1 + dt * a(k * dt, x) is row k + 1 of a table whose spare
     row 0 lets record run one period in the table.
     I - dt * sigma * L is factored once (LAPACK dpttrf), and every step is
-    one in-place dpttrs solve. dt * max|a| < 1 keeps the gains positive, so
-    the M-matrix solve keeps densities nonnegative without clipping.
+    one in-place dpttrs solve. Its arguments are built once per buffer the
+    stepper owns, where the buffer is checked: run's copy of n, and each
+    table row's address in record. dt * max|a| < 1 keeps the gains
+    positive, so the M-matrix solve keeps densities nonnegative without
+    clipping.
     """
 
     def __init__(self, grid: SimulationGrid, model: EnvironmentModel):
-        lapack = _load_flapack()
+        lapack = _lapack()
         self.grid = grid
         self.period = model.period
         self.steps = grid.steps_per_period
@@ -297,38 +313,52 @@ class _Stepper:
             gain += 1.0
         _check_step_constraint(np.array([hi, lo]))
         al = self.dt * grid.sigma / (self.dx * self.dx)
-        self.solve = lapack.dpttrs
-        self.d, self.e, info = lapack.dpttrf(np.full(grid.nx, 1.0 + 2.0 * al),
-                                             np.full(grid.nx - 1, -al))
-        if info != 0:
-            raise NumericalError(f"diffusion matrix factorisation failed (info {info})")
+        self.d, self.e = np.full(grid.nx, 1.0 + 2.0 * al), np.full(grid.nx - 1, -al)
+        info = lapack.int()
+        n, nrhs, d, e, at_info = lapack.args(grid.nx, 1, self.d, self.e, info)
+        lapack.dpttrf(n, d, e, at_info)
+        if info.value != 0:
+            raise NumericalError(f"diffusion matrix factorisation failed (info {info.value})")
+        # dpttrs takes N, NRHS, D, E before B and LDB, INFO after it
+        self.solve, self.head, self.tail = lapack.dpttrs, (n, nrhs, d, e), (n, at_info)
+
+    def _solve_args(self, b: np.ndarray) -> tuple:
+        """The dpttrs arguments that solve in place in b. LAPACK checks no
+        buffer, so b is checked here: one C-contiguous float64 row of nx."""
+        if b.dtype != np.float64 or b.shape != (self.grid.nx,) or not b.flags.c_contiguous:
+            raise ValueError(f"dpttrs needs a contiguous float64 vector of {self.grid.nx}")
+        return (*self.head, ctypes.c_void_p(b.ctypes.data), *self.tail)
 
     def step(self, n: np.ndarray, k: int) -> np.ndarray:
         """One linear IMEX step from step k of the period, in place on a
-        contiguous float64 n (dpttrs overwrites it); returns the solved n."""
+        contiguous float64 n (dpttrs overwrites it); returns n."""
         n *= self.gain[k]
-        return self.solve(self.d, self.e, n, 1)[0]
+        self.solve(*self._solve_args(n))
+        return n
 
     def run(self, n: np.ndarray, nsteps: int) -> np.ndarray:
         """Advance nsteps <= steps linear steps from the period start, in
         place on one copy of n; returns it."""
-        d, e, solve = self.d, self.e, self.solve
         n = np.array(n, dtype=float)
+        solve, args = self.solve, self._solve_args(n)
         for gain in self.gain[:nsteps]:
             n *= gain
-            n = solve(d, e, n, 1)[0]
+            solve(*args)
         return n
 
     def record(self, start: np.ndarray) -> np.ndarray:
         """The densities at times from start, in the table itself: row k + 1
-        is row k times gain k (which it held), solved in place. Returns the
-        table; the stepper keeps no gains and can run no further step."""
-        table, d, e, solve = self.table, self.d, self.e, self.solve
+        is row k times gain k (which it held), solved in place at its
+        address. Returns the table; the stepper keeps no gains and can run
+        no further step."""
+        table, head, tail, solve = self.table, self.head, self.tail, self.solve
         del self.table, self.gain
         table[0] = start
-        for prev, row in zip(table[:-1], table[1:]):
+        first, size = table.ctypes.data, table.strides[0]
+        for prev, row, address in zip(table[:-1], table[1:],
+                                      range(first + size, first + table.nbytes, size)):
             np.multiply(prev, row, out=row)
-            solve(d, e, row, 1)
+            solve(*head, ctypes.c_void_p(address), *tail)
         return table
 
     def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:

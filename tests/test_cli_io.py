@@ -515,9 +515,14 @@ def test_main_uses_config_file(tmp_path, capsys):
 
 def test_main_maps_a_lapack_failure_to_the_numerical_exit_code(
         monkeypatch, tmp_path, capsys):
-    flapack = pde_solver._load_flapack()
-    real = flapack.dstebz
-    monkeypatch.setattr(flapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    lapack = pde_solver._lapack()
+    real = lapack.dstebz
+
+    def failing(*args):  # info, the last pointer before the two string lengths
+        real(*args)
+        args[-3]._obj.value = 1
+
+    monkeypatch.setattr(lapack, "dstebz", failing)
     assert cli_io.main(["example2", "--out", str(tmp_path / "out")]) == 3
     assert "dstebz info 1" in capsys.readouterr().err
 

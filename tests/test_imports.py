@@ -219,12 +219,11 @@ def _fresh(code: str) -> str:
 
 
 def test_import_keeps_heavy_scipy_modules_out():
-    # fluctsel binds four LAPACK routines from scipy's compiled extension
-    # scipy.linalg._flapack alone, found without running the scipy package
-    # (whose __init__ loads scipy._lib._testutils, subprocess and sysconfig),
-    # and only when a solver first needs them, so the import maps no LAPACK;
-    # the scipy.linalg package would load scipy._lib.array_api_compat,
-    # numpy.f2py and numpy.testing, about half the import time.
+    # fluctsel binds four LAPACK routines from the OpenBLAS numpy already
+    # maps, and only when a solver first needs them, so the import runs no
+    # scipy at all: the scipy package (whose __init__ loads
+    # scipy._lib._testutils, subprocess and sysconfig) and scipy.linalg
+    # (scipy._lib.array_api_compat, numpy.f2py and numpy.testing) stay out.
     # scipy.integrate would pull in scipy.special and scipy.optimize, and
     # scipy.sparse adds about 70 modules. Only the command line reads
     # argparse. The package has no logger, so logging (with traceback and
@@ -238,40 +237,49 @@ def test_import_keeps_heavy_scipy_modules_out():
     assert _fresh(code).split() == []
 
 
+def test_import_loads_18_modules_after_numpy():
+    # the package's 10 modules, json's 5, dataclasses with copy, and
+    # __future__; numpy has loaded ctypes, which the LAPACK binding uses
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import fluctsel\n"
+            "print(*sorted(set(sys.modules) - before))")
+    loaded = _fresh(code).split()
+    assert len(loaded) == 18, loaded
+
+
 def test_a_sigma0_run_never_maps_lapack(tmp_path):
     # the sigma = 0 limit runs no diffusion solve: resolve, run and emit
     code = ("import sys\n"
-            "from fluctsel import cli_io\n"
+            "from fluctsel import cli_io, pde_solver\n"
             "cfg = cli_io.resolve_config(cli_io.RunConfig(\n"
             f"    experiment='sigma0-convergence', out_dir={str(tmp_path)!r}))\n"
             "print(len(cli_io.emit_bundle(cli_io.run_experiment(cfg), cfg.out_dir)),\n"
+            "      pde_solver._lapack.cache_info().misses,\n"
             "      'scipy.linalg._flapack' in sys.modules)")
-    assert _fresh(code).split() == ["4", "False"]
+    assert _fresh(code).split() == ["4", "0", "False"]
 
 
-_COUNT_LOADS = """
-import importlib.machinery, sys
-loader = importlib.machinery.ExtensionFileLoader
-load, loads = loader.exec_module, []
-
-def exec_module(self, module):
-    loads.append(module.__name__)
-    load(self, module)
-
-loader.exec_module = exec_module
+_PDE_RUN = """
+import os, sys
 import numpy as np
 import fluctsel as fs
 grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=256, sigma=0.01)
 model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 1.0)
-before = "scipy.linalg._flapack" in sys.modules
 fs.find_periodic_orbit(grid, model)
 fs.simulate(grid, model, np.ones(grid.nx), 2.0)
-module = sys.modules["scipy.linalg._flapack"]
-print(before, loads.count(module.__name__), module.__name__)
+maps = "/proc/self/maps"
+blas = ({line.split()[-1] for line in open(maps) if "openblas" in line.lower()}
+        if os.path.exists(maps) else ())
+print("scipy.linalg._flapack" in sys.modules, len(blas))
 """
 
 
-def test_a_pde_run_loads_lapack_once_under_its_scipy_name():
-    # the guess's eigenpair, the eigen-solve and the simulation each bind
-    # on their first use; the extension runs once and is shared
-    assert _fresh(_COUNT_LOADS).split() == ["False", "1", "scipy.linalg._flapack"]
+def test_a_pde_run_maps_one_openblas():
+    # the guess's eigenpair, the eigen-solve and the simulation bind the
+    # routines in the OpenBLAS numpy maps; scipy's LAPACK extension, with
+    # its own OpenBLAS, is never loaded
+    flapack, libraries = _fresh(_PDE_RUN).split()
+    assert flapack == "False"
+    if sys.platform.startswith("linux"):
+        assert libraries == "1"

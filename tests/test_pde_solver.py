@@ -1,7 +1,4 @@
-import importlib.machinery
-import os
-import pathlib
-import subprocess
+import ctypes
 import sys
 import tracemalloc
 
@@ -145,66 +142,95 @@ def test_step_eigenpair_matches_eigh_tridiagonal_bit_for_bit(nx, seed, sigma, st
     assert np.array_equal(v, np.abs(s * vec[:, 0]))
 
 
-def test_lapack_binding_is_the_scipy_linalg_module():
-    # one extension module, whichever of fluctsel and scipy.linalg came first
-    _, stepper = _ex1_stepper(nx=32, steps=64)
-    flapack = pde_solver._load_flapack()
-    assert sys.modules["scipy.linalg._flapack"] is flapack
-    assert flapack.dpttrf is scipy.linalg.lapack.dpttrf
-    assert stepper.solve is flapack.dpttrs is scipy.linalg.lapack.dpttrs
+def test_each_bound_lapack_routine_gives_scipys_bytes():
+    # a random symmetric positive definite tridiagonal (diagonally dominant):
+    # each routine of the binding against scipy.linalg.lapack on the same input
+    rng = np.random.default_rng(5)
+    nx = 40
+    d, e, b = rng.uniform(2.5, 3.5, nx), rng.uniform(-1.0, 1.0, nx - 1), rng.uniform(size=nx)
+    lapack = pde_solver._lapack()
+    ints = lambda size: np.zeros(size, np.dtype(lapack.int))  # noqa: E731
+    df, ef, x, info = d.copy(), e.copy(), b.copy(), ints(1)
+    lapack.dpttrf(*lapack.args(nx, df, ef, info))
+    ref_d, ref_e, ref_info = scipy.linalg.lapack.dpttrf(d, e)
+    assert info[0] == ref_info == 0
+    assert np.array_equal(df, ref_d) and np.array_equal(ef, ref_e)
+    lapack.dpttrs(*lapack.args(nx, 1, df, ef, x, nx, info))
+    assert np.array_equal(x, scipy.linalg.lapack.dpttrs(ref_d, ref_e, b)[0])
+
+    m, nsplit, w, iblock, isplit = ints(1), ints(1), np.empty(nx), ints(nx), ints(nx)
+    work, iwork, ifail = np.empty(5 * nx), ints(3 * nx), ints(3)  # held over the calls
+    lapack.dstebz(b"I", b"B", *lapack.args(nx, 0.0, 0.0, 1, 3, 0.0, d, e, m, nsplit,
+                                           w, iblock, isplit, work, iwork, info),
+                  ctypes.c_size_t(1), ctypes.c_size_t(1))
+    ref = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 3, 0.0, "B")
+    assert [m[0], info[0]] == [ref[0], ref[-1]] == [3, 0]
+    for mine, theirs in zip((w, iblock, isplit), ref[1:4]):
+        assert np.array_equal(mine[:3], theirs[:3])
+    z = np.empty((3, nx))  # column-major nx x 3
+    lapack.dstein(*lapack.args(nx, d, e, 3, w, iblock, isplit, z, nx, work, iwork, ifail,
+                               info))
+    ref_z, ref_info = scipy.linalg.lapack.dstein(d, e, ref[1][:3], ref[2], ref[3])
+    assert info[0] == ref_info == 0 and np.array_equal(z.T, ref_z)
 
 
-def test_missing_lapack_extension_names_the_scipy_version(monkeypatch):
-    # no _flapack in scipy's linalg folder, before or after scipy is imported
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-    find_spec = importlib.machinery.PathFinder.find_spec
-
-    def no_flapack(cls, name, path=None, target=None):
-        return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
-
-    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
-                        classmethod(no_flapack))
-    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} "):
-        pde_solver._load_flapack()
-
-
-_FAIL_FIRST_LOAD = """
-import importlib.machinery, sys
-loader = importlib.machinery.ExtensionFileLoader
-load, failed = loader.exec_module, []
-
-def exec_module(self, module):
-    if module.__name__ == "scipy.linalg._flapack" and not failed:
-        failed.append(module.__name__)
-        raise ImportError("first load fails")
-    load(self, module)
-
-loader.exec_module = exec_module
-import fluctsel as fs
-from fluctsel import pde_solver
-grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64, sigma=0.01)
-stepper = pde_solver._Stepper(grid, fs.make_oscillating_optimum(1.0, 1.0, 1.0, 1.0))
-module = pde_solver._load_flapack()
-print(failed, "scipy" in sys.modules, module is sys.modules["scipy.linalg._flapack"],
-      stepper.solve is module.dpttrs)
-"""
+def test_missing_lapack_names_every_place_searched(monkeypatch, tmp_path):
+    # no OpenBLAS in numpy's library folders and no scipy.linalg._flapack
+    folders = (str(tmp_path / "numpy.libs"), str(tmp_path / ".dylibs"))
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_text("not a library")
+    monkeypatch.setattr(pde_solver, "_NUMPY_LIBS", folders)
+    monkeypatch.setitem(sys.modules, "scipy.linalg._flapack", None)
+    with pytest.raises(ImportError) as raised:
+        pde_solver._lapack.__wrapped__()
+    for place in (*folders, "scipy.linalg._flapack"):
+        assert place in str(raised.value)
 
 
-def test_a_failed_lapack_load_is_retried_after_importing_scipy():
-    # a fresh interpreter, where scipy is not imported unless the load fails
-    src = pathlib.Path(fs.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", _FAIL_FIRST_LOAD], env=env,
-                         check=True, capture_output=True, text=True)
-    assert out.stdout.split() == ["['scipy.linalg._flapack']", "True", "True", "True"]
+def test_the_scipy_fallback_runs_a_period_map_bit_for_bit(monkeypatch):
+    # where numpy ships no OpenBLAS the routines come from the capsules of
+    # scipy.linalg._flapack, with 32-bit integers; same bytes either way
+    def period_map():
+        grid, stepper = _ex1_stepper(nx=64, steps=128)
+        v = np.exp(-grid.x ** 2)
+        return stepper.run(v, stepper.steps), step_eigenpair(grid, stepper.gain[5] - 1.0, 1.0)
+
+    mapped, (log_mu, vec) = period_map()
+    monkeypatch.setattr(pde_solver, "_NUMPY_LIBS", ())
+    fallback = pde_solver._lapack.__wrapped__()
+    assert fallback.int is ctypes.c_int32
+    monkeypatch.setattr(pde_solver, "_lapack", lambda: fallback)
+    again, (log_mu_again, vec_again) = period_map()
+    assert np.array_equal(again, mapped)
+    assert log_mu_again == log_mu and np.array_equal(vec_again, vec)
+
+
+def test_an_indefinite_diffusion_matrix_fails_its_factorisation():
+    # a negative sigma (which the grid rejects, set here after it) makes the
+    # first pivot 1 - 2 dt |sigma| / dx^2 negative
+    grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64, sigma=0.01)
+    grid.sigma = -1.0
+    with pytest.raises(fs.NumericalError,
+                       match=r"^diffusion matrix factorisation failed \(info 1\)$"):
+        _Stepper(grid, _const_model(0.0))
+
+
+def _failing(lapack, routine):
+    """The routine, reporting info 1 after it ran (info is the last pointer
+    before dstebz's two string lengths)."""
+    real, at = getattr(lapack, routine), -3 if routine == "dstebz" else -1
+
+    def run(*args):
+        real(*args)
+        args[at]._obj.value = 1
+
+    return run
 
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_step_eigenpair_reports_a_lapack_failure(monkeypatch, routine):
-    flapack = pde_solver._load_flapack()
-    real = getattr(flapack, routine)
-    monkeypatch.setattr(flapack, routine, lambda *args: (*real(*args)[:-1], 1))
+    lapack = pde_solver._lapack()
+    monkeypatch.setattr(lapack, routine, _failing(lapack, routine))
     grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=100,
                              sigma=0.01)
     with pytest.raises(fs.NumericalError, match=f"{routine} info 1"):
