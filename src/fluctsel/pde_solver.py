@@ -30,6 +30,7 @@ call, from the OpenBLAS numpy already maps (see _lapack).
 from __future__ import annotations
 
 import ctypes
+import operator
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -62,11 +63,14 @@ class _Lapack:
 
     def args(self, *values) -> list:
         """values as pointers: an array by its address (the caller holds
-        it), an int as a LAPACK integer, a float as a double, and a LAPACK
-        integer object as itself, so the caller reads what was written."""
+        it), a LAPACK integer object as itself, so the caller reads what was
+        written, a float (numpy's too) as a double, and an integer (numpy's
+        too) as a LAPACK integer. Anything else raises TypeError rather than
+        reach LAPACK as the bits of a double."""
         return [ctypes.c_void_p(v.ctypes.data) if isinstance(v, np.ndarray) else ctypes.byref(
-            v if isinstance(v, self.int) else self.int(v) if isinstance(v, int)
-            else ctypes.c_double(v)) for v in values]
+            v if isinstance(v, self.int) else ctypes.c_double(v)
+            if isinstance(v, (float, np.floating)) else self.int(operator.index(v)))
+            for v in values]
 
 
 @cache

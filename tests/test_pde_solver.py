@@ -174,6 +174,30 @@ def test_each_bound_lapack_routine_gives_scipys_bytes():
     assert info[0] == ref_info == 0 and np.array_equal(z.T, ref_z)
 
 
+@pytest.mark.parametrize("nx", [np.int64(32), np.int32(32), np.uint16(32)])
+def test_a_numpy_integer_nx_gives_the_bytes_of_an_int_nx(nx):
+    # the routines take N by reference: a numpy integer must reach them as
+    # a LAPACK integer, not as the bits of a double
+    def solves(size):
+        grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=size, steps_per_period=64,
+                                 sigma=0.01)
+        model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 1.0)
+        stepper = _Stepper(grid, model)
+        v = np.exp(-grid.x ** 2)
+        log_mu, vec = step_eigenpair(grid, stepper.gain[5] - 1.0, 1.0 / 64)
+        return stepper.run(v, stepper.steps), log_mu, vec, stepper.record(v)
+
+    for mine, theirs in zip(solves(nx), solves(32), strict=True):
+        assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("value", ["32", None, 32 + 0j, ctypes.c_double(32.0), [32]])
+def test_a_lapack_argument_of_another_type_is_refused(value):
+    lapack = pde_solver._lapack()
+    with pytest.raises(TypeError):
+        lapack.args(value)
+
+
 def test_missing_lapack_names_every_place_searched(monkeypatch, tmp_path):
     # no OpenBLAS in numpy's library folders and no scipy.linalg._flapack
     folders = (str(tmp_path / "numpy.libs"), str(tmp_path / ".dylibs"))
