@@ -2,8 +2,9 @@
 
 When the population sits at one trait value, its size follows the scalar
 logistic law rho' = rho (q(t) - rho). This script builds the positive
-periodic orbit in closed form, shows that direct integration is attracted
-to it from above and below, and shows the extinction regime.
+periodic orbit, the fixed point of the period map, shows that direct
+integration from above and below (one call for both starts) is attracted to
+it, and shows the extinction regime.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ print(f"  min {orbit.values.min():.6f}  max {orbit.values.max():.6f}  "
       f"mean {orbit.mean():.6f}")
 print(f"  mean of q (must equal the orbit mean): {q.mean():.6f}")
 
-for rho0 in (0.05, 5.0):
-    times, rho = fs.integrate_logistic(q, rho0, 30.0)
-    last = times >= 29.0
+starts = np.array([0.05, 5.0])
+times, rhos = fs.integrate_logistic(q, starts, 30.0)
+last = times >= 29.0
+for rho0, rho in zip(starts, rhos):
     gap = np.abs(rho[last] - orbit(times[last])).max()
     print(f"start at rho0 = {rho0}: final-period distance to the orbit "
           f"{gap:.2e}")

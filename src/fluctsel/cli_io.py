@@ -257,11 +257,10 @@ def _run_sigma0(cfg: RunConfig, model):
     orbit = rho_ode.periodic_rho_closed_form(q)
 
     t_end = cfg.extra["t_end"]
-    # both runs step the same times; only their last period is kept
-    times_l, rho_low = rho_ode.integrate_logistic(q, 0.05, t_end)
+    # one integration from both starts; only the last period is kept
+    times_l, (rho_low, rho_high) = rho_ode.integrate_logistic(q, np.array([0.05, 5.0]), t_end)
     keep = times_l >= t_end - T - 1e-12
-    times_l, rho_low = times_l[keep], rho_low[keep]
-    rho_high = rho_ode.integrate_logistic(q, 5.0, t_end)[1][keep]
+    times_l, rho_low, rho_high = times_l[keep], rho_low[keep], rho_high[keep]
     closed = orbit(times_l)
     qbar = q.mean()
     q_const = rho_ode.PeriodicScalarSignal.from_array_callable(T, lambda t: np.full(len(t), qbar))

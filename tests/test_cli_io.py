@@ -455,14 +455,32 @@ def test_a_non_finite_summary_value_is_refused_naming_its_key(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow at r = 800
-def test_main_exits_3_on_a_summary_that_is_not_strict_json(tmp_path, capsys):
+def test_main_exits_3_on_a_summary_that_is_not_strict_json(tmp_path, capsys, monkeypatch):
+    def nan_summary(cfg, model):
+        return {}, {"orbit_mean": float("nan"), "extinct": False}
+
+    _, defaults = cli_io.EXPERIMENTS["sigma0-convergence"]
+    monkeypatch.setitem(cli_io.EXPERIMENTS, "sigma0-convergence", (nan_summary, defaults))
+    out = tmp_path / "out"
+    assert cli_io.main(["sigma0-convergence", "--out", str(out)]) == 3
+    assert "non-finite summary values: orbit_mean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigma0_convergence_at_a_period_integral_of_800_is_strict_json(tmp_path):
+    # I = 800 > 709, where the J-formula's exp(I - anti) overflowed to NaN;
+    # the gaps are large there (0.10 and 44.7 at rho near 800), as dt * q is
+    # about 0.8 in the integrator and 4 in the sigma = 0 flow, but finite
     out = tmp_path / "out"
     assert cli_io.main(["sigma0-convergence", "--out", str(out),
-                        "--override", "model.r=800"]) == 3
-    assert "non-finite summary values: constant_rate_collapse_gap" in (
-        capsys.readouterr().err)
-    assert not out.exists()
+                        "--override", "model.r=800"]) == 0
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["orbit_mean"] == pytest.approx(799.5, rel=1e-6)
+    rows = np.loadtxt(out / "logistic_compare.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all() and rows[:, 1].min() > 0.0
 
 
 def test_emit_failure_keeps_previous_file(tmp_path, monkeypatch):

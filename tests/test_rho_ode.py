@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import fluctsel as fs
 from fluctsel import rho_ode
-from fluctsel.quadrature import simpson
+from fluctsel.quadrature import cumulative_simpson, simpson
 from fluctsel.rho_ode import FINE_INTERVALS
 
 
@@ -85,8 +87,22 @@ def test_integrator_rejects_a_start_outside_the_double_range(rho0):
         fs.integrate_logistic(_ex1_q(), rho0, 1.0)
 
 
+def test_an_array_of_starts_gives_one_row_per_start():
+    # one call for several starts: each row is the bits of its own call
+    q = _ex1_q()
+    starts = np.array([0.0, 0.05, 5.0])
+    times, rows = fs.integrate_logistic(q, starts, 3.5, steps_per_period=64)
+    assert rows.shape == (3, len(times))
+    for start, row in zip(starts, rows):
+        assert np.array_equal(row, fs.integrate_logistic(q, start, 3.5, 64)[1])
+    with pytest.raises(fs.NumericalError, match="not a finite"):
+        fs.integrate_logistic(q, np.array([1.0, np.nan]), 1.0)
+    with pytest.raises(fs.NumericalError, match="not a finite"):
+        fs.integrate_logistic(q, np.ones((2, 2)), 1.0)
+
+
 def _reference_phase_maps(q, steps):
-    """The step width period / steps and the step maps (alpha_r, beta_r)
+    """The step width period / steps and the step maps (log alpha_r, beta_r)
     of one period, one phase at a time from the half-step table: alpha is
     exp(-int q) over the step and beta int_0^dt exp(-int_s^dt q) ds, with
     every integral of q taken on the parabola through q at the step's start,
@@ -96,32 +112,44 @@ def _reference_phase_maps(q, steps):
     maps = []
     for r in range(steps):
         q_start, q_mid, q_end = table[2 * r:2 * r + 3]
-        alpha = np.exp(-dt / 6.0 * (q_start + 4.0 * q_mid + q_end))
+        log_alpha = -dt / 6.0 * (q_start + 4.0 * q_mid + q_end)
         # exp(-int q) over the step's second half
         half = np.exp(-dt / 24.0 * (5.0 * q_end + 8.0 * q_mid - q_start))
-        maps.append((alpha, dt / 6.0 * (alpha + 4.0 * half + 1.0)))
+        maps.append((log_alpha, dt / 6.0 * (np.exp(log_alpha) + 4.0 * half + 1.0)))
     return dt, maps
 
 
 def _reference_logistic(q, rho0, t_end, steps):
-    """integrate_logistic one step at a time: u = 1 / rho after step r of a
-    period is A_r u_p + B_r, where u_p is u at the period's start and the
-    prefix maps (A_r, B_r) are running products of the step maps; in rho,
-    rho_p / (A_r + B_r rho_p)."""
+    """integrate_logistic one step at a time, in logs: u = 1 / rho after
+    step r of a period is A_r u_p + B_r, where u_p is u at the period's
+    start, log A_r the running sum of log alpha with each addition's rounding
+    error added back, and log B_r = log A_r + log sum_{j<r} beta_j / A_{j+1},
+    the sum by a running logaddexp; rho = 1 / (exp(log A_r + log u_p) + B_r),
+    and log u_p goes from period to period by the whole period's map."""
     dt, maps = _reference_phase_maps(q, steps)
-    A, B = [1.0], [0.0]
-    for alpha, beta in maps:
-        A.append(float(alpha) * A[-1])
-        B.append(float(alpha) * B[-1] + float(beta))
+    log_A, log_B = [0.0], [-np.inf]
+    total, error, running = 0.0, 0.0, None
+    for log_alpha, beta in maps:
+        # Knuth's TwoSum: the rounding error of total + log_alpha
+        new = total + log_alpha
+        term = new - total
+        error += (total - (new - term)) + (log_alpha - term)
+        total = new
+        log_A.append(total + error)
+        x = np.log(beta) - log_A[-1]
+        running = x if running is None else np.logaddexp(running, x)
+        log_B.append(log_A[-1] + running)
     n = int(round(t_end / dt))
     times = dt * np.arange(n + 1)
     rho = np.empty(n + 1)
-    start = rho0
+    with np.errstate(divide="ignore"):
+        log_u = -np.log(rho0)
     for k in range(n + 1):
         r = k % steps
         if r == 0 and k > 0:
-            start = start / (A[steps] + B[steps] * start)
-        rho[k] = start / (A[r] + B[r] * start)
+            log_u = np.logaddexp(log_A[steps] + log_u, log_B[steps])
+        with np.errstate(over="ignore"):  # a size below the double range reads 0
+            rho[k] = 1.0 / (np.exp(log_A[r] + log_u) + np.exp(log_B[r]))
     return times, rho
 
 
@@ -298,12 +326,10 @@ def _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness):
     return fs.PeriodicScalarSignal.from_array_callable(period, rate)
 
 
-# The closed form carries the truncation error of Simpson's rule on the
-# integrals of exp(int q) over the fine grid, which grows with the period
-# integral I of q: about (I / 8192)^4 / 180 relative for a constant q, and
-# the two means of a constant q differ by about five times that (2.5e-14 at
-# I = 8, 1.3e-13 at I = 12). These rates keep I <= 10 (mean q <= 5 over a
-# period of at most 2).
+# The orbit carries Simpson's truncation error on each step of the fine
+# grid, about (I / 8192)^4 / 2880 relative for a constant q of period
+# integral I, and the rounding of the running sums in logs, which grows with
+# I. These rates keep I <= 10 (mean q <= 5 over a period of at most 2).
 @settings(max_examples=40, deadline=None)
 @given(period=st.floats(0.5, 2.0), base=st.floats(0.05, 2.0),
        f1=st.floats(0.0, 0.99), phi1=st.floats(-np.pi, np.pi),
@@ -326,8 +352,10 @@ def test_closed_form_orbit_is_a_signal_of_its_formula(period, base, f1, phi1, f2
 @pytest.mark.parametrize("c, period", [(8.0, 4.0), (8.0, 5.0), (4.0, 6.0),
                                        (20.0, 1.0)])
 def test_closed_form_error_is_simpson_truncation(c, period):
-    # a constant rate c: the exact orbit is c, and Simpson's rule on
-    # int exp(c s) ds with step h = T / 8192 is off by (c h)^4 / 180 relative
+    # a constant rate c: the exact orbit is c. The J-formula's Simpson rule
+    # on int exp(c s) ds with step h = T / 8192 is off by (c h)^4 / 180
+    # relative, and the step map's Simpson rule on one step by (c h)^4 / 2880;
+    # the bound is the J-formula's
     q = fs.PeriodicScalarSignal.from_array_callable(
         period, lambda ts: np.full_like(ts, c))
     estimate = (c * period / FINE_INTERVALS) ** 4 / 180.0
@@ -336,7 +364,8 @@ def test_closed_form_error_is_simpson_truncation(c, period):
     assert err <= 2.0 * estimate + 1e-14
 
 
-# The bump's nodes themselves are off the finer closed form by 1.1e-12.
+# The bump's nodes themselves are off the finer closed form by 1.3e-14 (by
+# 1.1e-12 with the J-formula).
 @pytest.mark.parametrize("q, rtol", [
     (_ex1_q(), 1e-12), (_bumpy_rate(1.0, 0.2, 0.0, 0.0, 0.0, 0.0, 3.0, 50.0), 2e-12)],
     ids=["ex1", "bump"])
@@ -350,3 +379,79 @@ def test_closed_form_between_nodes_is_as_accurate_as_on_them(q, rtol, monkeypatc
     nodes, h = np.linspace(0.0, 1.0, FINE_INTERVALS + 1, retstep=True)
     between = np.concatenate([nodes[:-1] + f * h for f in (0.25, 0.5, 0.75)])
     np.testing.assert_allclose(orbit(between), reference(between), rtol=rtol, atol=0.0)
+
+
+def _j_formula(q):
+    """The independent oracle: the orbit at the nodes of one period of a
+    grid of twice FINE_INTERVALS intervals, rho(t) = (1 - e^{-I}) /
+    (e^{-I} J(t)), where I is the period integral of q and J(t) =
+    int_t^{t+T} exp(int_t^s q) ds, every integral by cumulative Simpson over
+    two periods. The running integral of q is taken of q - c, c the mean of
+    its samples, and c t added after, so the rounding of the running sum does
+    not grow with I; on the grid of the orbit itself, and without the shift,
+    the oracle is off by up to 6e-12 for I <= 10 (a constant q of I = 8, a
+    sharp bump). exp(I - anti) overflows once I passes about 709."""
+    T, n = q.period, 2 * FINE_INTERVALS
+    ts, dt = np.linspace(0.0, 2.0 * T, 2 * n + 1, retstep=True)
+    # q is periodic: evaluate one period and repeat it for the second
+    qs = np.asarray(q(ts[:n + 1]), dtype=float)
+    c = qs[:-1].mean()
+    anti = cumulative_simpson(np.concatenate([qs, qs[1:]]) - c, dt) + c * ts
+    shift = float(anti.max())
+    grow = cumulative_simpson(np.exp(anti - shift), dt)
+    j = np.exp(-(anti[:n + 1] - shift) - anti[n]) * (grow[n:] - grow[:n + 1])
+    return ts[:n + 1], -np.expm1(-anti[n]) / j
+
+
+def _orbit_tolerance(q):
+    """1e-13 relative up to I = 3, then the rounding of the running sums in
+    logs, which grows like I, plus twice Simpson's truncation on one step,
+    (dt max|q|)^4 / 2880 with dt = T / FINE_INTERVALS; a sweep of the rates
+    below stays within half of it."""
+    period_integral = q.period * q.mean()
+    x = q.period / FINE_INTERVALS * np.abs(q.values).max()
+    return 1e-13 * max(1.0, period_integral / 3.0) + 2.0 * x ** 4 / 2880.0
+
+
+def test_the_c01_orbit_agrees_with_the_j_formula_oracle():
+    # c01's rate, 1 - sin(2 pi t)^2: the gate's orbit is checked against an
+    # independent formula, not only against the integrator of the same maps
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        1.0, lambda ts: 1.0 - np.sin(2.0 * np.pi * ts) ** 2)
+    nodes, want = _j_formula(q)
+    np.testing.assert_allclose(fs.periodic_rho_closed_form(q)(nodes), want,
+                               rtol=1e-12, atol=0.0)
+
+
+# I from 0.1 to 1e3: exp(I - anti) of the J-formula overflows above about
+# 709, where the orbit of the maps stays finite.
+@settings(max_examples=60, deadline=None)
+@given(period=st.floats(0.5, 2.0), log10_integral=st.floats(-1.0, 3.0),
+       f1=st.floats(0.0, 0.99), phi1=st.floats(-np.pi, np.pi),
+       f2=st.floats(0.0, 0.99), phi2=st.floats(-np.pi, np.pi),
+       height=st.floats(0.0, 3.0), sharpness=st.floats(0.0, 50.0),
+       constant=st.booleans())
+@example(period=1.0, log10_integral=3.0, f1=0.0, phi1=0.0, f2=0.0, phi2=0.0,
+         height=0.0, sharpness=0.0, constant=True)
+@example(period=1.0, log10_integral=np.log10(800.0), f1=0.0, phi1=0.0, f2=0.0,
+         phi2=0.0, height=3.0, sharpness=50.0, constant=False)
+def test_the_orbit_is_finite_positive_and_keeps_the_mean_of_q(
+        period, log10_integral, f1, phi1, f2, phi2, height, sharpness, constant):
+    shape = _bumpy_rate(period, 1.0, f1, phi1, f2, phi2, height, sharpness)
+    # scaled to the drawn period integral I
+    scale = 10.0 ** log10_integral / (period * shape.mean())
+    q = fs.PeriodicScalarSignal.from_array_callable(
+        period, (lambda ts: np.full_like(ts, scale)) if constant else
+        (lambda ts: scale * shape.fn(ts)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbit = fs.periodic_rho_closed_form(q)
+    assert np.isfinite(orbit.values).all() and orbit.values.min() > 0.0
+    # dividing rho' = rho (q - rho) by rho and integrating over a period
+    tol = _orbit_tolerance(q)
+    assert orbit.mean() == pytest.approx(q.mean(), rel=tol, abs=0.0)
+    if constant:
+        np.testing.assert_allclose(orbit.values, scale, rtol=tol, atol=0.0)
+    if q.period * q.mean() <= 10.0:
+        nodes, want = _j_formula(q)
+        np.testing.assert_allclose(orbit(nodes), want, rtol=1e-12, atol=0.0)

@@ -4,6 +4,7 @@ this tree, from one fresh interpreter, and its reading of a git revision."""
 
 import importlib.util
 import pathlib
+import py_compile
 import subprocess
 import sys
 
@@ -77,7 +78,8 @@ def test_pairs_alternate_after_one_warm_up_per_tree():
     assert old == [3, 6, 7] and new == [4, 5, 8]
 
 
-def test_a_revision_is_exported_and_a_directory_kept(tmp_path):
+def _repo_with_a_working_tree_change(tmp_path):
+    # src/pkg/mod.py reads X = 1 at HEAD and X = 2 in the working tree
     repo = tmp_path / "repo"
     module = repo / "src" / "pkg" / "mod.py"
     module.parent.mkdir(parents=True)
@@ -85,10 +87,34 @@ def test_a_revision_is_exported_and_a_directory_kept(tmp_path):
     for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "first"]):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid",
                         *args], cwd=repo, check=True, capture_output=True)
-    module.write_text("X = 2\n")  # a working-tree change the revision does not hold
-    old, new = setup_time.source_trees(["HEAD", str(repo)], repo, tmp_path / "work")
+    module.write_text("X = 2\n")
+    return repo, module
+
+
+def test_a_revision_is_exported_and_a_directory_copied(tmp_path):
+    repo, _ = _repo_with_a_working_tree_change(tmp_path)
+    work = tmp_path / "work"
+    old, new = setup_time.source_trees(["HEAD", str(repo)], repo, work)
     assert (old / "src" / "pkg" / "mod.py").read_text() == "X = 1\n"
-    assert new == repo
+    assert new == work / "1"
+    assert (new / "src" / "pkg" / "mod.py").read_text() == "X = 2\n"
+
+
+def test_a_directory_is_timed_without_its_stale_bytecode(tmp_path):
+    # bytecode of X = 1 that Python loads without checking the source, as a
+    # cache left by an earlier process may be read
+    repo, module = _repo_with_a_working_tree_change(tmp_path)
+    stale = importlib.util.cache_from_source(str(module))
+    source = module.with_name("stale.py")
+    source.write_text("X = 1\n")
+    py_compile.compile(str(source), cfile=stale,
+                       invalidation_mode=py_compile.PycInvalidationMode.UNCHECKED_HASH)
+    source.unlink()
+    code = "import pkg.mod; print(pkg.mod.X)"
+    assert setup_time._child(repo, code).strip() == "1"
+    _, new = setup_time.source_trees(["HEAD", str(repo)], repo, tmp_path / "work")
+    assert not list(new.rglob("__pycache__"))
+    assert setup_time._child(new, code).strip() == "2"
 
 
 def test_a_revision_git_cannot_export_exits_2_with_its_message(capsys):

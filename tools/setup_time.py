@@ -3,10 +3,12 @@ by phase.
 
     python tools/setup_time.py OLD NEW
 
-Each of OLD and NEW is a checkout of this repository, or a git revision of
-the repository this script lives in, whose src/ is exported with
-compare_bundles.export_revision into a temporary tree; so `python
-tools/setup_time.py HEAD .` times the working tree against the last commit.
+Each of OLD and NEW is a checkout of this repository, whose src/ is copied
+without its __pycache__ folders into a temporary tree, or a git revision of
+the repository this script lives in, whose src/ is exported there with
+compare_bundles.export_revision; so `python tools/setup_time.py HEAD .`
+times the working tree against the last commit, and neither side reads
+bytecode that an earlier process left.
 A revision that git cannot export exits 2 with git's message. After one
 unrecorded warm-up process per tree, the script runs PAIRS alternating
 pairs of fresh interpreters (OLD first in even pairs, NEW first in odd
@@ -31,6 +33,7 @@ NEW adds or removes.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -129,10 +132,18 @@ def summarize(old: list[dict], new: list[dict], names=PHASES, label: str = "phas
 
 
 def source_trees(args: list[str], repo: Path, work: Path) -> list[Path]:
-    """Each argument as a source tree: a directory as it is, anything else a
-    git revision of repo, whose src/ is exported into work/<position>."""
-    return [Path(arg) if Path(arg).is_dir() else export_revision(arg, repo, work / str(i))
-            for i, arg in enumerate(args)]
+    """Each argument as a fresh source tree work/<position>: a directory's
+    src/ copied without its __pycache__ folders, anything else a git revision
+    of repo, whose src/ is exported. So neither side reads bytecode that an
+    earlier process left in it, and both compile alike."""
+    trees = [work / str(i) for i in range(len(args))]
+    for arg, tree in zip(args, trees):
+        if Path(arg).is_dir():
+            shutil.copytree(Path(arg) / "src", tree / "src",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            export_revision(arg, repo, tree)
+    return trees
 
 
 def main(argv: list[str]) -> int:

@@ -3,9 +3,10 @@ alternating fresh pairs.
 
     python tools/wall_pairs.py OLD NEW TAG
 
-Each of OLD and NEW is a checkout of this repository, or a git revision of
-the repository this script lives in, whose src/ is exported into a temporary
-tree (setup_time.source_trees); so `python tools/wall_pairs.py HEAD .
+Each of OLD and NEW is a checkout of this repository, whose src/ is copied
+without its __pycache__ folders, or a git revision of the repository this
+script lives in, whose src/ is exported, into a temporary tree
+(setup_time.source_trees); so `python tools/wall_pairs.py HEAD .
 sigma0-convergence` times the working tree against the last commit. A
 revision that git cannot export exits 2 with git's message. TAG is an
 experiment tag. Each run is a fresh interpreter of this checkout's
