@@ -14,11 +14,11 @@ import fluctsel as fs
 model = fs.make_oscillating_optimum(1.0, 1.0, 1.0, 2.0 * np.pi)
 
 profile = fs.limit_profile(model, np.linspace(-4.0, 4.0, 801))
-A, B, C = profile.taylor
+A, B = profile.taylor
 print(f"limit exponent: optimum at x = {profile.x_m:.4f}, "
       f"mean size {profile.rho_bar:.4f}")
-print(f"local shape -A/2 (x - x_m)^2 + ... with A = {A:.4f}, "
-      f"B = {B:.1e}, C = {C:.1e}")
+print(f"local shape -A/2 (x - x_m)^2 + B (x - x_m)^3 + ... with A = {A:.4f}, "
+      f"B = {B:.1e}")
 
 print("\n  eps     sup |u_eps - u| on [-1, 1]")
 for eps in (0.1, 0.05, 0.025):

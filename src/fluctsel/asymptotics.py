@@ -32,14 +32,14 @@ class LimitProfile:
 
     u_values <= 0 on the nodes it was built on, with the single zero at x_m;
     rho_bar is the limiting mean size (averaged rate at x_m); taylor =
-    (A, B, C) are the local expansion coefficients
-    u ~ -A/2 w^2 + B w^3 + C w^4, w = x - x_m, A > 0.
+    (A, B) are the local expansion coefficients u ~ -A/2 w^2 + B w^3,
+    w = x - x_m, A > 0.
     """
 
     u_values: np.ndarray
     x_m: float
     rho_bar: float
-    taylor: tuple[float, float, float]
+    taylor: tuple[float, float]
 
 
 @dataclass
@@ -83,16 +83,19 @@ def hopf_cole(values, sigma: float) -> np.ndarray:
     return eps * (np.log(np.maximum(values, 1e-300)) + 0.5 * np.log(2.0 * np.pi * eps))
 
 
-def _taylor_from_derivatives(d2: float, d3: float, d4: float):
-    """(A, B, C) of the limit exponent from derivatives of the averaged rate."""
-    if d2 >= 0.0:
-        raise NumericalError(
-            f"H2/limit inconsistency: averaged rate not concave at the optimum "
-            f"(second derivative {d2:.6g})")
-    A = np.sqrt(-0.5 * d2)
-    B = d3 / (36.0 * A)
-    C = (9.0 * B * B + d4 / 24.0) / (8.0 * A)
-    return float(A), float(B), float(C)
+def _derivatives_at(x_m: float, values_at):
+    """First, second and third derivative at x_m of values_at(nodes), whose
+    last axis runs over the five nodes x_m + h (-2, ..., 2): centered
+    differences at the middle node. h = 0.1 (1 + |x_m|) for every derivative
+    at the averaged optimum: a step below a table's node spacing reads the
+    kinks of its bilinear interpolant."""
+    h = 0.1 * (1.0 + abs(x_m))
+    m2, m1, mid, p1, p2 = np.moveaxis(
+        np.asarray(values_at(x_m + h * np.arange(-2.0, 3.0)), dtype=float), -1, 0)
+    d1 = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+    d2 = (-m2 + 16 * m1 - 30 * mid + 16 * p1 - p2) / (12 * h * h)
+    d3 = (p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3)
+    return d1, d2, d3
 
 
 def limit_profile(model: EnvironmentModel, xs: np.ndarray) -> LimitProfile:
@@ -101,12 +104,12 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray) -> LimitProfile:
     u(x) = -|int_{x_m}^x sqrt(rho_bar - abar(s)) ds| with rho_bar = abar(x_m),
     so u(x_m) = 0 is the maximum. A radicand below -1e-12 raises
     "H2/limit inconsistency"; values in [-1e-12, 0] are clamped to 0.
-    Taylor coefficients come from the model's stored derivatives when
-    available, otherwise from 5-point centered differences of the averaged
-    rate with a step of 10 times the xs spacing.
+    A = sqrt(-abar_xx / 2) and B = abar_xxx / (36 A) come from the five-point
+    derivatives of the averaged rate at x_m (_derivatives_at), for every
+    model; an averaged rate that is not concave there raises
+    "H2/limit inconsistency".
     """
     xs = np.asarray(xs, dtype=float)
-    info = model.analytic_info or {}
     x_m = averaged_optimum(model, (xs[0], xs[-1]))
     rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
     fine, dfine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1, retstep=True)
@@ -120,16 +123,14 @@ def limit_profile(model: EnvironmentModel, xs: np.ndarray) -> LimitProfile:
     u_fine = -np.abs(anti - np.interp(x_m, fine, anti))
     u_values = np.interp(xs, fine, u_fine)
 
-    if all(key in info for key in ("d2", "d3", "d4")):
-        taylor = _taylor_from_derivatives(info["d2"], info["d3"], info["d4"])
-    else:
-        h = 10.0 * (xs[1] - xs[0])
-        st = np.asarray(mean_growth(model, x_m + h * np.arange(-2.0, 3.0)), dtype=float)
-        d2 = (-st[0] + 16 * st[1] - 30 * st[2] + 16 * st[3] - st[4]) / (12 * h * h)
-        d3 = (st[4] - 2 * st[3] + 2 * st[1] - st[0]) / (2 * h ** 3)
-        d4 = (st[4] - 4 * st[3] + 6 * st[2] - 4 * st[1] + st[0]) / h ** 4
-        taylor = _taylor_from_derivatives(d2, d3, d4)
-    return LimitProfile(u_values=u_values, x_m=x_m, rho_bar=rho_bar, taylor=taylor)
+    _, d2, d3 = _derivatives_at(x_m, lambda nodes: mean_growth(model, nodes))
+    if d2 >= 0.0:
+        raise NumericalError(
+            f"H2/limit inconsistency: averaged rate not concave at the optimum "
+            f"(second derivative {d2:.6g})")
+    A = np.sqrt(-0.5 * d2)
+    return LimitProfile(u_values=u_values, x_m=x_m, rho_bar=rho_bar,
+                        taylor=(float(A), float(d3 / (36.0 * A))))
 
 
 def _cell_solution(model: EnvironmentModel, times: np.ndarray,
@@ -144,17 +145,15 @@ def corrector(model: EnvironmentModel, profile: LimitProfile,
               nt: int = 2048) -> Corrector:
     """Solve the periodic cell problem dv/dt = a - abar with v(0, .) = 0.
 
-    The gradient and curvature of v at x_m are taken through a 5-point
-    stencil of step 1e-2 * (1 + |x_m|); their periodic means are removed,
-    since only the mean-free parts are determined by the cell problem,
-    yielding the signals D (gradient) and E (half curvature).
+    The gradient and curvature of v at x_m are its five-point derivatives
+    there (_derivatives_at); their periodic means are removed, since only
+    the mean-free parts are determined by the cell problem, yielding the
+    signals D (gradient) and E (half curvature).
     """
     T = model.period
     times, dt = np.linspace(0.0, T, nt + 1, retstep=True)
-    h = 1e-2 * (1.0 + abs(profile.x_m))
-    v5 = _cell_solution(model, times, profile.x_m + h * np.arange(-2.0, 3.0))
-    vx = (v5[:, 0] - 8 * v5[:, 1] + 8 * v5[:, 3] - v5[:, 4]) / (12 * h)
-    vxx = (-v5[:, 0] + 16 * v5[:, 1] - 30 * v5[:, 2] + 16 * v5[:, 3] - v5[:, 4]) / (12 * h * h)
+    vx, vxx, _ = _derivatives_at(
+        profile.x_m, lambda nodes: _cell_solution(model, times, nodes))
     vx -= simpson(vx, dt) / T
     vxx -= simpson(vxx, dt) / T
     return Corrector(D=PeriodicScalarSignal(period=T, times=times, values=vx),
@@ -168,21 +167,15 @@ def gaussian_moment_expansion(profile: LimitProfile, corr: Corrector,
 
     k = 1: mean trait x_m + eps * (3B/A^2 + D(t)/A).
     k = 2: variance eps/A * (1 + 2 eps E(t)/A).
-    k = 3: central, 6 B eps^2 / A^3 (constant).
-    k = 4: central, 3 eps^2 / A^2 (constant).
-    Higher moments are outside the expansion's validity and raise.
+    Any other order raises ConfigError.
     """
-    A, B, _ = profile.taylor
+    A, B = profile.taylor
     if k == 1:
         samples = profile.x_m + eps * (3.0 * B / A ** 2 + corr.D.values / A)
     elif k == 2:
         samples = eps / A * (1.0 + 2.0 * eps * corr.E.values / A)
-    elif k == 3:
-        samples = np.full_like(corr.D.values, 6.0 * B * eps ** 2 / A ** 3)
-    elif k == 4:
-        samples = np.full_like(corr.D.values, 3.0 * eps ** 2 / A ** 2)
     else:
-        raise ConfigError(f"central moments of order {k} are not provided (k <= 4)")
+        raise ConfigError(f"moments of order {k} are not provided (k = 1 or 2)")
     return replace(corr.D, values=np.asarray(samples, float))
 
 
@@ -283,13 +276,11 @@ class FitnessComparison:
 
 
 def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
-    """Time of weakest selection: minimal curvature of the rate at x_m."""
-    T = model.period
-    ts = np.linspace(0.0, T, 2049)[:-1]
-    h = 1e-2 * (1.0 + abs(x_m))
-    tab = rate_table(model, ts, x_m + h * np.array([-1.0, 0.0, 1.0]))
-    curv = -(tab[:, 0] - 2.0 * tab[:, 1] + tab[:, 2]) / (h * h)
-    return float(ts[int(np.argmin(curv))])
+    """Time of weakest selection: the largest five-point a_xx at x_m
+    (_derivatives_at) over 2048 times of a period."""
+    ts = np.linspace(0.0, model.period, 2049)[:-1]
+    _, a_xx, _ = _derivatives_at(x_m, lambda nodes: rate_table(model, ts, nodes))
+    return float(ts[int(np.argmax(a_xx))])
 
 
 def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
@@ -297,9 +288,9 @@ def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,
                        max_periods: int = MAX_PERIODS) -> FitnessComparison:
     """Compare the periodic population with the frozen-at-t_star one.
 
-    t_star defaults to the time of weakest selection (minimal curvature of
-    the rate at the optimum). If the rate is time-independent the frozen
-    environment coincides with the periodic one and all quantities agree.
+    t_star defaults to the time of weakest selection (the largest a_xx at
+    the optimum). If the rate is time-independent the frozen environment
+    coincides with the periodic one and all quantities agree.
     tol and max_periods go to the orbit's eigen-solve.
     """
     x_m = averaged_optimum(model, (grid.x_lo, grid.x_hi))

@@ -37,8 +37,8 @@ class EnvironmentModel:
         a(t, x); x is a scalar or ndarray, t a scalar or a column of times
         of shape (k, 1), and the result broadcasts to (k, len(x)).
     analytic_info : dict
-        Optional closed-form facts: "mean_growth" (callable), "x_m",
-        "d2"/"d3"/"d4" (derivatives of the averaged rate at the optimum).
+        Optional closed-form facts: "mean_growth" (the averaged rate, a
+        callable) and "x_m" (its maximizer).
     """
 
     period: float
@@ -76,13 +76,7 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
     def mean_rate(x):
         return r - g * (np.asarray(x) ** 2 + 0.5 * c * c)
 
-    info = {
-        "mean_growth": mean_rate,
-        "x_m": 0.0,
-        "d2": -2.0 * g,
-        "d3": 0.0,
-        "d4": 0.0,
-    }
+    info = {"mean_growth": mean_rate, "x_m": 0.0}
     return EnvironmentModel(period=period, rate=rate, analytic_info=info)
 
 
@@ -118,13 +112,7 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
     def mean_rate(x):
         return r - g_bar * np.asarray(x) ** 2
 
-    info = {
-        "mean_growth": mean_rate,
-        "x_m": 0.0,
-        "d2": -2.0 * g_bar,
-        "d3": 0.0,
-        "d4": 0.0,
-    }
+    info = {"mean_growth": mean_rate, "x_m": 0.0}
     return EnvironmentModel(period=1.0, rate=rate, analytic_info=info)
 
 
@@ -154,8 +142,9 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
     """Model from sampled rate values, interpolated bilinearly in (t, x).
 
     t_nodes must be uniform on [0, period) without the right endpoint; time is
-    wrapped modulo the period, so the interpolant is exactly periodic. Outside
-    the x-node range the edge value is held.
+    wrapped modulo the period, so the interpolant is exactly periodic.
+    x_nodes must be finite and strictly increasing; outside their range the
+    edge value is held.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -168,6 +157,8 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
             f"value table shape {values.shape} does not match {nt} times x {nx} nodes")
     if nt < 2 or nx < 2:
         raise ConfigError("tabulated model needs at least 2 nodes in each direction")
+    if not (np.isfinite(x_nodes).all() and (np.diff(x_nodes) > 0.0).all()):
+        raise ConfigError("trait nodes must be finite and strictly increasing")
     if not np.isfinite(values).all():
         raise ConfigError("tabulated rate values must be finite")
     step = period / nt

@@ -138,7 +138,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
                     t_end: float):
     """Integrate the mutation-free model from density n0 up to t_end.
 
-    S = grid.steps_per_period steps of dt = T / S fill one period.
+    S = grid.steps_per_period steps of dt = T / S fill one period, and
+    round(t_end / dt) steps are taken (none for t_end = 0).
     The growth exponent is accumulated per step with Simpson quadrature of
     a(., x), and so is Y = exp(int rho) from the linear masses; the scheme
     is third order in dt. Step k = p S + r ends at the exponent
@@ -158,9 +159,17 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     dx = grid.dx
     per_period = grid.steps_per_period
     dt = model.period / per_period
-    nsteps = max(1, int(round(t_end / dt)))
+    nsteps = int(round(t_end / dt))
     with np.errstate(divide="ignore"):
         log_n0 = np.log(values)
+    if nsteps == 0:
+        # no step: the start, with exponent 0 and Y = 1
+        rho = np.array([dx * float(values.sum())])
+        if not np.isfinite(rho[0]):
+            raise NumericalError("population size exceeds the double range")
+        state = ExponentState(log_factors=np.zeros(grid.nx), rho_integral=0.0,
+                              log_n0=log_n0)
+        return state, (np.zeros(1), rho), {"extinct": bool(rho[0] < EXTINCTION_SIZE)}
 
     phases = min(per_period, nsteps)
     periods = -(-nsteps // phases)

@@ -429,8 +429,9 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     The linear flow p_k runs from p_0 = n0 with y_0 = 1 and
     y_{k+1} = y_k + dt * m_k (see the module docstring); p and y are divided
     by max p at every period start, so long decays and growths stay in range.
-    Returns (density, (times, rho), diagnostics): the density p_N / y_N at
-    the last time and rho_k = m_k / y_k at every step. Diagnostics hold the
+    Returns (density, (times, rho), diagnostics): the density p_N / y_N
+    after N = round(t_end / dt) steps (none for t_end = 0) and
+    rho_k = m_k / y_k at every step. Diagnostics hold the
     worst boundary-cell mass fraction seen at period ends and an extinction
     flag set when the size drops below 1e-12 (extinction is an outcome, not
     an error). An initial density that is not finite, negative somewhere or
@@ -441,7 +442,7 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     n = initial_density(n0)
     stepper = _Stepper(grid, model)
     dt, dx = stepper.dt, stepper.dx
-    nsteps = max(1, int(round(t_end / dt)))
+    nsteps = int(round(t_end / dt))
     rho = np.empty(nsteps + 1)
     y = 1.0
     boundary_frac = 0.0

@@ -40,7 +40,7 @@ def test_limit_profile_closed_form(ex1_model):
     assert prof.rho_bar == pytest.approx(0.5)
     np.testing.assert_allclose(prof.u_values, -xs ** 2 / 2, rtol=0, atol=1e-6)
     assert prof.u_values.max() == pytest.approx(0.0, abs=1e-12)
-    assert prof.taylor == pytest.approx((1.0, 0.0, 0.0))
+    assert prof.taylor == pytest.approx((1.0, 0.0))
 
 
 def test_limit_profile_pressure_model(ex2_model):
@@ -57,7 +57,7 @@ def test_limit_profile_finite_difference_fallback(ex1_model):
     xs = np.linspace(-3.0, 3.0, 801)
     prof = fs.limit_profile(bare, xs)
     assert prof.x_m == pytest.approx(0.0, abs=1e-7)
-    assert prof.taylor == pytest.approx((1.0, 0.0, 0.0), abs=1e-6)
+    assert prof.taylor == pytest.approx((1.0, 0.0), abs=1e-6)
 
 
 def test_limit_profile_rejects_low_rho_bar(ex1_model):
@@ -102,12 +102,9 @@ def test_moment_expansion_orders(ex1_model):
     assert mu.mean() == pytest.approx(0.0, abs=1e-10)
     var = fs.gaussian_moment_expansion(prof, corr, EPS, 2)
     np.testing.assert_allclose(var.values, EPS, rtol=1e-9)
-    m3 = fs.gaussian_moment_expansion(prof, corr, EPS, 3)
-    np.testing.assert_allclose(m3.values, 0.0, atol=1e-15)
-    m4 = fs.gaussian_moment_expansion(prof, corr, EPS, 4)
-    np.testing.assert_allclose(m4.values, 3 * EPS ** 2, rtol=1e-12)
-    with pytest.raises(fs.ConfigError):
-        fs.gaussian_moment_expansion(prof, corr, EPS, 5)
+    for k in (0, 3, 5):
+        with pytest.raises(fs.ConfigError, match="k = 1 or 2"):
+            fs.gaussian_moment_expansion(prof, corr, EPS, k)
 
 
 def test_predict_moments_bundles_the_pieces(ex1_model):
@@ -115,6 +112,41 @@ def test_predict_moments_bundles_the_pieces(ex1_model):
     assert rep.rho_mean == pytest.approx(0.5 - EPS)
     assert "omitted" in rep.notes
     assert np.abs(rep.mu.values).max() == pytest.approx(EPS / np.pi, rel=1e-6)
+
+
+@pytest.mark.parametrize("tag", ["example1", "example2"])
+def test_a_closed_form_changes_no_prediction(tag):
+    # every derivative at x_m comes from one five-point stencil: a model that
+    # carries only the averaged rate and x_m predicts the same bits
+    cfg = cli_io.resolve_config(cli_io.RunConfig(experiment=tag))
+    model = cli_io.build_model(cfg.model, cfg.grid)
+    info = {key: model.analytic_info[key] for key in ("mean_growth", "x_m")}
+    got, want = (fs.predict_moments(m, EPS, domain=(-4.0, 4.0)) for m in
+                 (dataclasses.replace(model, analytic_info=info), model))
+    np.testing.assert_array_equal(got.mu.values, want.mu.values)
+    np.testing.assert_array_equal(got.sigma2.values, want.sigma2.values)
+    assert got.rho_mean == want.rho_mean
+
+
+def test_a_tabulated_rate_predicts_the_variance_as_its_closed_form(wide_grid, ex2_model,
+                                                                   ex2_orbit):
+    # example2's rate at 256 times x 161 trait nodes on [-4, 4] (spacing
+    # 0.05); both sup relative errors are 0.102 % on the nx = 800, 2048-step
+    # grid. A stencil step below the node spacing reads the interpolant's
+    # kinks: 10.0 % at a step of 1e-2 (1 + |x_m|)
+    t_nodes = np.arange(256) / 256.0
+    x_nodes = np.linspace(-4.0, 4.0, 161)
+    table = fs.make_tabulated(1.0, t_nodes, x_nodes,
+                              fs.rate_table(ex2_model, t_nodes, x_nodes))
+
+    def sup_rel_err(model, record):
+        measured = fs.measure_moments(record).sigma2
+        predicted = fs.predict_moments(model, EPS, domain=(-4.0, 4.0), nt=2048).sigma2
+        return np.abs(predicted(measured.times) / measured.values - 1.0).max()
+
+    analytic = sup_rel_err(ex2_model, ex2_orbit)
+    assert analytic < 2e-3
+    assert sup_rel_err(table, fs.find_periodic_orbit(wide_grid, table)) < 2.0 * analytic
 
 
 def test_measured_moments_match_prediction(ex1_orbit):
@@ -173,7 +205,7 @@ def test_stationary_constant_env():
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                              sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2,
-                           analytic_info={"x_m": 0.0, "d2": -2.0})
+                           analytic_info={"x_m": 0.0})
     rho_c, n_c = fs.stationary_constant_env(grid, model)
     assert rho_c == pytest.approx(1.0 - 0.1, abs=2e-3)
     assert fs.total_mass(grid, n_c) == pytest.approx(rho_c, rel=1e-10)
@@ -221,7 +253,7 @@ def test_stationary_detects_extinction():
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, steps_per_period=512,
                              sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: -0.5 - np.asarray(x) ** 2,
-                           analytic_info={"x_m": 0.0, "d2": -2.0})
+                           analytic_info={"x_m": 0.0})
     with pytest.raises(fs.ExtinctionError):
         fs.stationary_constant_env(grid, model)
 

@@ -166,7 +166,9 @@ def test_build_model_kinds(tmp_path):
     model = _resolved_model(kind="oscillating_optimum", r=2.0)
     assert float(model.rate(0.0, 0.0)) == 2.0  # r at the optimum, sin(0) = 0
     model = _resolved_model(kind="oscillating_pressure", g_mean=3.0, g_amp=1.0)
-    assert model.analytic_info["d2"] == pytest.approx(-2.0 * 3.0, abs=2e-9)
+    # A = sqrt(g_bar) of the averaged rate r - g_bar x^2
+    taylor = fs.limit_profile(model, np.linspace(-3.0, 3.0, 801)).taylor
+    assert taylor[0] == pytest.approx(np.sqrt(3.0), abs=1e-12)
     with pytest.raises(fs.ConfigError, match=re.escape("[model] kind: expected a string")):
         _resolved_model(kind=None)
     with pytest.raises(fs.ConfigError, match=re.escape("[model] kind must be one of")):

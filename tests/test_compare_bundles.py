@@ -46,11 +46,11 @@ def test_differences_name_the_file_and_the_largest_shift_per_key(tmp_path):
         "a/summary.json: differs",
         "  gone: only in old",
         "  new: only in new",
-        "  ok: largest relative shift inf",
-        "  v: largest relative shift 0.25",
-        "  x: largest relative shift 1e-12",
+        "  ok: largest relative shift inf, absolute inf, largest magnitude 0",
+        "  v: largest relative shift 0.25, absolute 1, largest magnitude 4",
+        "  x: largest relative shift 1e-12, absolute 2e-12, largest magnitude 2",
         "a/table.csv: differs",
-        "  y: largest relative shift 0.5",
+        "  y: largest relative shift 0.5, absolute 1, largest magnitude 2",
         "b/manifest.json: differs (only in old)",
         "b/summary.json: differs (only in old)",
         "b/table.csv: differs (only in old)",
@@ -72,22 +72,25 @@ def test_a_differing_csv_names_the_largest_shift_per_column(tmp_path):
         "a/table.csv: differs",
         "  gone: only in old",
         "  new: only in new",
-        "  rho: largest relative shift 0.25",
-        "  tag: largest relative shift inf",
+        "  rho: largest relative shift 0.25, absolute 1, largest magnitude 4",
+        "  tag: largest relative shift inf, absolute inf, largest magnitude 0",
         "b/manifest.json: identical",
         "b/summary.json: identical",
         "b/table.csv: differs",
-        "  t: largest relative shift inf",
-        "  y: largest relative shift inf",
+        "  t: largest relative shift inf, absolute inf, largest magnitude 0",
+        "  y: largest relative shift inf, absolute inf, largest magnitude 0",
     ]
 
 
-@pytest.mark.parametrize("old,new,shift", [
-    (1.0, 1.0, 0.0), (-2.0, 2.0, 2.0), (0, 1e-3, 1.0), ([1.0, 2.0], [1.0, 2.5], 0.2),
-    ([1.0], [1.0, 2.0], math.inf), (None, None, 0.0), ("a", "b", math.inf),
-    (math.nan, math.nan, 0.0), (math.nan, 1.0, math.inf)])
-def test_relative_shift(old, new, shift):
-    assert compare_bundles.relative_shift(old, new) == pytest.approx(shift)
+@pytest.mark.parametrize("old,new,expect", [
+    (1.0, 1.0, (0.0, 0.0, 1.0)), (-2.0, 2.0, (2.0, 4.0, 2.0)), (0, 1e-3, (1.0, 1e-3, 1e-3)),
+    ([1.0, 2.0], [1.0, 2.5], (0.2, 0.5, 2.5)), ([1.0], [1.0, 2.0], (math.inf, math.inf, 0.0)),
+    (None, None, (0.0, 0.0, 0.0)), ("a", "b", (math.inf, math.inf, 0.0)),
+    (math.nan, math.nan, (0.0, 0.0, 0.0)), (math.nan, 1.0, (math.inf, math.inf, 1.0)),
+    # a value near its zero crossing: a large relative shift of a rounding size
+    ([1e-17, 0.5], [3e-17, 0.5], (2.0 / 3.0, 2e-17, 0.5))])
+def test_shifts(old, new, expect):
+    assert compare_bundles.shifts(old, new) == pytest.approx(expect)
 
 
 def test_a_revision_exports_its_source_tree(tmp_path):

@@ -14,8 +14,9 @@ def test_oscillating_optimum_values(ex1_model):
 
 
 def test_oscillating_pressure_values(ex2_model):
-    info = ex2_model.analytic_info
-    assert info["d2"] == pytest.approx(-2.0 * 2.0, abs=2e-12)
+    # A = sqrt(g_bar) of the averaged rate 1 - g_bar x^2, g_bar = 2
+    taylor = fs.limit_profile(ex2_model, np.linspace(-2.0, 2.0, 401)).taylor
+    assert taylor[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert float(ex2_model.rate(0.5, np.array([1.0]))[0]) == pytest.approx(1.0 - 0.2)
     assert fs.mean_growth(ex2_model, 1.0) == pytest.approx(-1.0, abs=1e-12)
 
@@ -41,7 +42,8 @@ def test_pressure_checks_sample_g_with_two_array_calls():
     assert shapes == [(fs.env_models.MEAN_NODES,)] * 2
     # a constant g broadcasts over the sample times
     model = fs.make_oscillating_pressure(1.0, lambda t: 2.0)
-    assert model.analytic_info["d2"] == pytest.approx(-2.0 * 2.0, abs=2e-14)
+    taylor = fs.limit_profile(model, np.linspace(-2.0, 2.0, 401)).taylor
+    assert taylor[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def _counting_model(rate):
@@ -143,6 +145,15 @@ def test_tabulated_interpolation_and_wrap(ex1_model):
     # 1.3 % 1.0 is not bitwise 0.3, so allow rounding in the wrap
     np.testing.assert_allclose(tab.rate(0.3, xs), tab.rate(1.3, xs), atol=1e-12)
     np.testing.assert_array_equal(tab.rate(0.0, xs), tab.rate(1.0, xs))
+
+
+@pytest.mark.parametrize("x_nodes", [[1.0, 0.0, -1.0], [-1.0, 0.0, 0.0],
+                                     [-1.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]])
+def test_tabulated_rejects_trait_nodes_that_are_not_increasing(x_nodes):
+    # the interpolant searches sorted nodes: [1, 0, -1] would read
+    # a(0, x) = 3 on all of [-1, 1], where the table spans 1 to 3
+    with pytest.raises(fs.ConfigError, match="finite and strictly increasing"):
+        fs.make_tabulated(1.0, [0.0, 0.5], x_nodes, [[1.0, 2.0, 3.0]] * 2)
 
 
 def test_rate_table_matches_rate_per_time(ex1_model):

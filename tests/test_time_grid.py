@@ -97,10 +97,27 @@ def _run_integrate_logistic(model, t_end):
     return fs.integrate_logistic(q, 0.5, t_end)
 
 
+RUNS = pytest.mark.parametrize(
+    "run", [_run_simulate, _run_simulate_sigma0, _run_integrate_logistic],
+    ids=["simulate", "simulate_sigma0", "integrate_logistic"])
+
+
+@RUNS
+def test_an_end_time_of_0_takes_no_step(run, ex1_model):
+    # round(t_end / dt) steps: the start alone, not one step past the end
+    out = run(ex1_model, 0.0)
+    if run is _run_integrate_logistic:
+        (times, rho), start = out, 0.5
+    else:
+        grid = fs.SimulationGrid(x_lo=-2.0, x_hi=2.0, nx=32, steps_per_period=64,
+                                 sigma=0.01)
+        (times, rho), start = out[1], fs.total_mass(grid, np.exp(-grid.x ** 2))
+    assert times.tolist() == [0.0]
+    assert rho.tolist() == pytest.approx([start], rel=1e-14)
+
+
 @pytest.mark.parametrize("t_end", [-1.0, np.nan, np.inf])
-@pytest.mark.parametrize("run", [_run_simulate, _run_simulate_sigma0,
-                                 _run_integrate_logistic],
-                         ids=["simulate", "simulate_sigma0", "integrate_logistic"])
+@RUNS
 def test_every_integrator_rejects_an_end_time_outside_0_to_inf(run, t_end, ex1_model):
     # one check, quadrature.check_end_time, before any step
     with pytest.raises(fs.ConfigError, match="t_end must be finite and nonnegative"):

@@ -10,10 +10,13 @@ HEAD .` checks the working tree against the last commit. A fresh
 interpreter imports the package from TREE/src and writes the bundle of
 every tag at its defaults, one directory per tag. For each file, the script
 prints "identical" or "differs". For each summary.json key and each CSV
-column that differs, it prints the largest relative shift:
-|old - new| / max(|old|, |new|), taken element-wise over a list or column
-and reported as inf when a value is not a number or changes type, or a
-column changes length. A manifest is compared without its timing block, and
+column that differs, it prints the largest relative shift
+|old - new| / max(|old|, |new|) and the largest absolute shift |old - new|,
+taken element-wise over a list or column, and the largest magnitude |v| of
+its numbers on either side, so that a large relative shift of a value near
+zero reads as the rounding it may be. A shift is inf when a value is not a
+number or changes type, or a column changes length. A manifest is compared
+without its timing block, and
 both trees write to the same relative out_dir. The exit status is 1 on any
 difference, 2 when git cannot export a revision, else 0.
 """
@@ -53,17 +56,22 @@ def write_bundles(tree: Path, out: Path) -> None:
     subprocess.run([sys.executable, "-c", _WRITE_BUNDLES], cwd=out, env=env, check=True)
 
 
-def relative_shift(old, new) -> float:
-    """Largest relative change from old to new (see the module docstring)."""
+def shifts(old, new) -> tuple[float, float, float]:
+    """Largest relative shift, largest absolute shift and largest magnitude
+    from old to new (see the module docstring)."""
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return max((relative_shift(a, b) for a, b in zip(old, new)), default=0.0)
-    if old == new:
-        return 0.0
+        return tuple(max(column, default=0.0)
+                     for column in zip(*(shifts(a, b) for a, b in zip(old, new))))
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                   for v in (old, new))
+    magnitude = max((abs(v) for v in (old, new) if numbers and not math.isnan(v)),
+                    default=0.0)
+    if old == new:
+        return 0.0, 0.0, magnitude
     if not numbers or math.isnan(old) or math.isnan(new):
-        return 0.0 if numbers and math.isnan(old) and math.isnan(new) else math.inf
-    return abs(old - new) / max(abs(old), abs(new))
+        shift = 0.0 if numbers and math.isnan(old) and math.isnan(new) else math.inf
+        return shift, shift, magnitude
+    return abs(old - new) / max(abs(old), abs(new)), abs(old - new), magnitude
 
 
 def _csv_columns(path: Path) -> dict:
@@ -89,8 +97,9 @@ def _shift_lines(old: dict, new: dict) -> list[str]:
         if key not in old or key not in new:
             lines.append(f"  {key}: only in {'old' if key in old else 'new'}")
         elif old[key] != new[key]:
-            shift = relative_shift(old[key], new[key])
-            lines.append(f"  {key}: largest relative shift {shift:.3g}")
+            relative, absolute, magnitude = shifts(old[key], new[key])
+            lines.append(f"  {key}: largest relative shift {relative:.3g}, "
+                         f"absolute {absolute:.3g}, largest magnitude {magnitude:.3g}")
     return lines
 
 
