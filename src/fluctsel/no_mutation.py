@@ -7,9 +7,9 @@ Without mutation the model decouples along traits:
 so the state is carried in log space as the per-trait growth exponent
 (log_factors) and the scalar saturation integral (rho_integral). With M(t)
 the mass of the linear flow n0 * exp(int a), the size law rho' = rho (q - rho)
-is solved by rho = M / Y with Y' = M, Y(0) = 1, and int rho = log Y. Y is
-integrated with Simpson's rule over the masses at the step ends and half
-steps, in logs, so the scheme cannot produce negative densities or sizes,
+is solved by rho = M / Y with Y' = M, Y(0) = 1, and int rho = log Y. Each
+step's integral of M is rho_ode's, from the masses at its ends and midpoint,
+in logs, so the scheme cannot produce negative densities or sizes,
 concentrates without grid-diffusion artifacts, and is third order in dt.
 
 The rate is T-periodic and the step dt = T / S, so after p periods and r
@@ -26,9 +26,8 @@ any of its rows has a weight that is not 0. The phase rows are made a block
 at a time over the union of the windows, and each phase block's sums are
 one matrix product per period block over that block's window. L_T comes
 from a pre-pass that only sums the per-step Simpson increments of one
-period. log Y is one running log-sum-exp over all steps. A product that
-underflows, because the two rows peak at distant traits, is recomputed
-directly over all traits.
+period. A product that underflows, because the two rows peak at distant
+traits, is recomputed directly over all traits.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .env_models import RATE_BLOCK, EnvironmentModel, rate_rows
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
 from .quadrature import check_end_time
+from .rho_ode import _log_step_integral
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
 # weights stay normal numbers (subnormal arithmetic is slow)
@@ -49,6 +49,7 @@ _LOG_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 # a sum of nx such products below nx * _UNDERFLOW may have lost more than eps
 # of its value to the weights set to 0
 _UNDERFLOW = math.exp(_LOG_FLOOR) / np.finfo(float).eps
+_STEP_BLOCK = 4096  # steps per _log_step_integral call: 32 KiB temporaries, not elided
 
 
 @dataclass
@@ -141,8 +142,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     S = grid.steps_per_period steps of dt = T / S fill one period, and
     round(t_end / dt) steps are taken (none for t_end = 0).
     The growth exponent is accumulated per step with Simpson quadrature of
-    a(., x), and so is Y = exp(int rho) from the linear masses; the scheme
-    is third order in dt. Step k = p S + r ends at the exponent
+    a(., x), Y = exp(int rho) by rho_ode's step integral of the linear masses;
+    the scheme is third order in dt. Step k = p S + r ends at the exponent
     p L_T + C_{r+1}, so every mass sum is a product of a period row and a
     phase row (see the module docstring). The period rows of all periods
     are held, each block of them over its live window; the phase rows are
@@ -156,25 +157,16 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     check_end_time(t_end)
     values = initial_density(n0)
     x = grid.x
-    dx = grid.dx
     per_period = grid.steps_per_period
     dt = model.period / per_period
     nsteps = int(round(t_end / dt))
     with np.errstate(divide="ignore"):
         log_n0 = np.log(values)
-    if nsteps == 0:
-        # no step: the start, with exponent 0 and Y = 1
-        rho = np.array([dx * float(values.sum())])
-        if not np.isfinite(rho[0]):
-            raise NumericalError("population size exceeds the double range")
-        state = ExponentState(log_factors=np.zeros(grid.nx), rho_integral=0.0,
-                              log_n0=log_n0)
-        return state, (np.zeros(1), rho), {"extinct": bool(rho[0] < EXTINCTION_SIZE)}
-
-    phases = min(per_period, nsteps)
-    periods = -(-nsteps // phases)
+    # t_end = 0 makes the masses of one step and uses none of them
+    phases = max(1, min(per_period, nsteps))
+    periods = max(1, -(-nsteps // phases))
     last = nsteps - (periods - 1) * phases  # steps in the last period
-    L_T = np.zeros(grid.nx)
+    L_T, L_last = np.zeros(grid.nx), np.zeros(grid.nx)
     if periods > 1:
         # the increments are summed with the carry in their first row, in
         # the order the phase loop's cumsum adds them, so that L_T equals
@@ -232,36 +224,25 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
             log_masses[:, p, r0 + j] = m + np.log(weights.sum(axis=1))
     del blocks
 
-    m_0 = log_n0.max()
-    weights = np.exp(log_n0 - m_0)
-    # Y_{k+1} = Y_k + dt dx / 6 (M_k + 4 M_{k+1/2} + M_{k+1}) and
-    # rho_k = M_k / Y_k in logs, where the log_masses are log(M / dx).
-    # Flattened, the (periods, phases) masses run through the steps in
-    # order, so one running log-sum-exp over all steps, written into
-    # rho[1:], carries log Y across the period ends
-    log_dx, log_step, log_4 = math.log(dx), math.log(dt * dx / 6.0), math.log(4.0)
-    log_m = m_0 + math.log(float(weights.sum()))
+    # rho_k = M_k / Y_k, Y_{k+1} = Y_k + int M over step k, Y_0 = 1, in logs: the
+    # flattened masses run through the steps in order; log_half takes int M, then log Y
+    log_masses += math.log(grid.dx)  # log M, from log(M / dx)
     log_half, log_end = (masses.ravel()[:nsteps] for masses in log_masses)
-    rho = np.empty(nsteps + 1)
-    rho[0] = log_dx + log_m
-    log_ys = rho[1:]
-    log_ys[0] = np.logaddexp(log_m, log_end[0])
-    np.logaddexp(log_end[:-1], log_end[1:], out=log_ys[1:])
-    log_half += log_4
-    np.logaddexp(log_ys, log_half, out=log_ys)
-    log_ys += log_step
-    log_ys[0] = np.logaddexp(0.0, log_ys[0])
-    np.logaddexp.accumulate(log_ys, out=log_ys)
-    log_y = float(log_ys[-1])
-    log_end += log_dx
-    np.subtract(log_end, log_ys, out=log_ys)
+    m_0 = log_n0.max()
+    rho = np.append(math.log(grid.dx) + (m_0 + math.log(np.exp(log_n0 - m_0).sum())), log_end)
+    for k in range(0, nsteps, _STEP_BLOCK):
+        step = slice(k, k + _STEP_BLOCK)
+        log_half[step] = _log_step_integral(dt, rho[:-1][step], log_half[step], rho[1:][step])
+    log_half[:1] = np.logaddexp(0.0, log_half[:1])
+    np.logaddexp.accumulate(log_half, out=log_half)
+    rho[1:] -= log_half
     with np.errstate(over="ignore"):
         np.exp(rho, out=rho)
     if not np.isfinite(rho).all():
         raise NumericalError("population size exceeds the double range")
     extinct = bool((rho < EXTINCTION_SIZE).any())
     state = ExponentState(log_factors=(periods - 1) * L_T + L_last,
-                          rho_integral=log_y, log_n0=log_n0)
+                          rho_integral=float(log_half[-1]) if nsteps else 0.0, log_n0=log_n0)
     return state, (dt * np.arange(nsteps + 1), rho), {"extinct": extinct}
 
 

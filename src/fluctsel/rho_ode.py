@@ -20,6 +20,9 @@ from .quadrature import check_end_time, check_steps_per_period, simpson
 FINE_INTERVALS = 8192
 # Samples (closed grid over one period) of a signal built from a callable.
 SAMPLES = 2049
+# psi = 2 e^{-w} sum_k w^{2k} / ((2k)! (2k + 1) (2k + 3)), w = z / 2, in _log_step_integral
+# below z = 1, where its closed form cancels: 7 terms, highest first, leave 8e-18 at z = 1
+_PSI_SERIES = np.cumprod([2.0 / 3.0] + [1.0 / ((2 * k + 2) * (2 * k + 5)) for k in range(6)])[::-1]
 
 
 @dataclass
@@ -66,35 +69,50 @@ class PeriodicScalarSignal:
                 float(coef[2]))
 
 
-def _step_map(h, q_start, q_mid, q_end):
-    """u -> alpha u + beta, the step of width h of u' = 1 - q u from q at its
-    start, midpoint and end, as (log alpha, beta): alpha = exp(-int q), beta =
-    int_0^h exp(-int_s^h q) ds, every integral by Simpson's rule on the parabola
-    through the three values. Fourth order, alpha >= 0 and beta > 0 for finite q."""
-    log_alpha = -h / 6.0 * (q_start + 4.0 * q_mid + q_end)
-    half = np.exp(-h / 24.0 * (5.0 * q_end + 8.0 * q_mid - q_start))
-    return log_alpha, h / 6.0 * (np.exp(log_alpha) + 4.0 * half + 1.0)
+def _log_step_integral(h, log_start, log_mid, log_end):
+    """log int_0^h M from log M at a step's start, midpoint and end (1-d arrays,
+    or numbers beside one): M over the exponential through its end values, on
+    the parabola through 1, gamma = M_mid / sqrt(M_start M_end) and 1, times
+    that exponential, integrated exactly: h max(M_start, M_end) [phi(z) + (gamma
+    - 1) psi(z)], z = |log(M_end / M_start)|, phi = int_0^1 e^{-zs} ds, psi = 4
+    int_0^1 s (1 - s) e^{-zs} ds. Exact for a constant rate, fourth order, and
+    positive, as phi - psi = int_0^1 (1 - 2s)^2 e^{-zs} ds >= 0 (inf if gamma > e^709)."""
+    z = np.abs(log_end - log_start)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.expm1(-z)
+        phi = np.divide(e, -z, out=np.ones_like(z), where=z > 0.0)
+        w2, psi = 0.25 * z * z, np.full_like(z, _PSI_SERIES[0])
+        for c in _PSI_SERIES[1:]:
+            psi *= w2
+            psi += c
+        psi *= np.exp(-0.5 * z)
+        far = z >= 1.0
+        psi[far] = 4.0 * (2.0 * z[far] + (z[far] + 2.0) * e[far]) / z[far] ** 3
+        psi *= np.expm1(log_mid - 0.5 * (log_start + log_end))
+        return np.log(h) + np.maximum(log_start, log_end) + np.log(psi + phi)
 
 
 def _period_maps(q: PeriodicScalarSignal, steps: int):
-    """(dt, table, log A, log B) of `steps` _step_maps of width dt over a period, table
-    being q on the half-step grid: u after k steps is A_k u + B_k, B_k = sum_{r<k}
+    """(dt, table, log A, log B) of the `steps` maps u -> alpha u + beta of width dt
+    over a period, table being q on the half-step grid (alpha = 1 / M and beta = int M
+    / M over a step, M = exp(int q)): u after k steps is A_k u + B_k, B_k = sum_{r<k}
     beta_r A_k / A_{r+1}, in logs. A map that is not finite raises NumericalError."""
     dt = q.period / steps
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
+    q_start, q_mid, q_end = table[0:-1:2], table[1::2], table[2::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        log_alpha, beta = _step_map(dt, table[0:-1:2], table[1::2], table[2::2])
-    bad = np.flatnonzero(~np.isfinite(log_alpha + beta))
+        log_alpha = -dt / 6.0 * (q_start + 4.0 * q_mid + q_end)
+        log_beta = log_alpha + _log_step_integral(
+            dt, 0.0, dt / 24.0 * (5.0 * q_start + 8.0 * q_mid - q_end), -log_alpha)
+    bad = np.flatnonzero(~np.isfinite(log_alpha + log_beta))
     if bad.size:
-        rates = table[2 * bad[0]:2 * bad[0] + 3]
-        raise NumericalError(f"step map at t = {dt * bad[0]:.6g} is not finite: " + (
-            "a NaN rate" if np.isnan(rates).any() else
-            f"dt * |q| = {dt * np.abs(rates).max():.6g}, beyond the range of exp"))
+        raise NumericalError(f"step map at t = {dt * bad[0]:.6g} is not finite: a NaN rate, or "
+                             f"dt * |q| too large (q = {table[2 * bad[0]:2 * bad[0] + 3]})")
     # the running sum of log alpha, each addition's rounding error (TwoSum) added back
     total = np.cumsum(np.append(0.0, log_alpha))
     term = np.diff(total)
     log_A = total + np.cumsum(np.append(0.0, total[:-1] - (total[1:] - term) + (log_alpha - term)))
-    log_B = np.append(-np.inf, log_A[1:] + np.logaddexp.accumulate(np.log(beta) - log_A[1:]))
+    log_B = np.append(-np.inf, log_A[1:] + np.logaddexp.accumulate(log_beta - log_A[1:]))
     return dt, table, log_A, log_B
 
 
@@ -110,11 +128,10 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
 
     The fixed point of the period map of _period_maps on S = FINE_INTERVALS
     steps: u = 1 / rho at node t_k is A_k u_0 + B_k, u_0 = B_S / (1 - A_S) and
-    A_S = exp(-I), I the period integral of q. fn steps the node value below
-    t by one _step_map: to the bit on a node, within (s max|q|)^5 at s = t - t_k.
-    The SAMPLES values are node values. The error is Simpson's on each step,
-    about (I / S)^4 / 2880 relative for a constant q. Raises ExtinctionError
-    if I <= 0: no positive periodic solution exists then, and 0 attracts.
+    A_S = exp(-I), I the period integral of q. fn steps the node value below t by
+    one such map of width s = t - t_k: to the bit on a node, within (s max|q|)^5
+    elsewhere. The SAMPLES values are node values, exact for a constant q. Raises
+    ExtinctionError if I <= 0: no positive periodic solution exists, 0 attracts.
     """
     T, n = q.period, FINE_INTERVALS
     dt, table, log_A, log_B = _period_maps(q, n)
@@ -129,8 +146,10 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
         tq = t % T
         k = np.searchsorted(nodes, tq, side="right") - 1
         s = tq - nodes[k]
-        log_alpha, beta = _step_map(s, table[2 * k], q(nodes[k] + 0.5 * s), q(tq))
-        return at_nodes[k] / (np.exp(log_alpha) + beta * at_nodes[k])
+        q_start, q_mid, q_end = table[2 * k], q(nodes[k] + 0.5 * s), q(tq)
+        log_m = s / 6.0 * (q_start + 4.0 * q_mid + q_end)
+        log_y = _log_step_integral(s, 0.0, s / 24.0 * (5.0 * q_start + 8.0 * q_mid - q_end), log_m)
+        return at_nodes[k] / (np.exp(-log_m) + np.exp(log_y - log_m) * at_nodes[k])
 
     # the samples are nodes, every (n / (SAMPLES - 1))-th, and rho(T) = rho(0)
     values = np.append(at_nodes[:n:n // (SAMPLES - 1)], at_nodes[0])

@@ -470,9 +470,10 @@ def test_main_exits_3_on_a_summary_that_is_not_strict_json(tmp_path, capsys, mon
 
 
 def test_sigma0_convergence_at_a_period_integral_of_800_is_strict_json(tmp_path):
-    # I = 800 > 709, where the J-formula's exp(I - anti) overflowed to NaN;
-    # the gaps are large there (0.10 and 44.7 at rho near 800), as dt * q is
-    # about 0.8 in the integrator and 4 in the sigma = 0 flow, but finite
+    # I = 800 > 709, where the J-formula's exp(I - anti) overflowed to NaN.
+    # dt * q is about 0.8 in the integrator and 4 in the sigma = 0 flow, where
+    # a Simpson step integral capped rho at 6 / dt and the gaps were 0.10 and
+    # 44.7 at rho near 800; the exponentially fitted one gives 6.3e-8 and 2.3e-3
     out = tmp_path / "out"
     assert cli_io.main(["sigma0-convergence", "--out", str(out),
                         "--override", "model.r=800"]) == 0
@@ -481,6 +482,9 @@ def test_sigma0_convergence_at_a_period_integral_of_800_is_strict_json(tmp_path)
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
     assert summary["orbit_mean"] == pytest.approx(799.5, rel=1e-6)
+    # c01's bound on the final-period gaps, and 1e-5 relative for the flow
+    assert max(summary["final_period_gap_from_low"], summary["final_period_gap_from_high"]) < 1e-6
+    assert summary["rho_gap_final_period"] < 1e-5 * summary["orbit_mean"]
     rows = np.loadtxt(out / "logistic_compare.csv", delimiter=",", skiprows=1)
     assert np.isfinite(rows).all() and rows[:, 1].min() > 0.0
 

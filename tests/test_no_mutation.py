@@ -2,8 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fluctsel as fs
+from fluctsel.rho_ode import _log_step_integral
 
 
 def _grid(steps=1000, nx=600):
@@ -166,7 +169,8 @@ def test_reconstruction_supports_vanished_traits():
 
 def _reference_sigma0(grid, model, n0, t_end):
     # the one-step-at-a-time loop the blocked integrator must reproduce:
-    # Simpson in Y = exp(int rho) over the linear masses M, rho = M / Y.
+    # Y = exp(int rho) over the linear masses M, rho = M / Y, each step's
+    # integral of M by rho_ode._log_step_integral (tested on its own there).
     # Y - 1 is carried, so that log Y = log1p(Y - 1) keeps its relative
     # accuracy while Y stays near 1
     x, dx, dt = grid.x, grid.dx, model.period / grid.steps_per_period
@@ -198,7 +202,9 @@ def _reference_sigma0(grid, model, n0, t_end):
         m_mid = mass(log_n0 + L + 0.25 * dt * (a_left + a_mid))
         L = L + dt / 6.0 * (a_left + 4.0 * a_mid + a_right)
         m_right = mass(log_n0 + L)
-        y_minus_1 += dt / 6.0 * (m_left + 4.0 * m_mid + m_right)
+        with np.errstate(divide="ignore"):
+            log_masses = np.log([[m_left], [m_mid], [m_right]])
+        y_minus_1 += float(np.exp(_log_step_integral(dt, *log_masses))[0])
         rho[k + 1] = m_right / (1.0 + y_minus_1)
         weights = np.exp(log_n0 + L - (log_n0 + L).max())
         q_eff[k + 1] = float(weights @ a_right) / float(weights.sum())
@@ -334,9 +340,9 @@ def test_two_periods_give_twice_the_one_period_exponent(ex1_model, steps):
 
 
 def test_size_converges_at_third_order(ex1_model):
-    # Simpson in Y over masses exact at the step ends, and at the half steps
-    # up to the trapezoid half-step exponent: the error of rho falls about
-    # 8x per halving of dt
+    # Y from masses exact at the step ends, and at the half steps up to the
+    # trapezoid half-step exponent: the error of rho falls about 8x per
+    # halving of dt
     n0 = np.exp(-(np.linspace(-3.0, 3.0, 202)[1:-1] - 0.3) ** 2 / 0.08)
 
     def rho(steps):
@@ -367,3 +373,61 @@ def test_memory_stays_bounded(ex1_model):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def _size_flows(rate, period, steps, t_end, rho0):
+    """(times, rho) of integrate_logistic and of simulate_sigma0 on a rate that
+    does not depend on the trait, which carries the sigma = 0 size by the same
+    logistic law, each from the size rho0."""
+    q = fs.PeriodicScalarSignal.from_array_callable(period, rate)
+    grid = fs.SimulationGrid(x_lo=-1.0, x_hi=1.0, nx=16, steps_per_period=steps, sigma=0.0)
+    model = fs.make_custom(period, lambda t, x: rate(np.asarray(t)) + 0.0 * np.asarray(x))
+    n0 = np.full(grid.nx, rho0 / (grid.nx * grid.dx))
+    return (fs.integrate_logistic(q, rho0, t_end, steps),
+            fs.simulate_sigma0(grid, model, n0, t_end)[1])
+
+
+def test_a_constant_rate_of_2000_is_the_size_at_16_steps():
+    # dt * q = 125: a Simpson step integral of M = e^{qt} capped rho at 6 / dt
+    # = 96; the exponentially fitted one is exact for a constant rate
+    for times, rho in _size_flows(lambda ts: np.full_like(ts, 2000.0), 1.0, 16, 3.0, 1.0):
+        assert len(times) == 49
+        assert rho[-1] == pytest.approx(2000.0, rel=1e-11, abs=0.0)
+
+
+def test_a_bump_to_2000_peaks_at_the_orbit_peak_at_256_steps():
+    # q = 1 + 2000 sin^2(pi t), whose orbit peaks at 2000.995 (on a 1e5-point
+    # grid); at 256 steps the last period peaks at 2001.012 and 2001.030, where
+    # the 6 / dt cap held both to 1420.7
+    rate = lambda ts: 1.0 + 2000.0 * np.sin(np.pi * ts) ** 2
+    for times, rho in _size_flows(rate, 1.0, 256, 3.0, 1.0):
+        assert rho[times >= 2.0].max() == pytest.approx(2000.995, rel=1e-4, abs=0.0)
+
+
+# dt * max q from 0.1 to 100: where q varies across a step of large dt * q
+# the size follows the step's mean rate more than its end value, off by up to
+# dt max|q'| / (2 min q) relative; with the parabola's fit of q that reached
+# 0.86 dt max|q'| / min q in a sweep of 3,000 draws (S = 4, dt * max q = 88),
+# and the bound is twice that scale. The transient decays like e^{-I} per
+# period: ceil(40 / I) periods of burn-in leave 100 e^{-40} of a start within
+# 100x of the mean rate, and the last period is compared.
+@settings(max_examples=40, deadline=None)
+@given(period=st.floats(0.5, 2.0), swing=st.floats(0.0, 0.9),
+       phase=st.floats(-np.pi, np.pi), steps=st.integers(4, 64),
+       log10_dt_q=st.floats(-1.0, 2.0), log10_start=st.floats(-2.0, 2.0))
+@example(period=1.0, swing=0.0, phase=0.0, steps=4, log10_dt_q=2.0, log10_start=0.0)
+@example(period=1.0, swing=0.34, phase=0.0, steps=4, log10_dt_q=np.log10(87.5),
+         log10_start=0.0)
+def test_both_flows_follow_the_orbit_up_to_a_dt_q_of_100(period, swing, phase, steps,
+                                                        log10_dt_q, log10_start):
+    dt = period / steps
+    c = 10.0 ** log10_dt_q / (dt * (1.0 + swing))  # q = c (1 + swing sin(...))
+    rate = lambda ts: c * (1.0 + swing * np.sin(2.0 * np.pi * ts / period + phase))
+    periods = int(np.ceil(40.0 / (c * period))) + 1
+    orbit = fs.periodic_rho_closed_form(fs.PeriodicScalarSignal.from_array_callable(period, rate))
+    bound = 2.0 * dt * (2.0 * np.pi / period) * swing / (1.0 - swing) + 1e-10
+    for times, rho in _size_flows(rate, period, steps, periods * period,
+                                  c * 10.0 ** log10_start):
+        assert np.isfinite(rho).all() and rho.min() > 0.0
+        last = times >= (periods - 1) * period - 0.5 * dt
+        assert np.abs(rho[last] / orbit(times[last]) - 1.0).max() <= bound

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fluctsel as fs
 from fluctsel import rho_ode
 from fluctsel.quadrature import cumulative_simpson, simpson
-from fluctsel.rho_ode import FINE_INTERVALS
+from fluctsel.rho_ode import FINE_INTERVALS, _log_step_integral
 
 
 def _ex1_q():
@@ -102,21 +102,20 @@ def test_an_array_of_starts_gives_one_row_per_start():
 
 
 def _reference_phase_maps(q, steps):
-    """The step width period / steps and the step maps (log alpha_r, beta_r)
-    of one period, one phase at a time from the half-step table: alpha is
-    exp(-int q) over the step and beta int_0^dt exp(-int_s^dt q) ds, with
-    every integral of q taken on the parabola through q at the step's start,
-    midpoint and end, and the outer integral by Simpson's rule."""
+    """The step width period / steps and the step maps (log alpha_r, log
+    beta_r) of one period from the half-step table: with M = exp(int q) from
+    1 at the step's start, every integral of q taken on the parabola through
+    q at the step's start, midpoint and end, alpha = 1 / M_end and beta =
+    int_0^dt M / M_end, the integral of M by _log_step_integral (tested on
+    its own below)."""
     dt = q.period / steps
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
-    maps = []
-    for r in range(steps):
-        q_start, q_mid, q_end = table[2 * r:2 * r + 3]
-        log_alpha = -dt / 6.0 * (q_start + 4.0 * q_mid + q_end)
-        # exp(-int q) over the step's second half
-        half = np.exp(-dt / 24.0 * (5.0 * q_end + 8.0 * q_mid - q_start))
-        maps.append((log_alpha, dt / 6.0 * (np.exp(log_alpha) + 4.0 * half + 1.0)))
-    return dt, maps
+    q_start, q_mid, q_end = table[0:-1:2], table[1::2], table[2::2]
+    log_mid = dt / 24.0 * (5.0 * q_start + 8.0 * q_mid - q_end)
+    log_end = dt / 6.0 * (q_start + 4.0 * q_mid + q_end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_y = _log_step_integral(dt, 0.0, log_mid, log_end)
+    return dt, list(zip(-log_end, log_y - log_end))
 
 
 def _reference_logistic(q, rho0, t_end, steps):
@@ -129,14 +128,14 @@ def _reference_logistic(q, rho0, t_end, steps):
     dt, maps = _reference_phase_maps(q, steps)
     log_A, log_B = [0.0], [-np.inf]
     total, error, running = 0.0, 0.0, None
-    for log_alpha, beta in maps:
+    for log_alpha, log_beta in maps:
         # Knuth's TwoSum: the rounding error of total + log_alpha
         new = total + log_alpha
         term = new - total
         error += (total - (new - term)) + (log_alpha - term)
         total = new
         log_A.append(total + error)
-        x = np.log(beta) - log_A[-1]
+        x = log_beta - log_A[-1]
         running = x if running is None else np.logaddexp(running, x)
         log_B.append(log_A[-1] + running)
     n = int(round(t_end / dt))
@@ -240,20 +239,46 @@ def test_the_size_never_exceeds_one_over_the_least_beta(swing, rho0):
     _, maps = _reference_phase_maps(q, 4)
     _, rho = fs.integrate_logistic(q, rho0, 3.0, steps_per_period=4)
     assert (rho[1:] > 0.0).all()
-    bound = 1.0 / min(beta for _, beta in maps)
+    bound = 1.0 / min(np.exp(log_beta) for _, log_beta in maps)
     assert rho[1:].max() <= bound * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 def test_a_map_that_is_not_finite_raises_numerical_error():
-    # the quarter-period step that ends at t = 0.5 reads a NaN rate, and a
-    # rate of -1e4 over a quarter period grows u by exp(2500)
+    # the quarter-period step that ends at t = 0.5 reads a NaN rate
     nan_at_half = fs.PeriodicScalarSignal.from_array_callable(
         1.0, lambda ts: np.where(ts % 1.0 < 0.5, 1.0, np.nan))
     with pytest.raises(fs.NumericalError, match="map at t = 0.25 is not finite: a NaN rate"):
         fs.integrate_logistic(nan_at_half, 1.0, 2.0, steps_per_period=4)
-    steep = fs.PeriodicScalarSignal.from_array_callable(1.0, lambda ts: np.full_like(ts, -1e4))
-    with pytest.raises(fs.NumericalError, match="= 2500, beyond the range of exp"):
-        fs.integrate_logistic(steep, 1.0, 2.0, steps_per_period=4)
+    # a rate of -1e4 over a quarter period grows u by exp(2500): the maps stay
+    # in logs, and the size reads 0 below the double range; a rate of +1e4
+    # holds the size at the rate, up to the rounding of logs of up to 2e4
+    for rate, want in ((-1e4, 0.0), (1e4, 1e4)):
+        steep = fs.PeriodicScalarSignal.from_array_callable(
+            1.0, lambda ts: np.full_like(ts, rate))
+        _, rho = fs.integrate_logistic(steep, 1.0, 2.0, steps_per_period=4)
+        assert np.isfinite(rho).all() and (rho >= 0.0).all()
+        assert rho[-1] == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("z", [0.0, 1e-8, 1e-3, 0.3, 0.999, 1.0, 1.001, 3.0, 30.0, 700.0])
+@pytest.mark.parametrize("log_gamma", [-3.0, -1e-3, 0.0, 0.4, 2.0])
+def test_the_step_integral_is_its_integrand_integrated_by_quad(z, log_gamma):
+    # the exponential through the end values of M times the parabola through
+    # the ratios 1, gamma, 1, integrated by quad, for z on both sides of the
+    # series switch at z = 1 and either end the larger: within 3e-14 relative.
+    # 1.2e-14 is found, where M peaks at the step's end at z = 700, and both
+    # orders of the ends give the same integral, so that is quad's; against
+    # 40-digit values the integral is off by at most 7e-15, down to gamma = e^-30
+    quad = pytest.importorskip("scipy.integrate").quad
+    gamma = np.exp(log_gamma)
+    for log_start, log_end in ((0.0, -z), (-z, 0.0)):
+        want, _ = quad(lambda s: np.exp((1.0 - s) * log_start + s * log_end)
+                       * (1.0 + (gamma - 1.0) * 4.0 * s * (1.0 - s)),
+                       0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+        got = _log_step_integral(0.3, np.array([log_start]),
+                                 np.array([log_gamma - 0.5 * z]), np.array([log_end]))
+        assert got.shape == (1,)
+        assert np.exp(got[0]) == pytest.approx(0.3 * want, rel=3e-14, abs=0.0)
 
 
 def test_signal_from_samples_interpolates():
@@ -326,10 +351,10 @@ def _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness):
     return fs.PeriodicScalarSignal.from_array_callable(period, rate)
 
 
-# The orbit carries Simpson's truncation error on each step of the fine
-# grid, about (I / 8192)^4 / 2880 relative for a constant q of period
-# integral I, and the rounding of the running sums in logs, which grows with
-# I. These rates keep I <= 10 (mean q <= 5 over a period of at most 2).
+# The orbit carries the step rule's truncation error on each step of the
+# fine grid, none for a constant q, and the rounding of the running sums in
+# logs, which grows with the period integral I. These rates keep I <= 10
+# (mean q <= 5 over a period of at most 2).
 @settings(max_examples=40, deadline=None)
 @given(period=st.floats(0.5, 2.0), base=st.floats(0.05, 2.0),
        f1=st.floats(0.0, 0.99), phi1=st.floats(-np.pi, np.pi),
@@ -354,8 +379,8 @@ def test_closed_form_orbit_is_a_signal_of_its_formula(period, base, f1, phi1, f2
 def test_closed_form_error_is_simpson_truncation(c, period):
     # a constant rate c: the exact orbit is c. The J-formula's Simpson rule
     # on int exp(c s) ds with step h = T / 8192 is off by (c h)^4 / 180
-    # relative, and the step map's Simpson rule on one step by (c h)^4 / 2880;
-    # the bound is the J-formula's
+    # relative, and the bound is the J-formula's; the step maps are exact for
+    # a constant rate, so the orbit is off by the rounding of the logs only
     q = fs.PeriodicScalarSignal.from_array_callable(
         period, lambda ts: np.full_like(ts, c))
     estimate = (c * period / FINE_INTERVALS) ** 4 / 180.0
@@ -405,9 +430,9 @@ def _j_formula(q):
 
 def _orbit_tolerance(q):
     """1e-13 relative up to I = 3, then the rounding of the running sums in
-    logs, which grows like I, plus twice Simpson's truncation on one step,
-    (dt max|q|)^4 / 2880 with dt = T / FINE_INTERVALS; a sweep of the rates
-    below stays within half of it."""
+    logs, which grows like I, plus twice a fourth-order truncation on one
+    step, Simpson's (dt max|q|)^4 / 2880 with dt = T / FINE_INTERVALS; a
+    sweep of the rates below stays within half of it."""
     period_integral = q.period * q.mean()
     x = q.period / FINE_INTERVALS * np.abs(q.values).max()
     return 1e-13 * max(1.0, period_integral / 3.0) + 2.0 * x ** 4 / 2880.0
