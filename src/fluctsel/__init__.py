@@ -17,10 +17,9 @@ from .asymptotics import (Corrector, FitnessComparison, LimitProfile,
                           measure_moments, predict_moments,
                           stationary_constant_env)
 from .env_models import (EnvironmentModel, HypothesisReport, averaged_optimum,
-                         check_hypotheses, load_tabulated, locate_optimum,
-                         make_custom, make_oscillating_optimum,
-                         make_oscillating_pressure, make_tabulated, mean_growth,
-                         rate_table)
+                         check_hypotheses, load_tabulated, make_custom,
+                         make_oscillating_optimum, make_oscillating_pressure,
+                         make_tabulated, mean_growth, rate_table)
 from .errors import (ConfigError, ConvergenceError, ExtinctionError,
                      FluctselError, NumericalError)
 from .floquet import (FloquetPair, effective_signals, lambda_identity_residual,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env_models import (EnvironmentModel, averaged_optimum, mean_growth,
-                         rate_table)
+from .env_models import (EnvironmentModel, _derivatives_at, averaged_optimum,
+                         mean_growth, rate_table)
 from .errors import ConfigError, ExtinctionError, NumericalError
 from .floquet import effective_signals
 from .pde_solver import (MAX_PERIODS, OrbitRecord, SimulationGrid,
@@ -83,47 +83,36 @@ def hopf_cole(values, sigma: float) -> np.ndarray:
     return eps * (np.log(np.maximum(values, 1e-300)) + 0.5 * np.log(2.0 * np.pi * eps))
 
 
-def _derivatives_at(x_m: float, values_at):
-    """First, second and third derivative at x_m of values_at(nodes), whose
-    last axis runs over the five nodes x_m + h (-2, ..., 2): centered
-    differences at the middle node. h = 0.1 (1 + |x_m|) for every derivative
-    at the averaged optimum: a step below a table's node spacing reads the
-    kinks of its bilinear interpolant."""
-    h = 0.1 * (1.0 + abs(x_m))
-    m2, m1, mid, p1, p2 = np.moveaxis(
-        np.asarray(values_at(x_m + h * np.arange(-2.0, 3.0)), dtype=float), -1, 0)
-    d1 = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
-    d2 = (-m2 + 16 * m1 - 30 * mid + 16 * p1 - p2) / (12 * h * h)
-    d3 = (p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3)
-    return d1, d2, d3
-
-
 def limit_profile(model: EnvironmentModel, xs: np.ndarray) -> LimitProfile:
     """Build the limit exponent on the nodes xs.
 
     u(x) = -|int_{x_m}^x sqrt(rho_bar - abar(s)) ds| with rho_bar = abar(x_m),
-    so u(x_m) = 0 is the maximum. A radicand below -1e-12 raises
-    "H2/limit inconsistency"; values in [-1e-12, 0] are clamped to 0.
+    so u(x_m) = 0 is the maximum. A radicand below -1e-12 more than two
+    stencil steps from x_m raises "H2/limit inconsistency"; other negative
+    values (within two steps, a table's interpolant may peak at a node off
+    the stencil's x_m) are clamped to 0.
     A = sqrt(-abar_xx / 2) and B = abar_xxx / (36 A) come from the five-point
-    derivatives of the averaged rate at x_m (_derivatives_at), for every
-    model; an averaged rate that is not concave there raises
-    "H2/limit inconsistency".
+    derivatives of the averaged rate at x_m (_derivatives_at at the model's
+    trait_step), for every model; an averaged rate that is not concave there
+    raises "H2/limit inconsistency".
     """
     xs = np.asarray(xs, dtype=float)
     x_m = averaged_optimum(model, (xs[0], xs[-1]))
-    rho_bar = float(np.asarray(mean_growth(model, np.array([x_m])))[0])
+    rho_bar = mean_growth(model, x_m)
     fine, dfine = np.linspace(xs[0], xs[-1], 4 * len(xs) + 1, retstep=True)
-    radicand = rho_bar - np.asarray(mean_growth(model, fine), dtype=float)
-    if radicand.min() < -1e-12:
+    radicand = rho_bar - mean_growth(model, fine)
+    excess = -radicand[np.abs(fine - x_m) > 2.0 * model.trait_step].min(initial=0.0)
+    if excess > 1e-12:
         raise NumericalError(
             "H2/limit inconsistency: averaged rate exceeds its value at the "
-            f"optimum by {-radicand.min():.3g} inside the domain")
+            f"optimum by {excess:.3g} inside the domain")
     radicand = np.maximum(radicand, 0.0)
     anti = cumulative_simpson(np.sqrt(radicand), dfine)
     u_fine = -np.abs(anti - np.interp(x_m, fine, anti))
     u_values = np.interp(xs, fine, u_fine)
 
-    _, d2, d3 = _derivatives_at(x_m, lambda nodes: mean_growth(model, nodes))
+    _, d2, d3 = _derivatives_at(x_m, model.trait_step,
+                                lambda nodes: mean_growth(model, nodes))
     if d2 >= 0.0:
         raise NumericalError(
             f"H2/limit inconsistency: averaged rate not concave at the optimum "
@@ -137,7 +126,7 @@ def _cell_solution(model: EnvironmentModel, times: np.ndarray,
                    xs: np.ndarray) -> np.ndarray:
     """Cumulative Simpson integral of a - abar over the uniform times."""
     table = rate_table(model, times, xs)
-    table -= np.asarray(mean_growth(model, xs), dtype=float)
+    table -= mean_growth(model, xs)
     return cumulative_simpson(table, times[1] - times[0])
 
 
@@ -146,14 +135,14 @@ def corrector(model: EnvironmentModel, profile: LimitProfile,
     """Solve the periodic cell problem dv/dt = a - abar with v(0, .) = 0.
 
     The gradient and curvature of v at x_m are its five-point derivatives
-    there (_derivatives_at); their periodic means are removed, since only
-    the mean-free parts are determined by the cell problem, yielding the
-    signals D (gradient) and E (half curvature).
+    there (_derivatives_at at the model's trait_step); their periodic means
+    are removed, since only the mean-free parts are determined by the cell
+    problem, yielding the signals D (gradient) and E (half curvature).
     """
     T = model.period
     times, dt = np.linspace(0.0, T, nt + 1, retstep=True)
     vx, vxx, _ = _derivatives_at(
-        profile.x_m, lambda nodes: _cell_solution(model, times, nodes))
+        profile.x_m, model.trait_step, lambda nodes: _cell_solution(model, times, nodes))
     vx -= simpson(vx, dt) / T
     vxx -= simpson(vxx, dt) / T
     return Corrector(D=PeriodicScalarSignal(period=T, times=times, values=vx),
@@ -276,11 +265,14 @@ class FitnessComparison:
 
 
 def _default_t_star(model: EnvironmentModel, x_m: float) -> float:
-    """Time of weakest selection: the largest five-point a_xx at x_m
-    (_derivatives_at) over 2048 times of a period."""
+    """Time of weakest selection: the earliest of 2048 times of a period whose
+    five-point a_xx at x_m (_derivatives_at at the model's trait_step) lies
+    within 1e-9 relative of the largest, so a tie goes to the earliest time."""
     ts = np.linspace(0.0, model.period, 2049)[:-1]
-    _, a_xx, _ = _derivatives_at(x_m, lambda nodes: rate_table(model, ts, nodes))
-    return float(ts[int(np.argmax(a_xx))])
+    _, a_xx, _ = _derivatives_at(x_m, model.trait_step,
+                                 lambda nodes: rate_table(model, ts, nodes))
+    top = a_xx.max()
+    return float(ts[np.argmax(a_xx >= top - 1e-9 * abs(top))])
 
 
 def fitness_comparison(grid: SimulationGrid, model: EnvironmentModel,

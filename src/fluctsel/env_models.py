@@ -15,13 +15,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .quadrature import simpson
 
-# Composite-Simpson node count for time averages (must stay odd).
+# Sample times over one period for make_oscillating_pressure's input checks.
 MEAN_NODES = 1025
-# Points per refinement round of locate_optimum: each round shrinks the
-# bracket 16-fold for one averaging pass.
-REFINE_POINTS = 33
 # Elements per rate call in rate_blocks (20 rows at nx = 800): a whole-table
 # broadcast costs memory and runs slower, larger blocks ran no faster.
 RATE_BLOCK = 16384
@@ -29,21 +25,25 @@ RATE_BLOCK = 16384
 
 @dataclass
 class EnvironmentModel:
-    """A time-periodic growth rate.
+    """A time-periodic growth rate and the resolution it is read at.
 
     period : float
         Period T > 0 of the environment.
     rate : callable
         a(t, x); x is a scalar or ndarray, t a scalar or a column of times
         of shape (k, 1), and the result broadcasts to (k, len(x)).
-    analytic_info : dict
-        Optional closed-form facts: "mean_growth" (the averaged rate, a
-        callable) and "x_m" (its maximizer).
+    mean_times : int
+        Number of equally spaced times on [0, T) whose plain mean is the
+        time average of the rate (mean_growth); 1024 unless the maker sets it.
+    trait_step : float
+        Step h in x of every five-point stencil at the averaged optimum
+        (_derivatives_at); 1e-3 unless the maker sets it.
     """
 
     period: float
     rate: Callable
-    analytic_info: dict | None = None
+    mean_times: int = 1024
+    trait_step: float = 1e-3
 
 
 @dataclass
@@ -59,7 +59,8 @@ class HypothesisReport:
 def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> EnvironmentModel:
     """Quadratic selection toward an optimum that oscillates sinusoidally.
 
-    a(t, x) = r - g * (x - c * sin(b t))**2, with period 2*pi/b.
+    a(t, x) = r - g * (x - c * sin(b t))**2, with period 2*pi/b. Of degree 2
+    in sin(b t), so its mean over 64 times is exact; the stencil step is 0.1.
     """
     for name, value in (("growth rate r", r), ("amplitude c", c)):
         if not np.isfinite(value):
@@ -73,11 +74,7 @@ def make_oscillating_optimum(r: float, g: float, c: float, b: float) -> Environm
     def rate(t, x):
         return r - g * (np.asarray(x) - c * np.sin(b * t)) ** 2
 
-    def mean_rate(x):
-        return r - g * (np.asarray(x) ** 2 + 0.5 * c * c)
-
-    info = {"mean_growth": mean_rate, "x_m": 0.0}
-    return EnvironmentModel(period=period, rate=rate, analytic_info=info)
+    return EnvironmentModel(period=period, rate=rate, mean_times=64, trait_step=0.1)
 
 
 def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> EnvironmentModel:
@@ -86,12 +83,14 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
     a(t, x) = r - g(t) * x**2. g_fn is called with arrays of times and must
     return an array of the same shape, or a constant that broadcasts to it.
     The pressure g must be positive, finite and 1-periodic; all three are
-    checked on a sample grid over one period, periodicity as
-    |g(t + 1) - g(t)| <= 1e-10 * max|g|.
+    checked on MEAN_NODES sample times over one period, periodicity as
+    |g(t + 1) - g(t)| <= 1e-10 * max|g|. The model takes 64 mean times if
+    their mean of g is that of 1024 to 1e-13 (as for a trigonometric
+    polynomial of degree below 64), else 1024; the stencil step is 0.1.
     """
     if not np.isfinite(r):
         raise ConfigError(f"growth rate r must be finite, got {r}")
-    ts, dt = np.linspace(0.0, 1.0, MEAN_NODES, retstep=True)
+    ts = np.linspace(0.0, 1.0, MEAN_NODES)
 
     def sample(times):
         return np.broadcast_to(np.asarray(g_fn(times), dtype=float), times.shape)
@@ -104,23 +103,22 @@ def make_oscillating_pressure(r: float, g_fn: Callable[[float], float]) -> Envir
     if shift > 1e-10 * np.abs(gs).max():
         raise ConfigError(
             f"selection pressure must have period 1; max |g(t + 1) - g(t)| = {shift:.6g}")
-    g_bar = float(simpson(gs, dt))
+
+    exact = abs(gs[:-1:16].mean() - gs[:-1].mean()) <= 1e-13 * gs.max()
 
     def rate(t, x):
         return r - g_fn(t) * np.asarray(x) ** 2
 
-    def mean_rate(x):
-        return r - g_bar * np.asarray(x) ** 2
-
-    info = {"mean_growth": mean_rate, "x_m": 0.0}
-    return EnvironmentModel(period=1.0, rate=rate, analytic_info=info)
+    return EnvironmentModel(period=1.0, rate=rate, mean_times=64 if exact else 1024,
+                            trait_step=0.1)
 
 
-def make_custom(period: float, rate: Callable, analytic_info: dict | None = None) -> EnvironmentModel:
+def make_custom(period: float, rate: Callable) -> EnvironmentModel:
     """Wrap an arbitrary periodic rate callable as a model.
 
     rate(t, x) need only accept a scalar t: the model's rate calls it once
-    per row of a column of times.
+    per row of a column of times. The model takes the default resolution of
+    EnvironmentModel: 1024 mean times and a stencil step of 1e-3.
     """
     if not period > 0:
         raise ConfigError(f"period must be positive, got {period}")
@@ -133,8 +131,7 @@ def make_custom(period: float, rate: Callable, analytic_info: dict | None = None
             row[...] = rate(ti, x)
         return out
 
-    return EnvironmentModel(period=float(period), rate=column_rate,
-                            analytic_info=analytic_info)
+    return EnvironmentModel(period=float(period), rate=column_rate)
 
 
 def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
@@ -144,7 +141,9 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
     t_nodes must be uniform on [0, period) without the right endpoint; time is
     wrapped modulo the period, so the interpolant is exactly periodic.
     x_nodes must be finite and strictly increasing; outside their range the
-    edge value is held.
+    edge value is held. The mean times are the nt rows (the mean of a table
+    linear between rows is the mean of its rows), the stencil step the widest
+    node spacing (a smaller step reads the kinks of the interpolant).
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     x_nodes = np.asarray(x_nodes, dtype=float)
@@ -182,7 +181,8 @@ def make_tabulated(period: float, t_nodes: np.ndarray, x_nodes: np.ndarray,
         out = np.where(xs >= x_nodes[-1], rows[:, -1:], out)
         return out[0].reshape(np.shape(x))[()] if np.ndim(t) == 0 else out
 
-    return EnvironmentModel(period=float(period), rate=rate)
+    return EnvironmentModel(period=float(period), rate=rate, mean_times=nt,
+                            trait_step=float(np.diff(x_nodes).max()))
 
 
 def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
@@ -228,10 +228,8 @@ def load_tabulated(path, x_lo: float, x_hi: float) -> EnvironmentModel:
         values = np.array([float(tok) for tok in tokens]).reshape(nt, nx)
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric value in table: {exc}") from exc
-    t_nodes = period / nt * np.arange(nt)
-    x_nodes = np.linspace(x_lo, x_hi, nx)
-    model = make_tabulated(period, t_nodes, x_nodes, values)
-    return model
+    return make_tabulated(period, period / nt * np.arange(nt), np.linspace(x_lo, x_hi, nx),
+                          values)
 
 
 def rate_rows(model: EnvironmentModel, times, x) -> np.ndarray:
@@ -260,64 +258,69 @@ def rate_table(model: EnvironmentModel, times, x) -> np.ndarray:
 
 
 def mean_growth(model: EnvironmentModel, x) -> np.ndarray:
-    """Time average of the growth rate over one period at trait value(s) x.
-
-    Uses the model's closed form when present, otherwise composite Simpson
-    quadrature in time with MEAN_NODES nodes.
-    """
-    info = model.analytic_info or {}
-    if "mean_growth" in info:
-        return info["mean_growth"](x)
+    """Time average of the growth rate over one period at trait value(s) x:
+    the plain mean of a(t, x) over the model's mean_times equally spaced
+    times on [0, T), summed block by block (rate_blocks)."""
+    n = model.mean_times
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ts, dt = np.linspace(0.0, model.period, MEAN_NODES, retstep=True)
-    out = simpson(rate_table(model, ts, xs), dt) / model.period
-    return out if np.ndim(x) else float(out[0])
+    blocks = rate_blocks(model, model.period / n * np.arange(n), xs)
+    total = sum(block.sum(axis=0) for _, block in blocks) / n
+    return total if np.ndim(x) else float(total[0])
 
 
-def locate_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:
-    """Locate the unique interior maximum of the averaged growth rate.
+def _derivatives_at(x: float, h: float, values_at):
+    """First, second and third derivative at x of values_at(nodes), whose last
+    axis runs over the five nodes x + h (-2, ..., 2), h the model's trait_step:
+    centered differences at the middle node."""
+    m2, m1, mid, p1, p2 = np.moveaxis(
+        np.asarray(values_at(x + h * np.arange(-2.0, 3.0)), dtype=float), -1, 0)
+    d1 = (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+    d2 = (-m2 + 16 * m1 - 30 * mid + 16 * p1 - p2) / (12 * h * h)
+    d3 = (p2 - 2 * p1 + 2 * m1 - m2) / (2 * h ** 3)
+    return d1, d2, d3
 
-    Scans the bracket on a fine grid to certify a single interior peak, then
-    refines it in rounds: each round averages the rate once on REFINE_POINTS
-    points spanning the neighbours of the last maximum, until the bracket is
-    narrower than 1e-10. Raises NumericalError("H2 violated on bracket") when
-    the averaged rate has no unique interior maximum there (peak at an
-    endpoint, several separated peaks, or a flat top).
+
+def averaged_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:
+    """The averaged optimum x_m: the unique interior maximum of mean_growth
+    on bracket.
+
+    A scan of 1025 points certifies a single interior peak; from it, at most
+    8 Newton steps on the five-point d1 and d2 (_derivatives_at) find the
+    root of d1, stopping at a step below 1e-9 trait_step. Raises
+    NumericalError("H2 violated on bracket") when the averaged rate has no
+    unique interior maximum there (peak at an endpoint, several separated
+    peaks, or a flat top), or when a d2 is not negative or an iterate lies
+    further from the scan's peak than its spacing and trait_step (a table's
+    interpolant peaks at a node, up to half a node spacing from the root).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise ConfigError(f"empty bracket ({lo}, {hi})")
     xs = np.linspace(lo, hi, 1025)
-    vals = np.asarray(mean_growth(model, xs), dtype=float)
+    vals = mean_growth(model, xs)
     i = int(np.argmax(vals))
     if i == 0 or i == len(xs) - 1:
         raise NumericalError("H2 violated on bracket: maximum at an endpoint")
     d = np.diff(vals)
-    scale = max(np.abs(vals).max(), 1.0)
-    sgn = np.sign(d)
-    sgn[np.abs(d) <= 1e-13 * scale] = 0.0
+    # the signs of the rises, 0 for a rise within 1e-13 of the scale
+    sgn = np.sign(d) * (np.abs(d) > 1e-13 * max(np.abs(vals).max(), 1.0))
     nonzero = sgn[sgn != 0.0]
     if nonzero.size == 0:
         raise NumericalError("H2 violated on bracket: averaged rate is flat")
-    flips = int(np.count_nonzero(np.diff(nonzero) != 0.0))
-    if flips != 1 or nonzero[0] <= 0.0 or nonzero[-1] >= 0.0:
+    if np.count_nonzero(np.diff(nonzero)) != 1 or nonzero[0] < 0.0 or nonzero[-1] > 0.0:
         raise NumericalError("H2 violated on bracket: averaged rate is not unimodal")
 
-    a, b = xs[i - 1], xs[i + 1]
-    while b - a > 1e-10:
-        xs = np.linspace(a, b, REFINE_POINTS)
-        j = min(max(int(np.argmax(mean_growth(model, xs))), 1), REFINE_POINTS - 2)
-        a, b = xs[j - 1], xs[j + 1]
-    return 0.5 * (a + b)
-
-
-def averaged_optimum(model: EnvironmentModel, bracket: tuple[float, float]) -> float:
-    """The averaged optimum x_m: the model's closed form when it has one,
-    otherwise located on bracket by locate_optimum (which may raise)."""
-    info = model.analytic_info or {}
-    if "x_m" in info:
-        return float(info["x_m"])
-    return locate_optimum(model, bracket)
+    x, h = float(xs[i]), model.trait_step
+    for _ in range(8):
+        d1, d2, _ = _derivatives_at(x, h, lambda nodes: mean_growth(model, nodes))
+        step = float(-d1 / d2) if d2 < 0.0 else np.inf
+        x += step
+        if not (d2 < 0.0 and abs(x - xs[i]) <= max(xs[1] - xs[0], h)):
+            raise NumericalError(f"H2 violated on bracket: second derivative {d2:.6g}, Newton "
+                                 f"iterate {x:.6g} from the scan's peak {xs[i]:.6g}")
+        if abs(step) <= 1e-9 * h:
+            break
+    return x
 
 
 def check_hypotheses(model: EnvironmentModel, domain: tuple[float, float],

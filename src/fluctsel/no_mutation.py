@@ -150,9 +150,9 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     made a block at a time over the union of the windows.
     Returns (state, (times, rho), diagnostics); diagnostics holds only the
     extinct flag, set by a size below 1e-12. An initial density that is
-    negative, identically zero or not finite, or a size beyond the double
-    range, raises NumericalError; a t_end that is negative or not finite
-    raises ConfigError.
+    negative, identically zero or not finite, a step integral that is not
+    finite, or a size beyond the double range, raises NumericalError; a
+    t_end that is negative or not finite raises ConfigError.
     """
     check_end_time(t_end)
     values = initial_density(n0)
@@ -233,6 +233,9 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     for k in range(0, nsteps, _STEP_BLOCK):
         step = slice(k, k + _STEP_BLOCK)
         log_half[step] = _log_step_integral(dt, rho[:-1][step], log_half[step], rho[1:][step])
+    if not np.isfinite(log_half).all():
+        raise NumericalError("a step integral of the mass is not finite: a NaN rate, "
+                             "or dt * |a| too large")
     log_half[:1] = np.logaddexp(0.0, log_half[:1])
     np.logaddexp.accumulate(log_half, out=log_half)
     rho[1:] -= log_half

@@ -143,9 +143,7 @@ def test_c09_example2_fitness_ordering(wide_grid, ex2_model):
 
 def test_c10_stationary_state_matches_gaussian(ex2_model):
     gamma = 0.2  # weakest pressure, at t = 1/2
-    frozen = fs.make_custom(
-        1.0, lambda t, x: ex2_model.rate(0.5, x),
-        analytic_info={"mean_growth": lambda x: ex2_model.rate(0.5, x), "x_m": 0.0})
+    frozen = fs.make_custom(1.0, lambda t, x: ex2_model.rate(0.5, x))
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=800, steps_per_period=512,
                              sigma=EPS * EPS)
     rho_c, n_c = fs.stationary_constant_env(grid, frozen)

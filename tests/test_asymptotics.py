@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fluctsel as fs
 from fluctsel import cli_io
-from fluctsel.asymptotics import _cell_solution
+from fluctsel.asymptotics import _cell_solution, _default_t_star
 from fluctsel.pde_solver import FloquetPair, OrbitRecord
 
 EPS = 0.05
@@ -36,7 +36,7 @@ def test_limit_profile_closed_form(ex1_model):
     # rho_bar - abar = x^2, so the exponent is exactly -x^2/2
     xs = np.linspace(-3.0, 3.0, 801)
     prof = fs.limit_profile(ex1_model, xs)
-    assert prof.x_m == 0.0
+    assert abs(prof.x_m) < 1e-15
     assert prof.rho_bar == pytest.approx(0.5)
     np.testing.assert_allclose(prof.u_values, -xs ** 2 / 2, rtol=0, atol=1e-6)
     assert prof.u_values.max() == pytest.approx(0.0, abs=1e-12)
@@ -60,13 +60,48 @@ def test_limit_profile_finite_difference_fallback(ex1_model):
     assert prof.taylor == pytest.approx((1.0, 0.0), abs=1e-6)
 
 
-def test_limit_profile_rejects_low_rho_bar(ex1_model):
-    # a closed-form x_m = 0.5 off the true maximum 0 gives rho_bar =
-    # abar(0.5) = 0.25, below abar(0) = 0.5
-    wrong = fs.make_custom(1.0, ex1_model.rate, {"x_m": 0.5})
+def test_limit_profile_rejects_low_rho_bar():
+    # a box of height 5 around the node 2.0012 of the 1605-point fine grid,
+    # between two points of the 1025-point scan (0.0027 from the nearest):
+    # the scan certifies the peak at 0, the fine grid reads abar = 1.495 there
+    fine = np.linspace(-3.0, 3.0, 1605)[1337]
+
+    def rate(t, x):
+        x = np.asarray(x)
+        return 0.5 - x ** 2 + np.where(np.abs(x - fine) < 1e-4, 5.0, 0.0)
+
     xs = np.linspace(-3.0, 3.0, 401)
     with pytest.raises(fs.NumericalError, match="H2/limit inconsistency"):
-        fs.limit_profile(wrong, xs)
+        fs.limit_profile(fs.make_custom(1.0, rate), xs)
+
+
+def test_limit_profile_of_a_rate_that_is_not_polynomial():
+    # a = -(e^y - 1 - y), y = x - c(t), c = sin(2 pi t) / 2: abar = -(e^x I0(1/2)
+    # - 1 - x), so x_m = -log I0(1/2), abar'' = abar''' = -1 there, A = 1 /
+    # sqrt 2 and B = -sqrt 2 / 36, to the stencil's truncation at a step of 1e-3
+    def rate(t, x):
+        y = np.asarray(x) - 0.5 * np.sin(2.0 * np.pi * t)
+        return -(np.expm1(y) - y)
+
+    prof = fs.limit_profile(fs.make_custom(1.0, rate), np.linspace(-3.0, 3.0, 601))
+    assert abs(prof.x_m + np.log(np.i0(0.5))) < 1e-12
+    assert abs(prof.taylor[0] - 1.0 / np.sqrt(2.0)) < 1e-9
+    assert abs(prof.taylor[1] + np.sqrt(2.0) / 36.0) < 1e-6
+
+
+def test_an_optimum_between_table_nodes(ex1_model):
+    # example1 moved by 0.013, tabulated at a node spacing of 0.05: the
+    # interpolant's mean peaks at the node 0, 3.1e-4 above its value at the
+    # stencil root 0.013, the optimum of the rate that the table samples
+    def rate(t, x):
+        return ex1_model.rate(t, np.asarray(x) - 0.013)
+
+    t_nodes, x_nodes = np.arange(256) / 256.0, np.linspace(-4.0, 4.0, 161)
+    table = fs.make_tabulated(1.0, t_nodes, x_nodes,
+                              fs.rate_table(fs.make_custom(1.0, rate), t_nodes, x_nodes))
+    prof = fs.limit_profile(table, np.linspace(-4.0, 4.0, 801))
+    assert prof.x_m == pytest.approx(0.013, abs=1e-12)
+    assert prof.taylor == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_corrector_oscillating_optimum(ex1_model):
@@ -114,18 +149,27 @@ def test_predict_moments_bundles_the_pieces(ex1_model):
     assert np.abs(rep.mu.values).max() == pytest.approx(EPS / np.pi, rel=1e-6)
 
 
-@pytest.mark.parametrize("tag", ["example1", "example2"])
-def test_a_closed_form_changes_no_prediction(tag):
-    # every derivative at x_m comes from one five-point stencil: a model that
-    # carries only the averaged rate and x_m predicts the same bits
-    cfg = cli_io.resolve_config(cli_io.RunConfig(experiment=tag))
-    model = cli_io.build_model(cfg.model, cfg.grid)
-    info = {key: model.analytic_info[key] for key in ("mean_growth", "x_m")}
-    got, want = (fs.predict_moments(m, EPS, domain=(-4.0, 4.0)) for m in
-                 (dataclasses.replace(model, analytic_info=info), model))
-    np.testing.assert_array_equal(got.mu.values, want.mu.values)
-    np.testing.assert_array_equal(got.sigma2.values, want.sigma2.values)
-    assert got.rho_mean == want.rho_mean
+def test_predicted_moments_against_the_exact_example1(ex1_model):
+    # the exact orbit of a = r - g (x - c sin bt)^2 at sigma = eps^2 is a
+    # Gaussian of variance eps / sqrt(g) and mean c k (k sin bt - b cos bt) /
+    # (k^2 + b^2), k = 2 sqrt(g) eps, with -lambda = r - sqrt(g) eps - g c^2
+    # b^2 / (2 (k^2 + b^2)); here r = g = c = 1 and b = 2 pi
+    r, g, c, b = 1.0, 1.0, 1.0, 2.0 * np.pi
+    errors = []
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        k = 2.0 * np.sqrt(g) * eps
+        rep = fs.predict_moments(ex1_model, eps, domain=(-4.0, 4.0))
+        t = rep.mu.times
+        mu = c * k * (k * np.sin(b * t) - b * np.cos(b * t)) / (k * k + b * b)
+        errors.append(np.abs(rep.mu.values - mu).max())
+        np.testing.assert_allclose(rep.sigma2.values, eps / np.sqrt(g), rtol=1e-13, atol=0.0)
+        # rho_mean = abar(x_m) - eps A omits the lag of the mean behind the optimum
+        minus_lam = r - np.sqrt(g) * eps - g * c * c * b * b / (2.0 * (k * k + b * b))
+        lag = g * c * c * k * k / (2.0 * (k * k + b * b))
+        assert abs(minus_lam - rep.rho_mean - lag) < 1e-12
+    # the mean is off by O(eps^2): 4.04e-3, 1.01e-3, 2.53e-4 and 6.33e-5
+    ratios = np.array(errors[:-1]) / np.array(errors[1:])
+    assert ((3.9 <= ratios) & (ratios <= 4.1)).all(), ratios
 
 
 def test_a_tabulated_rate_predicts_the_variance_as_its_closed_form(wide_grid, ex2_model,
@@ -204,8 +248,7 @@ def test_mean_q_balances_mean_size(ex1_orbit, ex1_model):
 def test_stationary_constant_env():
     grid = fs.SimulationGrid(x_lo=-4.0, x_hi=4.0, nx=400, steps_per_period=512,
                              sigma=0.01)
-    model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2,
-                           analytic_info={"x_m": 0.0})
+    model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
     rho_c, n_c = fs.stationary_constant_env(grid, model)
     assert rho_c == pytest.approx(1.0 - 0.1, abs=2e-3)
     assert fs.total_mass(grid, n_c) == pytest.approx(rho_c, rel=1e-10)
@@ -252,8 +295,7 @@ def test_stationary_rejects_time_dependent(ex1_model):
 def test_stationary_detects_extinction():
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=200, steps_per_period=512,
                              sigma=0.01)
-    model = fs.make_custom(1.0, lambda t, x: -0.5 - np.asarray(x) ** 2,
-                           analytic_info={"x_m": 0.0})
+    model = fs.make_custom(1.0, lambda t, x: -0.5 - np.asarray(x) ** 2)
     with pytest.raises(fs.ExtinctionError):
         fs.stationary_constant_env(grid, model)
 
@@ -265,6 +307,20 @@ def test_stationary_detects_nonconfining_domain():
                            lambda t, x: np.full_like(np.asarray(x, float), 1.0))
     with pytest.raises(fs.NumericalError, match="does not confine"):
         fs.stationary_constant_env(grid, model)
+
+
+def test_default_t_star_takes_the_earliest_of_tied_times(ex1_model, ex2_model):
+    # example1's curvature at x_m is -2g at every t: the analytic model and
+    # its 161- and 801-node tables tie at all 2048 times, up to roundoff
+    # that differs between them, and take the first
+    t_nodes = np.arange(256) / 256.0
+    models = [ex1_model] + [
+        fs.make_tabulated(1.0, t_nodes, x_nodes, fs.rate_table(ex1_model, t_nodes, x_nodes))
+        for x_nodes in (np.linspace(-4.0, 4.0, 161), np.linspace(-4.0, 4.0, 801))]
+    stars = [_default_t_star(m, fs.averaged_optimum(m, (-4.0, 4.0))) for m in models]
+    assert stars == [0.0] * 3
+    # example2's weakest selection, g = 0.2 at t = 1/2, is no tie
+    assert _default_t_star(ex2_model, fs.averaged_optimum(ex2_model, (-4.0, 4.0))) == 0.5
 
 
 def test_fitness_comparison_degenerate_for_static_pressure():

@@ -186,7 +186,8 @@ def test_build_model_kinds(tmp_path):
         _resolved_model("floquet-sweep", grid={"x_lo": -1.0}, kind="tabulated", path="x")
     model = _resolved_model(kind="tabulated", path=_rate_table(tmp_path),
                             grid={"x_lo": -1.0, "x_hi": 1.0})
-    assert model.analytic_info is None
+    # the table's 2 rows are its mean times, its node spacing on [-1, 1] its step
+    assert (model.mean_times, model.trait_step) == (2, 1.0)
     assert float(model.rate(0.0, np.array([0.0]))[0]) == pytest.approx(1.0)
 
 

@@ -114,3 +114,23 @@ def test_a_revision_exports_its_source_tree(tmp_path):
     assert sorted(p.name for p in tree.iterdir()) == ["src"]
     with pytest.raises(subprocess.CalledProcessError):
         compare_bundles.export_revision("no-such-revision", repo, tmp_path / "bad")
+
+
+def test_the_source_line_count_is_added_removed_and_net(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for tree, files in ((old, {"pkg/a.py": "a\nb\nc\n", "pkg/gone.py": "x\ny\n",
+                               "pkg/notes.txt": "1\n"}),
+                        (new, {"pkg/a.py": "a\nB\nc\nd\n", "pkg/new.py": "z\n",
+                               "pkg/notes.txt": "2\n3\n"})):
+        for name, text in files.items():
+            path = tree / "src" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    # a.py: b -> B and d added; gone.py: 2 removed; new.py: 1 added; no .txt
+    assert (compare_bundles.source_line_counts(old, new)
+            == "src/*.py lines: +3 -3, net +0")
+    assert (compare_bundles.source_line_counts(new, old)
+            == "src/*.py lines: +3 -3, net +0")
+    (new / "src" / "pkg" / "new.py").write_text("z\nw\n")
+    assert (compare_bundles.source_line_counts(old, new)
+            == "src/*.py lines: +4 -3, net +1")

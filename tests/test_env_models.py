@@ -46,6 +46,15 @@ def test_pressure_checks_sample_g_with_two_array_calls():
     assert taylor[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+def test_pressure_means_over_64_times_only_where_they_are_exact(ex2_model):
+    # a pulse of width 0.01: 64 times average g to 1.09173, 0.29 % above
+    # its mean 1 + 0.05 sqrt(pi); 1024 times give it to roundoff
+    pulse = fs.make_oscillating_pressure(
+        1.0, lambda t: 1.0 + 5.0 * np.exp(-((np.asarray(t) % 1.0 - 0.5) / 0.01) ** 2))
+    assert (ex2_model.mean_times, pulse.mean_times) == (64, 1024)
+    assert fs.mean_growth(pulse, 1.0) == pytest.approx(-0.05 * np.sqrt(np.pi), abs=1e-13)
+
+
 def _counting_model(rate):
     calls = [0]
 
@@ -56,49 +65,62 @@ def _counting_model(rate):
     return fs.make_custom(1.0, counted), calls
 
 
-def test_locate_optimum_averages_once_per_round():
+def test_averaged_optimum_stays_within_its_rate_call_budget():
     # a zero top: the averaged rate -(x - c)^2 is resolved down to roundoff in
     # x, so the optimum is well defined to 1e-9 (golden-section search, one
     # average per probe, gave 0.12345678900091198 with 44,075 rate calls)
     c = 0.123456789
     model, calls = _counting_model(
         lambda t, x: -(np.asarray(x) - c) ** 2 * (1.0 + 0.5 * np.sin(2 * np.pi * t)))
-    x_m = fs.locate_optimum(model, (-4.0, 4.0))
+    x_m = fs.averaged_optimum(model, (-4.0, 4.0))
     assert calls[0] <= 10_000
     assert abs(x_m - 0.12345678900091198) < 1e-9
     # 1 - x^2 averages to exactly 1.0 for |x| below about 7.5e-9 (x^2 under
     # half an ulp of 1), so any point of that flat top is a maximizer
     model, calls = _counting_model(lambda t, x: 1.0 - np.asarray(x) ** 2)
-    x_m = fs.locate_optimum(model, (-4.0, 4.0))
+    x_m = fs.averaged_optimum(model, (-4.0, 4.0))
     assert calls[0] <= 10_000
     assert abs(x_m) <= 1e-8
 
 
-def test_quadrature_matches_analytic_mean(ex1_model, ex2_model):
+def test_mean_growth_matches_the_closed_forms(ex1_model, ex2_model):
+    # example1 (r, g, c) = (1, 1, 1) averages to r - g (x^2 + c^2 / 2) and
+    # example2 to r - g_bar x^2 with g_bar = 2, at the models' 64 times and at
+    # make_custom's 1024
     xs = np.linspace(-3.0, 3.0, 13)
-    for model in (ex1_model, ex2_model):
-        bare = fs.make_custom(model.period, model.rate)
-        gap = np.abs(fs.mean_growth(bare, xs) - fs.mean_growth(model, xs)).max()
-        assert gap < 1e-10
+    for model, closed in ((ex1_model, 1.0 - (xs ** 2 + 0.5)), (ex2_model, 1.0 - 2.0 * xs ** 2)):
+        for m in (model, fs.make_custom(model.period, model.rate)):
+            assert np.abs(fs.mean_growth(m, xs) - closed).max() < 1e-10
 
 
-def test_locate_optimum_and_shift_invariance(ex1_model):
-    x_m = fs.locate_optimum(ex1_model, (-3.0, 3.0))
+def test_averaged_optimum_and_shift_invariance(ex1_model):
+    x_m = fs.averaged_optimum(ex1_model, (-3.0, 3.0))
     assert abs(x_m) < 1e-6
     shifted = fs.make_custom(1.0, lambda t, x: ex1_model.rate(t, x) + 7.5)
-    assert abs(fs.locate_optimum(shifted, (-3.0, 3.0)) - x_m) < 1e-6
+    assert abs(fs.averaged_optimum(shifted, (-3.0, 3.0)) - x_m) < 1e-6
 
 
-def test_locate_optimum_rejects_double_peak():
+def test_averaged_optimum_rejects_double_peak():
     model = fs.make_custom(1.0, lambda t, x: 1.0 - (np.asarray(x) ** 2 - 1.0) ** 2)
     with pytest.raises(fs.NumericalError, match="H2 violated on bracket"):
-        fs.locate_optimum(model, (-2.0, 2.0))
+        fs.averaged_optimum(model, (-2.0, 2.0))
 
 
-def test_locate_optimum_rejects_boundary_max():
+def test_averaged_optimum_rejects_boundary_max():
     model = fs.make_custom(1.0, lambda t, x: np.asarray(x, dtype=float))
     with pytest.raises(fs.NumericalError, match="H2 violated on bracket"):
-        fs.locate_optimum(model, (-1.0, 1.0))
+        fs.averaged_optimum(model, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("rate", [
+    lambda t, x: -np.asarray(x) ** 4,
+    lambda t, x: np.minimum(100.0 * np.asarray(x), -np.asarray(x)),
+], ids=["flat-curvature", "skewed-kink"])
+def test_averaged_optimum_rejects_a_peak_that_newton_cannot_resolve(rate):
+    # the scan certifies one peak at 0 in both; -x^4 has no curvature there,
+    # and the stencil derivative of the kink turns convex 9.4e-4 from it
+    with pytest.raises(fs.NumericalError, match="H2 violated on bracket: second derivative"):
+        fs.averaged_optimum(fs.make_custom(1.0, rate), (-0.5, 0.5))
 
 
 def test_check_hypotheses_confinement(ex1_model):

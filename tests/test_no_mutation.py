@@ -147,6 +147,16 @@ def test_a_rate_that_is_not_finite_raises_numerical_error(rate):
         fs.simulate_sigma0(grid, fs.make_custom(1.0, rate), np.ones(64), 3.0)
 
 
+def test_a_step_integral_beyond_the_double_range_raises():
+    # a = 1e5 on the first 1 % of each period, 4 steps per period: the first
+    # step's midpoint mass is e^4167 times the geometric mean of its end
+    # masses, so its integral overflows, and the sizes after it would read 0
+    grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=64, steps_per_period=4, sigma=0.0)
+    model = fs.make_custom(1.0, lambda t, x: np.where(t % 1.0 < 0.01, 1e5, 0.0) + 0 * x)
+    with pytest.raises(fs.NumericalError, match="step integral of the mass is not finite"):
+        fs.simulate_sigma0(grid, model, np.ones(64), 3.0)
+
+
 def test_extinction_flag_under_negative_rate():
     grid = _grid(nx=200)
     model = fs.make_custom(1.0, lambda t, x: -2.0 + 0 * np.asarray(x))

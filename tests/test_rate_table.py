@@ -84,8 +84,7 @@ def _counted(rate):
 def test_rate_table_makes_one_call_per_block():
     ex1 = _ex1()
     rate, shapes = _counted(ex1.rate)
-    model = fs.EnvironmentModel(period=ex1.period, rate=rate,
-                                analytic_info=ex1.analytic_info)
+    model = fs.EnvironmentModel(period=ex1.period, rate=rate)
     times = np.linspace(0.0, 1.0, 2048)
     x = np.linspace(-4.0, 4.0, 800)
     table = fs.rate_table(model, times, x)

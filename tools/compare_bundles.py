@@ -17,12 +17,15 @@ its numbers on either side, so that a large relative shift of a value near
 zero reads as the rounding it may be. A shift is inf when a value is not a
 number or changes type, or a column changes length. A manifest is compared
 without its timing block, and
-both trees write to the same relative out_dir. The exit status is 1 on any
-difference, 2 when git cannot export a revision, else 0.
+both trees write to the same relative out_dir. The last line gives the
+lines of src/**/*.py added, removed and net from OLD to NEW, file by file
+by difflib's matching. The exit status is 1 on any bundle difference, 2
+when git cannot export a revision, else 0.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
 import json
 import math
@@ -136,6 +139,26 @@ def compare(old: Path, new: Path) -> tuple[list[str], bool]:
     return lines, differs
 
 
+def source_line_counts(old: Path, new: Path) -> str:
+    """The lines of src/**/*.py added, removed and net from tree old to tree
+    new, as one line of the report."""
+    def sources(tree):
+        root = Path(tree) / "src"
+        return {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8").splitlines()
+                for p in root.rglob("*.py")}
+
+    before, after = sources(old), sources(new)
+    added = removed = 0
+    for name in before.keys() | after.keys():
+        matcher = difflib.SequenceMatcher(None, before.get(name, []), after.get(name, []),
+                                          autojunk=False)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag != "equal":
+                removed += i2 - i1
+                added += j2 - j1
+    return f"src/*.py lines: +{added} -{removed}, net {added - removed:+d}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -143,6 +166,7 @@ def main(argv: list[str]) -> int:
     repo = Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as work:
         outs = [Path(work, side) for side in ("old", "new")]
+        trees = []
         for tree, out in zip(argv, outs):
             out.mkdir()
             if not Path(tree).is_dir():
@@ -153,7 +177,9 @@ def main(argv: list[str]) -> int:
                           f"{exc.stderr.decode().strip()}", file=sys.stderr)
                     return 2
             write_bundles(Path(tree), out)
+            trees.append(Path(tree))
         lines, differs = compare(*outs)
+        lines.append(source_line_counts(*trees))
     print("\n".join(lines))
     return 1 if differs else 0
 
