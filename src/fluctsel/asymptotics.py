@@ -22,7 +22,7 @@ from .errors import ConfigError, ExtinctionError, NumericalError
 from .floquet import effective_signals
 from .pde_solver import (MAX_PERIODS, OrbitRecord, SimulationGrid,
                          find_periodic_orbit, step_eigenpair, total_mass)
-from .quadrature import cumulative_simpson, simpson
+from .quadrature import cumulative_simpson
 from .rho_ode import PeriodicScalarSignal
 
 
@@ -135,16 +135,17 @@ def corrector(model: EnvironmentModel, profile: LimitProfile,
     """Solve the periodic cell problem dv/dt = a - abar with v(0, .) = 0.
 
     The gradient and curvature of v at x_m are its five-point derivatives
-    there (_derivatives_at at the model's trait_step); their periodic means
-    are removed, since only the mean-free parts are determined by the cell
-    problem, yielding the signals D (gradient) and E (half curvature).
+    there (_derivatives_at at the model's trait_step); their periodic means,
+    the plain means of the nt samples on [0, T), are removed, since only the
+    mean-free parts are determined by the cell problem, yielding the signals
+    D (gradient) and E (half curvature).
     """
     T = model.period
-    times, dt = np.linspace(0.0, T, nt + 1, retstep=True)
+    times = np.linspace(0.0, T, nt + 1)
     vx, vxx, _ = _derivatives_at(
         profile.x_m, model.trait_step, lambda nodes: _cell_solution(model, times, nodes))
-    vx -= simpson(vx, dt) / T
-    vxx -= simpson(vxx, dt) / T
+    vx -= vx[:-1].mean()
+    vxx -= vxx[:-1].mean()
     return Corrector(D=PeriodicScalarSignal(period=T, times=times, values=vx),
                      E=PeriodicScalarSignal(period=T, times=times, values=0.5 * vxx),
                      kappa_bar=-profile.taylor[0])

@@ -39,7 +39,7 @@ def lambda_identity_residual(pair: FloquetPair, q: PeriodicScalarSignal) -> floa
     For the continuous problem lam + (1/T) int_0^T Q dt = 0. The integral is
     taken with the quadrature induced by the discrete period map,
     sum_k log(1 + dt * Q(t_k)), for which the identity holds exactly up to
-    the boundary mass flux; plain Simpson quadrature, abs(lam + q.mean()),
+    the boundary mass flux; the plain period mean, abs(lam + q.mean()),
     would carry the O(dt) splitting error.
     """
     dt = pair.times[1] - pair.times[0]

@@ -9,8 +9,9 @@ so the state is carried in log space as the per-trait growth exponent
 the mass of the linear flow n0 * exp(int a), the size law rho' = rho (q - rho)
 is solved by rho = M / Y with Y' = M, Y(0) = 1, and int rho = log Y. Each
 step's integral of M is rho_ode's, from the masses at its ends and midpoint,
-in logs, so the scheme cannot produce negative densities or sizes,
-concentrates without grid-diffusion artifacts, and is third order in dt.
+in logs, and each step's exponents are rho_ode's _step_exponents, so the
+scheme cannot produce negative densities or sizes, concentrates without
+grid-diffusion artifacts, and is fourth order in dt.
 
 The rate is T-periodic and the step dt = T / S, so after p periods and r
 more steps the exponent is exactly p L_T(x) + C_r(x): C_r is the Simpson
@@ -25,9 +26,10 @@ time, and each block is held only over its live window, the traits where
 any of its rows has a weight that is not 0. The phase rows are made a block
 at a time over the union of the windows, and each phase block's sums are
 one matrix product per period block over that block's window. L_T comes
-from a pre-pass that only sums the per-step Simpson increments of one
-period. A product that underflows, because the two rows peak at distant
-traits, is recomputed directly over all traits.
+from a pre-pass that sums the per-step Simpson increments of one period
+(the half steps made with them go unused). A product that underflows,
+because the two rows peak at distant traits, is recomputed directly over
+all traits.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .env_models import RATE_BLOCK, EnvironmentModel, rate_rows
 from .errors import NumericalError
 from .pde_solver import EXTINCTION_SIZE, SimulationGrid, initial_density
 from .quadrature import check_end_time
-from .rho_ode import _log_step_integral
+from .rho_ode import _log_step_integral, _step_exponents
 
 # shifted log weights below _LOG_FLOOR are set to 0, so that products of two
 # weights stay normal numbers (subnormal arithmetic is slow)
@@ -97,21 +99,23 @@ def _shifted_exp(w: np.ndarray, out: np.ndarray | None = None):
 
 
 def _rate_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
-    """The rates of the first count steps of a period, in blocks.
+    """The step exponents of the first count steps of a period, in blocks.
 
-    Yields (r0, a_start, a_mid, increments) for the steps r0 <= r < r0 + rows
-    of a block: the rates at their starts and midpoints, and their Simpson
-    increments dt (a(r dt) + 4 a((r + 1/2) dt) + a((r + 1) dt)) / 6. The
-    rates of a block come from one rate call of 2 rows + 1 times and at most
-    2 RATE_BLOCK elements: numpy elides temporaries from 256 KiB up, and the
-    first elision in a process adds about 1 MiB to its resident memory.
+    Yields (r0, exponents) for the rows = len(exponents) // 2 steps
+    r0 <= r < r0 + rows of a block: exponents[:rows] holds their half-step
+    and exponents[rows:] their whole-step increments, rho_ode's
+    _step_exponents of a at (r, r + 1/2, r + 1) dt. The rates of a block come
+    from one rate call of 2 rows + 1 times and at most 2 RATE_BLOCK elements:
+    numpy elides temporaries from 256 KiB up, and the first elision in a
+    process adds about 1 MiB to its resident memory.
     """
     rows = max(1, (2 * RATE_BLOCK // len(x) - 1) // 2)
     for r0 in range(0, count, rows):
         r1 = min(r0 + rows, count)
         a = rate_rows(model, 0.5 * dt * np.arange(2 * r0, 2 * r1 + 1), x)
-        a_start, a_mid, a_end = a[:-1:2], a[1::2], a[2::2]
-        yield r0, a_start, a_mid, dt / 6.0 * (a_start + 4.0 * a_mid + a_end)
+        exponents = np.empty((2 * (r1 - r0), len(x)))
+        _step_exponents(dt, a[:-1:2], a[1::2], a[2::2], out=np.split(exponents, 2))
+        yield r0, exponents
 
 
 def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int):
@@ -119,16 +123,15 @@ def _phase_blocks(model: EnvironmentModel, x: np.ndarray, dt: float, count: int)
 
     Yields (r0, exponents) for the rows = len(exponents) // 2 steps
     r0 <= r < r0 + rows: exponents[:rows] holds the half-step exponents
-    C_r + dt (a(r dt) + a((r + 1/2) dt)) / 4 and exponents[rows:] the
-    Simpson exponents C_{r+1} = int_0^{(r+1) dt} a, accumulated from C_0 = 0.
+    int_0^{(r + 1/2) dt} a and exponents[rows:] the exponents
+    C_{r+1} = int_0^{(r+1) dt} a, the increments of _rate_blocks
+    accumulated from C_0 = 0.
     """
     c = np.zeros(len(x))
-    for r0, a_start, a_mid, increments in _rate_blocks(model, x, dt, count):
-        exponents = np.empty((2 * len(increments), len(x)))
+    for r0, exponents in _rate_blocks(model, x, dt, count):
         half, c_end = np.split(exponents, 2)
-        increments[0] += c
-        np.cumsum(increments, axis=0, out=c_end)
-        np.multiply(0.25 * dt, a_start + a_mid, out=half)
+        c_end[0] += c
+        np.cumsum(c_end, axis=0, out=c_end)
         half[0] += c
         half[1:] += c_end[:-1]
         c = c_end[-1]
@@ -142,8 +145,9 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     S = grid.steps_per_period steps of dt = T / S fill one period, and
     round(t_end / dt) steps are taken (none for t_end = 0).
     The growth exponent is accumulated per step with Simpson quadrature of
-    a(., x), Y = exp(int rho) by rho_ode's step integral of the linear masses;
-    the scheme is third order in dt. Step k = p S + r ends at the exponent
+    a(., x), and taken at the half steps on the same parabola, Y = exp(int
+    rho) by rho_ode's step integral of the linear masses; the scheme is
+    fourth order in dt. Step k = p S + r ends at the exponent
     p L_T + C_{r+1}, so every mass sum is a product of a period row and a
     phase row (see the module docstring). The period rows of all periods
     are held, each block of them over its live window; the phase rows are
@@ -171,7 +175,8 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
         # the increments are summed with the carry in their first row, in
         # the order the phase loop's cumsum adds them, so that L_T equals
         # the C_S it would give to the bit
-        for _, _, _, increments in _rate_blocks(model, x, dt, per_period):
+        for _, exponents in _rate_blocks(model, x, dt, per_period):
+            _, increments = np.split(exponents, 2)
             increments[0] += L_T
             L_T = increments.sum(axis=0)
     # the period rows exp(log n0 + p L_T - m_w[p]), a block of periods at a

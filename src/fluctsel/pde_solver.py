@@ -39,7 +39,7 @@ import numpy as np
 
 from .env_models import EnvironmentModel, mean_growth, rate_blocks
 from .errors import ConfigError, ConvergenceError, ExtinctionError, NumericalError
-from .quadrature import check_end_time, check_steps_per_period
+from .quadrature import check_end_time, check_whole_number
 from .rho_ode import PeriodicScalarSignal
 
 # Where numpy's wheels keep the OpenBLAS numpy itself links: numpy.libs beside
@@ -130,13 +130,12 @@ class SimulationGrid:
     sigma: float
 
     def __post_init__(self):
-        if self.nx < 16:
-            raise ConfigError(f"nx must be at least 16, got {self.nx}")
-        if not self.x_hi > self.x_lo:
-            raise ConfigError(f"empty trait interval [{self.x_lo}, {self.x_hi}]")
-        check_steps_per_period(self.steps_per_period)
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be nonnegative, got {self.sigma}")
+        check_whole_number(self.nx, "nx", 16)
+        if not -np.inf < self.x_lo < self.x_hi < np.inf:
+            raise ConfigError(f"trait interval [{self.x_lo}, {self.x_hi}] is empty or not finite")
+        check_whole_number(self.steps_per_period, "steps_per_period")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ConfigError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     @property
     def dx(self) -> float:

@@ -1,12 +1,10 @@
-"""Time-grid checks and composite Simpson quadrature on uniform grids.
+"""Time-grid checks and the running Simpson integral on uniform grids.
 
-Every period integral of the package (averaged rates, mean sizes, moment
-and fitness means, antiderivatives) is taken on an equally spaced grid, so
-both rules take the spacing dx instead of the nodes. They are the
-equal-spacing rules of scipy.integrate, written out so that importing the
-package does not load scipy.integrate (and with it scipy.special and
-scipy.optimize), and so that the even-N rule does not change with the SciPy
-release.
+The antiderivatives of the package (in x for the limit profile, in t for
+the cell problem) are taken on equally spaced grids, so the rule takes the
+spacing dx instead of the nodes. It is the equal-spacing rule of
+scipy.integrate, written out so that importing the package does not load
+scipy.integrate (and with it scipy.special and scipy.optimize).
 """
 
 from __future__ import annotations
@@ -22,39 +20,17 @@ def check_end_time(t_end: float) -> None:
         raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
 
 
-def check_steps_per_period(steps) -> None:
-    """ConfigError unless steps is a whole number >= 1 (a bool or a float
-    fails, a numpy integer passes)."""
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError(f"steps_per_period must be a whole number >= 1, got {steps!r}")
+def check_whole_number(value, name: str, least: int = 1) -> None:
+    """ConfigError naming name unless value is a whole number >= least (a bool
+    or a float fails, a numpy integer passes)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
 def _parabola_interval(f1, f2, f3, dx):
     """Integral over [x1, x2] of the parabola through (x1, f1), (x2, f2),
     (x3, f3) on nodes dx apart; with the arguments reversed, over [x2, x3]."""
     return dx / 3 * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-
-
-def simpson(y, dx: float):
-    """Composite Simpson integral of samples y spaced dx apart along the first
-    axis.
-
-    An odd number of points uses the 1-4-2-...-4-1 rule. An even number uses
-    it up to the third-last point and takes the last interval from the
-    parabola through the last three points (Cartwright's correction, as in
-    scipy.integrate.simpson): dx/12 * (5 y[-1] + 8 y[-2] - y[-3]). Two
-    points use the trapezoid rule.
-    """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    if n == 2:
-        return 0.5 * dx * (y[1] + y[0])
-    stop = n - 2 if n % 2 else n - 3
-    out = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2], axis=0)
-    out *= dx / 3.0
-    if n % 2 == 0:
-        out += dx / 12 * (5 * y[-1] + 8 * y[-2] - y[-3])
-    return out
 
 
 def cumulative_simpson(y, dx: float) -> np.ndarray:

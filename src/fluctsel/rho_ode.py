@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 from .errors import ExtinctionError, NumericalError
-from .quadrature import check_end_time, check_steps_per_period, simpson
+from .quadrature import check_end_time, check_whole_number
 
 # Fine-grid intervals per period used for the closed-form machinery.
 FINE_INTERVALS = 8192
@@ -55,18 +55,19 @@ class PeriodicScalarSignal:
         return out if np.ndim(t) else float(out[0])
 
     def mean(self) -> float:
-        return float(simpson(self.values, self.times[1] - self.times[0])) / self.period
+        """Plain mean of the N distinct samples on [0, T): exact for a
+        trigonometric polynomial of degree below N."""
+        return float(self.values[:-1].mean())
 
     def first_harmonic(self) -> tuple[float, float, float]:
-        """Least-squares fit of the samples to
-        offset + amp * sin(2 pi t / period + phase); returns (amp, phase,
-        offset) with amp >= 0 and phase in [-pi, pi]."""
-        w = 2.0 * np.pi / self.period
-        design = np.column_stack([np.sin(w * self.times), np.cos(w * self.times),
-                                  np.ones_like(self.times)])
-        coef, *_ = np.linalg.lstsq(design, self.values, rcond=None)
-        return (float(np.hypot(coef[0], coef[1])), float(np.arctan2(coef[1], coef[0])),
-                float(coef[2]))
+        """offset + amp * sin(2 pi t / period + phase) from the discrete
+        Fourier coefficients of the N distinct samples, 2 mean(v sin) and
+        2 mean(v cos), and offset = mean(); exact for a trigonometric
+        polynomial of degree up to N - 2. Returns (amp, phase, offset) with
+        amp >= 0 and phase in [-pi, pi]."""
+        wt, v = 2.0 * np.pi / self.period * self.times[:-1], self.values[:-1]
+        s, c = 2.0 * np.mean(v * np.sin(wt)), 2.0 * np.mean(v * np.cos(wt))
+        return float(np.hypot(s, c)), float(np.arctan2(c, s)), self.mean()
 
 
 def _log_step_integral(h, log_start, log_mid, log_end):
@@ -92,6 +93,19 @@ def _log_step_integral(h, log_start, log_mid, log_end):
         return np.log(h) + np.maximum(log_start, log_end) + np.log(psi + phi)
 
 
+def _step_exponents(h, start, mid, end, out=None):
+    """(half, full) = (h / 24 (5 start + 8 mid - end), h / 6 (start + 4 mid + end)):
+    the integrals over the first half of a step of width h and over all of it
+    (Simpson's rule) of the parabola through a rate's values at its start,
+    midpoint and end. Written into out = (half, full) if given, with no temporaries."""
+    half, full = np.empty((2,) + np.broadcast(h, start, mid, end).shape) if out is None else out
+    np.add(np.multiply(start, 5.0, out=half), np.multiply(mid, 8.0, out=full), out=half)
+    np.multiply(np.subtract(half, end, out=half), h / 24.0, out=half)
+    np.add(np.multiply(mid, 4.0, out=full), start, out=full)
+    np.multiply(np.add(full, end, out=full), h / 6.0, out=full)
+    return half, full
+
+
 def _period_maps(q: PeriodicScalarSignal, steps: int):
     """(dt, table, log A, log B) of the `steps` maps u -> alpha u + beta of width dt
     over a period, table being q on the half-step grid (alpha = 1 / M and beta = int M
@@ -99,11 +113,10 @@ def _period_maps(q: PeriodicScalarSignal, steps: int):
     beta_r A_k / A_{r+1}, in logs. A map that is not finite raises NumericalError."""
     dt = q.period / steps
     table = np.asarray(q(0.5 * dt * np.arange(2 * steps + 1)), dtype=float)
-    q_start, q_mid, q_end = table[0:-1:2], table[1::2], table[2::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        log_alpha = -dt / 6.0 * (q_start + 4.0 * q_mid + q_end)
-        log_beta = log_alpha + _log_step_integral(
-            dt, 0.0, dt / 24.0 * (5.0 * q_start + 8.0 * q_mid - q_end), -log_alpha)
+        half, full = _step_exponents(dt, table[0:-1:2], table[1::2], table[2::2])
+        log_alpha = -full
+        log_beta = log_alpha + _log_step_integral(dt, 0.0, half, full)
     bad = np.flatnonzero(~np.isfinite(log_alpha + log_beta))
     if bad.size:
         raise NumericalError(f"step map at t = {dt * bad[0]:.6g} is not finite: a NaN rate, or "
@@ -146,9 +159,8 @@ def periodic_rho_closed_form(q: PeriodicScalarSignal) -> PeriodicScalarSignal:
         tq = t % T
         k = np.searchsorted(nodes, tq, side="right") - 1
         s = tq - nodes[k]
-        q_start, q_mid, q_end = table[2 * k], q(nodes[k] + 0.5 * s), q(tq)
-        log_m = s / 6.0 * (q_start + 4.0 * q_mid + q_end)
-        log_y = _log_step_integral(s, 0.0, s / 24.0 * (5.0 * q_start + 8.0 * q_mid - q_end), log_m)
+        half, log_m = _step_exponents(s, table[2 * k], q(nodes[k] + 0.5 * s), q(tq))
+        log_y = _log_step_integral(s, 0.0, half, log_m)
         return at_nodes[k] / (np.exp(-log_m) + np.exp(log_y - log_m) * at_nodes[k])
 
     # the samples are nodes, every (n / (SAMPLES - 1))-th, and rho(T) = rho(0)
@@ -166,14 +178,14 @@ def integrate_logistic(q: PeriodicScalarSignal, rho0, t_end: float,
     1 / rho after it is A_r u_p + B_r, u_p carried between periods in logs.
     A map that is not finite or a negative or non-finite start raises
     NumericalError; a t_end or steps_per_period that check_end_time or
-    check_steps_per_period refuses raises ConfigError. After the start rho
+    check_whole_number refuses raises ConfigError. After the start rho
     stays in (0, 1 / min beta] up to rounding; a start of 0 stays 0.
     """
     starts = np.asarray(rho0, dtype=float)
     if starts.ndim > 1 or not (np.isfinite(starts) & (starts >= 0.0)).all():
         raise NumericalError(f"initial size {rho0} is not a finite nonnegative number")
     check_end_time(t_end)
-    check_steps_per_period(steps_per_period)
+    check_whole_number(steps_per_period, "steps_per_period")
     dt, _, log_A, log_B = _period_maps(q, steps_per_period)
     n = int(round(t_end / dt))
     with np.errstate(divide="ignore"):  # a start of 0 is u = inf, a fixed point

@@ -27,6 +27,15 @@ def _densities(record):
     dict(x_lo=2.0, x_hi=-2.0),
     dict(steps_per_period=0),
     dict(sigma=-1e-3),
+    # each of these used to fail only once a solve began: a float nx with a
+    # TypeError inside the solver, an infinite end with a "dt * max|a| = nan"
+    # step constraint, a NaN or infinite sigma with a non-finite step matrix
+    dict(nx=100.0),
+    dict(nx="100"),
+    dict(x_lo=-np.inf),
+    dict(x_hi=np.inf),
+    dict(sigma=np.nan),
+    dict(sigma=np.inf),
 ])
 def test_grid_validation(kwargs):
     base = dict(x_lo=-2.0, x_hi=2.0, nx=64, steps_per_period=1000, sigma=1e-2)
@@ -548,6 +557,32 @@ def test_autonomous_steady_state():
     assert within < 1e-6
     # steady total size is the principal eigenvalue's negative
     assert rec.rho.values[0] == pytest.approx(1.0 - np.sqrt(0.01), abs=5e-3)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_example1_orbit_against_the_exact_solution(ex1_model, eps):
+    # the exact orbit of a = r - g (x - c sin bt)^2 at sigma = eps^2 is a
+    # Gaussian of variance eps / sqrt(g) with -lambda = r - sqrt(g) eps - g c^2
+    # b^2 / (2 (k^2 + b^2)), k = 2 sqrt(g) eps; here r = g = c = 1, b = 2 pi and
+    # T = 1. On [-3, 3] its tail at the ends is below e^-45. The errors fall 4x
+    # from (nx, steps) = (149, 500) to (299, 2000): lambda 3.00e-4 -> 7.52e-5 at
+    # eps = 0.05 and 3.27e-4 -> 8.18e-5 at 0.1, the variance mean 1.26e-4 ->
+    # 3.15e-5 and 1.56e-4 -> 3.90e-5, so at most 0.164 dt and 0.078 dt: the
+    # gates are 0.2 dt and 0.1 dt
+    r, g, c, b = 1.0, 1.0, 1.0, 2.0 * np.pi
+    k = 2.0 * np.sqrt(g) * eps
+    lam = -r + np.sqrt(g) * eps + g * c * c * b * b / (2.0 * (k * k + b * b))
+    lam_errors, var_errors = [], []
+    for nx, steps in ((149, 500), (299, 2000)):
+        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, steps_per_period=steps,
+                                 sigma=eps * eps)
+        record = fs.find_periodic_orbit(grid, ex1_model)
+        lam_errors.append(abs(record.pair.lam - lam))
+        var_errors.append(abs(fs.measure_moments(record).sigma2.mean() - eps / np.sqrt(g)))
+        assert lam_errors[-1] < 0.2 / steps
+        assert var_errors[-1] < 0.1 / steps
+    for errors in (lam_errors, var_errors):
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
 
 
 def test_find_periodic_orbit_detects_extinction():

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
 from fluctsel import rho_ode
-from fluctsel.quadrature import cumulative_simpson, simpson
+from fluctsel.quadrature import cumulative_simpson
 from fluctsel.rho_ode import FINE_INTERVALS, _log_step_integral
 
 
@@ -338,6 +339,28 @@ def test_first_harmonic_recovers_an_exact_sinusoid(amp, phase, offset, period, n
     assert abs((got_phase - phase + np.pi) % (2.0 * np.pi) - np.pi) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), period=st.floats(0.1, 10.0), data=st.data())
+def test_period_rules_are_exact_on_trigonometric_polynomials(n, period, data):
+    # closed samples of sum_j a_j cos(j w t) + b_j sin(j w t), N = n distinct
+    # ones: mean() is a_0 for any degree below N, and first_harmonic() gives
+    # a_1 and b_1 for any degree up to N - 2 (degree N - 1 aliases onto the
+    # first harmonic, degree N onto the mean)
+    degree = data.draw(st.integers(1, n - 1))
+    a, b = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=degree + 1,
+                                        max_size=degree + 1))) for _ in range(2))
+    times = np.linspace(0.0, period, n + 1)
+    wt = 2.0 * np.pi / period * np.arange(degree + 1)[:, None] * times
+    signal = fs.PeriodicScalarSignal(period, times, a @ np.cos(wt) + b @ np.sin(wt))
+    assert signal.mean() == pytest.approx(a[0], rel=0.0, abs=1e-12)
+    if degree <= n - 2:
+        amp, phase, offset = signal.first_harmonic()
+        # amp sin(w t + phase) = amp sin(phase) cos(w t) + amp cos(phase) sin(w t)
+        assert amp * np.sin(phase) == pytest.approx(a[1], rel=0.0, abs=1e-12)
+        assert amp * np.cos(phase) == pytest.approx(b[1], rel=0.0, abs=1e-12)
+        assert offset == signal.mean()
+
+
 def _bumpy_rate(period, base, f1, phi1, f2, phi2, height, sharpness):
     # positive: the harmonics have amplitudes f1 * base / 2 and f2 * base / 2
     # with f1, f2 < 1, and the bump is nonnegative
@@ -368,9 +391,10 @@ def test_closed_form_orbit_is_a_signal_of_its_formula(period, base, f1, phi1, f2
     orbit = fs.periodic_rho_closed_form(q)
     # the samples are the closed form at the sample times, bit for bit
     assert np.array_equal(orbit(orbit.times), orbit.values)
-    # the mean of the samples is Simpson of the closed form on the fine grid
+    # the mean of the samples is that of the closed form on the fine grid, by
+    # scipy's Simpson rule, the reference
     fine, dt = np.linspace(0.0, period, FINE_INTERVALS + 1, retstep=True)
-    fine_mean = float(simpson(orbit(fine), dt)) / period
+    fine_mean = float(scipy.integrate.simpson(orbit(fine), dx=dt)) / period
     assert orbit.mean() == pytest.approx(fine_mean, rel=1e-13, abs=0.0)
 
 

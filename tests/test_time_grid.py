@@ -74,7 +74,7 @@ def test_grid_rejects_a_step_count_that_is_not_a_whole_number_from_1(steps):
 
 @pytest.mark.parametrize("steps", BAD_STEPS)
 def test_integrate_logistic_rejects_the_step_counts_the_grid_rejects(steps):
-    # one check, quadrature.check_steps_per_period, for both
+    # one check, quadrature.check_whole_number, for both
     q = fs.PeriodicScalarSignal.from_array_callable(T, lambda ts: 1.0 + np.sin(3.0 * ts))
     with pytest.raises(fs.ConfigError, match="steps_per_period must be a whole number"):
         fs.integrate_logistic(q, 0.5, T, steps_per_period=steps)
