@@ -232,12 +232,6 @@ def _sigma_of(solver: dict) -> float:
     return eps * eps
 
 
-def _eigen_budget(solver: dict) -> dict:
-    """The eigen-solve keywords of a solver block: Krylov tolerance and
-    period-map budget."""
-    return {"tol": solver["eigen_tol"], "max_periods": solver["max_periods"]}
-
-
 def build_grid(cfg: RunConfig) -> pde_solver.SimulationGrid:
     """SimulationGrid from the (defaults-resolved) grid and solver blocks."""
     g = cfg.grid
@@ -302,7 +296,7 @@ def _run_sigma0(cfg: RunConfig, model):
 
 def _run_periodic_orbit(cfg: RunConfig, model):
     grid = build_grid(cfg)
-    pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
+    pair = pde_solver.principal_eigenpair(grid, model, tol=cfg.solver["eigen_tol"])
     summary = {"lambda": pair.lam, "eigen_iterations": pair.iterations}
     try:
         record = pde_solver.orbit_from_pair(pair)
@@ -370,7 +364,7 @@ def _run_epsilon_limit(cfg: RunConfig, model):
         # bind no record: the previous eps's period table would stay alive
         # through the next solve
         u_eps = asymptotics.hopf_cole(pde_solver.find_periodic_orbit(
-            grid, model, **_eigen_budget(cfg.solver)).density(0), grid.sigma)
+            grid, model, tol=cfg.solver["eigen_tol"]).density(0), grid.sigma)
         rows.append([eps, float(np.abs(u_eps[window] - limit).max())])
     rows = np.array(rows)
     summary = {
@@ -383,7 +377,7 @@ def _run_epsilon_limit(cfg: RunConfig, model):
 
 def _run_moments(cfg: RunConfig, model):
     grid, eps = build_grid(cfg), cfg.solver["eps"]
-    record = pde_solver.find_periodic_orbit(grid, model, **_eigen_budget(cfg.solver))
+    record = pde_solver.find_periodic_orbit(grid, model, tol=cfg.solver["eigen_tol"])
     measured = asymptotics.measure_moments(record)
     predicted = asymptotics.predict_moments(
         model, eps, domain=(grid.x_lo, grid.x_hi), nt=cfg.solver["steps_per_period"])
@@ -418,7 +412,7 @@ def _run_moments(cfg: RunConfig, model):
 def _run_fitness_compare(cfg: RunConfig, model):
     grid = build_grid(cfg)
     comp = asymptotics.fitness_comparison(
-        grid, model, t_star=cfg.extra["t_star"], **_eigen_budget(cfg.solver))
+        grid, model, t_star=cfg.extra["t_star"], tol=cfg.solver["eigen_tol"])
     summary = {
         "t_star": comp.t_star,
         "periodic_fitness_at_t_star": comp.q_star,
@@ -447,7 +441,7 @@ def _run_refinement(cfg: RunConfig, model):
         nx = (base.nx + 1) * 2 ** level - 1
         steps = cfg.solver["steps_per_period"] * 4 ** level
         grid = replace(base, nx=nx, steps_per_period=steps)
-        pair = pde_solver.principal_eigenpair(grid, model, **_eigen_budget(cfg.solver))
+        pair = pde_solver.principal_eigenpair(grid, model, tol=cfg.solver["eigen_tol"])
         rho_bar = pde_solver.orbit_from_pair(pair).rho.mean()
         rows.append([level, nx, steps, pair.lam, rho_bar])
         del pair  # free this level's period table before the next solve
@@ -475,15 +469,11 @@ _WIDE_GRID = {"x_lo": -4.0, "x_hi": 4.0, "nx": 800}
 # them).
 _MOMENTS = (_run_moments, {
     "model": _EX1_MODEL, "grid": _WIDE_GRID,
-    "solver": {"eps": 0.05, "eigen_tol": 1e-8,
-               "max_periods": pde_solver.MAX_PERIODS,
-               "steps_per_period": 2048},
+    "solver": {"eps": 0.05, "eigen_tol": 1e-8, "steps_per_period": 2048},
     "extra": {}})
 _FITNESS_COMPARE = (_run_fitness_compare, {
     "model": _EX2_MODEL, "grid": _WIDE_GRID,
-    "solver": {"eps": 0.05, "eigen_tol": 1e-8,
-               "max_periods": pde_solver.MAX_PERIODS,
-               "steps_per_period": 2048},
+    "solver": {"eps": 0.05, "eigen_tol": 1e-8, "steps_per_period": 2048},
     # None: the time of weakest selection
     "extra": {"t_star": None}})
 EXPERIMENTS = {
@@ -494,8 +484,7 @@ EXPERIMENTS = {
                   "window": 0.1}}),
     "periodic-orbit": (_run_periodic_orbit, {
         "model": _EX1_MODEL, "grid": _WIDE_GRID,
-        "solver": {"eps": 0.05, "max_periods": pde_solver.MAX_PERIODS,
-                   "eigen_tol": 1e-10, "steps_per_period": 2048},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 2048},
         "extra": {"t_end": 30.0}}),
     "floquet-sweep": (_run_floquet_sweep, {
         "model": _EX1_MODEL, "grid": {},
@@ -503,8 +492,7 @@ EXPERIMENTS = {
         "extra": {"radii": [2.0, 3.0, 4.0, 5.0], "points_per_unit": 100}}),
     "epsilon-limit": (_run_epsilon_limit, {
         "model": _EX1_MODEL, "grid": _WIDE_GRID,
-        "solver": {"eigen_tol": 1e-8, "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 1024},
+        "solver": {"eigen_tol": 1e-8, "steps_per_period": 1024},
         "extra": {"eps_list": [0.1, 0.05, 0.025], "window_lo": -1.0,
                   "window_hi": 1.0}}),
     "moments": _MOMENTS,
@@ -514,9 +502,7 @@ EXPERIMENTS = {
     "fitness-compare": _FITNESS_COMPARE,
     "refinement": (_run_refinement, {
         "model": _EX1_MODEL, "grid": {"x_lo": -3.0, "x_hi": 3.0, "nx": 149},
-        "solver": {"eps": 0.05, "eigen_tol": 1e-10,
-                   "max_periods": pde_solver.MAX_PERIODS,
-                   "steps_per_period": 500},
+        "solver": {"eps": 0.05, "eigen_tol": 1e-10, "steps_per_period": 500},
         "extra": {"levels": 3}}),
 }
 EXPERIMENT_TAGS = tuple(EXPERIMENTS)
@@ -554,7 +540,7 @@ _END_TIME = (lambda v: 0.0 <= v < np.inf, "finite and nonnegative")
 _BOUNDS = {"kind": (lambda v: v in MODEL_KINDS, f"one of {', '.join(MODEL_KINDS)}"),
            "x_lo": (np.isfinite, "finite"), "x_hi": (np.isfinite, "finite"),
            "nx": (lambda v: v >= 16, ">= 16"), "eps": _POSITIVE,
-           "eigen_tol": _POSITIVE, "steps_per_period": _COUNT, "max_periods": _COUNT,
+           "eigen_tol": _POSITIVE, "steps_per_period": _COUNT,
            "levels": _COUNT, "w0": _POSITIVE,
            # 0 < r_1 < r_2 < ... < inf; a NaN fails every comparison
            "radii": (lambda v: len(v) >= 2 and all(

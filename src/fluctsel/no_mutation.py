@@ -153,13 +153,13 @@ def simulate_sigma0(grid: SimulationGrid, model: EnvironmentModel, n0,
     are held, each block of them over its live window; the phase rows are
     made a block at a time over the union of the windows.
     Returns (state, (times, rho), diagnostics); diagnostics holds only the
-    extinct flag, set by a size below 1e-12. An initial density that is
-    negative, identically zero or not finite, a step integral that is not
-    finite, or a size beyond the double range, raises NumericalError; a
-    t_end that is negative or not finite raises ConfigError.
+    extinct flag, set by a size below 1e-12. An n0 that fails
+    initial_density, or a t_end that is negative or not finite, raises
+    ConfigError; a step integral that is not finite, or a size beyond the
+    double range, raises NumericalError.
     """
     check_end_time(t_end)
-    values = initial_density(n0)
+    values = initial_density(grid, n0)
     x = grid.x
     per_period = grid.steps_per_period
     dt = model.period / per_period

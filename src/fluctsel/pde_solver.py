@@ -219,16 +219,20 @@ def total_mass(grid: SimulationGrid, values: np.ndarray) -> float:
     return grid.dx * float(np.sum(values))
 
 
-def initial_density(n0) -> np.ndarray:
-    """n0 as a float array; NumericalError when it is not finite, negative
-    somewhere or identically zero."""
+def initial_density(grid: SimulationGrid, n0) -> np.ndarray:
+    """n0 as a float array: the one check of every start vector (simulate,
+    simulate_sigma0 and an eigen-solve guess). ConfigError, before any step,
+    unless it holds one finite, nonnegative value per node of grid, not all
+    zero (so its mass is positive)."""
     values = np.asarray(n0, dtype=float)
+    if values.shape != (grid.nx,):
+        raise ConfigError(f"start vector has shape {values.shape}, not ({grid.nx},)")
     if not np.isfinite(values).all():
-        raise NumericalError("initial density contains non-finite values")
+        raise ConfigError("start vector contains non-finite values")
     if values.min() < 0.0:
-        raise NumericalError("initial density contains negative values")
+        raise ConfigError("start vector contains negative values")
     if values.max() <= 0.0:
-        raise NumericalError("initial density is identically zero")
+        raise ConfigError("start vector is identically zero")
     return values
 
 
@@ -286,7 +290,7 @@ def default_orbit_guess(grid: SimulationGrid, model: EnvironmentModel) -> np.nda
 
 
 class _Stepper:
-    """Precomputed machinery for repeated IMEX periods on a fixed grid.
+    """The linear IMEX flow on a fixed grid: step, run and record.
 
     One period is grid.steps_per_period steps of dt = T / steps_per_period.
     gain[k] = 1 + dt * a(k * dt, x) is row k + 1 of a table whose spare
@@ -364,63 +368,6 @@ class _Stepper:
             solve(*head, ctypes.c_void_p(address), *tail)
         return table
 
-    def principal(self, start: np.ndarray, tol: float, budget: int) -> FloquetPair:
-        """Principal eigenpair of the linear period map (restarted Arnoldi).
-
-        Each Arnoldi step is one period map, orthogonalized by two passes of
-        Gram-Schmidt. The loop stops as soon as the largest-magnitude Ritz
-        pair (mu, y) of the Hessenberg matrix H passes ARPACK's residual
-        test |H[j+1, j] y[j]| <= tol * |mu|, so tol is the relative accuracy
-        of the period growth factor mu, and lam = -log(mu) / T. A full basis
-        of KRYLOV_RESTART vectors restarts from the Ritz vector. Raises
-        ConvergenceError with the last two growth factors |Mv| / |v| past
-        budget period maps.
-        """
-        basis = np.empty((KRYLOV_RESTART + 1, start.size))
-        hess = np.zeros((KRYLOV_RESTART + 1, KRYLOV_RESTART))
-        basis[0] = start / np.linalg.norm(start)
-        factors = [np.nan, np.nan]
-        j = 0
-        while True:
-            if len(factors) - 2 >= budget:
-                raise ConvergenceError(
-                    f"no principal eigenpair within {budget} periods; "
-                    f"last two factors {factors[-2]:.12e}, {factors[-1]:.12e}")
-            with np.errstate(over="ignore"):  # an overflow is reported below
-                w = self.run(basis[j], self.steps)
-            factors.append(float(np.linalg.norm(w)))
-            if not np.isfinite(factors[-1]):
-                raise NumericalError(f"period map overflowed (factor {factors[-1]})")
-            h = basis[:j + 1] @ w
-            w -= h @ basis[:j + 1]
-            again = basis[:j + 1] @ w
-            w -= again @ basis[:j + 1]
-            hess[:j + 1, j] = h + again
-            hess[j + 1, j] = np.linalg.norm(w)
-            vals, vecs = np.linalg.eig(hess[:j + 1, :j + 1])
-            i = np.argmax(np.abs(vals))
-            ritz = (vecs[:, i] @ basis[:j + 1]).real
-            if hess[j + 1, j] * abs(vecs[j, i]) <= tol * abs(vals[i]):
-                break  # converged, or an invariant subspace (H[j+1, j] = 0)
-            if j + 1 < KRYLOV_RESTART:
-                j += 1
-                basis[j] = w / hess[j, j - 1]
-            else:
-                j = 0
-                basis[0] = ritz / np.linalg.norm(ritz)
-        mu, p = float(vals[i].real), ritz
-        p *= np.sign(p[np.argmax(np.abs(p))])
-        if not (np.isfinite(mu) and mu > 0.0) or p.min() < -1e-6 * p.max():
-            raise NumericalError(f"period map lost positivity (factor {mu}, "
-                                 f"eigenvector min/max {p.min() / p.max():.3g})")
-        np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
-        snaps = self.record(p / p.max())
-        lam = -np.log(mu) / self.period
-        snaps *= np.exp(lam * self.times)[:, None]
-        return FloquetPair(lam=float(lam), period=self.period, p_snapshots=snaps,
-                           times=self.times, iterations=len(factors) - 2,
-                           grid=self.grid)
-
 
 def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     """Run the saturating IMEX scheme from density n0 up to t_end.
@@ -433,12 +380,11 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
     rho_k = m_k / y_k at every step. Diagnostics hold the
     worst boundary-cell mass fraction seen at period ends and an extinction
     flag set when the size drops below 1e-12 (extinction is an outcome, not
-    an error). An initial density that is not finite, negative somewhere or
-    identically zero raises NumericalError, and a t_end that is negative or
-    not finite raises ConfigError, before any step.
+    an error). An n0 that fails initial_density, or a t_end that is
+    negative or not finite, raises ConfigError before any step.
     """
     check_end_time(t_end)
-    n = initial_density(n0)
+    n = initial_density(grid, n0)
     stepper = _Stepper(grid, model)
     dt, dx = stepper.dt, stepper.dx
     nsteps = int(round(t_end / dt))
@@ -469,18 +415,66 @@ def simulate(grid: SimulationGrid, model: EnvironmentModel, n0, t_end: float):
 def principal_eigenpair(grid: SimulationGrid, model: EnvironmentModel,
                         tol: float = 1e-10, max_periods: int = MAX_PERIODS,
                         guess: np.ndarray | None = None) -> FloquetPair:
-    """The one Krylov eigen-solve of the linear period map of
-    grid.steps_per_period steps, started from guess (default_orbit_guess
-    when None), to the relative tolerance tol of the growth factor, within
-    max_periods period maps. A guess must be nonnegative with positive mass
-    (else ConfigError).
+    """Principal eigenpair of the linear period map of grid.steps_per_period
+    steps: the one Krylov eigen-solve (restarted Arnoldi).
+
+    The loop starts from guess (default_orbit_guess when None; a guess must
+    pass initial_density, else ConfigError). Each Arnoldi step is one
+    period map, orthogonalized by two passes of Gram-Schmidt. The loop stops
+    as soon as the largest-magnitude Ritz pair (mu, y) of the Hessenberg
+    matrix H passes ARPACK's residual test |H[j+1, j] y[j]| <= tol * |mu|,
+    so tol is the relative accuracy of the period growth factor mu, and
+    lam = -log(mu) / T. A full basis of KRYLOV_RESTART vectors restarts
+    from the Ritz vector. FloquetPair.iterations counts the period maps.
+    Raises ConvergenceError, naming the last relative Ritz residual, when
+    max_periods maps do not pass the test, and NumericalError when a map
+    overflows.
     """
     stepper = _Stepper(grid, model)
-    start = (default_orbit_guess(grid, model) if guess is None
-             else np.asarray(guess, float))
-    if start.min() < 0.0 or total_mass(grid, start) <= 0.0:
-        raise ConfigError("eigen-solve guess must be nonnegative with positive mass")
-    return stepper.principal(start, tol, max_periods)
+    start = initial_density(grid, default_orbit_guess(grid, model) if guess is None else guess)
+    basis = np.empty((KRYLOV_RESTART + 1, grid.nx))
+    hess = np.zeros((KRYLOV_RESTART + 1, KRYLOV_RESTART))
+    basis[0] = start / np.linalg.norm(start)
+    j, residual = 0, np.inf
+    for maps in range(1, max_periods + 1):
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            w = stepper.run(basis[j], stepper.steps)
+        norm = np.linalg.norm(w)
+        if not np.isfinite(norm):
+            raise NumericalError(f"period map overflowed (|Mv| = {norm})")
+        h = basis[:j + 1] @ w
+        w -= h @ basis[:j + 1]
+        again = basis[:j + 1] @ w
+        w -= again @ basis[:j + 1]
+        hess[:j + 1, j] = h + again
+        hess[j + 1, j] = np.linalg.norm(w)
+        vals, vecs = np.linalg.eig(hess[:j + 1, :j + 1])
+        i = np.argmax(np.abs(vals))
+        ritz = (vecs[:, i] @ basis[:j + 1]).real
+        gap = hess[j + 1, j] * abs(vecs[j, i])  # the Ritz residual
+        if gap <= tol * abs(vals[i]):
+            break  # converged, or an invariant subspace (H[j+1, j] = 0)
+        residual = gap / abs(vals[i])
+        if j + 1 < KRYLOV_RESTART:
+            j += 1
+            basis[j] = w / hess[j, j - 1]
+        else:
+            j = 0
+            basis[0] = ritz / np.linalg.norm(ritz)
+    else:
+        raise ConvergenceError(f"no principal eigenpair within {max_periods} periods; "
+                               f"last relative Ritz residual {residual:.3e} > tol {tol:.3g}")
+    mu, p = float(vals[i].real), ritz
+    p *= np.sign(p[np.argmax(np.abs(p))])
+    if not (np.isfinite(mu) and mu > 0.0) or p.min() < -1e-6 * p.max():
+        raise NumericalError(f"period map lost positivity (factor {mu}, "
+                             f"eigenvector min/max {p.min() / p.max():.3g})")
+    np.maximum(p, 0.0, out=p)  # roundoff negatives in the far tails
+    snaps = stepper.record(p / p.max())
+    lam = -np.log(mu) / stepper.period
+    snaps *= np.exp(lam * stepper.times)[:, None]
+    return FloquetPair(lam=float(lam), period=stepper.period, p_snapshots=snaps,
+                       times=stepper.times, iterations=maps, grid=grid)
 
 
 def orbit_from_pair(pair: FloquetPair) -> OrbitRecord:

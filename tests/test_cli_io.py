@@ -3,14 +3,16 @@ import inspect
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluctsel as fs
@@ -245,7 +247,8 @@ def _model(kinds, **params):
 _ANY_KIND = _model(["oscillating_optimum", "oscillating_pressure"])
 
 # tag -> strategies for its [model] and [experiment] blocks, and the ranges of
-# the domain's half-width and of eps within which it runs on a small grid
+# the domain's half-width and of eps it is drawn from on a small grid (a draw
+# may have no orbit, and then raises a typed error)
 _SMALL_RUNS = {
     "moments": (_model(["oscillating_optimum"], c=_floats(0.2, 1.0), g=_floats(0.5, 1.5)),
                 st.fixed_dictionaries({}),
@@ -286,27 +289,42 @@ def small_configs(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(cfg=small_configs(), data=st.data())
-def test_a_manifest_replays_its_run_and_keeps_its_bounds(cfg, data, tmp_path_factory):
-    bundle = fs.run_experiment(cfg)
-    model = bundle.manifest["config"]["model"]
-    assert set(model) == {"kind", *cli_io.MODEL_KINDS[model["kind"]]}
-    again = fs.run_experiment(cli_io.config_from_manifest(bundle.manifest))
-    assert again.manifest["config"] == bundle.manifest["config"]
-    dirs = [tmp_path_factory.mktemp("bundle") for _ in range(2)]
-    for b, d in zip((bundle, again), dirs):
-        fs.emit_bundle(b, d)
-    names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
-    assert names == sorted(p.name for p in dirs[1].iterdir() if p.name != "manifest.json")
-    assert "summary.json" in names
-    for name in names:
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
-    # the same manifest with one value pushed outside its bound is rejected
-    config = copy.deepcopy(bundle.manifest["config"])
+@given(cfg=small_configs(), rnd=st.randoms(use_true_random=False))
+# a moments run with no orbit (period growth factor 0.951): an ExtinctionError
+@example(cfg=fs.RunConfig(experiment="moments", model={"c": 1.0, "g": 1.5},
+                          grid={"x_lo": -2.0, "x_hi": 2.0, "nx": 16},
+                          solver={"steps_per_period": 64, "eigen_tol": 1e-8, "eps": 0.25}),
+         rnd=random.Random(0))
+def test_a_manifest_replays_its_run_and_keeps_its_bounds(cfg, rnd, tmp_path_factory):
+    # a run returns a bundle, which its manifest replays byte for byte, or
+    # raises a typed error, which a replay of its resolved config raises again
+    try:
+        bundle = fs.run_experiment(cfg)
+    except fs.FluctselError as exc:
+        config = asdict(cli_io.resolve_config(cfg))
+        with pytest.raises(fs.FluctselError) as again:
+            fs.run_experiment(cli_io.config_from_manifest({"config": config}))
+        assert (type(again.value), str(again.value)) == (type(exc), str(exc))
+    else:
+        config = bundle.manifest["config"]
+        model = config["model"]
+        assert set(model) == {"kind", *cli_io.MODEL_KINDS[model["kind"]]}
+        again = fs.run_experiment(cli_io.config_from_manifest(bundle.manifest))
+        assert again.manifest["config"] == config
+        dirs = [tmp_path_factory.mktemp("bundle") for _ in range(2)]
+        for b, d in zip((bundle, again), dirs):
+            fs.emit_bundle(b, d)
+        names = sorted(p.name for p in dirs[0].iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in dirs[1].iterdir() if p.name != "manifest.json")
+        assert "summary.json" in names
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    # the same config with one value pushed outside its bound is rejected
+    config = copy.deepcopy(config)
     blocks = [config[b] for b in ("grid", "solver", "extra")]
-    block = data.draw(st.sampled_from([b for b in blocks if set(b) & set(OUT_OF_BOUNDS)]))
-    key = data.draw(st.sampled_from(sorted(set(block) & set(OUT_OF_BOUNDS))))
-    block[key] = data.draw(st.sampled_from(OUT_OF_BOUNDS[key]))
+    block = rnd.choice([b for b in blocks if set(b) & set(OUT_OF_BOUNDS)])
+    key = rnd.choice(sorted(set(block) & set(OUT_OF_BOUNDS)))
+    block[key] = rnd.choice(OUT_OF_BOUNDS[key])
     with pytest.raises(fs.ConfigError, match=re.escape(f"] {key} must be ")):
         fs.run_experiment(cli_io.config_from_manifest({"config": config}))
 
@@ -590,13 +608,10 @@ def test_main_numerical_error(tmp_path, capsys):
 
 
 def test_every_eigen_solve_budget_defaults_to_max_periods():
-    budgets = [inspect.signature(fn).parameters[name].default for fn, name in (
-        (pde_solver.principal_eigenpair, "max_periods"),
-        (pde_solver.find_periodic_orbit, "max_periods"),
-        (asymptotics.fitness_comparison, "max_periods"))]
-    budgets += [d["solver"]["max_periods"] for _, d in cli_io.EXPERIMENTS.values()
-                if "max_periods" in d["solver"]]
-    assert budgets and set(budgets) == {pde_solver.MAX_PERIODS}
+    budgets = [inspect.signature(fn).parameters["max_periods"].default for fn in (
+        pde_solver.principal_eigenpair, pde_solver.find_periodic_orbit,
+        asymptotics.fitness_comparison)]
+    assert set(budgets) == {pde_solver.MAX_PERIODS}
 
 
 def test_eigen_solves_share_their_keywords():
@@ -657,6 +672,8 @@ def test_main_missing_tabulated_file(tmp_path, capsys):
 @pytest.mark.parametrize("key", [
     # no experiment passes an iteration cap on; the key is not accepted
     "max_iters",
+    # every eigen-solve runs within pde_solver.MAX_PERIODS period maps
+    "max_periods",
     # the mutation scale has one key, solver.eps (sigma = eps^2)
     "sigma"])
 def test_main_rejects_unread_solver_key(key, capsys):
@@ -694,7 +711,6 @@ def test_main_rejects_key_the_experiment_does_not_read(tag, override, capsys):
     ("sigma0-convergence", "model.b=nan", " b "),
     ("sigma0-convergence", "model.b=inf", " b "),
     # numerical failures (exit 3) or an empty table before
-    ("example2", "solver.max_periods=0", "max_periods"),
     ("sigma0-convergence", "experiment.w0=0", "w0"),
     ("refinement", "experiment.levels=0", "levels"),
     # a concentration radius: mass_outside_window read 1.0 before
@@ -740,7 +756,7 @@ def _override_text(value):
 # values outside each _BOUNDS entry
 OUT_OF_BOUNDS = {
     "kind": ["quartic"], "x_lo": [-np.inf], "x_hi": [np.nan], "nx": [15],
-    "eps": [np.inf], "eigen_tol": [np.inf], "steps_per_period": [0], "max_periods": [0],
+    "eps": [np.inf], "eigen_tol": [np.inf], "steps_per_period": [0],
     "levels": [0], "w0": [np.inf],
     # a ValueError or OverflowError traceback (exit 1), "radii must be
     # strictly increasing" (exit 3), or an empty trait interval that named
@@ -810,6 +826,9 @@ def test_the_readme_table_of_bounds_names_every_bounded_key():
     # ran with eps = 0.05, echoing -0.05 in its manifest, before
     ({"solver": {"eps": -0.05}}, "[solver] eps must be positive"),
     ({"solver": {"sigma": 0.01}}, "experiment 'moments' does not read [solver] key(s) ['sigma']"),
+    # a manifest of a run that echoed the eigen-solve budget
+    ({"solver": {"max_periods": 2000}},
+     "experiment 'moments' does not read [solver] key(s) ['max_periods']"),
     ({"model": {"kind": "quartic"}}, "[model] kind must be one of"),
     ({"grid": {"x_lo": 2.0, "x_hi": -2.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
     ({"grid": {"x_hi": -5.0}}, "[grid] x_hi: x_hi must exceed x_lo"),
@@ -826,8 +845,8 @@ def test_run_experiment_rejects_a_code_built_config_a_file_could_not_give(
     # escaped as TypeError: '>=' not supported, before
     ("grid", "nx", "40", 40),
     ("solver", "steps_per_period", 64.0, 64),
-    # resolved unchanged, before; a config file rejects both
-    ("solver", "max_periods", 2.5, "[solver] max_periods: 2.5 is not an integer"),
+    # as a config file rejects them
+    ("solver", "steps_per_period", 2.5, "[solver] steps_per_period: 2.5 is not an integer"),
     ("grid", "nx", "forty", "[grid] nx: invalid literal for int()"),
     ("grid", "nx", None, "[grid] nx: int() argument must be"),
 ])
@@ -879,14 +898,15 @@ def test_every_default_round_trips_through_an_override(tag):
 
 
 def _count_solves(monkeypatch):
+    # every eigen-solve records its period once
     calls = []
-    principal = pde_solver._Stepper.principal
+    record = pde_solver._Stepper.record
 
-    def counted(self, *args, **kwargs):
+    def counted(self, start):
         calls.append(self.steps)
-        return principal(self, *args, **kwargs)
+        return record(self, start)
 
-    monkeypatch.setattr(pde_solver._Stepper, "principal", counted)
+    monkeypatch.setattr(pde_solver._Stepper, "record", counted)
     return calls
 
 
@@ -911,17 +931,17 @@ def test_refinement_runs_one_eigen_solve_per_grid(monkeypatch):
 
 def test_refinement_frees_each_pair_before_the_next_solve(monkeypatch):
     # level 0's FloquetPair, and with it its period table, is gone when
-    # level 1's eigen-solve starts
-    pairs, alive = [], []
-    principal = pde_solver._Stepper.principal
+    # level 1's eigen-solve records its period
+    tables, alive = [], []
+    record = pde_solver._Stepper.record
 
-    def watched(self, start, tol, budget):
-        alive.append([ref() is not None for ref in pairs])
-        pair = principal(self, start, tol, budget)
-        pairs.append(weakref.ref(pair))
-        return pair
+    def watched(self, start):
+        alive.append([ref() is not None for ref in tables])
+        table = record(self, start)
+        tables.append(weakref.ref(table))
+        return table
 
-    monkeypatch.setattr(pde_solver._Stepper, "principal", watched)
+    monkeypatch.setattr(pde_solver._Stepper, "record", watched)
     fs.run_experiment(fs.RunConfig(experiment="refinement", grid={"nx": 99},
                                    solver={"steps_per_period": 128},
                                    extra={"levels": 2}))

@@ -82,6 +82,29 @@ def test_a_differing_csv_names_the_largest_shift_per_column(tmp_path):
     ]
 
 
+def test_a_differing_manifest_names_each_config_key_by_its_dotted_name(tmp_path):
+    for side, solver, elapsed in (("old", {"eigen_tol": 1e-8, "max_periods": 2000}, 0.1),
+                                  ("new", {"eigen_tol": 1e-10}, 0.2)):
+        _bundle(tmp_path / side, "a", {"x": 1.0}, "t\n0\n", elapsed)
+        manifest = {"version": "0.1.0", "timing": {"elapsed_seconds": elapsed},
+                    "config": {"out_dir": "a", "solver": solver,
+                               "extra": {"radii": [1.0, 2.0 + elapsed]}}}
+        (tmp_path / side / "a" / "manifest.json").write_text(json.dumps(manifest))
+    lines, differs = compare_bundles.compare(tmp_path / "old", tmp_path / "new")
+    assert differs
+    # the timing block is still left out
+    assert lines == [
+        "a/manifest.json: differs",
+        "  config.extra.radii: largest relative shift 0.0455, absolute 0.1, "
+        "largest magnitude 2.2",
+        "  config.solver.eigen_tol: largest relative shift 0.99, absolute 9.9e-09, "
+        "largest magnitude 1e-08",
+        "  config.solver.max_periods: only in old",
+        "a/summary.json: identical",
+        "a/table.csv: identical",
+    ]
+
+
 @pytest.mark.parametrize("old,new,expect", [
     (1.0, 1.0, (0.0, 0.0, 1.0)), (-2.0, 2.0, (2.0, 4.0, 2.0)), (0, 1e-3, (1.0, 1e-3, 1e-3)),
     ([1.0, 2.0], [1.0, 2.5], (0.2, 0.5, 2.5)), ([1.0], [1.0, 2.0], (math.inf, math.inf, 0.0)),

@@ -99,10 +99,11 @@ def test_eigenpair_is_deterministic(ex1_model):
     assert first.iterations == again.iterations
 
 
-def test_convergence_error_reports_factors(ex1_model):
+def test_convergence_error_reports_the_ritz_residual(ex1_model):
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=240, steps_per_period=512,
                              sigma=0.0025)
-    with pytest.raises(fs.ConvergenceError, match="last two factors"):
+    with pytest.raises(fs.ConvergenceError, match=r"within 2 periods; last relative Ritz "
+                       r"residual \d\.\d{3}e-\d\d > tol 1e-14$"):
         fs.principal_eigenpair(grid, ex1_model, tol=1e-14, max_periods=2)
 
 

@@ -99,13 +99,14 @@ def test_metrics_reject_zero_density():
 
 
 def test_simulate_rejects_bad_start():
+    # the start check of pde_solver.simulate: a ConfigError (a 10-node start
+    # was a broadcasting ValueError before)
     grid = _grid(nx=100)
-    with pytest.raises(fs.NumericalError):
-        fs.simulate_sigma0(grid, fs.make_custom(1.0, lambda t, x: 0 * x),
-                           -np.ones(100), 1.0)
-    with pytest.raises(fs.NumericalError):
-        fs.simulate_sigma0(grid, fs.make_custom(1.0, lambda t, x: 0 * x),
-                           np.zeros(100), 1.0)
+    flat = fs.make_custom(1.0, lambda t, x: 0 * x)
+    for bad, match in ((-np.ones(100), "negative"), (np.zeros(100), "identically zero"),
+                       (np.ones(10), r"shape \(10,\), not \(100,\)")):
+        with pytest.raises(fs.ConfigError, match=match):
+            fs.simulate_sigma0(grid, flat, bad, 1.0)
 
 
 def test_simulate_rejects_a_size_beyond_the_double_range():
@@ -117,7 +118,7 @@ def test_simulate_rejects_a_size_beyond_the_double_range():
     for bad in (np.nan, np.inf):
         n0 = np.ones(100)
         n0[7] = bad
-        with pytest.raises(fs.NumericalError, match="non-finite"):
+        with pytest.raises(fs.ConfigError, match="non-finite"):
             fs.simulate_sigma0(grid, flat, n0, 1.0)
     # a representable size of about 5.9e307, though exp(max log n0) * sum
     # is not; exp(log rho), log rho ~ 708, keeps about 708 eps relative

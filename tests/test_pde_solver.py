@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg.lapack
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 import fluctsel as fs
@@ -54,8 +55,9 @@ def test_grid_geometry():
 
 
 def test_simulate_rejects_bad_start_before_any_step(monkeypatch):
-    # a start that is not finite, negative somewhere or identically zero is
-    # rejected before the stepper runs
+    # a start of another shape than the grid's nodes, or that is not finite,
+    # negative somewhere or identically zero, is a ConfigError before the
+    # stepper runs (a 10-node start was a broadcasting ValueError before)
     def no_step(self, n, k):
         raise AssertionError("stepped a rejected start")
 
@@ -70,7 +72,10 @@ def test_simulate_rejects_bad_start_before_any_step(monkeypatch):
                              (0.0, slice(None), "identically zero")]:
         bad = ones.copy()
         bad[at] = value
-        with pytest.raises(fs.NumericalError, match=match):
+        with pytest.raises(fs.ConfigError, match=match):
+            fs.simulate(grid, _const_model(1.0), bad, 3.0)
+    for bad in (np.ones(10), np.ones((2, 50))):
+        with pytest.raises(fs.ConfigError, match=r"shape .*, not \(100,\)"):
             fs.simulate(grid, _const_model(1.0), bad, 3.0)
 
 
@@ -585,6 +590,52 @@ def test_example1_orbit_against_the_exact_solution(ex1_model, eps):
         assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
 
 
+def _exact_example2(eps, r=1.0):
+    """lam and the period mean of the variance of the exact example2 orbit."""
+    # a = r - g(t) x^2 keeps a Gaussian of variance v, v' = 2 sigma - 2 g v^2,
+    # with -lam = r - mean(g v); v = w / z for (w, z)' = (2 sigma z, 2 g w),
+    # whose period matrix's positive eigenvector gives v(0)
+    sigma = eps * eps
+
+    def g(t):
+        return 2.0 + 1.8 * np.cos(2.0 * np.pi * t)
+
+    def linear(t, y):
+        return [2.0 * sigma * y[1], 2.0 * g(t) * y[0]]
+
+    def riccati(t, y):  # v and the running integrals of g v and v
+        return [2.0 * sigma - 2.0 * g(t) * y[0] ** 2, g(t) * y[0], y[0]]
+
+    period = np.column_stack([solve_ivp(linear, (0.0, 1.0), e, rtol=1e-13, atol=1e-15).y[:, -1]
+                              for e in np.eye(2)])
+    vals, vecs = np.linalg.eig(period)
+    w, z = vecs[:, np.argmax(vals.real)].real
+    v_end, gv, v = solve_ivp(riccati, (0.0, 1.0), [w / z, 0.0, 0.0],
+                             rtol=1e-13, atol=1e-15).y[:, -1]
+    assert v_end == pytest.approx(w / z, rel=1e-10)
+    return -r + gv, v
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1])
+def test_example2_orbit_against_the_exact_solution(ex2_model, eps):
+    # the errors fall 4x from (nx, steps) = (149, 500) to (299, 2000): lambda
+    # 7.30e-4 -> 1.83e-4 at eps = 0.05 and 6.64e-4 -> 1.66e-4 at 0.1, the
+    # relative variance mean 1.97e-3 -> 4.90e-4 and 6.73e-4 -> 1.68e-4, so at
+    # most 0.365 dt and 0.98 dt: the gates are 0.5 dt and 1.2 dt
+    lam, var_mean = _exact_example2(eps)
+    lam_errors, var_errors = [], []
+    for nx, steps in ((149, 500), (299, 2000)):
+        grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=nx, steps_per_period=steps,
+                                 sigma=eps * eps)
+        record = fs.find_periodic_orbit(grid, ex2_model, tol=1e-10)
+        lam_errors.append(abs(record.pair.lam - lam))
+        var_errors.append(abs(fs.measure_moments(record).sigma2.mean() - var_mean) / var_mean)
+        assert lam_errors[-1] < 0.5 / steps
+        assert var_errors[-1] < 1.2 / steps
+    for errors in (lam_errors, var_errors):
+        assert 3.9 <= errors[0] / errors[1] <= 4.1, errors
+
+
 def test_find_periodic_orbit_detects_extinction():
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
                              sigma=0.01)
@@ -672,12 +723,19 @@ def test_find_periodic_orbit_rejects_bad_guess():
         fs.find_periodic_orbit(grid, model, guess=np.zeros(100))
 
 
-@pytest.mark.parametrize("guess", [np.zeros(100), -np.ones(100)])
-def test_principal_eigenpair_rejects_bad_guess(guess):
+@pytest.mark.parametrize("guess,match", [
+    (np.zeros(100), "identically zero"), (-np.ones(100), "negative"),
+    # a dpttrs ValueError, a broadcasting ValueError and "period map
+    # overflowed (factor nan)" before
+    (np.ones(10), r"shape \(10,\), not \(100,\)"),
+    (np.ones((2, 50)), r"shape \(2, 50\), not \(100,\)"),
+    (np.r_[np.ones(50), np.nan, np.ones(49)], "non-finite"),
+    (np.r_[np.ones(50), np.inf, np.ones(49)], "non-finite")])
+def test_principal_eigenpair_rejects_bad_guess(guess, match):
     grid = fs.SimulationGrid(x_lo=-3.0, x_hi=3.0, nx=100, steps_per_period=128,
                              sigma=0.01)
     model = fs.make_custom(1.0, lambda t, x: 1.0 - np.asarray(x) ** 2)
-    with pytest.raises(fs.ConfigError, match="nonnegative with positive mass"):
+    with pytest.raises(fs.ConfigError, match=match):
         fs.principal_eigenpair(grid, model, guess=guess)
 
 

@@ -16,8 +16,9 @@ taken element-wise over a list or column, and the largest magnitude |v| of
 its numbers on either side, so that a large relative shift of a value near
 zero reads as the rounding it may be. A shift is inf when a value is not a
 number or changes type, or a column changes length. A manifest is compared
-without its timing block, and
-both trees write to the same relative out_dir. The last line gives the
+without its timing block, and a manifest that differs prints the same lines
+for its keys by dotted name (config.solver.eigen_tol); both trees write to
+the same relative out_dir. The last line gives the
 lines of src/**/*.py added, removed and net from OLD to NEW, file by file
 by difflib's matching. The exit status is 1 on any bundle difference, 2
 when git cannot export a revision, else 0.
@@ -107,9 +108,19 @@ def _shift_lines(old: dict, new: dict) -> list[str]:
 
 
 def _manifest_without_timing(path: Path) -> dict:
+    """The manifest's values by dotted key, its timing block left out."""
+    def flat(block: dict, prefix: str) -> dict:
+        out = {}
+        for key, value in block.items():
+            if isinstance(value, dict):
+                out.update(flat(value, f"{prefix}{key}."))
+            else:
+                out[f"{prefix}{key}"] = value
+        return out
+
     manifest = json.loads(path.read_text(encoding="utf-8"))
     manifest.pop("timing", None)
-    return manifest
+    return flat(manifest, "")
 
 
 def compare(old: Path, new: Path) -> tuple[list[str], bool]:
@@ -127,12 +138,15 @@ def compare(old: Path, new: Path) -> tuple[list[str], bool]:
             differs = True
             continue
         if name.endswith("manifest.json"):
-            same = _manifest_without_timing(a) == _manifest_without_timing(b)
+            manifests = [_manifest_without_timing(p) for p in (a, b)]
+            same = manifests[0] == manifests[1]
         else:
             same = a.read_bytes() == b.read_bytes()
         lines.append(f"{name}: {'identical' if same else 'differs'}")
         differs |= not same
-        if not same and name.endswith("summary.json"):
+        if not same and name.endswith("manifest.json"):
+            lines += _shift_lines(*manifests)
+        elif not same and name.endswith("summary.json"):
             lines += _shift_lines(*(json.loads(p.read_text(encoding="utf-8")) for p in (a, b)))
         elif not same and name.endswith(".csv"):
             lines += _shift_lines(_csv_columns(a), _csv_columns(b))
